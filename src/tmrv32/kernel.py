@@ -18,6 +18,15 @@ A mid-cycle flip is therefore discrepant for exactly one voting phase and is cle
 again in the following cycle (latency 1); an edge-aligned flip lands one edge later
 and is clean two cycles after its scheduled cycle (latency 2).
 
+Idle fast-forward: once the core has halted, ``run_cycles`` skips spans in which
+no cycle can do anything but advance the scrubber over clean SRAM rows. It applies
+only while no cell is dirty, no counter increment is pending, the edge queue is
+empty and no ``cycle_hooks`` are installed. A skip ends at the next scheduled flip,
+the next GPIO or UART stimulus that can land, the cycle whose scrub step would read
+a dirty row or write back (honouring ``scrub_divider``), or the end of the run;
+that cycle is then simulated by ``step_cycle``. ``step_cycle`` stays the oracle:
+the fast path must leave exactly the state that single-stepping leaves.
+
 One kernel instance is one single-threaded simulation; instances share nothing, so
 campaigns may run many in parallel.
 """
@@ -25,7 +34,6 @@ campaigns may run many in parallel.
 import hashlib
 import json
 import struct
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,7 +55,7 @@ from .scrubber import Scrubber
 from .tmr import Domain
 
 SNAPSHOT_MAGIC = b"TMRV32SS"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 MID_CYCLE = "mid-cycle"
 EDGE_ALIGNED = "edge-aligned"
@@ -373,12 +381,36 @@ class Kernel:
         """Run exactly ``n`` more cycles, no timeout semantics.
 
         A program halt stops the core, not the clock: the scrubber, counters,
-        and fault schedule keep running for the remaining cycles.
+        and fault schedule keep running for the remaining cycles. Idle post-halt
+        spans are fast-forwarded (see the module docstring).
         """
         end = self.cycle + n
         while self.cycle < end:
+            if self.halted is not None and not (
+                self.dirty or self._pending_increments or self._edge_queue or self.cycle_hooks
+            ):
+                self._skip_idle(end)
+                if self.cycle >= end:
+                    break
             self.step_cycle()
         return self.result()
+
+    def _skip_idle(self, end):
+        """Advance a halted, quiescent machine to the next cycle that needs a step."""
+        c = self.cycle
+        stop = min(
+            (k for k in (*self._fault_schedule, *self._gpio_schedule) if k >= c), default=end
+        )
+        uart = self.uart
+        if not uart.rx_valid.value and uart.rx_cursor < len(uart.rx_pending):
+            stop = min(stop, max(c, uart.rx_pending[uart.rx_cursor][0]))
+        stop = min(stop, end)
+        if self.config.scrub_enabled:
+            stop = self.scrubber.skip_clean(self.sram, c, stop, self.config.scrub_divider)
+        if stop <= c:
+            return
+        self.arch.cycle = uart.cycle = stop - 1
+        self.cycle = stop
 
     def result(self):
         p = self.pipeline
@@ -430,8 +462,7 @@ class Kernel:
         for cell in cells:
             parts.append(struct.pack("<III", cell.r0, cell.r1, cell.r2))
         parts.append(struct.pack("<I", self.sram.rows))
-        for bank in self.sram.banks:
-            parts.append(array("I", bank).tobytes())
+        parts.extend(bank.tobytes() for bank in self.sram.banks)
         p = self.pipeline
         misc = {
             "halted": self.halted,
@@ -450,6 +481,10 @@ class Kernel:
             "event_totals": {int(d): n for d, n in self.event_totals.items()},
         }
         misc["edge_queue"] = [list(e) for e in self._edge_queue]
+        misc["fault_schedule"] = [
+            [cycle, *e] for cycle, due in sorted(self._fault_schedule.items()) for e in due
+        ]
+        misc["record_events"] = self.config.record_events
         blob = json.dumps(misc, sort_keys=True).encode()
         parts.append(struct.pack("<I", len(blob)))
         parts.append(blob)
@@ -457,16 +492,17 @@ class Kernel:
 
     @classmethod
     def from_snapshot(cls, data, image=None):
-        """Rebuild a kernel from :meth:`snapshot` output.
+        """Rebuild a kernel from :meth:`snapshot` output (version 1 or 2).
 
         The memory image travels inside the snapshot (SRAM contents), so ``image``
         is only needed if the original config must be reproduced exactly for
-        reporting purposes.
+        reporting purposes. A version-1 snapshot carries no fault schedule and no
+        ``record_events`` flag; both restore as empty/false.
         """
         if data[:8] != SNAPSHOT_MAGIC:
             raise ConfigError("not a snapshot (bad magic)")
         version, cycle = struct.unpack_from("<HQ", data, 8)
-        if version != SNAPSHOT_VERSION:
+        if version not in (1, SNAPSHOT_VERSION):
             raise ConfigError(f"unsupported snapshot version {version}")
         off = 18
         (cfg_len,) = struct.unpack_from("<I", data, off)
@@ -490,11 +526,10 @@ class Kernel:
         off += 4
         if rows != kernel.sram.rows:
             raise ConfigError("snapshot SRAM geometry does not match")
-        for bank in kernel.sram.banks:
-            words = array("I")
-            words.frombytes(data[off : off + 4 * rows])
-            bank[:] = list(words)
-            off += 4 * rows
+        kernel.sram.restore_banks(
+            [data[off + 4 * rows * i : off + 4 * rows * (i + 1)] for i in range(3)]
+        )
+        off += 12 * rows
         (misc_len,) = struct.unpack_from("<I", data, off)
         off += 4
         misc = json.loads(data[off : off + misc_len])
@@ -517,6 +552,11 @@ class Kernel:
         }
         kernel.event_totals = {Domain(int(d)): n for d, n in misc["event_totals"].items()}
         kernel._edge_queue = [tuple(e) for e in misc["edge_queue"]]
+        for cycle_due, *e in misc.get("fault_schedule", ()):
+            kernel._fault_schedule.setdefault(cycle_due, []).append(tuple(e))
+        if misc.get("record_events", False):
+            kernel.config.record_events = True
+            kernel.event_log = []
         return kernel
 
 

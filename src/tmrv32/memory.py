@@ -47,32 +47,43 @@ class MemRequest:
 
 
 class SramArray:
-    """Three replica banks of 32-bit rows with a core port and a scrubber port."""
+    """Three replica banks of 32-bit rows with a core port and a scrubber port.
+
+    ``dirty`` is the set of rows whose replicas disagree. Every port keeps it exact,
+    so clean rows are read without voting and bulk images cost a copy, not a vote.
+    """
 
     def __init__(self, rows=SRAM_ROWS):
         if rows < 1:
             raise ValueError("SRAM needs at least one row")
         self.rows = rows
-        self.banks = [[0] * rows, [0] * rows, [0] * rows]
+        self.banks = [array("I", [0]) * rows for _ in range(3)]
+        self.dirty = set()
+
+    def _vote_row(self, row):
+        b0, b1, b2 = self.banks
+        a, b, c = b0[row], b1[row], b2[row]
+        return (a & b) | (a & c) | (b & c)
 
     def read_voted(self, row):
         """Core port read: (bitwise-majority word, replicas-disagree flag)."""
-        a = self.banks[0][row]
-        b = self.banks[1][row]
-        c = self.banks[2][row]
-        return (a & b) | (a & c) | (b & c), not (a == b == c)
+        if row in self.dirty:
+            return self._vote_row(row), True
+        return self.banks[0][row], False
 
     def write_masked(self, row, value, mask):
         """Core port write: update the enabled bits of all three banks identically."""
+        b0, b1, b2 = self.banks
         if mask == M32:
-            self.banks[0][row] = value
-            self.banks[1][row] = value
-            self.banks[2][row] = value
+            b0[row] = b1[row] = b2[row] = value
+            self.dirty.discard(row)
         else:
             value &= mask
             inv = ~mask & M32
             for bank in self.banks:
                 bank[row] = (bank[row] & inv) | value
+            if row in self.dirty and b0[row] == b1[row] == b2[row]:
+                self.dirty.discard(row)
 
     def scrub_read(self, row):
         """Scrubber port read: the three raw replica words, unvoted."""
@@ -87,6 +98,7 @@ class SramArray:
         self.banks[0][row] = word
         self.banks[1][row] = word
         self.banks[2][row] = word
+        self.dirty.discard(row)
 
     def flip(self, row, replica, bit):
         """Invert one bit of one replica bank (an injected upset)."""
@@ -96,34 +108,54 @@ class SramArray:
             raise ValueError(f"replica must be 0..2, got {replica}")
         if not 0 <= bit < 32:
             raise ValueError(f"bit must be 0..31, got {bit}")
+        b0, b1, b2 = self.banks
         self.banks[replica][row] ^= 1 << bit
+        if b0[row] == b1[row] == b2[row]:
+            self.dirty.discard(row)
+        else:
+            self.dirty.add(row)
 
     def load_bytes(self, offset, data):
-        """Initialize all three banks identically from a byte image."""
+        """Write a byte image identically into all three banks.
+
+        Rows outside the image keep their voted contents, so every row ends clean.
+        """
         if offset < 0 or offset + len(data) > self.rows * 4:
             raise ValueError(
                 f"image of {len(data)} bytes at offset 0x{offset:x} exceeds "
                 f"{self.rows * 4} bytes of SRAM"
             )
-        padded = bytearray(self.voted_bytes())
-        padded[offset : offset + len(data)] = data
-        words = array("I")
-        words.frombytes(bytes(padded))
+        for row in list(self.dirty):
+            self.scrub_write(row, self._vote_row(row))
         for bank in self.banks:
-            bank[:] = list(words)
+            with memoryview(bank).cast("B") as raw:
+                raw[offset : offset + len(data)] = data
 
     def voted_bytes(self):
         """The full memory image as the core would observe it (little-endian)."""
-        b0, b1, b2 = self.banks
-        words = array(
-            "I", [(a & b) | (a & c) | (b & c) for a, b, c in zip(b0, b1, b2)]
-        )
+        if not self.dirty:
+            return self.banks[0].tobytes()
+        words = self.banks[0][:]
+        for row in self.dirty:
+            words[row] = self._vote_row(row)
         return words.tobytes()
 
+    def restore_banks(self, raw_banks):
+        """Set the three replica banks from raw bytes (snapshot support); rebuilds ``dirty``."""
+        for bank, raw in zip(self.banks, raw_banks):
+            with memoryview(bank).cast("B") as view:
+                view[:] = raw
+        self.dirty.clear()
+        r0, r1, r2 = raw_banks
+        if not r0 == r1 == r2:
+            b0, b1, b2 = self.banks
+            self.dirty.update(
+                r for r in range(self.rows) if not b0[r] == b1[r] == b2[r]
+            )
+
     def mismatched_rows(self):
-        """Rows whose replicas currently disagree (test/diagnostic helper)."""
-        b0, b1, b2 = self.banks
-        return [r for r in range(self.rows) if not (b0[r] == b1[r] == b2[r])]
+        """Rows whose replicas currently disagree, ascending."""
+        return sorted(self.dirty)
 
 
 class SystemBus:

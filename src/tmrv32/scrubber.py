@@ -55,6 +55,29 @@ class Scrubber:
             self.phase.write(PHASE_WRITEBACK)
         return None
 
+    def skip_clean(self, sram, start, end, divider=1):
+        """Fast-forward the scrub cycles ``start .. end - 1`` over clean rows.
+
+        A step is due on every cycle that is a multiple of ``divider``. The scan
+        advances exactly as :meth:`step` would while each due step is a clean read,
+        and stops before the first due step that would read a row in ``sram.dirty``
+        or write back. Returns the cycle it stopped at (``end`` when every due step
+        was clean). Costs O(1 + dirty rows).
+        """
+        due = (end - 1) // divider - (start - 1) // divider
+        row = self.row_ptr.value
+        if self.phase.value != PHASE_READ or row >= self.rows:
+            clean = 0  # step() must run: a write-back, or an out-of-range pointer
+        elif sram.dirty:
+            clean = min(due, min((r - row) % self.rows for r in sram.dirty))
+        else:
+            clean = due
+        if clean:
+            self.row_ptr.write((row + clean) % self.rows)
+        if clean == due:
+            return end
+        return -(-start // divider) * divider + clean * divider
+
 
 def worst_case_correction_cycles(rows, other_dirty_rows=0):
     """Analytic upper bound on scrub steps to correct one upset row.

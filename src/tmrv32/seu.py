@@ -492,7 +492,8 @@ def scrub_latency_samples(rows=8192, samples=10_000, seed=0, stratified=True):
         offset = int(offsets[i])
         row = (scrub.row_ptr.value + offset) % rows
         sram.flip(row, int(replicas[i]), int(bits[i]))
-        elapsed = 0
+        # clean rows ahead of the upset are skipped; the dirty row is stepped
+        elapsed = scrub.skip_clean(sram, 0, rows + 2)
         while True:
             elapsed += 1
             if step(sram, None) == row:

@@ -1,14 +1,27 @@
 """Kernel: reset state, determinism, snapshot round-trips, image loading, timing."""
 
+import dataclasses
+import json
 import struct
 
+import numpy as np
 import pytest
 
 from conftest import acceptance_program, alu_block_program, make_kernel, uart_hello_program
 
 from tmrv32 import encode as E
 from tmrv32.errors import ConfigError, SimTimeout
-from tmrv32.kernel import Kernel, SystemConfig, load_image, parse_stimulus
+from tmrv32.kernel import (
+    EDGE_ALIGNED,
+    MID_CYCLE,
+    SNAPSHOT_MAGIC,
+    Kernel,
+    SystemConfig,
+    load_image,
+    parse_stimulus,
+)
+from tmrv32.memory import SramArray
+from tmrv32.scrubber import Scrubber
 from tmrv32.tmr import Domain
 
 
@@ -217,3 +230,187 @@ def test_scrub_disabled_means_no_scan():
     )
     kernel.run()
     assert kernel.scrubber.row_ptr.value == 0
+
+
+# ---------------------------------------------------------------------------
+# idle fast-forward vs. single-stepping, and snapshot v2
+# ---------------------------------------------------------------------------
+
+
+def _toy_kernel(rows, config):
+    """A kernel whose SRAM and scrubber have ``rows`` rows (image loaded at 0)."""
+    kernel = Kernel(dataclasses.replace(config, image=None))
+    kernel.sram = kernel.bus.sram = SramArray(rows)
+    kernel.scrubber = Scrubber(rows)
+    kernel.registry.update((cell.element_id, cell) for cell in kernel.scrubber.cells())
+    kernel.sram.load_bytes(0, config.image)
+    return kernel
+
+
+def _schedule_random_flips(kernel, seed, halt_cycle, end):
+    """Seeded single upsets before the halt and arbitrary (double) upsets after it.
+
+    Pre-halt upsets sit on distinct even cycles with distinct SRAM bits, so no two
+    combine into an uncorrectable fault while the core still runs.
+    """
+    rng = np.random.default_rng(seed)
+    names = list(kernel.registry)
+    rows = kernel.sram.rows
+    slots = np.arange(2, halt_cycle - 2, 2)
+    for i, cycle in enumerate(rng.choice(slots, min(12, len(slots)), replace=False)):
+        if i % 2:
+            kernel.schedule_flip(int(cycle), "sram", int(rng.integers(rows)), i % 3, i)
+        else:
+            key = names[int(rng.integers(len(names)))]
+            bit = int(rng.integers(kernel.registry[key].width))
+            phase = EDGE_ALIGNED if i % 4 else MID_CYCLE
+            kernel.schedule_flip(int(cycle), "cell", key, i % 3, bit, phase=phase)
+    for cycle in rng.integers(halt_cycle + 1, end - end // 100, 16):
+        cycle = int(cycle)
+        count = int(rng.integers(1, 3))
+        if rng.integers(2):
+            row, bit = int(rng.integers(rows)), int(rng.integers(32))
+            for r in range(count):
+                kernel.schedule_flip(cycle, "sram", row, r, bit)
+        else:
+            key = names[int(rng.integers(len(names)))]
+            bit = int(rng.integers(kernel.registry[key].width))
+            phase = EDGE_ALIGNED if rng.integers(2) else MID_CYCLE
+            for r in range(count):
+                kernel.schedule_flip(cycle, "cell", key, r, bit, phase=phase)
+    # the scrubber's own pointer, upset past the halt, must steer both paths alike
+    cycle = (halt_cycle + end) // 3
+    kernel.schedule_flip(cycle, "cell", "sram.scrub_row_ptr", 0, 2)
+    kernel.schedule_flip(cycle, "cell", "sram.scrub_row_ptr", 1, 2)
+
+
+def _plain_and_fast(make, seed, halt_cycle, n):
+    plain, fast = make(), make()
+    for kernel in (plain, fast):
+        _schedule_random_flips(kernel, seed, halt_cycle, n)
+    for _ in range(n):
+        plain.step_cycle()
+    steps = []
+    fast_step = fast.step_cycle
+
+    def counted_step():
+        steps.append(fast.cycle)
+        fast_step()
+
+    fast.step_cycle = counted_step
+    fast.run_cycles(n)
+    assert len(steps) < n // 2  # the fast path really skipped
+    return plain, fast
+
+
+def _assert_same_run(plain, fast):
+    assert fast.snapshot() == plain.snapshot()
+    assert fast.result() == plain.result()
+    assert fast.event_log == plain.event_log
+    assert (fast.arch.cycle, fast.uart.cycle) == (plain.arch.cycle, plain.uart.cycle)
+
+
+FAST_FORWARD_CASES = {
+    "divider-1": dict(),
+    "divider-3": dict(scrub_divider=3),
+    "scrub-off": dict(scrub_enabled=False),
+    "stimulus": dict(
+        stimulus=(
+            ("gpio-in", 40, 3, 1),
+            ("gpio-in", 3000, 3, 0),
+            ("gpio-in", 9000, 7, 1),
+            ("uart-rx", 29_990, 0x42),  # due after the last scheduled upset
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAST_FORWARD_CASES))
+def test_run_cycles_fast_forward_matches_single_steps(case):
+    config = SystemConfig(
+        image=acceptance_program().assemble(), record_events=True, **FAST_FORWARD_CASES[case]
+    )
+    halt_cycle = Kernel(config).run().cycles
+    plain, fast = _plain_and_fast(lambda: Kernel(config), 7, halt_cycle, 30_000)
+    assert plain.halted is not None
+    _assert_same_run(plain, fast)
+
+
+@pytest.mark.parametrize("rows", [16, 256])
+@pytest.mark.parametrize("divider", [1, 3])
+def test_run_cycles_fast_forward_toy_sram(rows, divider):
+    config = SystemConfig(
+        image=alu_block_program(14).assemble(), record_events=True, scrub_divider=divider
+    )
+    halt_cycle = _toy_kernel(rows, config).run().cycles
+    plain, fast = _plain_and_fast(
+        lambda: _toy_kernel(rows, config), rows + divider, halt_cycle, 40 * rows * divider
+    )
+    _assert_same_run(plain, fast)
+
+
+def test_run_cycles_fast_forward_resumed_from_snapshot_mid_span():
+    config = SystemConfig(image=acceptance_program().assemble(), scrub_divider=3)
+    plain, first = Kernel(config), Kernel(config)
+    for kernel in (plain, first):
+        _schedule_random_flips(kernel, 11, 229, 30_000)
+    for _ in range(30_000):
+        plain.step_cycle()
+    first.run_cycles(12_345)  # mid-span, with flips still scheduled ahead
+    assert first.halted is not None and first._fault_schedule
+    resumed = Kernel.from_snapshot(first.snapshot())
+    resumed.run_cycles(30_000 - 12_345)
+    assert resumed.snapshot() == plain.snapshot()
+    assert resumed.result() == plain.result()
+
+
+def test_snapshot_keeps_scheduled_flips():
+    config = SystemConfig(image=acceptance_program().assemble())
+    straight = Kernel(config)
+    straight.schedule_flip(50, "cell", "core.x5", 0, 3)
+    straight.run()
+    first = Kernel(config)
+    first.schedule_flip(50, "cell", "core.x5", 0, 3)
+    first.run_cycles(10)
+    resumed = Kernel.from_snapshot(first.snapshot())
+    resumed.run()
+    assert straight.event_totals[Domain.CORE] == 1
+    assert resumed.event_totals[Domain.CORE] == 1
+    assert resumed.snapshot() == straight.snapshot()
+
+
+def test_snapshot_keeps_record_events():
+    kernel = make_kernel(acceptance_program(), record_events=True)
+    kernel.run_cycles(20)
+    resumed = Kernel.from_snapshot(kernel.snapshot())
+    assert resumed.config.record_events and resumed.event_log == []
+    assert resumed.snapshot() == kernel.snapshot()
+
+
+def _as_version_1(blob):
+    """Rewrite a version-2 snapshot as version 1 (no schedule, no record flag)."""
+    (cfg_len,) = struct.unpack_from("<I", blob, 18)
+    off = 22 + cfg_len
+    (cells,) = struct.unpack_from("<I", blob, off)
+    off += 4 + 12 * cells
+    (rows,) = struct.unpack_from("<I", blob, off)
+    off += 4 + 12 * rows
+    misc = json.loads(blob[off + 4 :])
+    del misc["fault_schedule"], misc["record_events"]
+    misc_blob = json.dumps(misc, sort_keys=True).encode()
+    head = SNAPSHOT_MAGIC + struct.pack("<H", 1) + blob[10:off]
+    return head + struct.pack("<I", len(misc_blob)) + misc_blob
+
+
+def test_snapshot_version_1_still_reads():
+    kernel = make_kernel(acceptance_program())
+    kernel.schedule_flip(15, "sram", 9, 1, 4)
+    kernel.run_cycles(40)
+    blob = kernel.snapshot()
+    assert struct.unpack_from("<H", blob, 8) == (2,)
+    old = Kernel.from_snapshot(_as_version_1(blob))
+    assert old._fault_schedule == {} and old.event_log is None
+    assert old.snapshot() == blob
+    old.run()
+    kernel.run()
+    assert old.result() == kernel.result()

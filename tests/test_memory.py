@@ -1,10 +1,13 @@
 """Triplicated SRAM, voted core port, scrubber port, bus routing, memory map."""
 
+from array import array
+
 import numpy as np
 import pytest
 
 from tmrv32.errors import AlignmentFault, BusFault
 from tmrv32.memory import (
+    M32,
     SEU_COUNTER_BASE,
     SRAM_ROWS,
     SramArray,
@@ -172,3 +175,70 @@ def test_image_loading_and_voted_bytes():
         sram.load_bytes(0x7FFC, bytes(16))  # spills past the end
     with pytest.raises(ValueError):
         sram.load_bytes(0, bytes(33 * 1024))  # 33 kB image
+
+
+def _brute_mismatched(sram):
+    b0, b1, b2 = sram.banks
+    return [r for r in range(sram.rows) if not b0[r] == b1[r] == b2[r]]
+
+
+def _brute_voted(sram):
+    b0, b1, b2 = sram.banks
+    return array("I", [(a & b) | (a & c) | (b & c) for a, b, c in zip(b0, b1, b2)]).tobytes()
+
+
+def _check_dirty_set(sram, rng):
+    assert sram.mismatched_rows() == _brute_mismatched(sram)
+    assert sram.voted_bytes() == _brute_voted(sram)
+    voted = array("I", _brute_voted(sram))
+    mismatched = set(_brute_mismatched(sram))
+    for row in list(mismatched) + [int(r) for r in rng.integers(0, sram.rows, 4)]:
+        assert sram.read_voted(row) == (voted[row], row in mismatched)
+
+
+def test_dirty_set_named_cases():
+    sram = SramArray(16)
+    sram.write_masked(3, 0x1234_5678, M32)
+    sram.flip(3, 1, 20)
+    assert sram.mismatched_rows() == [3]
+    sram.write_masked(3, 0xAB, 0xFF)  # masked write misses bit 20: still dirty
+    assert sram.mismatched_rows() == [3]
+    assert sram.read_voted(3) == (0x1234_56AB, True)
+    sram.flip(3, 1, 20)  # the same bit again: replicas agree, clean
+    assert sram.mismatched_rows() == []
+    assert sram.read_voted(3) == (0x1234_56AB, False)
+    sram.flip(5, 0, 0)
+    sram.write_masked(5, 0, 0xFF)  # masked write covering the upset bit: clean
+    assert sram.mismatched_rows() == []
+    sram.flip(6, 2, 31)
+    sram.write_masked(6, 7, M32)  # full-word write: clean
+    sram.flip(7, 0, 1)
+    sram.scrub_write(7, 0)
+    assert sram.mismatched_rows() == []
+
+
+def test_dirty_set_matches_brute_force_under_random_ops():
+    rng = np.random.default_rng(21)
+    rows = 64
+    sram = SramArray(rows)
+    masks = [M32, 0xFF, 0xFF00, 0xFF0000, 0xFF000000, 0xFFFF, 0xFFFF0000]
+    for _ in range(3000):
+        op = int(rng.integers(10))
+        row = int(rng.integers(rows))
+        if op < 5:
+            sram.flip(row, int(rng.integers(3)), int(rng.integers(8)))
+        elif op < 8:
+            mask = masks[int(rng.integers(len(masks)))]
+            sram.write_masked(row, int(rng.integers(1 << 32)) & mask, mask)
+        elif op == 8:
+            sram.scrub_write(row, int(rng.integers(1 << 32)))
+        else:
+            offset = int(rng.integers(rows * 4 - 16))
+            sram.load_bytes(offset, rng.bytes(int(rng.integers(1, 17))))
+            assert sram.mismatched_rows() == []  # a load settles every row
+        _check_dirty_set(sram, rng)
+    # a restore from raw banks rebuilds the same set
+    clone = SramArray(rows)
+    clone.restore_banks([bank.tobytes() for bank in sram.banks])
+    assert clone.mismatched_rows() == _brute_mismatched(sram)
+    assert clone.voted_bytes() == sram.voted_bytes()

@@ -1,5 +1,6 @@
 """Scrub FSM: clean pass, detect/write-back, conflict skip, wrap, analytic bound."""
 
+import numpy as np
 import pytest
 
 from tmrv32.memory import SramArray
@@ -137,3 +138,103 @@ def test_multiple_dirty_rows_each_add_one_writeback():
             fixed.append(row)
         assert cycles <= worst_case_correction_cycles(8, other_dirty_rows=2)
     assert fixed == [2, 4, 6]
+
+
+def _state(sram, scrub):
+    return [bank.tobytes() for bank in sram.banks], [cell.replicas for cell in scrub.cells()]
+
+
+@pytest.mark.parametrize("rows", [16, 256])
+@pytest.mark.parametrize("divider", [1, 3])
+def test_skip_clean_matches_single_steps(rows, divider):
+    # seeded flips (some same-row, some same-bit) against one step per due cycle
+    rng = np.random.default_rng(rows + divider)
+    total = 6 * rows * divider
+    flips = {}
+    for cycle in rng.choice(total, size=24, replace=False):
+        flips[int(cycle)] = (int(rng.integers(rows)), int(rng.integers(3)), int(rng.integers(4)))
+
+    def plain_run():
+        sram, scrub = SramArray(rows), Scrubber(rows)
+        writes = []
+        for cycle in range(total):
+            if cycle in flips:
+                sram.flip(*flips[cycle])
+            if cycle % divider == 0 and scrub.step(sram, None) is not None:
+                writes.append(cycle)
+        return writes, _state(sram, scrub)
+
+    def fast_run():
+        sram, scrub = SramArray(rows), Scrubber(rows)
+        writes = []
+        cycle = 0
+        while cycle < total:
+            next_flip = min((c for c in flips if c >= cycle), default=total)
+            stop = scrub.skip_clean(sram, cycle, next_flip, divider)
+            assert cycle <= stop <= next_flip
+            cycle = stop
+            if cycle >= total:
+                break
+            if cycle in flips:
+                sram.flip(*flips[cycle])
+            if cycle % divider == 0 and scrub.step(sram, None) is not None:
+                writes.append(cycle)
+            cycle += 1
+        return writes, _state(sram, scrub)
+
+    plain_writes, plain_state = plain_run()
+    fast_writes, fast_state = fast_run()
+    assert plain_writes  # the schedule really exercises write-backs
+    assert fast_writes == plain_writes
+    assert fast_state == plain_state
+
+
+def test_skip_clean_stops_before_writeback_and_bad_pointer():
+    sram = SramArray(8)
+    sram.flip(3, 0, 0)
+    scrub = Scrubber(8)
+    assert scrub.skip_clean(sram, 0, 100) == 3  # pointer parked on the dirty row
+    assert scrub.row_ptr.value == 3
+    scrub.step(sram, None)  # detect: write-back pending
+    sram.flip(3, 0, 0)  # the row is clean again, but the write-back is still due
+    assert scrub.skip_clean(sram, 4, 100) == 4
+    assert scrub.phase.value == PHASE_WRITEBACK
+    odd = Scrubber(5)
+    odd.row_ptr.write(7)  # out of range: only step() may act (and raise)
+    assert odd.skip_clean(SramArray(5), 0, 10) == 0
+
+
+def _plain_latency_samples(rows, samples, seed, stratified=True):
+    """The single-step reference for scrub_latency_samples: no clean-row skipping."""
+    rng = np.random.default_rng(seed)
+    sram = SramArray(rows)
+    scrub = Scrubber(rows)
+    if stratified and samples >= rows:
+        offsets = list(rng.permutation(rows))
+        offsets += list(rng.integers(0, rows, samples - rows))
+    else:
+        offsets = list(rng.integers(0, rows, samples))
+    replicas = rng.integers(0, 3, samples)
+    bits = rng.integers(0, 32, samples)
+    latencies = []
+    for i in range(samples):
+        row = (scrub.row_ptr.value + int(offsets[i])) % rows
+        sram.flip(row, int(replicas[i]), int(bits[i]))
+        elapsed = 1
+        while scrub.step(sram, None) != row:
+            elapsed += 1
+            assert elapsed <= rows + 2
+        latencies.append(elapsed)
+    return latencies
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2026])
+def test_latency_samples_match_single_step_reference(seed):
+    fast = scrub_latency_samples(rows=256, samples=2000, seed=seed)
+    assert fast == _plain_latency_samples(256, 2000, seed)
+    assert max(fast) == worst_case_correction_cycles(256)
+
+
+def test_latency_samples_unstratified_match_reference():
+    fast = scrub_latency_samples(rows=256, samples=300, seed=5, stratified=False)
+    assert fast == _plain_latency_samples(256, 300, 5, stratified=False)
