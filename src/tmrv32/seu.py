@@ -64,6 +64,8 @@ class FaultSpec:
             raise ConfigError(f"unknown fault phase {self.phase!r}")
         if not 1 <= self.count <= 3:
             raise ConfigError("count must be 1..3 (flips within one instance group)")
+        if self.replica not in (None, 0, 1, 2):
+            raise ConfigError(f"replica must be None or 0..2, got {self.replica!r}")
 
 
 @dataclass
@@ -229,6 +231,8 @@ def resolve_faults(config, registry_kernel, rng):
             else:
                 if not 0 <= key < registry_kernel.sram.rows:
                     raise ConfigError(f"SRAM row {key} out of range")
+                if spec.phase != MID_CYCLE:
+                    raise ConfigError("SRAM injections are phase-independent; use mid-cycle")
                 width = 32
                 dom = Domain.SRAM
             replica = int(rng.integers(3)) if spec.replica is None else spec.replica
@@ -275,7 +279,7 @@ def _schedule(kernel, fault):
         )
 
 
-def _record(fault, monitor, detected, diverged, run):
+def _record(fault, monitor, detected, diverged, kernel):
     latency = monitor.latency()
     return {
         "index": fault.index,
@@ -291,15 +295,9 @@ def _record(fault, monitor, detected, diverged, run):
         "correction_latency_cycles": latency,
         "uncorrectable": monitor.vote_changed,
         "diverged": diverged,
-        "counters": list(run.counters),
-        "event_totals": run.event_totals,
+        "counters": list(kernel.counters.values()),
+        "event_totals": _totals_dict(kernel),
     }
-
-
-@dataclass
-class _RunOutcome:
-    counters: tuple
-    event_totals: dict
 
 
 @dataclass
@@ -363,11 +361,16 @@ def _run_one(system, length, faults):
             obs.observe_flip(kind, key, before, after)
 
     kernel._do_flip = observing_do_flip
-    if length is not None:
-        kernel.run_cycles(length)
-    else:
-        kernel.run()
+    _finish(kernel, length)
     return kernel, monitors
+
+
+def _finish(kernel, length):
+    """Run ``kernel`` to the end of its campaign run: the halt, or ``length`` cycles."""
+    if length is None:
+        kernel.run()
+    else:
+        kernel.run_cycles(length - kernel.cycle)
 
 
 def run_campaign(config):
@@ -375,51 +378,32 @@ def run_campaign(config):
     config.validate()
     rng = np.random.default_rng(config.seed)
     system = dataclasses.replace(config.system, record_events=True)
-
-    registry_kernel = Kernel(system)
-    resolved = resolve_faults(config, registry_kernel, rng)
-    for fault in resolved:
-        if fault.kind == "cell":
-            width = registry_kernel.registry[fault.key].width
-            if not 0 <= fault.bit < width:
-                raise ConfigError(f"bit {fault.bit} out of range for {fault.key!r}")
-
-    golden_sig = None
+    golden = Kernel(system)
+    resolved = resolve_faults(config, golden, rng)
     length = config.run_cycles
+    golden_sig = None
     if config.golden_compare:
-        golden_kernel = Kernel(system)
-        if length is not None:
-            golden_kernel.run_cycles(length)
-        else:
-            golden_kernel.run()
-        golden_sig = golden_kernel.architectural_signature()
+        _finish(golden, length)
+        golden_sig = golden.architectural_signature()
 
     records = []
     if config.mode == "isolated":
         for fault in resolved:
-            kernel, monitors = _run_one(system, length, [fault])
-            monitor = monitors[0]
+            kernel, (monitor,) = _run_one(system, length, [fault])
             diverged = None
             if golden_sig is not None:
                 diverged = kernel.architectural_signature() != golden_sig
-            outcome = _RunOutcome(kernel.counters.values(), _totals_dict(kernel))
             detected = _detected(kernel.event_log, fault)
-            records.append(_record(fault, monitor, detected, diverged, outcome))
+            records.append(_record(fault, monitor, detected, diverged, kernel))
     else:
         kernel, monitors = _run_one(system, length, resolved)
-        diverged = None
-        if golden_sig is not None:
-            diverged = kernel.architectural_signature() != golden_sig
-        outcome = _RunOutcome(kernel.counters.values(), _totals_dict(kernel))
         for fault, monitor in zip(resolved, monitors):
             detected = _detected(kernel.event_log, fault)
-            records.append(_record(fault, monitor, detected, None, outcome))
-        records_diverged = diverged
+            records.append(_record(fault, monitor, detected, None, kernel))
     summary = _summarize(records, config)
-    if config.mode == "accumulate" and config.golden_compare:
-        summary["run_diverged"] = records_diverged
-    report = CampaignReport(config=config, golden=golden_sig, records=records, summary=summary)
-    return report
+    if config.mode == "accumulate" and golden_sig is not None:
+        summary["run_diverged"] = kernel.architectural_signature() != golden_sig
+    return CampaignReport(config=config, golden=golden_sig, records=records, summary=summary)
 
 
 def _totals_dict(kernel):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from conftest import acceptance_program, alu_block_program, make_kernel
@@ -257,6 +258,29 @@ def test_config_errors_reported_before_run():
         CampaignConfig(system=system, rates={"core": 0.1}, mode="isolated").validate()
 
 
+def test_config_errors_reported_before_any_simulation():
+    # A program that never halts: any simulation before the check would end in
+    # SimTimeout instead of ConfigError.
+    p = E.Program()
+    p.label("spin")
+    p.branch(E.beq, 0, 0, "spin")
+    system = SystemConfig(image=p.assemble(), max_cycles=200_000)
+    valid = FaultSpec(at_cycle=5, kind="cell", key="core.x1", replica=0, bit=3)
+    bad_specs = (
+        FaultSpec(at_cycle=1, kind="sram", key=5, replica=None, bit=None, phase=EDGE_ALIGNED),
+        FaultSpec(at_cycle=1, kind="sram", key=5, phase=EDGE_ALIGNED),
+        FaultSpec(at_cycle=1, kind="cell", key="core.x6", replica=5),
+    )
+    for bad in bad_specs:
+        for golden_compare in (True, False):
+            config = CampaignConfig(system=system, faults=[valid, bad],
+                                    golden_compare=golden_compare)
+            with pytest.raises(ConfigError):
+                run_campaign(config)
+        with pytest.raises(ConfigError):
+            resolve_faults(config, Kernel(system), np.random.default_rng(0))
+
+
 def test_campaign_config_file_round_trip():
     config = _campaign(
         b"\x73\x00\x10\x00",
@@ -278,3 +302,8 @@ def test_fault_spec_validation():
         FaultSpec(at_cycle=0, kind="random", key="galaxy").validate()
     with pytest.raises(ConfigError):
         FaultSpec(at_cycle=0, kind="cell", key="core.x1", count=4).validate()
+    for replica in (3, 5, -1):
+        with pytest.raises(ConfigError):
+            FaultSpec(at_cycle=0, kind="cell", key="core.x6", replica=replica).validate()
+    for replica in (None, 0, 1, 2):
+        FaultSpec(at_cycle=0, kind="cell", key="core.x6", replica=replica).validate()
