@@ -31,10 +31,11 @@ One kernel instance is one single-threaded simulation; instances share nothing, 
 campaigns may run many in parallel.
 """
 
+import dataclasses
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, SimTimeout
@@ -225,7 +226,6 @@ class Kernel:
         self._pending_increments = {}
         self._edge_queue = []  # (kind, key, replica, bit) landing at the next edge
         self._fault_schedule = {}  # cycle -> [(phase, kind, key, replica, bit)]
-        self._gpio_schedule = {}
 
         if config.image is not None:
             segments, entry = load_image(config.image, config.image_base)
@@ -243,10 +243,15 @@ class Kernel:
         for event in config.stimulus:
             if event[0] == "uart-rx":
                 self.uart.queue_rx(event[1], event[2])
-            elif event[0] == "gpio-in":
-                self._gpio_schedule.setdefault(event[1], []).append((event[2], event[3]))
-            else:
+            elif event[0] != "gpio-in":
                 raise ConfigError(f"unknown stimulus event kind {event[0]!r}")
+        self._schedule_gpio_inputs()
+
+    def _schedule_gpio_inputs(self):
+        self._gpio_schedule = {}
+        for event in self.config.stimulus:
+            if event[0] == "gpio-in":
+                self._gpio_schedule.setdefault(event[1], []).append((event[2], event[3]))
 
     def _all_cells(self):
         yield from self.arch.cells()
@@ -288,6 +293,14 @@ class Kernel:
         if phase not in (MID_CYCLE, EDGE_ALIGNED):
             raise ConfigError(f"unknown fault phase {phase!r}")
         self._fault_schedule.setdefault(cycle, []).append((phase, kind, key, replica, bit))
+
+    def settled(self):
+        """True iff no upset is outstanding: no dirty cell or SRAM row, no pending
+        counter increment, and no flip queued for the next edge or scheduled."""
+        return not (
+            self.dirty or self.sram.dirty or self._pending_increments or self._edge_queue
+            or self._fault_schedule
+        )
 
     def _do_flip(self, kind, key, replica, bit):
         if kind == "cell":
@@ -451,20 +464,10 @@ class Kernel:
             "gpio_out": self.gpio.out.value,
         }
 
-    def snapshot(self):
-        """Serialize complete machine state; see docs/formats.md for the layout."""
-        parts = [SNAPSHOT_MAGIC, struct.pack("<HQ", SNAPSHOT_VERSION, self.cycle)]
-        cfg = json.dumps(self.config.to_dict(include_image=False), sort_keys=True).encode()
-        parts.append(struct.pack("<I", len(cfg)))
-        parts.append(cfg)
-        cells = list(self.registry.values())
-        parts.append(struct.pack("<I", len(cells)))
-        for cell in cells:
-            parts.append(struct.pack("<III", cell.r0, cell.r1, cell.r2))
-        parts.append(struct.pack("<I", self.sram.rows))
-        parts.extend(bank.tobytes() for bank in self.sram.banks)
+    def _misc_state(self):
+        """Machine state outside the cells and the SRAM banks, as the snapshot stores it."""
         p = self.pipeline
-        misc = {
+        return {
             "halted": self.halted,
             "idle_cause": p._idle_cause,
             "retired": p.retired,
@@ -479,16 +482,43 @@ class Kernel:
             "uart_rx_cursor": self.uart.rx_cursor,
             "pending_increments": {int(d): n for d, n in self._pending_increments.items()},
             "event_totals": {int(d): n for d, n in self.event_totals.items()},
+            "edge_queue": [list(e) for e in self._edge_queue],
+            "fault_schedule": [
+                [cycle, *e] for cycle, due in sorted(self._fault_schedule.items()) for e in due
+            ],
+            "record_events": self.config.record_events,
         }
-        misc["edge_queue"] = [list(e) for e in self._edge_queue]
-        misc["fault_schedule"] = [
-            [cycle, *e] for cycle, due in sorted(self._fault_schedule.items()) for e in due
-        ]
-        misc["record_events"] = self.config.record_events
-        blob = json.dumps(misc, sort_keys=True).encode()
+
+    def _config_json(self):
+        return json.dumps(self.config.to_dict(include_image=False), sort_keys=True).encode()
+
+    def snapshot(self):
+        """Serialize complete machine state; see docs/formats.md for the layout."""
+        parts = [SNAPSHOT_MAGIC, struct.pack("<HQ", SNAPSHOT_VERSION, self.cycle)]
+        cfg = self._config_json()
+        parts.append(struct.pack("<I", len(cfg)))
+        parts.append(cfg)
+        cells = list(self.registry.values())
+        parts.append(struct.pack("<I", len(cells)))
+        for cell in cells:
+            parts.append(struct.pack("<III", cell.r0, cell.r1, cell.r2))
+        parts.append(struct.pack("<I", self.sram.rows))
+        parts.extend(bank.tobytes() for bank in self.sram.banks)
+        blob = json.dumps(self._misc_state(), sort_keys=True).encode()
         parts.append(struct.pack("<I", len(blob)))
         parts.append(blob)
         return b"".join(parts)
+
+    @staticmethod
+    def _snapshot_header(data):
+        """(version, cycle, config JSON bytes, offset past them) of a snapshot."""
+        if data[:8] != SNAPSHOT_MAGIC:
+            raise ConfigError("not a snapshot (bad magic)")
+        version, cycle = struct.unpack_from("<HQ", data, 8)
+        if version not in (1, SNAPSHOT_VERSION):
+            raise ConfigError(f"unsupported snapshot version {version}")
+        (cfg_len,) = struct.unpack_from("<I", data, 18)
+        return version, cycle, data[22 : 22 + cfg_len], 22 + cfg_len
 
     @classmethod
     def from_snapshot(cls, data, image=None):
@@ -499,65 +529,96 @@ class Kernel:
         reporting purposes. A version-1 snapshot carries no fault schedule and no
         ``record_events`` flag; both restore as empty/false.
         """
-        if data[:8] != SNAPSHOT_MAGIC:
-            raise ConfigError("not a snapshot (bad magic)")
-        version, cycle = struct.unpack_from("<HQ", data, 8)
-        if version not in (1, SNAPSHOT_VERSION):
-            raise ConfigError(f"unsupported snapshot version {version}")
-        off = 18
-        (cfg_len,) = struct.unpack_from("<I", data, off)
-        off += 4
-        cfg = json.loads(data[off : off + cfg_len])
-        off += cfg_len
+        cfg = json.loads(cls._snapshot_header(data)[2])
         cfg["image"] = image
         kernel = cls(SystemConfig.from_dict(cfg))
+        kernel.restore(data)
+        return kernel
+
+    def restore(self, data):
+        """Overwrite this kernel's state with a :meth:`snapshot` of the same configuration.
+
+        The result is the kernel :meth:`from_snapshot` builds, without building
+        one: the event log starts empty, and cycle hooks and the retire log are
+        left as they are.
+        """
+        _version, cycle, cfg, off = self._snapshot_header(data)
+        if bytes(cfg) != self._config_json():
+            raise ConfigError("snapshot was taken under a different configuration")
         (n_cells,) = struct.unpack_from("<I", data, off)
         off += 4
-        cells = list(kernel.registry.values())
+        cells = list(self.registry.values())
         if n_cells != len(cells):
             raise ConfigError("snapshot cell count does not match this configuration")
-        for cell in cells:
-            r0, r1, r2 = struct.unpack_from("<III", data, off)
-            off += 12
+        replicas = iter(struct.unpack_from(f"<{3 * n_cells}I", data, off))
+        off += 12 * n_cells
+        self.dirty.clear()
+        for cell, r0, r1, r2 in zip(cells, replicas, replicas, replicas):
             cell.set_replicas(r0, r1, r2)
-            if cell.discrepancy:
-                kernel.dirty.add(cell)
+            if not r0 == r1 == r2:
+                self.dirty.add(cell)
         (rows,) = struct.unpack_from("<I", data, off)
         off += 4
-        if rows != kernel.sram.rows:
+        if rows != self.sram.rows:
             raise ConfigError("snapshot SRAM geometry does not match")
-        kernel.sram.restore_banks(
+        self.sram.restore_banks(
             [data[off + 4 * rows * i : off + 4 * rows * (i + 1)] for i in range(3)]
         )
         off += 12 * rows
         (misc_len,) = struct.unpack_from("<I", data, off)
         off += 4
         misc = json.loads(data[off : off + misc_len])
-        kernel.cycle = cycle
-        kernel.halted = misc["halted"]
-        p = kernel.pipeline
+        self.cycle = cycle
+        self.halted = misc["halted"]
+        p = self.pipeline
         p._idle_cause = misc["idle_cause"]
         p.retired = misc["retired"]
-        kernel.arch.retired = misc["arch_retired"]
+        self.arch.retired = misc["arch_retired"]
         p.fetch_stalls = misc["fetch_stalls"]
         p.branch_bubbles = misc["branch_bubbles"]
         p.fill_cycles = misc["fill_cycles"]
         p.dmem_cycles = misc["dmem_cycles"]
-        kernel.gpio.input_levels = misc["gpio_inputs"]
-        kernel.uart.tx_log = [tuple(e) for e in misc["uart_tx_log"]]
-        kernel.uart.rx_pending = [tuple(e) for e in misc["uart_rx_pending"]]
-        kernel.uart.rx_cursor = misc["uart_rx_cursor"]
-        kernel._pending_increments = {
+        self.gpio.input_levels = misc["gpio_inputs"]
+        self.uart.tx_log = [tuple(e) for e in misc["uart_tx_log"]]
+        self.uart.rx_pending = [tuple(e) for e in misc["uart_rx_pending"]]
+        self.uart.rx_cursor = misc["uart_rx_cursor"]
+        self._pending_increments = {
             Domain(int(d)): n for d, n in misc["pending_increments"].items()
         }
-        kernel.event_totals = {Domain(int(d)): n for d, n in misc["event_totals"].items()}
-        kernel._edge_queue = [tuple(e) for e in misc["edge_queue"]]
+        self.event_totals = {Domain(int(d)): n for d, n in misc["event_totals"].items()}
+        self._edge_queue = [tuple(e) for e in misc["edge_queue"]]
+        self._fault_schedule = {}
         for cycle_due, *e in misc.get("fault_schedule", ()):
-            kernel._fault_schedule.setdefault(cycle_due, []).append(tuple(e))
-        if misc.get("record_events", False):
-            kernel.config.record_events = True
-            kernel.event_log = []
-        return kernel
+            self._fault_schedule.setdefault(cycle_due, []).append(tuple(e))
+        self._schedule_gpio_inputs()
+        record_events = misc.get("record_events", False)
+        if record_events != self.config.record_events:
+            self.config = dataclasses.replace(self.config, record_events=record_events)
+        self.event_log = [] if record_events else None
+
+    def matches(self, other):
+        """True iff ``other`` holds the same machine state, SEU counters aside.
+
+        Compared: the cycle, every cell's replicas except the three SEU counter
+        cells, the SRAM banks, and everything else the snapshot stores except
+        the event totals. So two matching kernels of one configuration run on
+        identically, counters and event totals apart, until the core reads the
+        SEU counter block. Neither kernel may hold a dirty cell or SRAM row, so
+        bank 0 stands for all three banks.
+        """
+        if self.dirty or other.dirty or self.sram.dirty or other.sram.dirty:
+            return False
+        if self.cycle != other.cycle:
+            return False
+        counters = self.counters.counters
+        for a, b in zip(self.registry.values(), other.registry.values()):
+            if (a.r0 != b.r0 or a.r1 != b.r1 or a.r2 != b.r2) and a not in counters:
+                return False
+        if self.sram.banks[0].tobytes() != other.sram.banks[0].tobytes():
+            return False
+        mine, theirs = self._misc_state(), other._misc_state()
+        del mine["event_totals"], theirs["event_totals"]
+        return mine == theirs
 
 
 def run_golden(config):

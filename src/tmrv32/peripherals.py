@@ -153,6 +153,10 @@ class SeuCounterBank:
     domain (multiple observations of the same element in one cycle count once).
     Increments land at the following clock edge, like a synchronous counter, and
     saturate at 2^32-1 instead of wrapping.
+
+    ``reads`` counts the core's reads of the block. It is instrumentation, not
+    machine state: campaigns use it to learn whether a run reads the counters
+    after a given cycle.
     """
 
     def __init__(self):
@@ -161,8 +165,10 @@ class SeuCounterBank:
             TmrCell("periph.seu_count_sram", Domain.PERIPHERALS, 32, 0),
             TmrCell("periph.seu_count_periph", Domain.PERIPHERALS, 32, 0),
         ]
+        self.reads = 0
 
     def read(self, offset):
+        self.reads += 1
         index = offset >> 2
         if offset & 3 or not 0 <= index < 3:
             raise BusFault(offset, "unmapped SEU counter register")

@@ -13,19 +13,45 @@ is repaired when the scrubber writes it back or the core overwrites it. SRAM
 correction latency is counted inclusively, from the injection cycle through the
 repair cycle, so the analytic single-upset worst case is rows + 1 scrub steps.
 
-Campaigns run either ``isolated`` (one fresh simulation per fault, classified
-against a shared fault-free golden run) or ``accumulate`` (all faults into one run,
-for upset-accumulation experiments). Everything is deterministic given the seed;
-reports serialize to byte-stable JSON lines.
+Campaigns run in one of two modes. ``accumulate`` injects every fault into one
+run, for upset-accumulation experiments. ``isolated`` classifies each fault on its
+own against a fault-free golden run. Its records are those of one run from reset
+per fault, but it does not simulate that way:
+
+* Golden runs once. At each distinct injection cycle, a snapshot of golden is the
+  checkpoint that every fault of that cycle is restored from, into a fork. The
+  checkpoint is dropped once those forks have started, so one lives at a time.
+* A fork steps ahead of golden until its upset is resolved: the target has
+  re-equalized, no cell or SRAM row is dirty, no counter increment is pending and
+  no flip is queued or scheduled. When golden reaches the fork's cycle, the two
+  are compared with ``Kernel.matches``: every cell but the three SEU counters,
+  the SRAM banks, and all other snapshot state but the event totals. On a
+  mismatch the fork steps on 1, 2, 4, ... cycles and is compared again. A fork
+  whose run ends first keeps its own final state. (A scrubber write-back costs
+  the scan one cycle, so a fork whose SRAM upset the scrubber repaired never
+  matches: its scan pointer stays one row behind golden's.)
+* A match ends the fork early. That is sound because from there on the fork
+  runs as golden does, apart from its counters and event totals; those change
+  only on a discrepancy, which golden never has, so the record is final. The
+  counters feed back only when the core reads the SEU counter block: if golden
+  reads it after the match, the fault is run again from reset instead.
+* A fault whose run raises (the simulated core crashed or hung) makes the
+  campaign raise the same exception; if several do, the first in fault order
+  wins, as when the runs go one after another. A fork that matched golden raises
+  what golden raises.
+
+Everything is deterministic given the seed; reports serialize to byte-stable JSON
+lines.
 """
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SimError, SimTimeout
 from .kernel import EDGE_ALIGNED, MID_CYCLE, Kernel, SystemConfig
 from .memory import SramArray
 from .scrubber import Scrubber, worst_case_correction_cycles
@@ -333,17 +359,13 @@ def _detected(event_log, fault):
     return False
 
 
-def _run_one(system, length, faults):
-    kernel = Kernel(system)
+def _watch(kernel, faults):
+    """Schedule ``faults`` into ``kernel``; return one target monitor per fault."""
     monitors = []
     for fault in faults:
         _schedule(kernel, fault)
-        monitor = _TargetMonitor(kernel, fault)
-        monitors.append(monitor)
-        kernel.cycle_hooks.append(monitor.on_cycle)
-
-    observers = monitors
-    original_do_flip = kernel._do_flip
+        monitors.append(_TargetMonitor(kernel, fault))
+    kernel.cycle_hooks = [m.on_cycle for m in monitors]
 
     def observing_do_flip(kind, key, replica, bit):
         if kind == "cell":
@@ -351,26 +373,214 @@ def _run_one(system, length, faults):
         else:
             a, b, c = kernel.sram.scrub_read(key)
             before = (a & b) | (a & c) | (b & c)
-        original_do_flip(kind, key, replica, bit)
+        Kernel._do_flip(kernel, kind, key, replica, bit)
         if kind == "cell":
             after = kernel.registry[key].value
         else:
             a, b, c = kernel.sram.scrub_read(key)
             after = (a & b) | (a & c) | (b & c)
-        for obs in observers:
-            obs.observe_flip(kind, key, before, after)
+        for monitor in monitors:
+            monitor.observe_flip(kind, key, before, after)
 
     kernel._do_flip = observing_do_flip
-    _finish(kernel, length)
+    return monitors
+
+
+def _run_one(system, length, faults):
+    kernel = Kernel(system)
+    monitors = _watch(kernel, faults)
+    _advance(kernel, _END, length)
     return kernel, monitors
 
 
-def _finish(kernel, length):
-    """Run ``kernel`` to the end of its campaign run: the halt, or ``length`` cycles."""
+_END = math.inf
+
+
+def _advance(kernel, target, length):
+    """Run ``kernel`` up to cycle ``target`` as its campaign run goes; True once that run is over.
+
+    With ``length`` None the run ends at the program's halt and raises
+    SimTimeout at ``max_cycles``, as ``Kernel.run`` does; otherwise it ends
+    after ``length`` cycles, as ``Kernel.run_cycles(length)`` from reset does.
+    """
     if length is None:
-        kernel.run()
-    else:
-        kernel.run_cycles(length - kernel.cycle)
+        budget = kernel.config.max_cycles
+        while kernel.halted is None and kernel.cycle < target:
+            if kernel.cycle >= budget:
+                raise SimTimeout(budget)
+            kernel.step_cycle()
+        return kernel.halted is not None
+    n = min(target, length) - kernel.cycle
+    if n == 1:
+        kernel.step_cycle()  # what run_cycles(1) does, without building its result
+    elif n > 0:
+        kernel.run_cycles(n)
+    return kernel.cycle >= length
+
+
+# Forks alive at once, at most. Past that the oldest runs on to its end unchecked,
+# so memory stays bounded however many faults share an injection cycle.
+_MAX_LIVE_FORKS = 32
+
+
+class _Fork:
+    """One isolated faulted run, restored from a golden checkpoint."""
+
+    def __init__(self, kernel, fault):
+        self.kernel = kernel
+        self.fault = fault
+        (self.monitor,) = _watch(kernel, [fault])
+        self.gap = 1  # cycles to step after a failed comparison; doubles each time
+
+    def settle(self, steps, length):
+        """Step ``steps`` cycles, then on until the upset is resolved; False once the run is over."""
+        kernel = self.kernel
+        if _advance(kernel, kernel.cycle + steps, length):
+            return False
+        while self.monitor.requal_cycle is None or not kernel.settled():
+            if _advance(kernel, kernel.cycle + 1, length):
+                return False
+        return True
+
+    def record(self):
+        return _record(
+            self.fault, self.monitor, _detected(self.kernel.event_log, self.fault), None,
+            self.kernel,
+        )
+
+
+class _ForkedCampaign:
+    """The isolated-mode engine (see the module docstring): forks that stop on a golden match."""
+
+    def __init__(self, system, golden, length, golden_compare):
+        self.system = system
+        self.golden = golden
+        self.length = length
+        self.golden_compare = golden_compare
+        self.golden_error = None  # what golden raised, when golden_compare is off
+        self.done = {}  # fault index -> (record, signature of the final state or None)
+        self.errors = {}  # fault index -> the exception its run raised
+        self.live = []  # forks ahead of golden, each waiting for golden to reach its cycle
+        self.matched = []  # (record, golden's counter reads at the match, fault)
+        self.pool = []  # kernels of finished forks, reused by later forks
+
+    def run(self, faults):
+        """Return (golden signature or None, records in fault order), or raise like the faulted runs."""
+        golden = self.golden
+        due = {}
+        for fault in faults:
+            due.setdefault(fault.at_cycle, []).append(fault)
+        cycles = sorted(due, reverse=True)
+        while cycles or self.live:
+            target = min([f.kernel.cycle for f in self.live] + cycles[-1:])
+            if self._golden_to(target):
+                break
+            for fork in [f for f in self.live if f.kernel.cycle == golden.cycle]:
+                self.live.remove(fork)
+                self._compare(fork)
+            if cycles and cycles[-1] == golden.cycle:
+                checkpoint = golden.snapshot()
+                for fault in due.pop(cycles.pop()):
+                    self._start(checkpoint, fault)
+        if self.golden_compare or self.matched:
+            self._golden_to(_END)
+
+        # Golden's run is over; whatever is left runs on by itself.
+        for fork in self.live:
+            self._run_out(fork)
+        leftover = [fault for cycle in cycles for fault in due[cycle]]
+        if leftover and self.golden_error is None:
+            checkpoint = golden.snapshot()  # these faults never land
+        for fault in leftover:
+            if self.golden_error is not None:
+                self.errors[fault.index] = self.golden_error
+            else:
+                self._start(checkpoint, fault)
+        for record, reads, fault in self.matched:
+            if golden.counters.reads != reads:
+                # golden reads the SEU counters after the match: rerun from reset
+                if not self._moot(fault):
+                    self._run_out(_Fork(Kernel(self.system), fault))
+            elif self.golden_error is not None:
+                self.errors[fault.index] = self.golden_error
+            else:
+                self.done[fault.index] = (record, None)
+
+        if self.errors:
+            raise self.errors[min(self.errors)]
+        golden_sig = golden.architectural_signature() if self.golden_compare else None
+        records = []
+        for fault in faults:
+            record, sig = self.done[fault.index]
+            if golden_sig is not None:
+                record["diverged"] = sig is not None and sig != golden_sig
+            records.append(record)
+        return golden_sig, records
+
+    def _golden_to(self, target):
+        """Advance golden to ``target``; True once its run is over, by its end or by raising."""
+        if self.golden_error is not None:
+            return True
+        try:
+            return _advance(self.golden, target, self.length)
+        except SimError as exc:
+            if self.golden_compare:
+                raise
+            self.golden_error = exc
+            return True
+
+    def _moot(self, fault):
+        """True when a fault earlier in the campaign raised, so this one cannot matter."""
+        return bool(self.errors) and fault.index > min(self.errors)
+
+    def _start(self, checkpoint, fault):
+        if self._moot(fault):
+            return
+        if len(self.live) >= _MAX_LIVE_FORKS:
+            self._run_out(self.live.pop(0))
+        kernel = self.pool.pop() if self.pool else Kernel(self.system)
+        kernel.restore(checkpoint)
+        self._step(_Fork(kernel, fault), 0)
+
+    def _step(self, fork, steps):
+        try:
+            going = fork.settle(steps, self.length)
+        except SimError as exc:
+            self._fail(fork, exc)
+            return
+        if going:
+            self.live.append(fork)
+        else:
+            self._finish(fork)
+
+    def _compare(self, fork):
+        if fork.kernel.matches(self.golden):
+            self.matched.append((fork.record(), self.golden.counters.reads, fork.fault))
+            self._release(fork)
+        else:
+            steps, fork.gap = fork.gap, 2 * fork.gap
+            self._step(fork, steps)
+
+    def _run_out(self, fork):
+        try:
+            _advance(fork.kernel, _END, self.length)
+        except SimError as exc:
+            self._fail(fork, exc)
+            return
+        self._finish(fork)
+
+    def _finish(self, fork):
+        sig = fork.kernel.architectural_signature() if self.golden_compare else None
+        self.done[fork.fault.index] = (fork.record(), sig)
+        self._release(fork)
+
+    def _fail(self, fork, exc):
+        self.errors[fork.fault.index] = exc
+        self._release(fork)
+
+    def _release(self, fork):
+        if len(self.pool) < _MAX_LIVE_FORKS:
+            self.pool.append(fork.kernel)
 
 
 def run_campaign(config):
@@ -381,28 +591,23 @@ def run_campaign(config):
     golden = Kernel(system)
     resolved = resolve_faults(config, golden, rng)
     length = config.run_cycles
-    golden_sig = None
-    if config.golden_compare:
-        _finish(golden, length)
-        golden_sig = golden.architectural_signature()
-
-    records = []
     if config.mode == "isolated":
-        for fault in resolved:
-            kernel, (monitor,) = _run_one(system, length, [fault])
-            diverged = None
-            if golden_sig is not None:
-                diverged = kernel.architectural_signature() != golden_sig
-            detected = _detected(kernel.event_log, fault)
-            records.append(_record(fault, monitor, detected, diverged, kernel))
+        engine = _ForkedCampaign(system, golden, length, config.golden_compare)
+        golden_sig, records = engine.run(resolved)
+        summary = _summarize(records, config)
     else:
+        golden_sig = None
+        if config.golden_compare:
+            _advance(golden, _END, length)
+            golden_sig = golden.architectural_signature()
         kernel, monitors = _run_one(system, length, resolved)
-        for fault, monitor in zip(resolved, monitors):
-            detected = _detected(kernel.event_log, fault)
-            records.append(_record(fault, monitor, detected, None, kernel))
-    summary = _summarize(records, config)
-    if config.mode == "accumulate" and golden_sig is not None:
-        summary["run_diverged"] = kernel.architectural_signature() != golden_sig
+        records = [
+            _record(fault, monitor, _detected(kernel.event_log, fault), None, kernel)
+            for fault, monitor in zip(resolved, monitors)
+        ]
+        summary = _summarize(records, config)
+        if golden_sig is not None:
+            summary["run_diverged"] = kernel.architectural_signature() != golden_sig
     return CampaignReport(config=config, golden=golden_sig, records=records, summary=summary)
 
 

@@ -390,3 +390,51 @@ def test_many_faults_at_one_cycle():
     faults = [FaultSpec(at_cycle=15, kind="random", key=d) for d in ("core", "periph") * 30]
     faults += [FaultSpec(at_cycle=15, kind="sram", key=r, replica=0, bit=1) for r in range(40)]
     assert_matches_reference(_campaign(image, faults, seed=9, run_cycles=400))
+
+
+# ---------------------------------------------------------------------------
+# the work the engine does
+# ---------------------------------------------------------------------------
+
+
+class _Counting:
+    """Counts Kernel constructions and simulated cycles while installed."""
+
+    def __init__(self, monkeypatch):
+        self.kernels = 0
+        self.steps = 0
+        init, step = Kernel.__init__, Kernel.step_cycle
+
+        def counting_init(kernel, config):
+            self.kernels += 1
+            init(kernel, config)
+
+        def counting_step(kernel):
+            self.steps += 1
+            step(kernel)
+
+        monkeypatch.setattr(Kernel, "__init__", counting_init)
+        monkeypatch.setattr(Kernel, "step_cycle", counting_step)
+
+
+def test_forks_stop_once_they_match_golden(monkeypatch):
+    config = _sweep_config(EDGE_ALIGNED)
+    golden = _golden_cycles(config.system)
+    count = _Counting(monkeypatch)
+    report = run_campaign(config)
+    assert report.summary["diverged"] == 0
+    # one golden run, then a few cycles per fault: an edge-aligned upset is
+    # repaired two cycles after its injection cycle
+    assert count.steps <= golden + 4 * len(config.faults)
+    assert count.kernels <= 1 + seu._MAX_LIVE_FORKS
+
+
+def test_live_forks_and_kernels_stay_bounded(monkeypatch):
+    # 120 faults at one cycle; the SRAM ones stay unresolved for dozens of cycles
+    image = alu_block_program(60).assemble()
+    faults = [FaultSpec(at_cycle=15, kind="sram", key=r, replica=0, bit=1) for r in range(60)]
+    faults += [FaultSpec(at_cycle=15, kind="random", key="core") for _ in range(60)]
+    count = _Counting(monkeypatch)
+    report = run_campaign(_campaign(image, faults, seed=4, run_cycles=300))
+    assert report.summary["faults"] == 120
+    assert count.kernels <= 1 + seu._MAX_LIVE_FORKS

@@ -414,3 +414,64 @@ def test_snapshot_version_1_still_reads():
     old.run()
     kernel.run()
     assert old.result() == kernel.result()
+
+
+def test_restore_into_a_used_kernel_equals_from_snapshot():
+    config = SystemConfig(
+        image=acceptance_program().assemble(), record_events=True,
+        stimulus=(("gpio-in", 30, 2, 1), ("uart-rx", 40, 0x55), ("gpio-in", 150, 2, 0)),
+    )
+    source = Kernel(config)
+    source.schedule_flip(70, "cell", "core.x6", 1, 4, phase=EDGE_ALIGNED)
+    source.schedule_flip(90, "sram", 12, 2, 9)
+    source.run_cycles(60)
+    blob = source.snapshot()
+    used = Kernel(config)
+    used.schedule_flip(20, "cell", "core.x3", 0, 1)
+    used.run_cycles(200)  # past every stimulus event, with flips of its own
+    used.restore(blob)
+    fresh = Kernel.from_snapshot(blob)
+    assert used.snapshot() == fresh.snapshot() == blob
+    assert used.event_log == fresh.event_log == []
+    used.run_cycles(300)
+    fresh.run_cycles(300)
+    source.run_cycles(300)
+    assert used.snapshot() == fresh.snapshot() == source.snapshot()
+    assert used.event_log == fresh.event_log
+
+
+def test_restore_rejects_another_configuration():
+    image = acceptance_program().assemble()
+    blob = Kernel(SystemConfig(image=image)).snapshot()
+    with pytest.raises(ConfigError):
+        Kernel(SystemConfig(image=image, scrub_divider=2)).restore(blob)
+
+
+def test_matches_ignores_only_the_counters_and_event_totals():
+    config = SystemConfig(image=acceptance_program().assemble())
+    golden = Kernel(config)
+    golden.run_cycles(40)
+    fork = Kernel.from_snapshot(golden.snapshot())
+    fork.schedule_flip(40, "cell", "core.x6", 0, 3)
+    fork.step_cycle()
+    golden.step_cycle()
+    assert not fork.matches(golden)  # the flipped cell is dirty
+    fork.step_cycle()
+    golden.step_cycle()
+    assert fork.counters.values() != golden.counters.values()
+    assert fork.matches(golden) and golden.matches(fork)
+    for mutate in (
+        lambda k: k.arch.regs[5].write(k.arch.regs[5].value ^ 1),
+        lambda k: k.scrubber.pending_word.write(7),
+        lambda k: k.sram.write_masked(4000, 1, 0xFFFFFFFF),
+        lambda k: k.sram.flip(4000, 1, 0),
+        lambda k: k.schedule_flip(500, "cell", "core.x1", 0, 0),
+        lambda k: setattr(k.pipeline, "fetch_stalls", k.pipeline.fetch_stalls + 1),
+        lambda k: k.uart.tx_log.append((41, 0x21)),
+    ):
+        other = Kernel.from_snapshot(fork.snapshot())
+        assert other.matches(golden)
+        mutate(other)
+        assert not other.matches(golden)
+    golden.step_cycle()
+    assert not fork.matches(golden)  # one cycle apart
