@@ -511,14 +511,14 @@ class Kernel:
 
     @staticmethod
     def _snapshot_header(data):
-        """(version, cycle, config JSON bytes, offset past them) of a snapshot."""
+        """(cycle, config JSON bytes, offset past them) of a snapshot."""
         if data[:8] != SNAPSHOT_MAGIC:
             raise ConfigError("not a snapshot (bad magic)")
         version, cycle = struct.unpack_from("<HQ", data, 8)
         if version not in (1, SNAPSHOT_VERSION):
             raise ConfigError(f"unsupported snapshot version {version}")
         (cfg_len,) = struct.unpack_from("<I", data, 18)
-        return version, cycle, data[22 : 22 + cfg_len], 22 + cfg_len
+        return cycle, data[22 : 22 + cfg_len], 22 + cfg_len
 
     @classmethod
     def from_snapshot(cls, data, image=None):
@@ -529,7 +529,7 @@ class Kernel:
         reporting purposes. A version-1 snapshot carries no fault schedule and no
         ``record_events`` flag; both restore as empty/false.
         """
-        cfg = json.loads(cls._snapshot_header(data)[2])
+        cfg = json.loads(cls._snapshot_header(data)[1])
         cfg["image"] = image
         kernel = cls(SystemConfig.from_dict(cfg))
         kernel.restore(data)
@@ -542,7 +542,7 @@ class Kernel:
         one: the event log starts empty, and cycle hooks and the retire log are
         left as they are.
         """
-        _version, cycle, cfg, off = self._snapshot_header(data)
+        cycle, cfg, off = self._snapshot_header(data)
         if bytes(cfg) != self._config_json():
             raise ConfigError("snapshot was taken under a different configuration")
         (n_cells,) = struct.unpack_from("<I", data, off)

@@ -462,7 +462,8 @@ class _ForkedCampaign:
         self.errors = {}  # fault index -> the exception its run raised
         self.live = []  # forks ahead of golden, each waiting for golden to reach its cycle
         self.matched = []  # (record, golden's counter reads at the match, fault)
-        self.pool = []  # kernels of finished forks, reused by later forks
+        self.pool = []  # kernels of finished forks, reused by later forks; with the
+        # live forks, never more than _MAX_LIVE_FORKS
 
     def run(self, faults):
         """Return (golden signature or None, records in fault order), or raise like the faulted runs."""
@@ -481,7 +482,11 @@ class _ForkedCampaign:
             if cycles and cycles[-1] == golden.cycle:
                 checkpoint = golden.snapshot()
                 for fault in due.pop(cycles.pop()):
-                    self._start(checkpoint, fault)
+                    if self._moot(fault):
+                        continue
+                    if len(self.live) >= _MAX_LIVE_FORKS:
+                        self._run_out(self.live.pop(0))
+                    self._step(self._fork(checkpoint, fault), 0)
         if self.golden_compare or self.matched:
             self._golden_to(_END)
 
@@ -494,13 +499,15 @@ class _ForkedCampaign:
         for fault in leftover:
             if self.golden_error is not None:
                 self.errors[fault.index] = self.golden_error
-            else:
-                self._start(checkpoint, fault)
+            elif not self._moot(fault):
+                self._run_out(self._fork(checkpoint, fault))
+        reset = None
         for record, reads, fault in self.matched:
             if golden.counters.reads != reads:
                 # golden reads the SEU counters after the match: rerun from reset
                 if not self._moot(fault):
-                    self._run_out(_Fork(Kernel(self.system), fault))
+                    reset = reset or Kernel(self.system).snapshot()
+                    self._run_out(self._fork(reset, fault))
             elif self.golden_error is not None:
                 self.errors[fault.index] = self.golden_error
             else:
@@ -533,14 +540,10 @@ class _ForkedCampaign:
         """True when a fault earlier in the campaign raised, so this one cannot matter."""
         return bool(self.errors) and fault.index > min(self.errors)
 
-    def _start(self, checkpoint, fault):
-        if self._moot(fault):
-            return
-        if len(self.live) >= _MAX_LIVE_FORKS:
-            self._run_out(self.live.pop(0))
+    def _fork(self, checkpoint, fault):
         kernel = self.pool.pop() if self.pool else Kernel(self.system)
         kernel.restore(checkpoint)
-        self._step(_Fork(kernel, fault), 0)
+        return _Fork(kernel, fault)
 
     def _step(self, fork, steps):
         try:
@@ -579,8 +582,7 @@ class _ForkedCampaign:
         self._release(fork)
 
     def _release(self, fork):
-        if len(self.pool) < _MAX_LIVE_FORKS:
-            self.pool.append(fork.kernel)
+        self.pool.append(fork.kernel)
 
 
 def run_campaign(config):

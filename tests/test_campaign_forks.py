@@ -300,6 +300,16 @@ def test_counter_read_after_injection_keeps_the_fork_running():
     assert kernel.arch.read_reg(7) == report.records[0]["counters"][0]
 
 
+def test_reruns_after_a_counter_read_reuse_the_fork_kernels(monkeypatch):
+    image = _counter_reading_program()
+    faults = [FaultSpec(at_cycle=10 + i, kind="random", key="core") for i in range(80)]
+    count = _Counting(monkeypatch)
+    report = run_campaign(_campaign(image, faults, seed=3))
+    assert report.summary["diverged"] > 0
+    # golden, at most one kernel per live fork, and one to snapshot the reset state
+    assert count.kernels <= 2 + seu._MAX_LIVE_FORKS
+
+
 def test_counter_read_before_injection_allows_early_stop():
     image = _counter_reading_program()
     halt = _golden_cycles(SystemConfig(image=image)) - 1
@@ -374,9 +384,10 @@ def test_golden_that_hangs_or_crashes(program, golden_compare):
         FaultSpec(at_cycle=500, kind="cell", key="core.x2", replica=1, bit=1),
     ]
     for run_cycles in (None, 250):
-        config = _campaign(None, faults, system=system, run_cycles=run_cycles,
-                           golden_compare=golden_compare)
-        assert_matches_reference(config)
+        for chosen in (faults, faults[:1]):  # faults[:1] matches golden before it fails
+            config = _campaign(None, chosen, system=system, run_cycles=run_cycles,
+                               golden_compare=golden_compare)
+            assert_matches_reference(config)
 
 
 def test_no_faults_without_golden_compare_runs_nothing():

@@ -475,3 +475,13 @@ def test_matches_ignores_only_the_counters_and_event_totals():
         assert not other.matches(golden)
     golden.step_cycle()
     assert not fork.matches(golden)  # one cycle apart
+
+
+def test_matches_compares_the_cycle():
+    # halted with the scrubber off, nothing but the cycle count moves
+    golden = Kernel(SystemConfig(image=alu_block_program(10).assemble(), scrub_enabled=False))
+    golden.run()
+    later = Kernel.from_snapshot(golden.snapshot())
+    assert later.matches(golden)
+    later.run_cycles(1)
+    assert not later.matches(golden)
