@@ -386,14 +386,14 @@ def _watch(kernel, faults):
     return monitors
 
 
+_END = math.inf  # an _advance target: the end of the run
+
+
 def _run_one(system, length, faults):
     kernel = Kernel(system)
     monitors = _watch(kernel, faults)
     _advance(kernel, _END, length)
     return kernel, monitors
-
-
-_END = math.inf
 
 
 def _advance(kernel, target, length):
@@ -433,7 +433,10 @@ class _Fork:
         self.gap = 1  # cycles to step after a failed comparison; doubles each time
 
     def settle(self, steps, length):
-        """Step ``steps`` cycles, then on until the upset is resolved; False once the run is over."""
+        """Step ``steps`` cycles, then on until the upset is resolved.
+
+        Returns False once the run is over instead.
+        """
         kernel = self.kernel
         if _advance(kernel, kernel.cycle + steps, length):
             return False
@@ -458,7 +461,7 @@ class _ForkedCampaign:
         self.length = length
         self.golden_compare = golden_compare
         self.golden_error = None  # what golden raised, when golden_compare is off
-        self.done = {}  # fault index -> (record, signature of the final state or None)
+        self.done = {}  # fault index -> (record, final signature; None if it matched golden)
         self.errors = {}  # fault index -> the exception its run raised
         self.live = []  # forks ahead of golden, each waiting for golden to reach its cycle
         self.matched = []  # (record, golden's counter reads at the match, fault)
@@ -466,7 +469,10 @@ class _ForkedCampaign:
         # live forks, never more than _MAX_LIVE_FORKS
 
     def run(self, faults):
-        """Return (golden signature or None, records in fault order), or raise like the faulted runs."""
+        """Return (golden signature or None, records in fault order).
+
+        Raises what the faulted runs, one after another, would have raised.
+        """
         golden = self.golden
         due = {}
         for fault in faults:

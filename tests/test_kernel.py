@@ -424,7 +424,8 @@ def test_restore_into_a_used_kernel_equals_from_snapshot():
     source = Kernel(config)
     source.schedule_flip(70, "cell", "core.x6", 1, 4, phase=EDGE_ALIGNED)
     source.schedule_flip(90, "sram", 12, 2, 9)
-    source.run_cycles(60)
+    source.run_cycles(72)
+    assert source.registry["core.x6"].discrepancy  # restore must mark it dirty
     blob = source.snapshot()
     used = Kernel(config)
     used.schedule_flip(20, "cell", "core.x3", 0, 1)
@@ -433,6 +434,7 @@ def test_restore_into_a_used_kernel_equals_from_snapshot():
     fresh = Kernel.from_snapshot(blob)
     assert used.snapshot() == fresh.snapshot() == blob
     assert used.event_log == fresh.event_log == []
+    assert used.dirty == {used.registry["core.x6"]} and fresh.dirty == {fresh.registry["core.x6"]}
     used.run_cycles(300)
     fresh.run_cycles(300)
     source.run_cycles(300)

@@ -256,9 +256,6 @@ def test_config_errors_reported_before_run():
         )
     with pytest.raises(ConfigError):
         CampaignConfig(system=system, rates={"core": 0.1}, mode="isolated").validate()
-
-
-def test_config_errors_reported_before_any_simulation():
     # A program that never halts: any simulation before the check would end in
     # SimTimeout instead of ConfigError.
     p = E.Program()
