@@ -498,7 +498,8 @@ class _ForkedCampaign:
 
         # Golden's run is over; whatever is left runs on by itself.
         for fork in self.live:
-            self._run_out(fork)
+            if not self._moot(fork.fault):
+                self._run_out(fork)
         leftover = [fault for cycle in cycles for fault in due[cycle]]
         if leftover and self.golden_error is None:
             checkpoint = golden.snapshot()  # these faults never land
