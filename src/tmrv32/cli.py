@@ -14,9 +14,10 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, SimError, SimTimeout
-from .kernel import Kernel, SystemConfig, parse_stimulus
+from .kernel import MID_CYCLE, Kernel, SystemConfig, parse_stimulus
 from .power import PowerModel, canonical_scenario, power_table
 from .seu import CampaignConfig, counter_crosscheck, run_campaign
+from .tmr import DOMAIN_NAMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -25,6 +26,7 @@ EXIT_TIMEOUT = 4
 EXIT_STRICT = 5
 
 RECORD_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 
 def _build_parser():
@@ -46,8 +48,17 @@ def _build_parser():
     run.add_argument("--tx-out", help="write UART transmit bytes to this file")
     run.add_argument("--report", help="write the run summary as JSON here")
     run.add_argument(
+        "--flip",
+        action="append",
+        default=[],
+        metavar="CYCLE:TARGET:REPLICA:BIT[:PHASE]",
+        help="inject one bit flip (repeatable); TARGET is a cell id or an SRAM row number, "
+        "PHASE is mid-cycle (the default) or edge-aligned",
+    )
+    run.add_argument(
         "--trace-out",
-        help="write the event trace (retirements, discrepancies, scrub fixes) as JSON lines",
+        help="write the event stream (flips, discrepancies with their source, repairs, "
+        "retirements, the halt) as JSON lines",
     )
 
     camp = sub.add_parser("campaign", help="run a fault-injection campaign from a config file")
@@ -87,8 +98,8 @@ def _cmd_run(args):
         record_events=bool(args.trace_out),
     )
     kernel = Kernel(config)
-    if args.trace_out:
-        kernel.retire_log = []
+    for spec in args.flip:
+        _schedule_flip(kernel, spec)
     result = kernel.run()
     summary = {
         "schema_version": RECORD_SCHEMA_VERSION,
@@ -110,28 +121,39 @@ def _cmd_run(args):
     if args.tx_out:
         Path(args.tx_out).write_bytes(kernel.uart.tx_bytes())
     if args.trace_out:
-        lines = []
-        for cycle, pc, raw in kernel.retire_log:
-            lines.append(
-                json.dumps(
-                    {"kind": "retire", "cycle": cycle, "pc": pc, "raw": raw},
-                    sort_keys=True,
-                )
-            )
-        for cycle, domain, element in kernel.event_log:
-            lines.append(
-                json.dumps(
-                    {"kind": "discrepancy", "cycle": cycle, "domain": domain,
-                     "element": element},
-                    sort_keys=True,
-                )
-            )
-        Path(args.trace_out).write_text("\n".join(lines) + ("\n" if lines else ""))
+        lines = [json.dumps({"kind": "trace", "schema_version": TRACE_SCHEMA_VERSION})]
+        lines += [_trace_line(rec) for rec in kernel.sink]
+        Path(args.trace_out).write_text("\n".join(lines) + "\n")
     text = json.dumps(summary, indent=2, sort_keys=True)
     if args.report:
         Path(args.report).write_text(text + "\n")
     print(text)
     return EXIT_OK
+
+
+def _schedule_flip(kernel, spec):
+    parts = spec.split(":")
+    try:
+        if len(parts) not in (4, 5):
+            raise ValueError
+        cycle, replica, bit = int(parts[0], 0), int(parts[2]), int(parts[3])
+    except ValueError:
+        raise ConfigError(f"--flip {spec!r}: expected CYCLE:TARGET:REPLICA:BIT[:PHASE]") from None
+    target = parts[1]
+    if target.isdigit():
+        kind, key = "sram", int(target)
+    else:
+        kind, key = "cell", target
+    phase = parts[4] if len(parts) == 5 else MID_CYCLE
+    kernel.schedule_flip(cycle, kind, key, replica, bit, phase=phase)
+
+
+def _trace_line(rec):
+    fields = rec._asdict()
+    fields["kind"] = rec.kind
+    if "domain" in fields:
+        fields["domain"] = DOMAIN_NAMES[fields["domain"]]
+    return json.dumps(fields, sort_keys=True)
 
 
 def _cmd_campaign(args):

@@ -3,9 +3,9 @@
 Each simulated cycle runs a fixed phase order, which is what makes the two fault
 timing flavors and the scrubber's conflict rule well defined:
 
-1. clock edge: counter increments computed last cycle land; dirty cells latch their
-   voted value through the feedback path; the pipeline advances (latch writes); any
-   edge-aligned flips queued last cycle corrupt the freshly latched state;
+1. clock edge: dirty cells latch their voted value through the feedback path;
+   counter increments computed last cycle land; the pipeline advances (latch
+   writes); any edge-aligned flips queued last cycle corrupt the freshly latched state;
 2. fault application: mid-cycle flips due this cycle land; edge-aligned flips due
    this cycle are queued for the next edge;
 3. voting: every discrepant cell contributes one event for this cycle;
@@ -18,14 +18,33 @@ A mid-cycle flip is therefore discrepant for exactly one voting phase and is cle
 again in the following cycle (latency 1); an edge-aligned flip lands one edge later
 and is clean two cycles after its scheduled cycle (latency 2).
 
+Event stream: ``Kernel.sink`` is None or a list, and it is the one way to observe
+a run. When it is a list, the kernel appends one typed record per event, and
+nothing in a cycle without one:
+
+* ``Flip(cycle, target, replica, bit, vote_changed)``: an upset landed;
+* ``Discrepancy(cycle, domain, element, source)``: a voter saw replicas disagree,
+  once per (domain, element, source) and cycle; ``source`` is ``"cell"`` (a
+  cell's voter), ``"core-read"`` (a core-side SRAM read) or ``"scrub"`` (a
+  scrubber write-back);
+* ``Repair(cycle, target)``: a dirty cell or SRAM row became clean again, by
+  edge refresh, a write, a scrub write-back or a flip that toggled a bit back;
+* ``Retire(cycle, pc, raw)`` and ``Halt(cycle, cause)``.
+
+A target is a cell's element id (a string) or an SRAM row (an integer). Records
+are in cycle order, and the flips and repairs of one target are in the order they
+happened, so the state of every target at the end of every cycle can be replayed
+from the stream. ``SystemConfig.record_events`` starts a kernel with an empty
+sink; the stream is run metadata, not machine state, and snapshots do not carry it.
+
 Idle fast-forward: once the core has halted, ``run_cycles`` skips spans in which
 no cycle can do anything but advance the scrubber over clean SRAM rows. It applies
-only while no cell is dirty, no counter increment is pending, the edge queue is
-empty and no ``cycle_hooks`` are installed. A skip ends at the next scheduled flip,
-the next GPIO or UART stimulus that can land, the cycle whose scrub step would read
-a dirty row or write back (honouring ``scrub_divider``), or the end of the run;
-that cycle is then simulated by ``step_cycle``. ``step_cycle`` stays the oracle:
-the fast path must leave exactly the state that single-stepping leaves.
+only while no cell is dirty, no counter increment is pending and the edge queue is
+empty. A skip ends at the next scheduled flip, the next GPIO or UART stimulus that
+can land, the cycle whose scrub step would read a dirty row or write back
+(honouring ``scrub_divider``), or the end of the run; that cycle is then simulated
+by ``step_cycle``. ``step_cycle`` stays the oracle: the fast path must leave
+exactly the state and the event stream that single-stepping leaves.
 
 One kernel instance is one single-threaded simulation; instances share nothing, so
 campaigns may run many in parallel.
@@ -37,6 +56,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, SimTimeout
 from .isa import ArchState
@@ -61,6 +81,47 @@ SNAPSHOT_VERSION = 2
 MID_CYCLE = "mid-cycle"
 EDGE_ALIGNED = "edge-aligned"
 
+# discrepancy sources
+CELL = "cell"
+CORE_READ = "core-read"
+SCRUB = "scrub"
+
+
+class Flip(NamedTuple):
+    cycle: int
+    target: object
+    replica: int
+    bit: int
+    vote_changed: bool
+    kind = "flip"
+
+
+class Discrepancy(NamedTuple):
+    cycle: int
+    domain: Domain
+    element: object
+    source: str
+    kind = "discrepancy"
+
+
+class Repair(NamedTuple):
+    cycle: int
+    target: object
+    kind = "repair"
+
+
+class Retire(NamedTuple):
+    cycle: int
+    pc: int
+    raw: int
+    kind = "retire"
+
+
+class Halt(NamedTuple):
+    cycle: int
+    cause: str
+    kind = "halt"
+
 
 @dataclass
 class SystemConfig:
@@ -74,7 +135,7 @@ class SystemConfig:
     scrub_divider: int = 1
     max_cycles: int = 1_000_000
     stimulus: tuple = ()  # (("uart-rx", cycle, byte) | ("gpio-in", cycle, pin, level), ...)
-    record_events: bool = False  # keep the discrepancy event log for reports
+    record_events: bool = False  # start the kernel with an event sink (see Kernel.sink)
 
     def __post_init__(self):
         if self.freq_mhz <= 0:
@@ -218,10 +279,9 @@ class Kernel:
             self.registry[cell.element_id] = cell
         self.dirty = set()
 
-        self.event_log = [] if config.record_events else None
+        self.sink = [] if config.record_events else None  # the event stream, if kept
+        self.sram.repaired = []  # drained into the sink every cycle
         self.event_totals = {Domain.CORE: 0, Domain.SRAM: 0, Domain.PERIPHERALS: 0}
-        self.cycle_hooks = []
-        self.retire_log = None
 
         self._pending_increments = {}
         self._edge_queue = []  # (kind, key, replica, bit) landing at the next edge
@@ -264,8 +324,8 @@ class Kernel:
     def cells_in_domain(self, domain):
         return [c.element_id for c in self.registry.values() if c.domain == domain]
 
-    def _retire_sink(self, pc, ins):
-        self.retire_log.append((self.cycle, pc, ins.raw))
+    def _log_retire(self, pc, ins):
+        self.sink.append(Retire(self.cycle, pc, ins.raw))
 
     # ------------------------------------------------------------------
     # fault injection surface (used by the campaign engine and tests)
@@ -305,10 +365,18 @@ class Kernel:
     def _do_flip(self, kind, key, replica, bit):
         if kind == "cell":
             cell = self.registry[key]
+            before = cell.value
             cell.flip(replica, bit)
             self.dirty.add(cell)
+            after, dirty = cell.value, cell.discrepancy
         else:
+            before = self.sram.read_voted(key)[0]
             self.sram.flip(key, replica, bit)
+            after, dirty = self.sram.read_voted(key)
+        if self.sink is not None:
+            self.sink.append(Flip(self.cycle, key, replica, bit, after != before))
+            if not dirty:  # the flip toggled the last differing bit back
+                self.sink.append(Repair(self.cycle, key))
 
     # ------------------------------------------------------------------
     # the cycle loop
@@ -319,13 +387,14 @@ class Kernel:
         c = self.cycle
 
         # phase 1: clock edge
+        if self.dirty:
+            repaired = [cell.element_id for cell in self.dirty if cell.refresh()]
+            self.dirty.clear()
+            if repaired and self.sink is not None:
+                self.sink.extend(Repair(c, key) for key in sorted(repaired))
         if self._pending_increments:
             self.counters.apply_increments(self._pending_increments)
             self._pending_increments = {}
-        if self.dirty:
-            for cell in self.dirty:
-                cell.refresh()
-            self.dirty.clear()
         self.events.clear()
         self.bus.last_store_row = None
         self.arch.cycle = c
@@ -336,8 +405,10 @@ class Kernel:
         self.uart.tick(c)
         halt = None
         if self.halted is None:  # the core stops at a halt; the scrubber never does
-            sink = self._retire_sink if self.retire_log is not None else None
-            halt = self.pipeline.advance(self.arch, self.bus, sink)
+            retire = self._log_retire if self.sink is not None else None
+            halt = self.pipeline.advance(self.arch, self.bus, retire)
+            if self.sram.repaired:  # stores took rows out of the dirty set
+                self._log_sram_repairs(c)
         if self._edge_queue:
             for kind, key, replica, bit in self._edge_queue:
                 self._do_flip(kind, key, replica, bit)
@@ -359,6 +430,7 @@ class Kernel:
                     self.events.append((cell.domain, cell.element_id))
 
         # phase 4: scrubber
+        written = None
         if self.config.scrub_enabled and c % self.config.scrub_divider == 0:
             written = self.scrubber.step(self.sram, self.bus.last_store_row)
             if written is not None:
@@ -370,16 +442,44 @@ class Kernel:
             self._pending_increments = increments
             for domain, n in increments.items():
                 self.event_totals[domain] += n
-            if self.event_log is not None:
-                for domain, key in sorted(set(self.events), key=repr):
-                    self.event_log.append((c, int(domain), key))
+            if self.sink is not None:
+                self._log_votes(c, written)
+            if self.sram.repaired:  # the scrubber wrote a dirty row back
+                self._log_sram_repairs(c)
 
         if halt is not None:
             self.halted = halt
+            if self.sink is not None:
+                self.sink.append(Halt(c, halt))
         self.cycle = c + 1
-        if self.cycle_hooks:
-            for hook in self.cycle_hooks:
-                hook(self)
+
+    def _log_votes(self, c, written):
+        """Append this cycle's discrepancy records (and the cell repairs phase 4 made).
+
+        No record repeats: the core port makes one access per cycle (a fetch
+        reads at most two rows), voting lists each dirty cell once, and the
+        scrubber's write-back, if any, is the last event.
+        """
+        sink = self.sink
+        events = self.events[:-1] if written is not None else self.events
+        cells = []
+        for domain, key in events:
+            if type(key) is str:
+                cells.append((key, domain))
+            else:
+                sink.append(Discrepancy(c, domain, key, CORE_READ))
+        for key, domain in sorted(cells):
+            sink.append(Discrepancy(c, domain, key, CELL))
+            if not self.registry[key].discrepancy:  # the scrubber rewrote its own cell
+                sink.append(Repair(c, key))
+        if written is not None:
+            sink.append(Discrepancy(c, Domain.SRAM, written, SCRUB))
+
+    def _log_sram_repairs(self, c):
+        rows = self.sram.repaired
+        if self.sink is not None:
+            self.sink.extend(Repair(c, row) for row in rows)
+        rows.clear()
 
     def run(self, max_cycles=None):
         """Run until the program halts; raise SimTimeout if it never does."""
@@ -397,16 +497,19 @@ class Kernel:
         and fault schedule keep running for the remaining cycles. Idle post-halt
         spans are fast-forwarded (see the module docstring).
         """
-        end = self.cycle + n
+        self._run_to(self.cycle + n)
+        return self.result()
+
+    def _run_to(self, end):
+        """Run up to cycle ``end`` as :meth:`run_cycles` does, without building a result."""
         while self.cycle < end:
             if self.halted is not None and not (
-                self.dirty or self._pending_increments or self._edge_queue or self.cycle_hooks
+                self.dirty or self._pending_increments or self._edge_queue
             ):
                 self._skip_idle(end)
                 if self.cycle >= end:
                     break
             self.step_cycle()
-        return self.result()
 
     def _skip_idle(self, end):
         """Advance a halted, quiescent machine to the next cycle that needs a step."""
@@ -450,7 +553,7 @@ class Kernel:
     def architectural_signature(self):
         """State fingerprint for golden-run divergence checks.
 
-        Counters and the discrepancy log are deliberately excluded: they differ
+        Counters and the event stream are deliberately excluded: they differ
         between a golden and a fault run by design.
         """
         return {
@@ -539,8 +642,8 @@ class Kernel:
         """Overwrite this kernel's state with a :meth:`snapshot` of the same configuration.
 
         The result is the kernel :meth:`from_snapshot` builds, without building
-        one: the event log starts empty, and cycle hooks and the retire log are
-        left as they are.
+        one: the sink starts empty if the snapshot's ``record_events`` is set,
+        and is None otherwise.
         """
         cycle, cfg, off = self._snapshot_header(data)
         if bytes(cfg) != self._config_json():
@@ -594,7 +697,8 @@ class Kernel:
         record_events = misc.get("record_events", False)
         if record_events != self.config.record_events:
             self.config = dataclasses.replace(self.config, record_events=record_events)
-        self.event_log = [] if record_events else None
+        self.sink = [] if record_events else None
+        self.sram.repaired.clear()
 
     def matches(self, other):
         """True iff ``other`` holds the same machine state, SEU counters aside.

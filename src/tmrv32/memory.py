@@ -51,6 +51,8 @@ class SramArray:
 
     ``dirty`` is the set of rows whose replicas disagree. Every port keeps it exact,
     so clean rows are read without voting and bulk images cost a copy, not a vote.
+    When ``repaired`` is a list, the core and scrubber ports append each row they
+    take out of ``dirty`` to it, in order; its owner drains it.
     """
 
     def __init__(self, rows=SRAM_ROWS):
@@ -59,6 +61,12 @@ class SramArray:
         self.rows = rows
         self.banks = [array("I", [0]) * rows for _ in range(3)]
         self.dirty = set()
+        self.repaired = None
+
+    def _mark_clean(self, row):
+        self.dirty.discard(row)
+        if self.repaired is not None:
+            self.repaired.append(row)
 
     def _vote_row(self, row):
         b0, b1, b2 = self.banks
@@ -76,14 +84,15 @@ class SramArray:
         b0, b1, b2 = self.banks
         if mask == M32:
             b0[row] = b1[row] = b2[row] = value
-            self.dirty.discard(row)
+            if row in self.dirty:
+                self._mark_clean(row)
         else:
             value &= mask
             inv = ~mask & M32
             for bank in self.banks:
                 bank[row] = (bank[row] & inv) | value
             if row in self.dirty and b0[row] == b1[row] == b2[row]:
-                self.dirty.discard(row)
+                self._mark_clean(row)
 
     def scrub_read(self, row):
         """Scrubber port read: the three raw replica words, unvoted."""
@@ -98,7 +107,8 @@ class SramArray:
         self.banks[0][row] = word
         self.banks[1][row] = word
         self.banks[2][row] = word
-        self.dirty.discard(row)
+        if row in self.dirty:
+            self._mark_clean(row)
 
     def flip(self, row, replica, bit):
         """Invert one bit of one replica bank (an injected upset)."""

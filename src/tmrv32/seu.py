@@ -13,6 +13,17 @@ is repaired when the scrubber writes it back or the core overwrites it. SRAM
 correction latency is counted inclusively, from the injection cycle through the
 repair cycle, so the analytic single-upset worst case is rows + 1 scrub steps.
 
+Every faulted run keeps the kernel's event stream (``Kernel.sink``), and each
+fault is classified from it in one pass after the run, with no per-cycle probe:
+
+* ``detected``: some discrepancy on the fault's (domain, element) at or after its
+  injection cycle;
+* ``uncorrectable``: some flip of the fault's target changed its voted value at
+  any time in the run, whichever fault it belonged to;
+* the target re-equalizes in the first cycle at or after the fault lands (one
+  cycle after ``at_cycle`` for an edge-aligned upset) at whose end it is clean,
+  as replayed from its flips and repairs; an uncorrectable fault has no latency.
+
 Campaigns run in one of two modes. ``accumulate`` injects every fault into one
 run, for upset-accumulation experiments. ``isolated`` classifies each fault on its
 own against a fault-free golden run. Its records are those of one run from reset
@@ -21,9 +32,9 @@ per fault, but it does not simulate that way:
 * Golden runs once. At each distinct injection cycle, a snapshot of golden is the
   checkpoint that every fault of that cycle is restored from, into a fork. The
   checkpoint is dropped once those forks have started, so one lives at a time.
-* A fork steps ahead of golden until its upset is resolved: the target has
-  re-equalized, no cell or SRAM row is dirty, no counter increment is pending and
-  no flip is queued or scheduled. When golden reaches the fork's cycle, the two
+* A fork steps ahead of golden until its upset is resolved: no cell or SRAM row
+  is dirty, no counter increment is pending and no flip is queued or scheduled
+  (so its target has re-equalized). When golden reaches the fork's cycle, the two
   are compared with ``Kernel.matches``: every cell but the three SEU counters,
   the SRAM banks, and all other snapshot state but the event totals. On a
   mismatch the fork steps on 1, 2, 4, ... cycles and is compared again. A fork
@@ -52,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SimError, SimTimeout
-from .kernel import EDGE_ALIGNED, MID_CYCLE, Kernel, SystemConfig
+from .kernel import EDGE_ALIGNED, MID_CYCLE, Discrepancy, Flip, Kernel, Repair, SystemConfig
 from .memory import SramArray
 from .scrubber import Scrubber, worst_case_correction_cycles
 from .tmr import DOMAIN_NAMES, Domain
@@ -166,50 +177,6 @@ class ResolvedFault:
     count: int
 
 
-class _TargetMonitor:
-    """Watches one injection target: vote change at flip time, replica re-equality."""
-
-    def __init__(self, kernel, fault):
-        self.kernel = kernel
-        self.fault = fault
-        self.landing = fault.at_cycle + (1 if fault.phase == EDGE_ALIGNED else 0)
-        self.vote_changed = False
-        self.flips_seen = 0
-        self.requal_cycle = None
-        if fault.kind == "cell":
-            self.cell = kernel.registry[fault.key]
-        else:
-            self.cell = None
-
-    def observe_flip(self, kind, key, vote_before, vote_after):
-        if kind == self.fault.kind and key == self.fault.key:
-            self.flips_seen += 1
-            if vote_after != vote_before:
-                self.vote_changed = True
-
-    def on_cycle(self, kernel):
-        if self.requal_cycle is not None:
-            return
-        completed = kernel.cycle - 1
-        if completed < self.landing:
-            return
-        if self.cell is not None:
-            equal = not self.cell.discrepancy
-        else:
-            a, b, c = kernel.sram.scrub_read(self.fault.key)
-            equal = a == b == c
-        if equal:
-            self.requal_cycle = completed
-
-    def latency(self):
-        """Correction latency per the domain's counting convention, or None."""
-        if self.requal_cycle is None or self.vote_changed:
-            return None
-        if self.fault.kind == "sram":
-            return self.requal_cycle - self.fault.at_cycle + 1
-        return self.requal_cycle - self.fault.at_cycle
-
-
 def resolve_faults(config, registry_kernel, rng):
     """Pin down every random target choice; deterministic given the seed."""
     resolved = []
@@ -305,8 +272,8 @@ def _schedule(kernel, fault):
         )
 
 
-def _record(fault, monitor, detected, diverged, kernel):
-    latency = monitor.latency()
+def _record(fault, outcome, diverged, kernel):
+    detected, latency, uncorrectable = outcome
     return {
         "index": fault.index,
         "kind": fault.kind,
@@ -319,7 +286,7 @@ def _record(fault, monitor, detected, diverged, kernel):
         "at_cycle": fault.at_cycle,
         "detected": detected,
         "correction_latency_cycles": latency,
-        "uncorrectable": monitor.vote_changed,
+        "uncorrectable": uncorrectable,
         "diverged": diverged,
         "counters": list(kernel.counters.values()),
         "event_totals": _totals_dict(kernel),
@@ -350,50 +317,54 @@ class CampaignReport:
         return dict(sorted(hist.items()))
 
 
-def _detected(event_log, fault):
-    key = fault.key
-    dom = int(fault.domain)
-    for cycle, domain, element in event_log:
-        if cycle >= fault.at_cycle and domain == dom and element == key:
-            return True
-    return False
+def _classify(stream, faults, end):
+    """(detected, correction latency, uncorrectable) of each fault, from one run's stream.
 
-
-def _watch(kernel, faults):
-    """Schedule ``faults`` into ``kernel``; return one target monitor per fault."""
-    monitors = []
+    ``end`` is the cycle the run has reached; see the module docstring for the rules.
+    """
+    last_seen = {}  # (domain, element) -> the last cycle it was discrepant
+    changes = {}  # target -> [(cycle, clean afterwards)], in stream order
+    vote_changed = set()  # targets that some flip changed the vote of
+    for rec in stream:
+        kind = type(rec)
+        if kind is Discrepancy:
+            last_seen[rec.domain, rec.element] = rec.cycle
+        elif kind is Flip:
+            changes.setdefault(rec.target, []).append((rec.cycle, False))
+            if rec.vote_changed:
+                vote_changed.add(rec.target)
+        elif kind is Repair:
+            changes.setdefault(rec.target, []).append((rec.cycle, True))
+    outcomes = []
     for fault in faults:
-        _schedule(kernel, fault)
-        monitors.append(_TargetMonitor(kernel, fault))
-    kernel.cycle_hooks = [m.on_cycle for m in monitors]
+        detected = last_seen.get((fault.domain, fault.key), -1) >= fault.at_cycle
+        uncorrectable = fault.key in vote_changed
+        latency = None
+        if not uncorrectable:
+            landing = fault.at_cycle + (1 if fault.phase == EDGE_ALIGNED else 0)
+            requal = _requal_cycle(changes.get(fault.key, ()), landing, end)
+            if requal is not None:
+                # SRAM latency counts the injection cycle too
+                latency = requal - fault.at_cycle + (1 if fault.kind == "sram" else 0)
+        outcomes.append((detected, latency, uncorrectable))
+    return outcomes
 
-    def observing_do_flip(kind, key, replica, bit):
-        if kind == "cell":
-            before = kernel.registry[key].value
-        else:
-            a, b, c = kernel.sram.scrub_read(key)
-            before = (a & b) | (a & c) | (b & c)
-        Kernel._do_flip(kernel, kind, key, replica, bit)
-        if kind == "cell":
-            after = kernel.registry[key].value
-        else:
-            a, b, c = kernel.sram.scrub_read(key)
-            after = (a & b) | (a & c) | (b & c)
-        for monitor in monitors:
-            monitor.observe_flip(kind, key, before, after)
 
-    kernel._do_flip = observing_do_flip
-    return monitors
+def _requal_cycle(changes, landing, end):
+    """The first cycle >= ``landing`` and < ``end`` at whose end the target was clean.
+
+    ``changes`` are the target's (cycle, clean afterwards) from its flips and
+    repairs; the target is clean before the first.
+    """
+    clean, since = True, landing  # the state at the end of cycles since .. next change - 1
+    for cycle, now_clean in changes:
+        if clean and since < cycle:
+            return since
+        clean, since = now_clean, max(cycle, landing)
+    return since if clean and since < end else None
 
 
 _END = math.inf  # an _advance target: the end of the run
-
-
-def _run_one(system, length, faults):
-    kernel = Kernel(system)
-    monitors = _watch(kernel, faults)
-    _advance(kernel, _END, length)
-    return kernel, monitors
 
 
 def _advance(kernel, target, length):
@@ -410,11 +381,7 @@ def _advance(kernel, target, length):
                 raise SimTimeout(budget)
             kernel.step_cycle()
         return kernel.halted is not None
-    n = min(target, length) - kernel.cycle
-    if n == 1:
-        kernel.step_cycle()  # what run_cycles(1) does, without building its result
-    elif n > 0:
-        kernel.run_cycles(n)
+    kernel._run_to(min(target, length))
     return kernel.cycle >= length
 
 
@@ -429,7 +396,8 @@ class _Fork:
     def __init__(self, kernel, fault):
         self.kernel = kernel
         self.fault = fault
-        (self.monitor,) = _watch(kernel, [fault])
+        kernel.sink = []
+        _schedule(kernel, fault)
         self.gap = 1  # cycles to step after a failed comparison; doubles each time
 
     def settle(self, steps, length):
@@ -440,16 +408,15 @@ class _Fork:
         kernel = self.kernel
         if _advance(kernel, kernel.cycle + steps, length):
             return False
-        while self.monitor.requal_cycle is None or not kernel.settled():
+        while not kernel.settled():
             if _advance(kernel, kernel.cycle + 1, length):
                 return False
         return True
 
     def record(self):
-        return _record(
-            self.fault, self.monitor, _detected(self.kernel.event_log, self.fault), None,
-            self.kernel,
-        )
+        kernel = self.kernel
+        (outcome,) = _classify(kernel.sink, [self.fault], kernel.cycle)
+        return _record(self.fault, outcome, None, kernel)
 
 
 class _ForkedCampaign:
@@ -596,12 +563,11 @@ def run_campaign(config):
     """Execute a fault campaign; deterministic given the config (incl. seed)."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    system = dataclasses.replace(config.system, record_events=True)
-    golden = Kernel(system)
+    golden = Kernel(config.system)
     resolved = resolve_faults(config, golden, rng)
     length = config.run_cycles
     if config.mode == "isolated":
-        engine = _ForkedCampaign(system, golden, length, config.golden_compare)
+        engine = _ForkedCampaign(config.system, golden, length, config.golden_compare)
         golden_sig, records = engine.run(resolved)
         summary = _summarize(records, config)
     else:
@@ -609,10 +575,14 @@ def run_campaign(config):
         if config.golden_compare:
             _advance(golden, _END, length)
             golden_sig = golden.architectural_signature()
-        kernel, monitors = _run_one(system, length, resolved)
+        kernel = Kernel(config.system)
+        kernel.sink = []
+        for fault in resolved:
+            _schedule(kernel, fault)
+        _advance(kernel, _END, length)
+        outcomes = _classify(kernel.sink, resolved, kernel.cycle)
         records = [
-            _record(fault, monitor, _detected(kernel.event_log, fault), None, kernel)
-            for fault, monitor in zip(resolved, monitors)
+            _record(fault, outcome, None, kernel) for fault, outcome in zip(resolved, outcomes)
         ]
         summary = _summarize(records, config)
         if golden_sig is not None:

@@ -1,12 +1,11 @@
 """Isolated campaigns against a reference that simulates every fault from cycle 0.
 
-``reference_campaign`` is the plain way to run an isolated campaign: one golden
-run, then one fresh kernel per fault, run from cycle 0 to the end. The campaign
-engine must give byte-identical records and summaries, or raise the same
-exception type with the same message.
+``reference_isolated`` is the plain way to run an isolated campaign: one golden
+run, then one fresh kernel per fault, run from cycle 0 to the end and observed
+cycle by cycle. The campaign engine must give byte-identical records and
+summaries, or raise the same exception type with the same message.
 """
 
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_program, alu_block_program
+from reference_observer import outcome, reference_isolated
 
 from tmrv32 import encode as E
 from tmrv32 import seu
@@ -28,44 +28,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 COUNTER_CELLS = ("periph.seu_count_core", "periph.seu_count_sram", "periph.seu_count_periph")
 
 
-def reference_campaign(config):
-    """Run an isolated campaign with every fault simulated from cycle 0 to the end."""
-    config.validate()
-    rng = np.random.default_rng(config.seed)
-    system = dataclasses.replace(config.system, record_events=True)
-    resolved = seu.resolve_faults(config, Kernel(system), rng)
-    length = config.run_cycles
-    golden_sig = None
-    if config.golden_compare:
-        golden = Kernel(system)
-        if length is None:
-            golden.run()
-        else:
-            golden.run_cycles(length)
-        golden_sig = golden.architectural_signature()
-    records = []
-    for fault in resolved:
-        kernel, (monitor,) = seu._run_one(system, length, [fault])
-        diverged = None
-        if golden_sig is not None:
-            diverged = kernel.architectural_signature() != golden_sig
-        detected = seu._detected(kernel.event_log, fault)
-        records.append(seu._record(fault, monitor, detected, diverged, kernel))
-    summary = seu._summarize(records, config)
-    return CampaignReport(config=config, golden=golden_sig, records=records, summary=summary)
-
-
-def _outcome(engine, config):
-    try:
-        report = engine(config)
-    except SimError as exc:
-        return ("raises", type(exc).__name__, str(exc))
-    return (report.to_jsonl(), report.summary, report.golden)
-
-
 def assert_matches_reference(config):
-    got = _outcome(run_campaign, config)
-    assert got == _outcome(reference_campaign, config)
+    got = outcome(run_campaign, config)
+    assert got == outcome(reference_isolated, config)
     return got
 
 
@@ -294,7 +259,7 @@ def test_counter_read_after_injection_keeps_the_fork_running():
     report = run_campaign(config)
     for rec in report.records:
         assert rec["counters"][0] >= 1 and rec["correction_latency_cycles"] <= 1
-    kernel = Kernel(dataclasses.replace(config.system, record_events=True))
+    kernel = Kernel(config.system)
     kernel.schedule_flip(10, "cell", "core.x1", 0, 2)
     kernel.run()
     assert kernel.arch.read_reg(7) == report.records[0]["counters"][0]

@@ -38,6 +38,54 @@ def test_run_trace_out(tmp_path, image_path):
     assert all({"cycle", "pc", "raw"} <= set(e) for e in retires)
 
 
+def _trace(path):
+    header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert header == {"kind": "trace", "schema_version": 2}
+    return records
+
+
+def test_run_trace_tells_scrub_write_backs_from_core_reads(tmp_path):
+    image = tmp_path / "acceptance.bin"
+    image.write_bytes(acceptance_program().assemble())
+    trace = tmp_path / "trace.jsonl"
+    # row 150 lies outside the program, so only the scrubber sees it; row 12 is
+    # code the core fetches before the scrubber gets there
+    code = main(["run", str(image), "--flip", "5:150:1:3", "--flip", "1:12:0:30",
+                 "--trace-out", str(trace)])
+    assert code == EXIT_OK
+    records = [r for r in _trace(trace) if r["kind"] != "retire"]
+    assert {"kind": "flip", "cycle": 5, "target": 150, "replica": 1, "bit": 3,
+            "vote_changed": False} in records
+    scrub = [r for r in records if r["kind"] == "discrepancy" and r["element"] == 150]
+    assert scrub == [{"kind": "discrepancy", "cycle": scrub[0]["cycle"], "domain": "sram",
+                      "element": 150, "source": "scrub"}]
+    assert {"kind": "repair", "cycle": scrub[0]["cycle"], "target": 150} in records
+    code_row = [r for r in records if r["kind"] == "discrepancy" and r["element"] == 12]
+    assert [r["source"] for r in code_row] == ["core-read", "scrub"]
+    assert code_row[0]["cycle"] < code_row[1]["cycle"]
+    assert {"kind": "repair", "cycle": code_row[1]["cycle"], "target": 12} in records
+    assert records[-1]["kind"] == "halt"
+
+
+def test_run_trace_shows_cell_flip_and_refresh(tmp_path, image_path):
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", str(image_path), "--flip", "3:core.x1:2:0:edge-aligned",
+                 "--trace-out", str(trace)]) == EXIT_OK
+    records = [r for r in _trace(trace) if r["kind"] != "retire"]
+    assert records[:3] == [
+        {"kind": "flip", "cycle": 4, "target": "core.x1", "replica": 2, "bit": 0,
+         "vote_changed": False},
+        {"kind": "discrepancy", "cycle": 4, "domain": "core", "element": "core.x1",
+         "source": "cell"},
+        {"kind": "repair", "cycle": 5, "target": "core.x1"},
+    ]
+
+
+def test_run_rejects_a_malformed_flip(image_path):
+    assert main(["run", str(image_path), "--flip", "3:core.x1:2"]) == EXIT_CONFIG
+    assert main(["run", str(image_path), "--flip", "3:core.nope:0:0"]) == EXIT_CONFIG
+
+
 def test_run_max_cycles_timeout(tmp_path):
     p = E.Program()
     p.label("spin")

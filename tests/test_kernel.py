@@ -306,7 +306,7 @@ def _plain_and_fast(make, seed, halt_cycle, n):
 def _assert_same_run(plain, fast):
     assert fast.snapshot() == plain.snapshot()
     assert fast.result() == plain.result()
-    assert fast.event_log == plain.event_log
+    assert fast.sink == plain.sink
     assert (fast.arch.cycle, fast.uart.cycle) == (plain.arch.cycle, plain.uart.cycle)
 
 
@@ -383,7 +383,7 @@ def test_snapshot_keeps_record_events():
     kernel = make_kernel(acceptance_program(), record_events=True)
     kernel.run_cycles(20)
     resumed = Kernel.from_snapshot(kernel.snapshot())
-    assert resumed.config.record_events and resumed.event_log == []
+    assert resumed.config.record_events and resumed.sink == []
     assert resumed.snapshot() == kernel.snapshot()
 
 
@@ -409,7 +409,7 @@ def test_snapshot_version_1_still_reads():
     blob = kernel.snapshot()
     assert struct.unpack_from("<H", blob, 8) == (2,)
     old = Kernel.from_snapshot(_as_version_1(blob))
-    assert old._fault_schedule == {} and old.event_log is None
+    assert old._fault_schedule == {} and old.sink is None
     assert old.snapshot() == blob
     old.run()
     kernel.run()
@@ -433,13 +433,13 @@ def test_restore_into_a_used_kernel_equals_from_snapshot():
     used.restore(blob)
     fresh = Kernel.from_snapshot(blob)
     assert used.snapshot() == fresh.snapshot() == blob
-    assert used.event_log == fresh.event_log == []
+    assert used.sink == fresh.sink == []
     assert used.dirty == {used.registry["core.x6"]} and fresh.dirty == {fresh.registry["core.x6"]}
     used.run_cycles(300)
     fresh.run_cycles(300)
     source.run_cycles(300)
     assert used.snapshot() == fresh.snapshot() == source.snapshot()
-    assert used.event_log == fresh.event_log
+    assert used.sink == fresh.sink
 
 
 def test_restore_rejects_another_configuration():
