@@ -150,7 +150,7 @@ def _schedule_flip(kernel, spec):
 
 def _trace_line(rec):
     fields = rec._asdict()
-    fields["kind"] = rec.kind
+    fields["kind"] = type(rec).__name__.lower()
     if "domain" in fields:
         fields["domain"] = DOMAIN_NAMES[fields["domain"]]
     return json.dumps(fields, sort_keys=True)

@@ -54,9 +54,9 @@ import dataclasses
 import hashlib
 import json
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import ConfigError, SimTimeout
 from .isa import ArchState
@@ -81,46 +81,12 @@ SNAPSHOT_VERSION = 2
 MID_CYCLE = "mid-cycle"
 EDGE_ALIGNED = "edge-aligned"
 
-# discrepancy sources
-CELL = "cell"
-CORE_READ = "core-read"
-SCRUB = "scrub"
-
-
-class Flip(NamedTuple):
-    cycle: int
-    target: object
-    replica: int
-    bit: int
-    vote_changed: bool
-    kind = "flip"
-
-
-class Discrepancy(NamedTuple):
-    cycle: int
-    domain: Domain
-    element: object
-    source: str
-    kind = "discrepancy"
-
-
-class Repair(NamedTuple):
-    cycle: int
-    target: object
-    kind = "repair"
-
-
-class Retire(NamedTuple):
-    cycle: int
-    pc: int
-    raw: int
-    kind = "retire"
-
-
-class Halt(NamedTuple):
-    cycle: int
-    cause: str
-    kind = "halt"
+# event stream records (see the module docstring)
+Flip = namedtuple("Flip", "cycle target replica bit vote_changed")
+Discrepancy = namedtuple("Discrepancy", "cycle domain element source")
+Repair = namedtuple("Repair", "cycle target")
+Retire = namedtuple("Retire", "cycle pc raw")
+Halt = namedtuple("Halt", "cycle cause")
 
 
 @dataclass
@@ -467,13 +433,13 @@ class Kernel:
             if type(key) is str:
                 cells.append((key, domain))
             else:
-                sink.append(Discrepancy(c, domain, key, CORE_READ))
+                sink.append(Discrepancy(c, domain, key, "core-read"))
         for key, domain in sorted(cells):
-            sink.append(Discrepancy(c, domain, key, CELL))
+            sink.append(Discrepancy(c, domain, key, "cell"))
             if not self.registry[key].discrepancy:  # the scrubber rewrote its own cell
                 sink.append(Repair(c, key))
         if written is not None:
-            sink.append(Discrepancy(c, Domain.SRAM, written, SCRUB))
+            sink.append(Discrepancy(c, Domain.SRAM, written, "scrub"))
 
     def _log_sram_repairs(self, c):
         rows = self.sram.repaired
