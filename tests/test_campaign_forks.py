@@ -17,10 +17,9 @@ from reference_observer import outcome, reference_isolated
 
 from tmrv32 import encode as E
 from tmrv32 import seu
-from tmrv32.errors import SimError
 from tmrv32.kernel import EDGE_ALIGNED, MID_CYCLE, Kernel, SystemConfig
 from tmrv32.memory import SEU_COUNTER_BASE
-from tmrv32.seu import CampaignConfig, CampaignReport, FaultSpec, run_campaign
+from tmrv32.seu import CampaignConfig, FaultSpec, run_campaign
 from tmrv32.tmr import Domain
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
