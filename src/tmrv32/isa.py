@@ -8,17 +8,26 @@ with a diagnostic. ECALL and EBREAK halt the simulation cleanly (EBREAK is the
 conventional "program finished" signal for bare-metal test images).
 
 Execution is split so the functional interpreter and the cycle-accurate pipeline
-share one set of semantics: :func:`execute` computes effects and returns an
-:class:`ExecResult` carrying the destination-register write, the next pc, an optional
-memory request, and halt info. The functional path (:func:`step_instruction`) applies
-the write immediately; the pipeline routes it through the writeback latch.
+share one set of semantics. :func:`decode` binds every instruction to a handler for
+its operation and operands, and :func:`execute` runs it. The handler computes the
+effects and returns them as a tuple ``(rd_write, target, mem, halt)``:
+
+* ``rd_write``: ``(rd, value)`` destined for the register file, or None;
+* ``target``: the next pc of a control transfer (a taken branch or any jump), or
+  None to fall through;
+* ``mem``: ``(addr, width, data)`` for a store, ``(addr, width, None)`` for a load
+  (whose data completes ``rd`` through :func:`extend_load`), or None;
+* ``halt``: ``"ebreak"`` or ``"ecall"``, or None.
+
+The functional path (:func:`step_instruction`) applies the write immediately; the
+pipeline routes it through the writeback latch.
 """
 
 import functools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 from .errors import IllegalInstruction
-from .memory import MemRequest
 from .tmr import Domain, TmrCell
 
 M32 = 0xFFFFFFFF
@@ -38,10 +47,6 @@ def sext(value, bits):
     return value - (1 << bits) if value & m else value
 
 
-def u32(x):
-    return x & M32
-
-
 def s32(x):
     x &= M32
     return x - 0x100000000 if x & 0x80000000 else x
@@ -52,7 +57,8 @@ class Instruction:
     """One decoded instruction.
 
     ``mnemonic`` is the 32-bit semantic operation; compressed encodings are expanded,
-    with the original compressed name kept in ``cname`` and ``length`` = 2.
+    with the original compressed name kept in ``cname`` and ``length`` = 2. ``run``
+    is the handler :func:`execute` calls, bound to this instruction's operands.
     """
 
     mnemonic: str
@@ -64,21 +70,14 @@ class Instruction:
     raw: int = 0
     length: int = 4
     cname: str | None = None
+    run: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "run", _bind(self))
 
     def __str__(self):
         name = self.cname or self.mnemonic
         return f"{name} rd={self.rd} rs1={self.rs1} rs2={self.rs2} imm={self.imm}"
-
-
-@dataclass(slots=True)
-class ExecResult:
-    """Outcome of executing one instruction."""
-
-    next_pc: int
-    rd_write: tuple | None = None  # (rd, value) destined for the register file
-    memreq: MemRequest | None = None
-    control_transfer: bool = False  # taken branch or any jump (pipeline flushes)
-    halt: str | None = None  # "ebreak" / "ecall"
 
 
 # ---------------------------------------------------------------------------
@@ -383,18 +382,20 @@ def _rems(a, b):
     return -r if a < 0 else r
 
 
+# The handlers mask every result to 32 bits, which also turns a comparison's
+# bool into 0 or 1.
 _ALU_RR = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "xor": lambda a, b: a ^ b,
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "xor": operator.xor,
+    "or": operator.or_,
+    "and": operator.and_,
     "sll": lambda a, b: a << (b & 31),
     "srl": lambda a, b: a >> (b & 31),
     "sra": lambda a, b: s32(a) >> (b & 31),
-    "slt": lambda a, b: int(s32(a) < s32(b)),
-    "sltu": lambda a, b: int(a < b),
-    "mul": lambda a, b: a * b,
+    "slt": lambda a, b: s32(a) < s32(b),
+    "sltu": operator.lt,
+    "mul": operator.mul,
     "mulh": lambda a, b: (s32(a) * s32(b)) >> 32,
     "mulhu": lambda a, b: (a * b) >> 32,
     "mulhsu": lambda a, b: (s32(a) * b) >> 32,
@@ -405,24 +406,24 @@ _ALU_RR = {
 }
 
 _ALU_IMM = {
-    "addi": lambda a, imm: a + imm,
-    "xori": lambda a, imm: a ^ u32(imm),
-    "ori": lambda a, imm: a | u32(imm),
-    "andi": lambda a, imm: a & u32(imm),
-    "slti": lambda a, imm: int(s32(a) < imm),
-    "sltiu": lambda a, imm: int(a < u32(imm)),
-    "slli": lambda a, imm: a << imm,
-    "srli": lambda a, imm: a >> imm,
+    "addi": operator.add,
+    "xori": lambda a, imm: a ^ (imm & M32),
+    "ori": lambda a, imm: a | (imm & M32),
+    "andi": lambda a, imm: a & imm & M32,
+    "slti": lambda a, imm: s32(a) < imm,
+    "sltiu": lambda a, imm: a < (imm & M32),
+    "slli": operator.lshift,
+    "srli": operator.rshift,
     "srai": lambda a, imm: s32(a) >> imm,
 }
 
 _BRANCH_TAKEN = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
+    "beq": operator.eq,
+    "bne": operator.ne,
     "blt": lambda a, b: s32(a) < s32(b),
     "bge": lambda a, b: s32(a) >= s32(b),
-    "bltu": lambda a, b: a < b,
-    "bgeu": lambda a, b: a >= b,
+    "bltu": operator.lt,
+    "bgeu": operator.ge,
 }
 
 LOAD_WIDTH = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}
@@ -439,75 +440,118 @@ def _counter_csr_read(arch, csr):
     return (arch.retired >> 32) & M32
 
 
+_NO_EFFECT = (None, None, None, None)
+
+
+def _bind(ins):
+    """The handler of ``ins``: ``run(arch, pc)`` returns its effect tuple (see the
+    module docstring). Source registers are read through their voters, and x0
+    reads as zero."""
+    op, rd, rs1, rs2, imm, length = ins.mnemonic, ins.rd, ins.rs1, ins.rs2, ins.imm, ins.length
+    if op in _ALU_RR:
+        f = _ALU_RR[op]
+
+        def run(arch, pc):
+            regs = arch.regs
+            a = regs[rs1].value if rs1 else 0
+            b = regs[rs2].value if rs2 else 0
+            return (rd, f(a, b) & M32), None, None, None
+
+    elif op in _ALU_IMM:
+        f = _ALU_IMM[op]
+
+        def run(arch, pc):
+            return (rd, f(arch.regs[rs1].value if rs1 else 0, imm) & M32), None, None, None
+
+    elif op in _BRANCH_TAKEN:
+        taken = _BRANCH_TAKEN[op]
+
+        def run(arch, pc):
+            regs = arch.regs
+            if taken(regs[rs1].value if rs1 else 0, regs[rs2].value if rs2 else 0):
+                return None, (pc + imm) & M32, None, None
+            return _NO_EFFECT
+
+    elif op in LOAD_WIDTH:
+        width = LOAD_WIDTH[op]
+
+        def run(arch, pc):
+            addr = ((arch.regs[rs1].value if rs1 else 0) + imm) & M32
+            return None, None, (addr, width, None), None
+
+    elif op in STORE_WIDTH:
+        width = STORE_WIDTH[op]
+        data_mask = (1 << (8 * width)) - 1
+
+        def run(arch, pc):
+            regs = arch.regs
+            addr = ((regs[rs1].value if rs1 else 0) + imm) & M32
+            return None, None, (addr, width, (regs[rs2].value if rs2 else 0) & data_mask), None
+
+    elif op == "auipc":
+
+        def run(arch, pc):
+            return (rd, (pc + imm) & M32), None, None, None
+
+    elif op == "jal":
+
+        def run(arch, pc):
+            return (rd, (pc + length) & M32), (pc + imm) & M32, None, None
+
+    elif op == "jalr":
+
+        def run(arch, pc):
+            target = ((arch.regs[rs1].value if rs1 else 0) + imm) & M32 & ~1
+            return (rd, (pc + length) & M32), target, None, None
+
+    elif (
+        op in _CSR_F3.values()
+        and ins.csr in _COUNTER_CSRS  # only the counters exist,
+        and op not in ("csrrw", "csrrwi")  # and they are read-only
+        and rs1 == 0
+    ):
+        csr = ins.csr
+
+        def run(arch, pc):
+            return (rd, _counter_csr_read(arch, csr)), None, None, None
+
+    else:
+        effect = {
+            "lui": ((rd, imm & M32), None, None, None),
+            "fence": _NO_EFFECT,
+            "fence.i": _NO_EFFECT,
+            "ebreak": (None, None, None, "ebreak"),
+            "ecall": (None, None, None, "ecall"),
+        }.get(op)
+
+        raw = ins.raw
+
+        def run(arch, pc):
+            if effect is None:
+                raise IllegalInstruction(raw, pc)
+            return effect
+
+    return run
+
+
 def execute(arch, ins, pc):
     """Compute the architectural effect of ``ins`` fetched from ``pc``.
 
-    Returns an :class:`ExecResult`; the caller commits the register write and the
-    next pc, and services any memory request (completing loads via
-    :func:`extend_load`). Source registers are read through their voters here.
+    Returns ``(rd_write, target, mem, halt)`` (see the module docstring); the
+    caller commits the register write and the next pc, and services any memory
+    access (completing loads via :func:`extend_load`).
     """
-    op = ins.mnemonic
-    fallthrough = (pc + ins.length) & M32
-    r = arch.read_reg
-
-    f = _ALU_RR.get(op)
-    if f is not None:
-        return ExecResult(fallthrough, rd_write=(ins.rd, u32(f(r(ins.rs1), r(ins.rs2)))))
-    f = _ALU_IMM.get(op)
-    if f is not None:
-        return ExecResult(fallthrough, rd_write=(ins.rd, u32(f(r(ins.rs1), ins.imm))))
-    if op in LOAD_WIDTH:
-        addr = u32(r(ins.rs1) + ins.imm)
-        return ExecResult(fallthrough, memreq=MemRequest("load", addr, LOAD_WIDTH[op]))
-    if op in STORE_WIDTH:
-        addr = u32(r(ins.rs1) + ins.imm)
-        width = STORE_WIDTH[op]
-        data = r(ins.rs2) & ((1 << (8 * width)) - 1)
-        return ExecResult(fallthrough, memreq=MemRequest("store", addr, width, data=data))
-    f = _BRANCH_TAKEN.get(op)
-    if f is not None:
-        if f(r(ins.rs1), r(ins.rs2)):
-            return ExecResult(u32(pc + ins.imm), control_transfer=True)
-        return ExecResult(fallthrough)
-    if op == "lui":
-        return ExecResult(fallthrough, rd_write=(ins.rd, u32(ins.imm)))
-    if op == "auipc":
-        return ExecResult(fallthrough, rd_write=(ins.rd, u32(pc + ins.imm)))
-    if op == "jal":
-        return ExecResult(
-            u32(pc + ins.imm), rd_write=(ins.rd, fallthrough), control_transfer=True
-        )
-    if op == "jalr":
-        target = u32(r(ins.rs1) + ins.imm) & ~1
-        return ExecResult(target, rd_write=(ins.rd, fallthrough), control_transfer=True)
-    if op in ("fence", "fence.i"):
-        return ExecResult(fallthrough)
-    if op == "ebreak":
-        return ExecResult(fallthrough, halt="ebreak")
-    if op == "ecall":
-        return ExecResult(fallthrough, halt="ecall")
-    if op in _CSR_F3.values():
-        if ins.csr not in _COUNTER_CSRS:
-            raise IllegalInstruction(ins.raw, pc)
-        if op in ("csrrw", "csrrwi") or ins.rs1 != 0:
-            raise IllegalInstruction(ins.raw, pc)  # counters are read-only
-        return ExecResult(fallthrough, rd_write=(ins.rd, _counter_csr_read(arch, ins.csr)))
-    raise IllegalInstruction(ins.raw, pc)  # pragma: no cover
+    return ins.run(arch, pc)
 
 
 def extend_load(ins, data):
     """Sign/zero-extend raw memory data per the load's width and signedness."""
     op = ins.mnemonic
     if op == "lb":
-        return u32(sext(data, 8))
+        return sext(data, 8) & M32
     if op == "lh":
-        return u32(sext(data, 16))
+        return sext(data, 16) & M32
     return data
-
-
-def apply_load(arch, ins, data):
-    """Complete a load against the architectural register file."""
-    arch.write_reg(ins.rd, extend_load(ins, data))
 
 
 def steady_state_cycles(ins, taken):
@@ -529,23 +573,23 @@ def step_instruction(arch, bus, timing=steady_state_cycles):
     """Fetch, decode, and execute exactly one instruction (functional mode).
 
     Advances the cycle counter by the pipeline timing model's steady-state answer;
-    returns the :class:`ExecResult` so callers can observe halts.
+    returns the halt cause (``"ebreak"`` / ``"ecall"``) or None.
     """
     pc = arch.pc.value
     try:
         ins = decode(bus.fetch_window(pc))
     except IllegalInstruction as e:
         raise IllegalInstruction(e.raw, pc) from None
-    res = execute(arch, ins, pc)
-    if res.memreq is not None:
-        req = res.memreq
-        if req.kind == "load":
-            res.rd_write = (ins.rd, extend_load(ins, bus.read(req.addr, req.width)))
+    rd_write, target, mem, halt = execute(arch, ins, pc)
+    if mem is not None:
+        addr, width, data = mem
+        if data is None:
+            rd_write = (ins.rd, extend_load(ins, bus.read(addr, width)))
         else:
-            bus.write(req.addr, req.data, req.width)
-    if res.rd_write is not None:
-        arch.write_reg(res.rd_write[0], res.rd_write[1])
-    arch.pc.write(res.next_pc)
+            bus.write(addr, data, width)
+    if rd_write is not None:
+        arch.write_reg(*rd_write)
+    arch.pc.write((pc + ins.length) & M32 if target is None else target)
     arch.retired += 1
-    arch.cycle += timing(ins, res.control_transfer)
-    return res
+    arch.cycle += timing(ins, target is not None)
+    return halt

@@ -56,6 +56,7 @@ import json
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .errors import ConfigError, SimTimeout
@@ -361,14 +362,18 @@ class Kernel:
         if self._pending_increments:
             self.counters.apply_increments(self._pending_increments)
             self._pending_increments = {}
-        self.events.clear()
+        events = self.events
+        if events:
+            events.clear()
         self.bus.last_store_row = None
         self.arch.cycle = c
-        pins = self._gpio_schedule.pop(c, None)
-        if pins:
-            for pin, level in pins:
+        if self._gpio_schedule:
+            for pin, level in self._gpio_schedule.pop(c, ()):
                 self.gpio.set_input(pin, level)
-        self.uart.tick(c)
+        uart = self.uart
+        uart.cycle = c
+        if uart.rx_cursor < len(uart.rx_pending):  # an RX byte is still to be delivered
+            uart.tick(c)
         halt = None
         if self.halted is None:  # the core stops at a halt; the scrubber never does
             retire = self._log_retire if self.sink is not None else None
@@ -381,9 +386,8 @@ class Kernel:
             self._edge_queue.clear()
 
         # phase 2: fault application
-        due = self._fault_schedule.pop(c, None)
-        if due:
-            for phase, kind, key, replica, bit in due:
+        if self._fault_schedule:
+            for phase, kind, key, replica, bit in self._fault_schedule.pop(c, ()):
                 if phase == EDGE_ALIGNED:
                     self._edge_queue.append((kind, key, replica, bit))
                 else:
@@ -393,18 +397,19 @@ class Kernel:
         if self.dirty:
             for cell in self.dirty:
                 if cell.discrepancy:
-                    self.events.append((cell.domain, cell.element_id))
+                    events.append((cell.domain, cell.element_id))
 
         # phase 4: scrubber
         written = None
-        if self.config.scrub_enabled and c % self.config.scrub_divider == 0:
+        config = self.config
+        if config.scrub_enabled and c % config.scrub_divider == 0:
             written = self.scrubber.step(self.sram, self.bus.last_store_row)
             if written is not None:
-                self.events.append((Domain.SRAM, written))
+                events.append((Domain.SRAM, written))
 
         # phase 5: counter aggregation (lands at the next edge)
-        if self.events:
-            increments = aggregate_discrepancies(self.events)
+        if events:
+            increments = aggregate_discrepancies(events)
             self._pending_increments = increments
             for domain, n in increments.items():
                 self.event_totals[domain] += n
@@ -567,10 +572,9 @@ class Kernel:
         cfg = self._config_json()
         parts.append(struct.pack("<I", len(cfg)))
         parts.append(cfg)
-        cells = list(self.registry.values())
-        parts.append(struct.pack("<I", len(cells)))
-        for cell in cells:
-            parts.append(struct.pack("<III", cell.r0, cell.r1, cell.r2))
+        cells = self.registry.values()
+        parts.append(struct.pack(f"<I{3 * len(cells)}I", len(cells),
+                                 *chain.from_iterable(cell.replicas for cell in cells)))
         parts.append(struct.pack("<I", self.sram.rows))
         parts.extend(bank.tobytes() for bank in self.sram.banks)
         blob = json.dumps(self._misc_state(), sort_keys=True).encode()
@@ -624,7 +628,7 @@ class Kernel:
         self.dirty.clear()
         for cell, r0, r1, r2 in zip(cells, replicas, replicas, replicas):
             cell.set_replicas(r0, r1, r2)
-            if not r0 == r1 == r2:
+            if cell.discrepancy:
                 self.dirty.add(cell)
         (rows,) = struct.unpack_from("<I", data, off)
         off += 4
@@ -674,7 +678,8 @@ class Kernel:
         the event totals. So two matching kernels of one configuration run on
         identically, counters and event totals apart, until the core reads the
         SEU counter block. Neither kernel may hold a dirty cell or SRAM row, so
-        bank 0 stands for all three banks.
+        a cell's voted value stands for its replicas, and bank 0 for all three
+        banks.
         """
         if self.dirty or other.dirty or self.sram.dirty or other.sram.dirty:
             return False
@@ -682,17 +687,10 @@ class Kernel:
             return False
         counters = self.counters.counters
         for a, b in zip(self.registry.values(), other.registry.values()):
-            if (a.r0 != b.r0 or a.r1 != b.r1 or a.r2 != b.r2) and a not in counters:
+            if a.value != b.value and a not in counters:
                 return False
         if self.sram.banks[0].tobytes() != other.sram.banks[0].tobytes():
             return False
         mine, theirs = self._misc_state(), other._misc_state()
         del mine["event_totals"], theirs["event_totals"]
         return mine == theirs
-
-
-def run_golden(config):
-    """Run ``config`` fault-free and return (kernel, signature)."""
-    kernel = Kernel(config)
-    kernel.run()
-    return kernel, kernel.architectural_signature()

@@ -19,10 +19,9 @@ Peripheral registers are word-granular: only aligned 4-byte accesses are accepte
 """
 
 from array import array
-from dataclasses import dataclass
 
 from .errors import AlignmentFault, BusFault
-from .tmr import Domain
+from .tmr import Domain, vote3
 
 SRAM_BASE = 0x0000_0000
 SRAM_SIZE = 0x8000
@@ -34,16 +33,6 @@ SEU_COUNTER_BASE = 0x1000_2000
 PERIPH_BLOCK_SIZE = 0x1000
 
 M32 = 0xFFFFFFFF
-
-
-@dataclass
-class MemRequest:
-    """A data-side memory access emitted by the execute stage."""
-
-    kind: str  # "fetch" | "load" | "store"
-    addr: int
-    width: int  # 1, 2 or 4 bytes
-    data: int = 0
 
 
 class SramArray:
@@ -70,8 +59,7 @@ class SramArray:
 
     def _vote_row(self, row):
         b0, b1, b2 = self.banks
-        a, b, c = b0[row], b1[row], b2[row]
-        return (a & b) | (a & c) | (b & c)
+        return vote3(b0[row], b1[row], b2[row])
 
     def read_voted(self, row):
         """Core port read: (bitwise-majority word, replicas-disagree flag)."""

@@ -59,91 +59,89 @@ class Pipeline:
         Returns a halt reason string when the instruction executed this cycle
         halts the machine, else None. Bus faults and illegal instructions
         propagate as exceptions for the kernel's diagnostics.
+
+        A latch cell is only written when its new value differs from its voted
+        value. That is exact because the kernel refreshes every dirty cell
+        before the pipeline advances and lands flips only after it, so each
+        latch cell's replicas agree here.
         """
-        # W: commit the writeback latch to the register file.
+        # W: commit the writeback latch to the register file (x0 discards it).
         if self.wl_valid.value:
-            arch.write_reg(self.wl_rd.value, self.wl_value.value)
+            rd = self.wl_rd.value
+            if rd:
+                arch.regs[rd].write(self.wl_value.value)
 
         # X: consume the fetch latch.
         halt = None
         dmem_busy = False
         redirect = None
-        new_wl = None
+        rd_write = None
         if self.fl_valid.value:
             pc = self.fl_pc.value
             try:
                 ins = decode(self.fl_raw.value)
             except IllegalInstruction as e:
                 raise IllegalInstruction(e.raw, pc) from None
-            res = execute(arch, ins, pc)
-            if res.memreq is not None:
-                req = res.memreq
+            rd_write, redirect, mem, halt = execute(arch, ins, pc)
+            if mem is not None:
+                addr, width, data = mem
                 dmem_busy = True
                 self.dmem_cycles += 1
-                if req.kind == "load":
-                    data = bus.read(req.addr, req.width)
-                    new_wl = (ins.rd, extend_load(ins, data))
+                if data is None:
+                    rd_write = (ins.rd, extend_load(ins, bus.read(addr, width)))
                 else:
-                    bus.write(req.addr, req.data, req.width)
-            if res.rd_write is not None:
-                new_wl = res.rd_write
-            if res.control_transfer:
-                redirect = res.next_pc
-            halt = res.halt
+                    bus.write(addr, data, width)
             self.retired += 1
             arch.retired += 1
             if retire_sink is not None:
                 retire_sink(pc, ins)
+        elif self._idle_cause == "stall":
+            self.fetch_stalls += 1
+        elif self._idle_cause == "branch":
+            self.branch_bubbles += 1
         else:
-            if self._idle_cause == "stall":
-                self.fetch_stalls += 1
-            elif self._idle_cause == "branch":
-                self.branch_bubbles += 1
-            else:
-                self.fill_cycles += 1
+            self.fill_cycles += 1
 
-        if new_wl is not None:
-            self.wl_valid.write(1)
-            self.wl_rd.write(new_wl[0])
-            self.wl_value.write(new_wl[1])
+        if rd_write is None:
+            valid = rd = value = 0
         else:
-            self.wl_valid.write(0)
-            self.wl_rd.write(0)
-            self.wl_value.write(0)
+            valid = 1
+            rd, value = rd_write
+        cell = self.wl_valid
+        if cell.value != valid:
+            cell.write(valid)
+        cell = self.wl_rd
+        if cell.value != rd:
+            cell.write(rd)
+        cell = self.wl_value
+        if cell.value != value:
+            cell.write(value)
 
         # F: fetch unless the data bus owns the SRAM port or X transferred control.
         if redirect is not None:
-            self.fl_valid.write(0)
-            self.fl_pc.write(0)
-            self.fl_raw.write(0)
+            valid = pc = raw = 0
             arch.pc.write(redirect)
             self._idle_cause = "branch"
         elif dmem_busy or halt is not None:
-            self.fl_valid.write(0)
-            self.fl_pc.write(0)
-            self.fl_raw.write(0)
+            valid = pc = raw = 0
             self._idle_cause = "stall" if dmem_busy else "fill"
         else:
             pc = arch.pc.value
             raw = bus.fetch_window(pc)
-            length = 4 if raw & 3 == 3 else 2
-            self.fl_valid.write(1)
-            self.fl_pc.write(pc)
-            self.fl_raw.write(raw if length == 4 else raw & 0xFFFF)
-            arch.pc.write((pc + length) & M32)
+            if raw & 3 == 3:
+                arch.pc.write((pc + 4) & M32)
+            else:
+                raw &= 0xFFFF
+                arch.pc.write((pc + 2) & M32)
+            valid = 1
             self._idle_cause = "fill"
+        cell = self.fl_valid
+        if cell.value != valid:
+            cell.write(valid)
+        cell = self.fl_pc
+        if cell.value != pc:
+            cell.write(pc)
+        cell = self.fl_raw
+        if cell.value != raw:
+            cell.write(raw)
         return halt
-
-
-def cycles_for_program(image, entry=0, max_cycles=1_000_000, **config_overrides):
-    """Run ``image`` to its halt and return (retired_instructions, cycles).
-
-    Convenience wrapper for benchmark-style accounting; accepts any
-    :class:`~tmrv32.kernel.SystemConfig` field as a keyword override.
-    """
-    from .kernel import Kernel, SystemConfig
-
-    cfg = SystemConfig(image=image, entry_pc=entry, max_cycles=max_cycles, **config_overrides)
-    kernel = Kernel(cfg)
-    kernel.run()
-    return kernel.pipeline.retired, kernel.cycle

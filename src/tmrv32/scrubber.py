@@ -13,7 +13,7 @@ the scan. One FSM step runs per system clock cycle by default; a divider slows t
 cadence for exploring the correction-time budget.
 """
 
-from .tmr import Domain, TmrCell
+from .tmr import Domain, TmrCell, vote3
 
 PHASE_READ = 0
 PHASE_WRITEBACK = 1
@@ -37,6 +37,8 @@ class Scrubber:
 
         ``core_write_row`` is the row the core wrote this cycle, if any (the
         write-conflict input). Returns the row written back this step, or None.
+        A row outside ``sram.dirty`` (which the SRAM keeps exact) has matching
+        replicas, so the scan passes it without reading them.
         """
         row = self.row_ptr.value
         if self.phase.value == PHASE_WRITEBACK:
@@ -47,12 +49,13 @@ class Scrubber:
             self.phase.write(PHASE_READ)
             self.row_ptr.write((row + 1) % self.rows)
             return written
-        a, b, c = sram.scrub_read(row)
-        if a == b == c:
-            self.row_ptr.write((row + 1) % self.rows)
-        else:
-            self.pending_word.write((a & b) | (a & c) | (b & c))
+        if row in sram.dirty:  # the replicas disagree: vote now, write back next step
+            self.pending_word.write(vote3(*sram.scrub_read(row)))
             self.phase.write(PHASE_WRITEBACK)
+            return None
+        if row >= sram.rows:
+            sram.scrub_read(row)  # raises: an upset pointer past the last row
+        self.row_ptr.write((row + 1) % self.rows)
         return None
 
     def skip_clean(self, sram, start, end, divider=1):

@@ -1,6 +1,6 @@
-"""Triple-redundant storage primitives: cells, bitwise majority voters, feedback refresh.
+"""Triple-redundant storage primitives: cells, the bitwise majority voter, feedback refresh.
 
-Every sequential element in the simulated system is a :class:`TmrCell` holding three
+Every sequential element in the simulated system is a :class:`TmrCell` modeling three
 replica words. Reads always go through the bitwise 2-of-3 majority vote, so downstream
 logic never observes a single corrupted replica. On clock edges where a cell is not
 written with new data, the feedback path writes the voted value back into all three
@@ -8,7 +8,13 @@ replicas, purging latent upsets. Voters are modeled as fault-free combinational 
 upsets target stored replicas only.
 
 Voting is bitwise (per bit position), not word-granular: two upsets in different bit
-positions of different replicas remain correctable.
+positions of different replicas remain correctable. :func:`vote3` is the one majority
+expression; cells, the SRAM banks and the scrubber all vote through it.
+
+A cell always stores its voted value, so a read costs one attribute access. It keeps
+the three replica words only while they disagree, that is from an upset until the
+next write or refresh. ``replicas`` and ``set_replicas`` still see three words, and
+snapshots still store r0, r1, r2 per cell.
 
 No module-level mutable state; cells are safe to use from any thread as long as a
 given cell is not shared between threads. The simulation kernel drives each cell
@@ -36,13 +42,18 @@ class VoteResult:
     discrepancy: bool
 
 
+def vote3(a, b, c):
+    """Bitwise 2-of-3 majority of three words."""
+    return (a & b) | (a & c) | (b & c)
+
+
 def majority_vote(a, b, c):
     """Bitwise 2-of-3 majority of three words, with a discrepancy flag.
 
     Total function: value = (a & b) | (a & c) | (b & c); discrepancy is true iff
     the three inputs are not all equal.
     """
-    return VoteResult((a & b) | (a & c) | (b & c), not (a == b == c))
+    return VoteResult(vote3(a, b, c), not (a == b == c))
 
 
 class TmrCell:
@@ -51,9 +62,13 @@ class TmrCell:
     The three replicas form one instance group; a single corrupted replica is
     masked by the voter and repaired by feedback refresh, while two upsets at the
     same bit position in two replicas defeat the vote.
+
+    ``value`` is the voter output and is always stored; only the methods below
+    assign it. ``_r`` is None while the three replicas agree (each then equals
+    ``value``) and holds them as a tuple while they disagree.
     """
 
-    __slots__ = ("r0", "r1", "r2", "width", "mask", "element_id", "domain")
+    __slots__ = ("value", "_r", "width", "mask", "element_id", "domain")
 
     def __init__(self, element_id, domain, width=32, value=0):
         if not 1 <= width <= 32:
@@ -64,7 +79,8 @@ class TmrCell:
         self.mask = (1 << width) - 1
         if value & ~self.mask:
             raise ValueError(f"reset value 0x{value:x} exceeds width {width}")
-        self.r0 = self.r1 = self.r2 = value
+        self.value = value
+        self._r = None
 
     def write(self, value):
         """Store new data into all three replicas (a voted write)."""
@@ -72,22 +88,13 @@ class TmrCell:
             raise ValueError(
                 f"write of 0x{value:x} exceeds width {self.width} of {self.element_id}"
             )
-        self.r0 = self.r1 = self.r2 = value
-
-    @property
-    def value(self):
-        """The voter output: bitwise majority of the replicas."""
-        a, b, c = self.r0, self.r1, self.r2
-        return (a & b) | (a & c) | (b & c)
+        self.value = value
+        self._r = None
 
     @property
     def discrepancy(self):
         """Voter discrepancy output: replicas are not all equal."""
-        return not (self.r0 == self.r1 == self.r2)
-
-    def vote(self):
-        a, b, c = self.r0, self.r1, self.r2
-        return VoteResult((a & b) | (a & c) | (b & c), not (a == b == c))
+        return self._r is not None
 
     def refresh(self):
         """Feedback path: latch the voted value into all replicas.
@@ -95,10 +102,9 @@ class TmrCell:
         Models the default mux input on cycles where no new data is stored.
         Returns True if any replica differed before the refresh.
         """
-        a, b, c = self.r0, self.r1, self.r2
-        if a == b == c:
+        if self._r is None:
             return False
-        self.r0 = self.r1 = self.r2 = (a & b) | (a & c) | (b & c)
+        self._r = None
         return True
 
     def flip(self, replica, bit):
@@ -107,43 +113,30 @@ class TmrCell:
             raise ValueError(f"replica must be 0..2, got {replica}")
         if not 0 <= bit < self.width:
             raise ValueError(f"bit must be 0..{self.width - 1}, got {bit}")
-        if replica == 0:
-            self.r0 ^= 1 << bit
-        elif replica == 1:
-            self.r1 ^= 1 << bit
-        else:
-            self.r2 ^= 1 << bit
+        r = list(self.replicas)
+        r[replica] ^= 1 << bit
+        self.set_replicas(*r)
 
     @property
     def replicas(self):
-        return (self.r0, self.r1, self.r2)
+        if self._r is None:
+            return (self.value,) * 3
+        return self._r
 
     def set_replicas(self, r0, r1, r2):
         """Restore raw replica contents (snapshot support); values must fit the width."""
-        m = self.mask
-        if (r0 | r1 | r2) & ~m:
+        if (r0 | r1 | r2) & ~self.mask:
             raise ValueError(f"replica value exceeds width {self.width}")
-        self.r0, self.r1, self.r2 = r0, r1, r2
+        if r0 == r1 == r2:
+            self.value = r0
+            self._r = None
+        else:
+            self.value = vote3(r0, r1, r2)
+            self._r = (r0, r1, r2)
 
     def __repr__(self):
+        r0, r1, r2 = self.replicas
         return (
             f"TmrCell({self.element_id!r}, {self.domain.name}, width={self.width}, "
-            f"replicas=({self.r0:#x}, {self.r1:#x}, {self.r2:#x}))"
+            f"replicas=({r0:#x}, {r1:#x}, {r2:#x}))"
         )
-
-
-def tmr_write(cell, value):
-    """Write new data into all replicas of ``cell``; returns the cell."""
-    cell.write(value)
-    return cell
-
-
-def feedback_refresh(cell):
-    """Refresh ``cell`` from its voter; returns (cell, discrepancy_before_refresh)."""
-    return cell, cell.refresh()
-
-
-def inject_bit_flip(cell, replica, bit):
-    """Flip one bit of one replica of ``cell``; returns the cell."""
-    cell.flip(replica, bit)
-    return cell

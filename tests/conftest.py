@@ -31,9 +31,9 @@ def run_functional(image, max_steps=100_000):
     bus = SystemBus(sram)
     arch = ArchState()
     for _ in range(max_steps):
-        res = step_instruction(arch, bus)
-        if res.halt:
-            return arch.reg_values(), sram.voted_bytes(), res.halt
+        halt = step_instruction(arch, bus)
+        if halt:
+            return arch.reg_values(), sram.voted_bytes(), halt
     raise AssertionError("functional run did not halt")
 
 

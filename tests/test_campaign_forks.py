@@ -413,3 +413,74 @@ def test_live_forks_and_kernels_stay_bounded(monkeypatch):
     report = run_campaign(_campaign(image, faults, seed=4, run_cycles=300))
     assert report.summary["faults"] == 120
     assert count.kernels <= 1 + seu._MAX_LIVE_FORKS
+
+
+# ---------------------------------------------------------------------------
+# idle latches: the pipeline leaves an idle latch cell alone when it reads 0
+# ---------------------------------------------------------------------------
+
+
+def _idle_edges(system):
+    """Golden trace of the acceptance program: ({latch: [cycles c]}, {latch: [values]}).
+
+    The cycles are those where the edge of cycle c + 1 leaves the latch idle and
+    cycle c + 1 (writeback latch) or c + 2 (fetch latch) is a fetch-stall or
+    branch-bubble cycle; the values are the latch's value after each cycle.
+    """
+    kernel = Kernel(system)
+    p = kernel.pipeline
+    idle_x, wb_idle, fetch_idle = [], [], []
+    values = {"core.wb_rd": [], "core.fetch_pc": []}
+    while kernel.halted is None:
+        before = p.fetch_stalls + p.branch_bubbles
+        kernel.step_cycle()
+        idle_x.append(p.fetch_stalls + p.branch_bubbles > before)
+        wb_idle.append(not p.wl_valid.value)
+        fetch_idle.append(not p.fl_valid.value)
+        for key, latch in values.items():
+            latch.append(kernel.registry[key].value)
+    n = len(idle_x)
+    edges = {
+        "core.wb_rd": [c for c in range(n - 1) if wb_idle[c + 1] and idle_x[c + 1]],
+        "core.fetch_pc": [c for c in range(n - 2) if fetch_idle[c + 1] and idle_x[c + 2]],
+    }
+    return edges, values
+
+
+def test_same_bit_double_upset_into_an_idle_latch_is_cleared():
+    # A same-bit double upset can leave a nonzero rd or pc behind a valid bit of
+    # 0; the next idle edge must still write the latch cell to 0.
+    system = SystemConfig(image=acceptance_program().assemble())
+    edges, values = _idle_edges(system)
+    for target, cycles in edges.items():
+        width = Kernel(system).registry[target].width
+        assert len(cycles) >= 10, target
+        for c in cycles:
+            for bit in (0, width - 1):
+                kernel = Kernel(system)
+                for replica in (0, 1):
+                    kernel.schedule_flip(c, "cell", target, replica, bit)
+                kernel.run_cycles(c + 1)
+                cell = kernel.registry[target]
+                assert cell.value == values[target][c] ^ (1 << bit), (target, c, bit)
+                kernel.step_cycle()  # the refresh latches the upset; the idle edge clears it
+                assert (cell.value, cell.discrepancy) == (0, False), (target, c, bit)
+
+
+@pytest.mark.parametrize("target", ["core.wb_rd", "core.fetch_pc"])
+def test_same_bit_double_upsets_into_idle_latches_match_reference(target):
+    # One campaign per fault: a fault that crashes the core makes its whole
+    # campaign raise, which would hide the records of the others.
+    system = SystemConfig(image=acceptance_program().assemble())
+    width = Kernel(system).registry[target].width
+    outcomes = set()
+    for c in _idle_edges(system)[0][target]:
+        for at in (c, c + 1):
+            for bit in (0, width - 1):
+                fault = FaultSpec(at_cycle=at, kind="cell", key=target, replica=0, bit=bit,
+                                  count=2)
+                got = assert_matches_reference(
+                    CampaignConfig(system=system, faults=[fault], seed=5))
+                outcomes.add("raises" if got[0] == "raises" else got[1]["diverged"])
+    # masked upsets were compared, and diverging or crashing ones too
+    assert 0 in outcomes and len(outcomes) > 1

@@ -178,24 +178,27 @@ def test_length_rule():
 
 
 def exec_one(encoding, regs=None, pc=0):
+    """Execute one encoding; returns (arch, next pc, whether control transferred)."""
     arch = ArchState()
     for i, v in (regs or {}).items():
         arch.write_reg(i, v)
     ins = decode(encoding)
-    res = execute(arch, ins, pc)
-    if res.rd_write:
-        arch.write_reg(*res.rd_write)
-    return arch, res
+    rd_write, target, _mem, _halt = execute(arch, ins, pc)
+    if rd_write:
+        arch.write_reg(*rd_write)
+    if target is None:
+        return arch, (pc + ins.length) & 0xFFFFFFFF, False
+    return arch, target, True
 
 
 def test_addi_from_zero():
-    arch, res = exec_one(E.addi(1, 0, 1))
+    arch, next_pc, _ = exec_one(E.addi(1, 0, 1))
     assert arch.read_reg(1) == 1
-    assert res.next_pc == 4
+    assert next_pc == 4
 
 
 def test_mul_low_word():
-    arch, _ = exec_one(E.mul(3, 1, 2), regs={1: 7, 2: 6})
+    arch, _, _ = exec_one(E.mul(3, 1, 2), regs={1: 7, 2: 6})
     assert arch.read_reg(3) == 42
 
 
@@ -222,25 +225,25 @@ M_EDGE_CASES = [
 @pytest.mark.parametrize("op,a,b,expected", M_EDGE_CASES)
 def test_m_extension_edge_semantics(op, a, b, expected):
     enc = getattr(E, op)(5, 1, 2)
-    arch, _ = exec_one(enc, regs={1: a, 2: b})
+    arch, _, _ = exec_one(enc, regs={1: a, 2: b})
     assert arch.read_reg(5) == expected
 
 
 def test_reg0_write_discarded():
-    arch, _ = exec_one(E.addi(0, 0, 55))
+    arch, _, _ = exec_one(E.addi(0, 0, 55))
     assert arch.read_reg(0) == 0
 
 
 def test_branch_taken_and_not():
-    _, res = exec_one(E.beq(1, 2, 32), regs={1: 5, 2: 5}, pc=100)
-    assert res.next_pc == 132 and res.control_transfer
-    _, res = exec_one(E.beq(1, 2, 32), regs={1: 5, 2: 6}, pc=100)
-    assert res.next_pc == 104 and not res.control_transfer
+    _, next_pc, transferred = exec_one(E.beq(1, 2, 32), regs={1: 5, 2: 5}, pc=100)
+    assert next_pc == 132 and transferred
+    _, next_pc, transferred = exec_one(E.beq(1, 2, 32), regs={1: 5, 2: 6}, pc=100)
+    assert next_pc == 104 and not transferred
 
 
 def test_jalr_clears_low_bit():
-    arch, res = exec_one(E.jalr(1, 5, 3), regs={5: 0x1000}, pc=8)
-    assert res.next_pc == 0x1002  # 0x1003 with bit 0 cleared
+    arch, next_pc, _ = exec_one(E.jalr(1, 5, 3), regs={5: 0x1000}, pc=8)
+    assert next_pc == 0x1002  # 0x1003 with bit 0 cleared
     assert arch.read_reg(1) == 12
 
 
@@ -301,6 +304,21 @@ def test_csr_write_to_counter_is_illegal():
     arch = ArchState()
     with pytest.raises(IllegalInstruction):
         step_instruction(arch, bus)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        0xC0009073,  # csrrw x0, cycle, x1: counters are read-only
+        0xC002D073,  # csrrwi x0, cycle, 5
+        E.csrrs(5, 0xC00, rs1=1),  # a set with a nonzero source writes
+        E.csrrs(5, 0x300),  # mstatus: only the counter CSRs exist
+    ],
+)
+def test_illegal_csr_access_raises_with_its_pc(raw):
+    with pytest.raises(IllegalInstruction) as info:
+        execute(ArchState(), decode(raw), 0x40)
+    assert (info.value.raw, info.value.pc) == (raw, 0x40)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,22 @@ def test_snapshot_roundtrip_preserves_faulted_state():
     assert clone.architectural_signature() == kernel.architectural_signature()
 
 
+def test_snapshot_stores_each_cells_replicas_in_order():
+    # docs/formats.md: per cell, in registry order, replicas r0, r1, r2 (u32 each)
+    kernel = make_kernel(alu_block_program(40).assemble())
+    kernel.schedule_flip(10, "cell", "core.x1", 0, 3)
+    kernel.schedule_flip(10, "cell", "core.wb_value", 2, 5)
+    kernel.run_cycles(11)
+    blob = kernel.snapshot()
+    (cfg_len,) = struct.unpack_from("<I", blob, 18)
+    (n,) = struct.unpack_from("<I", blob, 22 + cfg_len)
+    words = struct.unpack_from(f"<{3 * n}I", blob, 26 + cfg_len)
+    cells = list(kernel.registry.values())
+    assert [words[3 * i : 3 * i + 3] for i in range(n)] == [c.replicas for c in cells]
+    x1 = kernel.registry["core.x1"]
+    assert x1.replicas == (x1.value ^ 8, x1.value, x1.value)
+
+
 def test_timeout_raises():
     p = E.Program()
     p.label("spin")

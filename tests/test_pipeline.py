@@ -12,7 +12,6 @@ from conftest import (
 )
 
 from tmrv32 import encode as E
-from tmrv32.pipeline import cycles_for_program
 
 
 def test_alu_block_sustains_one_instruction_per_cycle():
@@ -132,9 +131,29 @@ def test_alternating_load_alu_is_1_5_cycles_per_instruction():
 
 
 def test_cycles_for_program_helper():
-    retired, cycles = cycles_for_program(alu_block_program(10).assemble())
-    assert retired == 11
-    assert cycles == 12
+    kernel = make_kernel(alu_block_program(10))
+    kernel.run()
+    assert kernel.pipeline.retired == 11
+    assert kernel.cycle == 12
+
+
+def test_x0_storage_cell_is_neither_read_nor_written():
+    # x0 reads as zero through a hardwired path and discards writes; its storage
+    # cell exists only as an injection target. A same-bit double upset makes it
+    # vote 16 from cycle 0 on.
+    p = E.Program()
+    p.emit(E.addi(0, 0, 55))
+    p.emit(E.addi(1, 0, 7))
+    p.emit(E.add(2, 0, 1))
+    p.emit(E.ebreak())
+    kernel = make_kernel(p)
+    for replica in (0, 1):
+        kernel.schedule_flip(0, "cell", "core.x0", replica, 4)
+    kernel.run()
+    assert kernel.registry["core.x0"].value == 16
+    assert kernel.arch.read_reg(0) == 0
+    assert kernel.arch.read_reg(1) == 7
+    assert kernel.arch.read_reg(2) == 7
 
 
 def test_pipelined_matches_functional_on_random_programs():

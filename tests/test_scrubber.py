@@ -36,6 +36,15 @@ def test_single_flip_detect_then_writeback():
     assert scrub.phase.value == PHASE_READ
 
 
+def test_upset_row_pointer_past_the_last_row_raises():
+    # a 5-row toy keeps a 3-bit pointer, so an upset can leave it at rows 5..7
+    sram = SramArray(5)
+    scrub = Scrubber(5)
+    scrub.row_ptr.write(6)
+    with pytest.raises(ValueError):
+        scrub.step(sram, None)
+
+
 def test_conflict_skip_keeps_core_data():
     sram = SramArray(4)
     sram.write_masked(1, 0xAAAA, 0xFFFFFFFF)
