@@ -573,8 +573,12 @@ class Kernel:
         parts.append(struct.pack("<I", len(cfg)))
         parts.append(cfg)
         cells = self.registry.values()
-        parts.append(struct.pack(f"<I{3 * len(cells)}I", len(cells),
-                                 *chain.from_iterable(cell.replicas for cell in cells)))
+        if self.dirty:
+            words = chain.from_iterable(cell.replicas for cell in cells)
+        else:  # no cell is dirty, so each cell's three replicas equal its value
+            values = [cell.value for cell in cells]
+            words = chain.from_iterable(zip(values, values, values))
+        parts.append(struct.pack(f"<I{3 * len(cells)}I", len(cells), *words))
         parts.append(struct.pack("<I", self.sram.rows))
         parts.extend(bank.tobytes() for bank in self.sram.banks)
         blob = json.dumps(self._misc_state(), sort_keys=True).encode()
@@ -628,7 +632,7 @@ class Kernel:
         self.dirty.clear()
         for cell, r0, r1, r2 in zip(cells, replicas, replicas, replicas):
             cell.set_replicas(r0, r1, r2)
-            if cell.discrepancy:
+            if not r0 == r1 == r2:
                 self.dirty.add(cell)
         (rows,) = struct.unpack_from("<I", data, off)
         off += 4
