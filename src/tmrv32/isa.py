@@ -7,10 +7,9 @@ encoding raises :class:`~tmrv32.errors.IllegalInstruction` and the simulation ha
 with a diagnostic. ECALL and EBREAK halt the simulation cleanly (EBREAK is the
 conventional "program finished" signal for bare-metal test images).
 
-Execution is split so the functional interpreter and the cycle-accurate pipeline
-share one set of semantics. :func:`decode` binds every instruction to a handler for
-its operation and operands, and :func:`execute` runs it. The handler computes the
-effects and returns them as a tuple ``(rd_write, target, mem, halt)``:
+:func:`decode` binds every instruction to a handler for its operation and
+operands, and :func:`execute` runs it. The handler computes the effects and
+returns them as a tuple ``(rd_write, target, mem, halt)``:
 
 * ``rd_write``: ``(rd, value)`` destined for the register file, or None;
 * ``target``: the next pc of a control transfer (a taken branch or any jump), or
@@ -19,8 +18,8 @@ effects and returns them as a tuple ``(rd_write, target, mem, halt)``:
   (whose data completes ``rd`` through :func:`extend_load`), or None;
 * ``halt``: ``"ebreak"`` or ``"ecall"``, or None.
 
-The functional path (:func:`step_instruction`) applies the write immediately; the
-pipeline routes it through the writeback latch.
+The pipeline (:mod:`tmrv32.pipeline`) commits them: the register write goes
+through its writeback latch.
 """
 
 import functools
@@ -341,14 +340,10 @@ class ArchState:
         self.pc = TmrCell("core.pc", Domain.CORE, 32, reset_pc)
         self.regs = [TmrCell(f"core.x{i}", Domain.CORE, 32, 0) for i in range(32)]
         self.cycle = 0
-        self.retired = 0
+        self.retired = 0  # instructions retired; the instret CSR reads it
 
     def read_reg(self, i):
         return 0 if i == 0 else self.regs[i].value
-
-    def write_reg(self, i, value):
-        if i != 0:
-            self.regs[i].write(value & M32)
 
     def cells(self):
         yield self.pc
@@ -552,44 +547,3 @@ def extend_load(ins, data):
     if op == "lh":
         return sext(data, 16) & M32
     return data
-
-
-def steady_state_cycles(ins, taken):
-    """Per-instruction steady-state cycle cost of the 3-stage pipeline.
-
-    One cycle per instruction, plus one fetch-stall cycle for each load/store
-    (the data port wins arbitration at the memory bridge for one cycle) and one
-    flush bubble for each control transfer.
-    """
-    cost = 1
-    if ins.mnemonic in LOAD_WIDTH or ins.mnemonic in STORE_WIDTH:
-        cost += 1
-    if taken:
-        cost += 1
-    return cost
-
-
-def step_instruction(arch, bus, timing=steady_state_cycles):
-    """Fetch, decode, and execute exactly one instruction (functional mode).
-
-    Advances the cycle counter by the pipeline timing model's steady-state answer;
-    returns the halt cause (``"ebreak"`` / ``"ecall"``) or None.
-    """
-    pc = arch.pc.value
-    try:
-        ins = decode(bus.fetch_window(pc))
-    except IllegalInstruction as e:
-        raise IllegalInstruction(e.raw, pc) from None
-    rd_write, target, mem, halt = execute(arch, ins, pc)
-    if mem is not None:
-        addr, width, data = mem
-        if data is None:
-            rd_write = (ins.rd, extend_load(ins, bus.read(addr, width)))
-        else:
-            bus.write(addr, data, width)
-    if rd_write is not None:
-        arch.write_reg(*rd_write)
-    arch.pc.write((pc + ins.length) & M32 if target is None else target)
-    arch.retired += 1
-    arch.cycle += timing(ins, target is not None)
-    return halt

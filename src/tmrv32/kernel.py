@@ -53,6 +53,7 @@ campaigns may run many in parallel.
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -452,13 +453,9 @@ class Kernel:
             self.sink.extend(Repair(c, row) for row in rows)
         rows.clear()
 
-    def run(self, max_cycles=None):
+    def run(self):
         """Run until the program halts; raise SimTimeout if it never does."""
-        budget = self.config.max_cycles if max_cycles is None else max_cycles
-        while self.halted is None:
-            if self.cycle >= budget:
-                raise SimTimeout(budget)
-            self.step_cycle()
+        self._run_to_halt()
         return self.result()
 
     def run_cycles(self, n):
@@ -482,6 +479,16 @@ class Kernel:
                     break
             self.step_cycle()
 
+    def _run_to_halt(self, end=math.inf):
+        """Step until the program halts or cycle ``end``; raise SimTimeout if
+        ``config.max_cycles`` comes first."""
+        budget = self.config.max_cycles
+        stop = min(end, budget)
+        while self.halted is None and self.cycle < stop:
+            self.step_cycle()
+        if self.halted is None and budget <= self.cycle < end:
+            raise SimTimeout(budget)
+
     def _skip_idle(self, end):
         """Advance a halted, quiescent machine to the next cycle that needs a step."""
         c = self.cycle
@@ -504,7 +511,7 @@ class Kernel:
         return RunResult(
             halt=self.halted,
             cycles=self.cycle,
-            retired=p.retired,
+            retired=self.arch.retired,
             counters=self.counters.values(),
             fetch_stalls=p.fetch_stalls,
             branch_bubbles=p.branch_bubbles,
@@ -530,7 +537,7 @@ class Kernel:
         return {
             "pc": self.arch.pc.value,
             "regs": tuple(self.arch.reg_values()),
-            "retired": self.pipeline.retired,
+            "retired": self.arch.retired,
             "cycles": self.cycle,
             "halt": self.halted,
             "sram": hashlib.sha256(self.sram.voted_bytes()).hexdigest(),
@@ -544,8 +551,8 @@ class Kernel:
         return {
             "halted": self.halted,
             "idle_cause": p._idle_cause,
-            "retired": p.retired,
-            "arch_retired": self.arch.retired,
+            "retired": self.arch.retired,
+            "arch_retired": self.arch.retired,  # the same count, kept for the layout
             "fetch_stalls": p.fetch_stalls,
             "branch_bubbles": p.branch_bubbles,
             "fill_cycles": p.fill_cycles,
@@ -649,7 +656,6 @@ class Kernel:
         self.halted = misc["halted"]
         p = self.pipeline
         p._idle_cause = misc["idle_cause"]
-        p.retired = misc["retired"]
         self.arch.retired = misc["arch_retired"]
         p.fetch_stalls = misc["fetch_stalls"]
         p.branch_bubbles = misc["branch_bubbles"]

@@ -38,7 +38,6 @@ class Pipeline:
         self.wl_valid = TmrCell("core.wb_valid", Domain.CORE, 1, 0)
         self.wl_rd = TmrCell("core.wb_rd", Domain.CORE, 5, 0)
         self.wl_value = TmrCell("core.wb_value", Domain.CORE, 32, 0)
-        self.retired = 0
         self.fetch_stalls = 0
         self.branch_bubbles = 0
         self.fill_cycles = 0
@@ -91,7 +90,6 @@ class Pipeline:
                     rd_write = (ins.rd, extend_load(ins, bus.read(addr, width)))
                 else:
                     bus.write(addr, data, width)
-            self.retired += 1
             arch.retired += 1
             if retire_sink is not None:
                 retire_sink(pc, ins)

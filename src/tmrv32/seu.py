@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SimError, SimTimeout
+from .errors import ConfigError, SimError
 from .kernel import EDGE_ALIGNED, MID_CYCLE, Discrepancy, Flip, Kernel, Repair, SystemConfig
 from .memory import SramArray
 from .scrubber import Scrubber, worst_case_correction_cycles
@@ -375,11 +375,7 @@ def _advance(kernel, target, length):
     after ``length`` cycles, as ``Kernel.run_cycles(length)`` from reset does.
     """
     if length is None:
-        budget = kernel.config.max_cycles
-        while kernel.halted is None and kernel.cycle < target:
-            if kernel.cycle >= budget:
-                raise SimTimeout(budget)
-            kernel.step_cycle()
+        kernel._run_to_halt(target)
         return kernel.halted is not None
     kernel._run_to(min(target, length))
     return kernel.cycle >= length

@@ -1,4 +1,4 @@
-"""Shared helpers: canned programs, random program generation, dual-path runners."""
+"""Shared helpers: canned programs, random program generation, differential runners."""
 
 import sys
 from pathlib import Path
@@ -11,9 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from reference_rv32 import RefCpu  # noqa: E402
 
 from tmrv32 import encode as E  # noqa: E402
-from tmrv32.isa import ArchState, step_instruction  # noqa: E402
 from tmrv32.kernel import Kernel, SystemConfig  # noqa: E402
-from tmrv32.memory import SramArray, SystemBus  # noqa: E402
 
 SCRATCH_BASE = 0x4000  # data area used by generated and canned programs
 
@@ -24,17 +22,11 @@ def make_kernel(image, **overrides):
     return Kernel(SystemConfig(image=image, **overrides))
 
 
-def run_functional(image, max_steps=100_000):
-    """Run the package's functional interpreter; returns (regs, mem, halt reason)."""
-    sram = SramArray()
-    sram.load_bytes(0, image)
-    bus = SystemBus(sram)
-    arch = ArchState()
-    for _ in range(max_steps):
-        halt = step_instruction(arch, bus)
-        if halt:
-            return arch.reg_values(), sram.voted_bytes(), halt
-    raise AssertionError("functional run did not halt")
+def run_kernel(image):
+    """Run the pipelined simulator to its halt; returns (regs, mem, halt reason)."""
+    kernel = Kernel(SystemConfig(image=image))
+    result = kernel.run()
+    return kernel.arch.reg_values(), kernel.sram.voted_bytes(), result.halt
 
 
 def run_reference(image, max_steps=100_000):

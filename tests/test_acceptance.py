@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import acceptance_program, gen_random_program, run_functional, run_reference
+from conftest import acceptance_program, gen_random_program, run_kernel, run_reference
 
 from tmrv32.kernel import EDGE_ALIGNED, MID_CYCLE, Kernel, SystemConfig
 from tmrv32.power import PowerModel
@@ -230,7 +230,7 @@ def test_criterion_7_isa_differential_10k():
     n = 10_000
     for i in range(n):
         image = gen_random_program(rng, n=24)
-        regs_a, mem_a, reason_a = run_functional(image)
+        regs_a, mem_a, reason_a = run_kernel(image)
         regs_b, mem_b, reason_b = run_reference(image)
         if not (regs_a == regs_b and mem_a == mem_b and reason_a == reason_b):
             _report(7, f"program {i} diverged from the reference interpreter", False)

@@ -102,7 +102,7 @@ def test_stream_of_a_cell_flip_and_its_refresh():
         Halt(kernel.cycle - 1, "ebreak"),
     ]
     retires = [r for r in kernel.sink if type(r) is Retire]
-    assert len(retires) == kernel.pipeline.retired and retires[0].pc == 0
+    assert len(retires) == kernel.arch.retired and retires[0].pc == 0
 
 
 def test_no_sink_by_default():

@@ -7,12 +7,12 @@ assembler (clang --target=riscv32) and frozen: (encoding, (names..., fields...))
 import numpy as np
 import pytest
 
-from conftest import gen_random_program, run_functional, run_reference
+from conftest import gen_random_program, run_kernel, run_reference
 
 from tmrv32 import encode as E
 from tmrv32.errors import IllegalInstruction
-from tmrv32.isa import ArchState, decode, execute, step_instruction
-from tmrv32.memory import SramArray, SystemBus
+from tmrv32.isa import ArchState, decode, execute
+from tmrv32.kernel import Kernel, SystemConfig
 
 # (encoding, (mnemonic, rd, rs1, rs2, imm)); None = field not meaningful
 DECODE32_VECTORS = [
@@ -181,11 +181,12 @@ def exec_one(encoding, regs=None, pc=0):
     """Execute one encoding; returns (arch, next pc, whether control transferred)."""
     arch = ArchState()
     for i, v in (regs or {}).items():
-        arch.write_reg(i, v)
+        if i:  # x0 discards writes
+            arch.regs[i].write(v)
     ins = decode(encoding)
     rd_write, target, _mem, _halt = execute(arch, ins, pc)
-    if rd_write:
-        arch.write_reg(*rd_write)
+    if rd_write and rd_write[0]:
+        arch.regs[rd_write[0]].write(rd_write[1])
     if target is None:
         return arch, (pc + ins.length) & 0xFFFFFFFF, False
     return arch, target, True
@@ -253,7 +254,7 @@ def test_functional_loop_of_addis():
     for _ in range(10):
         prog.emit(E.addi(1, 1, 1))
     prog.emit(E.ebreak())
-    regs, _, reason = run_functional(prog.assemble())
+    regs, _, reason = run_kernel(prog.assemble())
     assert reason == "ebreak"
     assert regs[1] == 10
 
@@ -265,7 +266,7 @@ def test_store_load_roundtrip_through_sram():
     prog.emit(E.sw(1, 2, 0x10))
     prog.emit(E.lw(3, 2, 0x10))
     prog.emit(E.ebreak())
-    regs, mem, _ = run_functional(prog.assemble())
+    regs, mem, _ = run_kernel(prog.assemble())
     assert regs[3] == 0xDEADBEEF
     assert mem[0x4010:0x4014] == b"\xef\xbe\xad\xde"
 
@@ -280,7 +281,7 @@ def test_factorial_program():
     prog.emit(E.addi(2, 2, -1))
     prog.branch(E.bne, 2, 0, "loop")
     prog.emit(E.ebreak())
-    regs, _, _ = run_functional(prog.assemble())
+    regs, _, _ = run_kernel(prog.assemble())
     assert regs[1] == 3628800
 
 
@@ -290,20 +291,18 @@ def test_rdcycle_and_rdinstret_read():
     prog.emit(E.nop())
     prog.emit(E.csrrs(5, 0xC02))  # instret
     prog.emit(E.ebreak())
-    regs, _, _ = run_functional(prog.assemble())
+    regs, _, _ = run_kernel(prog.assemble())
     assert regs[5] == 2  # two instructions retired before the read
 
 
 def test_csr_write_to_counter_is_illegal():
-    sram = SramArray()
     prog = E.Program()
     prog.emit(0xC0009073)  # csrrw x0, cycle, x1
     prog.emit(E.ebreak())
-    sram.load_bytes(0, prog.assemble())
-    bus = SystemBus(sram)
-    arch = ArchState()
-    with pytest.raises(IllegalInstruction):
-        step_instruction(arch, bus)
+    kernel = Kernel(SystemConfig(image=prog.assemble()))
+    with pytest.raises(IllegalInstruction) as info:
+        kernel.run()
+    assert (info.value.raw, info.value.pc) == (0xC0009073, 0)
 
 
 @pytest.mark.parametrize(
@@ -327,7 +326,7 @@ def test_illegal_csr_access_raises_with_its_pc(raw):
 
 
 def assert_matches_reference(image):
-    regs_a, mem_a, reason_a = run_functional(image)
+    regs_a, mem_a, reason_a = run_kernel(image)
     regs_b, mem_b, reason_b = run_reference(image)
     assert reason_a == reason_b
     assert regs_a == regs_b
@@ -351,7 +350,7 @@ COMPRESSED_SEMANTIC_CASES = [enc for enc, _ in DECODE16_VECTORS if enc not in (0
 @pytest.mark.parametrize("enc", COMPRESSED_SEMANTIC_CASES, ids=lambda e: hex(e))
 def test_compressed_semantics_match_reference(enc):
     """Each compressed form, embedded at 0x800 with seeded registers, behaves
-    identically under the package interpreter and the independent oracle."""
+    identically under the pipelined simulator and the independent oracle."""
     for seed in (0, 1):
         image = _fill_cebreak()
         setup = E.Program()

@@ -1,13 +1,20 @@
 """Kernel: reset state, determinism, snapshot round-trips, image loading, timing."""
 
 import dataclasses
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from conftest import acceptance_program, alu_block_program, make_kernel, uart_hello_program
+from conftest import (
+    SCRATCH_BASE,
+    acceptance_program,
+    alu_block_program,
+    make_kernel,
+    uart_hello_program,
+)
 
 from tmrv32 import encode as E
 from tmrv32.errors import ConfigError, SimTimeout
@@ -103,6 +110,34 @@ def test_snapshot_stores_each_cells_replicas_in_order():
     assert [words[3 * i : 3 * i + 3] for i in range(n)] == [c.replicas for c in cells]
     x1 = kernel.registry["core.x1"]
     assert x1.replicas == (x1.value ^ 8, x1.value, x1.value)
+
+
+# sha256 over every snapshot of the run below. Snapshot version 2 is a file
+# format, so this digest changes only with a new version.
+PINNED_SNAPSHOT_DIGEST = "df766a3b99ee1a820804ad3379f991323bfaf87aaa0a3f854500bd3a54f3c302"
+
+
+def test_snapshot_bytes_are_pinned():
+    # The run has dirty cells (mid-cycle flips, edge-aligned flips into latches),
+    # a code row the scrubber repairs, a data row a store repairs and one that
+    # stays dirty.
+    kernel = make_kernel(acceptance_program())
+    kernel.schedule_flip(12, "cell", "core.x6", 1, 4)
+    kernel.schedule_flip(12, "cell", "core.wb_value", 0, 7, phase=EDGE_ALIGNED)
+    kernel.schedule_flip(31, "cell", "core.fetch_pc", 2, 3, phase=EDGE_ALIGNED)
+    kernel.schedule_flip(40, "cell", "periph.gpio_dir", 1, 0)
+    kernel.schedule_flip(5, "sram", 8, 2, 11)
+    kernel.schedule_flip(20, "sram", SCRATCH_BASE // 4, 0, 30)
+    kernel.schedule_flip(25, "sram", SCRATCH_BASE // 4 + 64, 1, 2)
+    digest = hashlib.sha256()
+    while kernel.halted is None or kernel.cycle < 260:
+        kernel.step_cycle()
+        digest.update(kernel.snapshot())
+    assert kernel.sram.dirty == {SCRATCH_BASE // 4 + 64}
+    blob = kernel.snapshot()
+    misc = json.loads(blob[_misc_offset(blob) + 4 :])
+    assert misc["retired"] == misc["arch_retired"] == kernel.result().retired
+    assert digest.hexdigest() == PINNED_SNAPSHOT_DIGEST
 
 
 def test_timeout_raises():
@@ -403,14 +438,19 @@ def test_snapshot_keeps_record_events():
     assert resumed.snapshot() == kernel.snapshot()
 
 
-def _as_version_1(blob):
-    """Rewrite a version-2 snapshot as version 1 (no schedule, no record flag)."""
+def _misc_offset(blob):
+    """Offset of a snapshot's misc JSON length field (docs/formats.md)."""
     (cfg_len,) = struct.unpack_from("<I", blob, 18)
     off = 22 + cfg_len
     (cells,) = struct.unpack_from("<I", blob, off)
     off += 4 + 12 * cells
     (rows,) = struct.unpack_from("<I", blob, off)
-    off += 4 + 12 * rows
+    return off + 4 + 12 * rows
+
+
+def _as_version_1(blob):
+    """Rewrite a version-2 snapshot as version 1 (no schedule, no record flag)."""
+    off = _misc_offset(blob)
     misc = json.loads(blob[off + 4 :])
     del misc["fault_schedule"], misc["record_events"]
     misc_blob = json.dumps(misc, sort_keys=True).encode()

@@ -1,5 +1,5 @@
-"""Pipeline timing: hand-counted cycle totals, stall/bubble accounting,
-architectural equivalence between the pipelined and functional paths."""
+"""Pipeline timing: hand-counted cycle totals, stall/bubble accounting, and
+architectural equivalence of the pipelined simulator with the reference interpreter."""
 
 import numpy as np
 
@@ -8,7 +8,8 @@ from conftest import (
     alu_block_program,
     gen_random_program,
     make_kernel,
-    run_functional,
+    run_kernel,
+    run_reference,
 )
 
 from tmrv32 import encode as E
@@ -133,7 +134,7 @@ def test_alternating_load_alu_is_1_5_cycles_per_instruction():
 def test_cycles_for_program_helper():
     kernel = make_kernel(alu_block_program(10))
     kernel.run()
-    assert kernel.pipeline.retired == 11
+    assert kernel.arch.retired == 11
     assert kernel.cycle == 12
 
 
@@ -156,20 +157,18 @@ def test_x0_storage_cell_is_neither_read_nor_written():
     assert kernel.arch.read_reg(2) == 7
 
 
-def test_pipelined_matches_functional_on_random_programs():
+def test_pipelined_matches_reference_on_random_programs():
     rng = np.random.default_rng(901)
     for _ in range(150):
         image = gen_random_program(rng, n=26)
-        kernel = make_kernel(image)
-        kernel.run()
-        regs_f, mem_f, reason = run_functional(image)
-        assert reason == "ebreak"
-        assert kernel.arch.reg_values() == regs_f
-        assert kernel.sram.voted_bytes()[SCRATCH_BASE:SCRATCH_BASE + 0x1000] == \
-            mem_f[SCRATCH_BASE:SCRATCH_BASE + 0x1000]
+        regs, mem, reason = run_kernel(image)
+        regs_r, mem_r, reason_r = run_reference(image)
+        assert reason == reason_r == "ebreak"
+        assert regs == regs_r
+        assert mem == mem_r
 
 
-def test_pipelined_matches_functional_on_loops():
+def test_pipelined_matches_reference_on_loops():
     p = E.Program()
     p.emit(E.addi(1, 0, 1))
     p.emit(E.addi(2, 0, 12))
@@ -179,8 +178,9 @@ def test_pipelined_matches_functional_on_loops():
     p.branch(E.bne, 2, 0, "loop")
     p.emit(E.ebreak())
     image = p.assemble()
-    kernel = make_kernel(image)
-    kernel.run()
-    regs_f, _, _ = run_functional(image)
-    assert kernel.arch.reg_values() == regs_f
-    assert kernel.arch.read_reg(1) == 479001600  # 12!
+    regs, mem, reason = run_kernel(image)
+    regs_r, mem_r, reason_r = run_reference(image)
+    assert reason == reason_r
+    assert regs == regs_r
+    assert mem == mem_r
+    assert regs[1] == 479001600  # 12!
