@@ -1,4 +1,4 @@
-"""Simulation kernel: cycle loop, phase ordering, reset, image loading, snapshots.
+"""Simulation kernel: cycle loop, phase ordering, reset, image loading, checkpoints, snapshots.
 
 Each simulated cycle runs a fixed phase order, which is what makes the two fault
 timing flavors and the scrubber's conflict rule well defined:
@@ -89,6 +89,9 @@ Discrepancy = namedtuple("Discrepancy", "cycle domain element source")
 Repair = namedtuple("Repair", "cycle target")
 Retire = namedtuple("Retire", "cycle pc raw")
 Halt = namedtuple("Halt", "cycle cause")
+
+# complete machine state in memory (see Kernel.checkpoint)
+Checkpoint = namedtuple("Checkpoint", "cycle cells banks misc")
 
 
 @dataclass
@@ -546,7 +549,7 @@ class Kernel:
         }
 
     def _misc_state(self):
-        """Machine state outside the cells and the SRAM banks, as the snapshot stores it."""
+        """Machine state outside the cells and the SRAM banks, as a checkpoint holds it."""
         p = self.pipeline
         return {
             "halted": self.halted,
@@ -570,28 +573,82 @@ class Kernel:
             "record_events": self.config.record_events,
         }
 
+    def checkpoint(self):
+        """Complete machine state as a :class:`Checkpoint` that shares nothing with the
+        kernel: the cycle, each cell's replicas in registry order, the three SRAM banks
+        (one bytes object three times while no row is dirty) and :meth:`_misc_state`."""
+        banks = self.sram.banks
+        if self.sram.dirty:
+            banks = tuple(bank.tobytes() for bank in banks)
+        else:
+            banks = (banks[0].tobytes(),) * 3
+        cells = tuple(cell.replicas for cell in self.registry.values())
+        return Checkpoint(self.cycle, cells, banks, self._misc_state())
+
+    def resume(self, checkpoint):
+        """Overwrite this kernel's state with a :meth:`checkpoint` of a kernel of the same
+        configuration (not checked). The checkpoint stays as it was, for any number of
+        resumes. The sink starts empty if ``record_events`` is set, and is None otherwise.
+        """
+        cycle, cells, banks, misc = checkpoint
+        self.dirty.clear()
+        for cell, (r0, r1, r2) in zip(self.registry.values(), cells):
+            cell.set_replicas(r0, r1, r2)
+            if not r0 == r1 == r2:
+                self.dirty.add(cell)
+        self.sram.restore_banks(banks)
+        self.sram.repaired.clear()
+        self.cycle = cycle
+        self.halted = misc["halted"]
+        p = self.pipeline
+        p._idle_cause = misc["idle_cause"]
+        self.arch.retired = misc["arch_retired"]
+        p.fetch_stalls = misc["fetch_stalls"]
+        p.branch_bubbles = misc["branch_bubbles"]
+        p.fill_cycles = misc["fill_cycles"]
+        p.dmem_cycles = misc["dmem_cycles"]
+        self.gpio.input_levels = misc["gpio_inputs"]
+        self.uart.tx_log = [tuple(e) for e in misc["uart_tx_log"]]
+        self.uart.rx_pending = [tuple(e) for e in misc["uart_rx_pending"]]
+        self.uart.rx_cursor = misc["uart_rx_cursor"]
+        self._pending_increments = {
+            Domain(int(d)): n for d, n in misc["pending_increments"].items()
+        }
+        self.event_totals = {Domain(int(d)): n for d, n in misc["event_totals"].items()}
+        self._edge_queue = [tuple(e) for e in misc["edge_queue"]]
+        self._fault_schedule = {}
+        for cycle_due, *e in misc["fault_schedule"]:
+            self._fault_schedule.setdefault(cycle_due, []).append(tuple(e))
+        self._schedule_gpio_inputs()
+        record_events = misc["record_events"]
+        if record_events != self.config.record_events:
+            self.config = dataclasses.replace(self.config, record_events=record_events)
+        self.sink = [] if record_events else None
+
+    def matches(self, other):
+        """True iff ``other``'s :meth:`checkpoint` equals this kernel's but for the three
+        SEU counter cells (last in the registry) and the event totals. Two matching
+        kernels of one configuration run on identically, counters and event totals
+        apart, until the core reads the SEU counter block."""
+
+        def key(cp):
+            return cp._replace(cells=cp.cells[:-3], misc={**cp.misc, "event_totals": None})
+
+        return key(self.checkpoint()) == key(other.checkpoint())
+
     def _config_json(self):
         return json.dumps(self.config.to_dict(include_image=False), sort_keys=True).encode()
 
     def snapshot(self):
-        """Serialize complete machine state; see docs/formats.md for the layout."""
-        parts = [SNAPSHOT_MAGIC, struct.pack("<HQ", SNAPSHOT_VERSION, self.cycle)]
+        """:meth:`checkpoint` in the snapshot byte layout of docs/formats.md."""
+        cycle, cells, banks, misc = self.checkpoint()
         cfg = self._config_json()
-        parts.append(struct.pack("<I", len(cfg)))
-        parts.append(cfg)
-        cells = self.registry.values()
-        if self.dirty:
-            words = chain.from_iterable(cell.replicas for cell in cells)
-        else:  # no cell is dirty, so each cell's three replicas equal its value
-            values = [cell.value for cell in cells]
-            words = chain.from_iterable(zip(values, values, values))
-        parts.append(struct.pack(f"<I{3 * len(cells)}I", len(cells), *words))
-        parts.append(struct.pack("<I", self.sram.rows))
-        parts.extend(bank.tobytes() for bank in self.sram.banks)
-        blob = json.dumps(self._misc_state(), sort_keys=True).encode()
-        parts.append(struct.pack("<I", len(blob)))
-        parts.append(blob)
-        return b"".join(parts)
+        blob = json.dumps(misc, sort_keys=True).encode()
+        return b"".join((
+            SNAPSHOT_MAGIC, struct.pack("<HQI", SNAPSHOT_VERSION, cycle, len(cfg)), cfg,
+            struct.pack(f"<I{3 * len(cells)}I", len(cells), *chain.from_iterable(cells)),
+            struct.pack("<I", self.sram.rows), *banks, struct.pack("<I", len(blob)), blob,
+        ))
 
     @staticmethod
     def _snapshot_header(data):
@@ -623,84 +680,24 @@ class Kernel:
         """Overwrite this kernel's state with a :meth:`snapshot` of the same configuration.
 
         The result is the kernel :meth:`from_snapshot` builds, without building
-        one: the sink starts empty if the snapshot's ``record_events`` is set,
-        and is None otherwise.
+        one.
         """
         cycle, cfg, off = self._snapshot_header(data)
         if bytes(cfg) != self._config_json():
             raise ConfigError("snapshot was taken under a different configuration")
         (n_cells,) = struct.unpack_from("<I", data, off)
-        off += 4
-        cells = list(self.registry.values())
-        if n_cells != len(cells):
+        if n_cells != len(self.registry):
             raise ConfigError("snapshot cell count does not match this configuration")
-        replicas = iter(struct.unpack_from(f"<{3 * n_cells}I", data, off))
-        off += 12 * n_cells
-        self.dirty.clear()
-        for cell, r0, r1, r2 in zip(cells, replicas, replicas, replicas):
-            cell.set_replicas(r0, r1, r2)
-            if not r0 == r1 == r2:
-                self.dirty.add(cell)
+        words = iter(struct.unpack_from(f"<{3 * n_cells}I", data, off + 4))
+        off += 4 + 12 * n_cells
         (rows,) = struct.unpack_from("<I", data, off)
-        off += 4
         if rows != self.sram.rows:
             raise ConfigError("snapshot SRAM geometry does not match")
-        self.sram.restore_banks(
-            [data[off + 4 * rows * i : off + 4 * rows * (i + 1)] for i in range(3)]
-        )
+        off += 4
+        banks = tuple(data[off + 4 * rows * i : off + 4 * rows * (i + 1)] for i in range(3))
         off += 12 * rows
         (misc_len,) = struct.unpack_from("<I", data, off)
-        off += 4
-        misc = json.loads(data[off : off + misc_len])
-        self.cycle = cycle
-        self.halted = misc["halted"]
-        p = self.pipeline
-        p._idle_cause = misc["idle_cause"]
-        self.arch.retired = misc["arch_retired"]
-        p.fetch_stalls = misc["fetch_stalls"]
-        p.branch_bubbles = misc["branch_bubbles"]
-        p.fill_cycles = misc["fill_cycles"]
-        p.dmem_cycles = misc["dmem_cycles"]
-        self.gpio.input_levels = misc["gpio_inputs"]
-        self.uart.tx_log = [tuple(e) for e in misc["uart_tx_log"]]
-        self.uart.rx_pending = [tuple(e) for e in misc["uart_rx_pending"]]
-        self.uart.rx_cursor = misc["uart_rx_cursor"]
-        self._pending_increments = {
-            Domain(int(d)): n for d, n in misc["pending_increments"].items()
-        }
-        self.event_totals = {Domain(int(d)): n for d, n in misc["event_totals"].items()}
-        self._edge_queue = [tuple(e) for e in misc["edge_queue"]]
-        self._fault_schedule = {}
-        for cycle_due, *e in misc.get("fault_schedule", ()):
-            self._fault_schedule.setdefault(cycle_due, []).append(tuple(e))
-        self._schedule_gpio_inputs()
-        record_events = misc.get("record_events", False)
-        if record_events != self.config.record_events:
-            self.config = dataclasses.replace(self.config, record_events=record_events)
-        self.sink = [] if record_events else None
-        self.sram.repaired.clear()
-
-    def matches(self, other):
-        """True iff ``other`` holds the same machine state, SEU counters aside.
-
-        Compared: the cycle, every cell's replicas except the three SEU counter
-        cells, the SRAM banks, and everything else the snapshot stores except
-        the event totals. So two matching kernels of one configuration run on
-        identically, counters and event totals apart, until the core reads the
-        SEU counter block. Neither kernel may hold a dirty cell or SRAM row, so
-        a cell's voted value stands for its replicas, and bank 0 for all three
-        banks.
-        """
-        if self.dirty or other.dirty or self.sram.dirty or other.sram.dirty:
-            return False
-        if self.cycle != other.cycle:
-            return False
-        counters = self.counters.counters
-        for a, b in zip(self.registry.values(), other.registry.values()):
-            if a.value != b.value and a not in counters:
-                return False
-        if self.sram.banks[0].tobytes() != other.sram.banks[0].tobytes():
-            return False
-        mine, theirs = self._misc_state(), other._misc_state()
-        del mine["event_totals"], theirs["event_totals"]
-        return mine == theirs
+        misc = json.loads(data[off + 4 : off + 4 + misc_len])
+        misc.setdefault("fault_schedule", [])  # absent from version 1
+        misc.setdefault("record_events", False)
+        self.resume(Checkpoint(cycle, tuple(zip(words, words, words)), banks, misc))

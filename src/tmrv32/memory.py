@@ -139,7 +139,7 @@ class SramArray:
         return words.tobytes()
 
     def restore_banks(self, raw_banks):
-        """Set the three replica banks from raw bytes (snapshot support); rebuilds ``dirty``."""
+        """Set the three replica banks from raw bytes (checkpoint support); rebuilds ``dirty``."""
         for bank, raw in zip(self.banks, raw_banks):
             with memoryview(bank).cast("B") as view:
                 view[:] = raw

@@ -24,23 +24,28 @@ fault is classified from it in one pass after the run, with no per-cycle probe:
   cycle after ``at_cycle`` for an edge-aligned upset) at whose end it is clean,
   as replayed from its flips and repairs; an uncorrectable fault has no latency.
 
-Campaigns run in one of two modes. ``accumulate`` injects every fault into one
-run, for upset-accumulation experiments. ``isolated`` classifies each fault on its
-own against a fault-free golden run. Its records are those of one run from reset
-per fault, but it does not simulate that way:
+Every faulted run starts from a checkpoint of the fault-free golden run
+(``Kernel.checkpoint``, resumed with ``Kernel.resume``): up to its first injection
+cycle a faulted run is golden's run, so it is not simulated again. Campaigns run
+in one of two modes. ``accumulate`` injects every fault into one run, for
+upset-accumulation experiments: golden runs to the first injection cycle, the
+faulted run resumes from golden's checkpoint there and runs on with every fault
+scheduled, and golden runs to its end only for ``golden_compare``. ``isolated``
+classifies each fault on its own against golden. Its records are those of one
+run from reset per fault, but it does not simulate that way:
 
-* Golden runs once. At each distinct injection cycle, a snapshot of golden is the
-  checkpoint that every fault of that cycle is restored from, into a fork. The
-  checkpoint is dropped once those forks have started, so one lives at a time.
+* Golden runs once. At each distinct injection cycle, golden's checkpoint is
+  resumed by every fault of that cycle, into a fork. The checkpoint is dropped
+  once those forks have started, so one lives at a time.
 * A fork steps ahead of golden until its upset is resolved: no cell or SRAM row
   is dirty, no counter increment is pending and no flip is queued or scheduled
   (so its target has re-equalized). When golden reaches the fork's cycle, the two
-  are compared with ``Kernel.matches``: every cell but the three SEU counters,
-  the SRAM banks, and all other snapshot state but the event totals. On a
-  mismatch the fork steps on 1, 2, 4, ... cycles and is compared again. A fork
-  whose run ends first keeps its own final state. (A scrubber write-back costs
-  the scan one cycle, so a fork whose SRAM upset the scrubber repaired never
-  matches: its scan pointer stays one row behind golden's.)
+  are compared with ``Kernel.matches``: their checkpoints, but for the three SEU
+  counter cells and the event totals. On a mismatch the fork steps on 1, 2, 4,
+  ... cycles and is compared again. A fork whose run ends first keeps its own
+  final state. (A scrubber write-back costs the scan one cycle, so a fork whose
+  SRAM upset the scrubber repaired never matches: its scan pointer stays one row
+  behind golden's.)
 * A match ends the fork early. That is sound because from there on the fork
   runs as golden does, apart from its counters and event totals; those change
   only on a discrepancy, which golden never has, so the record is final. The
@@ -449,7 +454,7 @@ class _ForkedCampaign:
                 self.live.remove(fork)
                 self._compare(fork)
             if cycles and cycles[-1] == golden.cycle:
-                checkpoint = golden.snapshot()
+                checkpoint = golden.checkpoint()
                 for fault in due.pop(cycles.pop()):
                     if self._moot(fault):
                         continue
@@ -465,7 +470,7 @@ class _ForkedCampaign:
                 self._run_out(fork)
         leftover = [fault for cycle in cycles for fault in due[cycle]]
         if leftover and self.golden_error is None:
-            checkpoint = golden.snapshot()  # these faults never land
+            checkpoint = golden.checkpoint()  # these faults never land
         for fault in leftover:
             if self.golden_error is not None:
                 self.errors[fault.index] = self.golden_error
@@ -476,7 +481,7 @@ class _ForkedCampaign:
             if golden.counters.reads != reads:
                 # golden reads the SEU counters after the match: rerun from reset
                 if not self._moot(fault):
-                    reset = reset or Kernel(self.system).snapshot()
+                    reset = reset or Kernel(self.system).checkpoint()
                     self._run_out(self._fork(reset, fault))
             elif self.golden_error is not None:
                 self.errors[fault.index] = self.golden_error
@@ -512,7 +517,7 @@ class _ForkedCampaign:
 
     def _fork(self, checkpoint, fault):
         kernel = self.pool.pop() if self.pool else Kernel(self.system)
-        kernel.restore(checkpoint)
+        kernel.resume(checkpoint)
         return _Fork(kernel, fault)
 
     def _step(self, fork, steps):
@@ -567,11 +572,13 @@ def run_campaign(config):
         golden_sig, records = engine.run(resolved)
         summary = _summarize(records, config)
     else:
+        _advance(golden, min((f.at_cycle for f in resolved), default=_END), length)
+        kernel = Kernel(config.system)
+        kernel.resume(golden.checkpoint())
         golden_sig = None
         if config.golden_compare:
             _advance(golden, _END, length)
             golden_sig = golden.architectural_signature()
-        kernel = Kernel(config.system)
         kernel.sink = []
         for fault in resolved:
             _schedule(kernel, fault)

@@ -14,7 +14,7 @@ expression; cells, the SRAM banks and the scrubber all vote through it.
 A cell always stores its voted value, so a read costs one attribute access. It keeps
 the three replica words only while they disagree, that is from an upset until the
 next write or refresh. ``replicas`` and ``set_replicas`` still see three words, and
-snapshots still store r0, r1, r2 per cell.
+checkpoints and snapshots still hold r0, r1, r2 per cell.
 
 No module-level mutable state; cells are safe to use from any thread as long as a
 given cell is not shared between threads. The simulation kernel drives each cell
@@ -124,7 +124,7 @@ class TmrCell:
         return self._r
 
     def set_replicas(self, r0, r1, r2):
-        """Restore raw replica contents (snapshot support); values must fit the width."""
+        """Restore raw replica contents (checkpoint support); values must fit the width."""
         if (r0 | r1 | r2) & ~self.mask:
             raise ValueError(f"replica value exceeds width {self.width}")
         if r0 == r1 == r2:

@@ -270,7 +270,7 @@ def test_reruns_after_a_counter_read_reuse_the_fork_kernels(monkeypatch):
     count = _Counting(monkeypatch)
     report = run_campaign(_campaign(image, faults, seed=3))
     assert report.summary["diverged"] > 0
-    # golden, at most one kernel per live fork, and one to snapshot the reset state
+    # golden, at most one kernel per live fork, and one to checkpoint the reset state
     assert count.kernels <= 2 + seu._MAX_LIVE_FORKS
 
 

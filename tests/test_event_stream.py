@@ -325,6 +325,52 @@ def test_crash_and_hang_raise_like_the_reference():
         assert got[0] == "raises"
 
 
+def test_accumulate_edge_cases_match_reference():
+    image = acceptance_program().assemble()
+    halt = Kernel(SystemConfig(image=image)).run().cycles
+    at_reset = [
+        _cell(0, "core.x1", 1, 2), _cell(0, "core.pc", 2, 3, phase=EDGE_ALIGNED),
+        _row(0, 3, 0, 1), _cell(40, "core.x6", 0, 5),
+    ]
+    after_halt = [_cell(halt + 3, "core.x6", 0, 1), _row(halt + 50, 12, 1, 2, count=2)]
+    for faults in (at_reset, after_halt, []):
+        for run_cycles in (None, 700):
+            for golden_compare in (True, False):
+                config = _accumulate(image, faults, run_cycles=run_cycles,
+                                     golden_compare=golden_compare)
+                records = _records(assert_accumulate_matches(config))
+                assert len(records) == len(faults)
+    # past the halt in run-to-halt mode, no fault lands
+    config = _accumulate(image, after_halt)
+    assert [r["event_totals"] for r in run_campaign(config).records] == [
+        {"core": 0, "periph": 0, "sram": 0}
+    ] * 2
+
+
+def test_crash_without_golden_compare_raises_like_the_reference():
+    system = SystemConfig(image=acceptance_program().assemble(), max_cycles=2000)
+    for key, bit in (("core.pc", 20), ("core.x5", 31)):
+        faults = [_cell(10, "core.x1", 0, 0), _cell(30, key, 0, bit, count=2)]
+        config = _accumulate(None, faults, system=system, golden_compare=False)
+        got = assert_accumulate_matches(config)
+        assert got[0] == "raises"
+
+
+def test_the_faulted_run_starts_at_the_first_injection_cycle(monkeypatch):
+    faulted_cycles = []
+    step = Kernel.step_cycle
+
+    def recording_step(kernel):
+        if kernel.sink is not None:  # only the faulted run keeps a sink here
+            faulted_cycles.append(kernel.cycle)
+        step(kernel)
+
+    monkeypatch.setattr(Kernel, "step_cycle", recording_step)
+    faults = [_cell(120, "core.x6", 0, 1), _row(90, 700, 1, 4)]
+    run_campaign(_accumulate(acceptance_program().assemble(), faults, run_cycles=600))
+    assert faulted_cycles and min(faulted_cycles) == 90
+
+
 def test_random_accumulate_campaigns_match_reference():
     rng = np.random.default_rng(2026)
     images = [acceptance_program().assemble(), store_program(), alu_block_program(40).assemble()]

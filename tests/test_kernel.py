@@ -498,6 +498,49 @@ def test_restore_into_a_used_kernel_equals_from_snapshot():
     assert used.sink == fresh.sink
 
 
+def test_resumed_checkpoint_is_byte_identical_and_unaliased():
+    config = SystemConfig(
+        image=acceptance_program().assemble(), record_events=True,
+        stimulus=(("uart-rx", 30, 0x41), ("gpio-in", 60, 3, 1), ("uart-rx", 250, 0x42)),
+    )
+    source, other = Kernel(config), Kernel(config)
+    rng = np.random.default_rng(12)
+    names = list(source.registry)
+    for cycle in range(2, 380, 3):
+        key = names[int(rng.integers(len(names)))]
+        phase = EDGE_ALIGNED if cycle % 2 else MID_CYCLE
+        source.schedule_flip(cycle, "cell", key, cycle % 3, 0, phase=phase)
+        if cycle % 4 == 2:  # just ahead of the scrubber, so rows are clean in between
+            source.schedule_flip(cycle, "sram", cycle + int(rng.integers(8)), cycle % 3, 5)
+    plain = Kernel(config)  # single-replica upsets leave the program's timing alone
+    plain.run()
+    transmits = [cycle - 1 for cycle, _ in plain.uart.tx_log]
+    checks = sorted({*transmits, *(int(c) for c in rng.choice(400, 100, replace=False))})
+    seen = dict(cells=0, rows=0, clean_rows=0, edge=0, increments=0, transmits=0)
+    for cycle in checks:
+        source.run_cycles(max(0, cycle - source.cycle))
+        transmitted = len(source.uart.tx_log)
+        seen["cells"] += bool(source.dirty)
+        seen["rows"] += bool(source.sram.dirty)
+        seen["clean_rows"] += not source.sram.dirty
+        seen["edge"] += bool(source._edge_queue)
+        seen["increments"] += bool(source._pending_increments)
+        checkpoint = source.checkpoint()
+        blob = source.snapshot()
+        other.resume(checkpoint)
+        assert other.snapshot() == blob
+        steps = int(rng.integers(1, 4))
+        for kernel in (source, other):
+            kernel.run_cycles(steps)
+        assert other.snapshot() == source.snapshot()
+        seen["transmits"] += len(source.uart.tx_log) > transmitted
+        # neither kernel's run may have changed the state the checkpoint holds
+        other.resume(checkpoint)
+        assert other.snapshot() == blob
+    assert seen.pop("transmits") == len(transmits) == 2
+    assert min(seen.values()) >= 10, seen
+
+
 def test_restore_rejects_another_configuration():
     image = acceptance_program().assemble()
     blob = Kernel(SystemConfig(image=image)).snapshot()
