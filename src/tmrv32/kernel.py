@@ -591,6 +591,15 @@ class Kernel:
         resumes. The sink starts empty if ``record_events`` is set, and is None otherwise.
         """
         cycle, cells, banks, misc = checkpoint
+        # convert first, so that a malformed field raises before any state changes
+        tx_log = [tuple(e) for e in misc["uart_tx_log"]]
+        rx_pending = [tuple(e) for e in misc["uart_rx_pending"]]
+        pending = {Domain(int(d)): n for d, n in misc["pending_increments"].items()}
+        totals = {Domain(int(d)): n for d, n in misc["event_totals"].items()}
+        edge_queue = [tuple(e) for e in misc["edge_queue"]]
+        schedule = {}
+        for cycle_due, *e in misc["fault_schedule"]:
+            schedule.setdefault(cycle_due, []).append(tuple(e))
         self.dirty.clear()
         for cell, (r0, r1, r2) in zip(self.registry.values(), cells):
             cell.set_replicas(r0, r1, r2)
@@ -608,17 +617,13 @@ class Kernel:
         p.fill_cycles = misc["fill_cycles"]
         p.dmem_cycles = misc["dmem_cycles"]
         self.gpio.input_levels = misc["gpio_inputs"]
-        self.uart.tx_log = [tuple(e) for e in misc["uart_tx_log"]]
-        self.uart.rx_pending = [tuple(e) for e in misc["uart_rx_pending"]]
+        self.uart.tx_log = tx_log
+        self.uart.rx_pending = rx_pending
         self.uart.rx_cursor = misc["uart_rx_cursor"]
-        self._pending_increments = {
-            Domain(int(d)): n for d, n in misc["pending_increments"].items()
-        }
-        self.event_totals = {Domain(int(d)): n for d, n in misc["event_totals"].items()}
-        self._edge_queue = [tuple(e) for e in misc["edge_queue"]]
-        self._fault_schedule = {}
-        for cycle_due, *e in misc["fault_schedule"]:
-            self._fault_schedule.setdefault(cycle_due, []).append(tuple(e))
+        self._pending_increments = pending
+        self.event_totals = totals
+        self._edge_queue = edge_queue
+        self._fault_schedule = schedule
         self._schedule_gpio_inputs()
         record_events = misc["record_events"]
         if record_events != self.config.record_events:
@@ -652,14 +657,16 @@ class Kernel:
 
     @staticmethod
     def _snapshot_header(data):
-        """(cycle, config JSON bytes, offset past them) of a snapshot."""
-        if data[:8] != SNAPSHOT_MAGIC:
-            raise ConfigError("not a snapshot (bad magic)")
-        version, cycle = struct.unpack_from("<HQ", data, 8)
+        """(version, cycle, config JSON bytes, offset past them) of a snapshot."""
+        if len(data) < 22 or data[:8] != SNAPSHOT_MAGIC:
+            raise ConfigError("not a snapshot (bad magic or truncated header)")
+        version, cycle, cfg_len = struct.unpack_from("<HQI", data, 8)
         if version not in (1, SNAPSHOT_VERSION):
             raise ConfigError(f"unsupported snapshot version {version}")
-        (cfg_len,) = struct.unpack_from("<I", data, 18)
-        return cycle, data[22 : 22 + cfg_len], 22 + cfg_len
+        cfg = data[22 : 22 + cfg_len]
+        if len(cfg) != cfg_len:
+            raise ConfigError("truncated snapshot config")
+        return version, cycle, cfg, 22 + cfg_len
 
     @classmethod
     def from_snapshot(cls, data, image=None):
@@ -670,34 +677,55 @@ class Kernel:
         reporting purposes. A version-1 snapshot carries no fault schedule and no
         ``record_events`` flag; both restore as empty/false.
         """
-        cfg = json.loads(cls._snapshot_header(data)[1])
-        cfg["image"] = image
-        kernel = cls(SystemConfig.from_dict(cfg))
+        try:
+            cfg = json.loads(cls._snapshot_header(data)[2])
+            cfg["image"] = image
+            config = SystemConfig.from_dict(cfg)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"snapshot config is malformed: {exc}") from None
+        kernel = cls(config)
         kernel.restore(data)
         return kernel
 
     def restore(self, data):
         """Overwrite this kernel's state with a :meth:`snapshot` of the same configuration.
 
-        The result is the kernel :meth:`from_snapshot` builds, without building
-        one.
+        The snapshot is decoded into a checkpoint and resumed. The result is the
+        kernel :meth:`from_snapshot` builds, without building one. Bytes that are
+        not a whole, well-formed snapshot of this configuration raise ConfigError
+        and leave the kernel as it was.
         """
-        cycle, cfg, off = self._snapshot_header(data)
-        if bytes(cfg) != self._config_json():
+        version, cycle, cfg, off = self._snapshot_header(data)
+        if cfg != self._config_json():
             raise ConfigError("snapshot was taken under a different configuration")
-        (n_cells,) = struct.unpack_from("<I", data, off)
-        if n_cells != len(self.registry):
-            raise ConfigError("snapshot cell count does not match this configuration")
-        words = iter(struct.unpack_from(f"<{3 * n_cells}I", data, off + 4))
-        off += 4 + 12 * n_cells
-        (rows,) = struct.unpack_from("<I", data, off)
-        if rows != self.sram.rows:
-            raise ConfigError("snapshot SRAM geometry does not match")
-        off += 4
-        banks = tuple(data[off + 4 * rows * i : off + 4 * rows * (i + 1)] for i in range(3))
-        off += 12 * rows
-        (misc_len,) = struct.unpack_from("<I", data, off)
-        misc = json.loads(data[off + 4 : off + 4 + misc_len])
-        misc.setdefault("fault_schedule", [])  # absent from version 1
-        misc.setdefault("record_events", False)
-        self.resume(Checkpoint(cycle, tuple(zip(words, words, words)), banks, misc))
+        cells = self.registry.values()
+        rows = self.sram.rows
+        try:
+            (n_cells,) = struct.unpack_from("<I", data, off)
+            if n_cells != len(cells):
+                raise ConfigError("snapshot cell count does not match this configuration")
+            words = iter(struct.unpack_from(f"<{3 * n_cells}I", data, off + 4))
+            off += 4 + 12 * n_cells
+            if struct.unpack_from("<I", data, off) != (rows,):
+                raise ConfigError("snapshot SRAM geometry does not match")
+            off += 4
+            banks = tuple(data[off + 4 * rows * i : off + 4 * rows * (i + 1)] for i in range(3))
+            off += 12 * rows
+            (misc_len,) = struct.unpack_from("<I", data, off)
+            if len(data) != off + 4 + misc_len:
+                raise ConfigError("snapshot length does not match its misc length")
+            misc = json.loads(data[off + 4 :])
+        except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"truncated or malformed snapshot: {exc}") from None
+        replicas = tuple(zip(words, words, words))
+        for cell, (r0, r1, r2) in zip(cells, replicas):
+            if (r0 | r1 | r2) & ~cell.mask:
+                raise ConfigError(f"snapshot replica of {cell.element_id} exceeds its width")
+        if version == 1 and isinstance(misc, dict):  # version 1 has neither field
+            misc = {"fault_schedule": [], "record_events": False, **misc}
+        if not isinstance(misc, dict) or misc.keys() != self._misc_state().keys():
+            raise ConfigError("snapshot misc fields are not those of its version")
+        try:
+            self.resume(Checkpoint(cycle, replicas, banks, misc))
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"snapshot misc field is malformed: {exc}") from None

@@ -82,6 +82,9 @@ def test_snapshot_resume_equals_straight_run():
 def test_snapshot_rejects_garbage():
     with pytest.raises(ConfigError):
         Kernel.from_snapshot(b"not a snapshot at all")
+    for _, data in _malformed_snapshots(_snapshot_at_cycle_40()):
+        with pytest.raises(ConfigError):
+            Kernel.from_snapshot(data)
 
 
 def test_snapshot_roundtrip_preserves_faulted_state():
@@ -546,6 +549,65 @@ def test_restore_rejects_another_configuration():
     blob = Kernel(SystemConfig(image=image)).snapshot()
     with pytest.raises(ConfigError):
         Kernel(SystemConfig(image=image, scrub_divider=2)).restore(blob)
+    # a malformed snapshot of this configuration is rejected before anything changes
+    kernel = make_kernel(acceptance_program())
+    kernel.schedule_flip(20, "cell", "core.x6", 2, 1)
+    kernel.schedule_flip(20, "sram", 40, 1, 6)
+    kernel.run_cycles(21)
+    before = kernel.snapshot()
+    for name, data in _malformed_snapshots(_snapshot_at_cycle_40()):
+        with pytest.raises(ConfigError):
+            kernel.restore(data)
+        assert kernel.snapshot() == before, name
+
+
+def _snapshot_at_cycle_40():
+    kernel = make_kernel(acceptance_program())
+    kernel.schedule_flip(38, "cell", "core.x7", 0, 2)
+    kernel.schedule_flip(39, "sram", 700, 2, 9)
+    kernel.schedule_flip(60, "cell", "core.x8", 1, 3)
+    kernel.run_cycles(40)
+    return kernel.snapshot()
+
+
+def _malformed_snapshots(blob):
+    """(name, bytes) of snapshots of ``blob``'s configuration broken in one field each."""
+    (cfg_len,) = struct.unpack_from("<I", blob, 18)
+    cells_at = 22 + cfg_len
+    rows_at = cells_at + 4 + 12 * struct.unpack_from("<I", blob, cells_at)[0]
+    misc_at = _misc_offset(blob)
+    misc = json.loads(blob[misc_at + 4 :])
+    narrow = next(
+        i for i, cell in enumerate(Kernel(SystemConfig()).registry.values()) if cell.width < 32
+    )
+
+    def put(at, fmt, *values):
+        data = bytearray(blob)
+        struct.pack_into(fmt, data, at, *values)
+        return bytes(data)
+
+    def with_misc(value):
+        raw = json.dumps(value, sort_keys=True).encode()
+        return blob[:misc_at] + struct.pack("<I", len(raw)) + raw
+
+    cuts = {n: blob[:n] for n in (9, 15, 21, 100, cells_at + 2, rows_at + 2, len(blob) // 2,
+                                  misc_at + 2, len(blob) - 5, len(blob) - 1)}
+    cases = [(f"cut at {n}", data) for n, data in cuts.items()]
+    cases += [
+        ("trailing byte", blob + b"\0"),
+        ("cell count", put(cells_at, "<I", 3)),
+        ("SRAM rows", put(rows_at, "<I", 4096)),
+        ("replica wider than its cell", put(cells_at + 4 + 12 * narrow + 4, "<I", 2)),
+        ("config length", put(18, "<I", cfg_len + 1)),
+        ("misc length", put(misc_at, "<I", len(blob) - misc_at)),
+        ("misc not UTF-8", with_misc("x")[:-2] + b"\xff\""),
+        ("misc not an object", with_misc([1, 2])),
+        ("misc key missing", with_misc({k: v for k, v in misc.items() if k != "halted"})),
+        ("misc key extra", with_misc({**misc, "spare": 0})),
+        ("misc field malformed", with_misc({**misc, "edge_queue": 5})),
+        ("misc domain unknown", with_misc({**misc, "event_totals": {"7": 1}})),
+    ]
+    return cases
 
 
 def test_matches_ignores_only_the_counters_and_event_totals():
