@@ -75,7 +75,7 @@ from .memory import (
 from .peripherals import GpioBank, SeuCounterBank, UartModel, aggregate_discrepancies
 from .pipeline import Pipeline
 from .scrubber import Scrubber
-from .tmr import Domain
+from .tmr import Domain, vote3
 
 SNAPSHOT_MAGIC = b"TMRV32SS"
 SNAPSHOT_VERSION = 2
@@ -91,7 +91,7 @@ Retire = namedtuple("Retire", "cycle pc raw")
 Halt = namedtuple("Halt", "cycle cause")
 
 # complete machine state in memory (see Kernel.checkpoint)
-Checkpoint = namedtuple("Checkpoint", "cycle cells banks misc")
+Checkpoint = namedtuple("Checkpoint", "cycle values upsets banks misc")
 
 
 @dataclass
@@ -248,7 +248,11 @@ class Kernel:
         self.registry = {}
         for cell in self._all_cells():
             self.registry[cell.element_id] = cell
-        self.dirty = set()
+        self._index = {key: index for index, key in enumerate(self.registry)}
+        self.dirty = set()  # every cell whose replicas disagree, and maybe clean ones
+        # record_events, the one field resume may change, is not in this encoding
+        cfg = config.to_dict(include_image=False)
+        self._config_json = json.dumps(cfg, sort_keys=True).encode()
 
         self.sink = [] if config.record_events else None  # the event stream, if kept
         self.sram.repaired = []  # drained into the sink every cycle
@@ -549,8 +553,11 @@ class Kernel:
         }
 
     def _misc_state(self):
-        """Machine state outside the cells and the SRAM banks, as a checkpoint holds it."""
+        """Machine state outside the cells and the SRAM banks, as a checkpoint holds it:
+        ints, strings, None, tuples, and two dicts keyed by :class:`Domain`."""
         p = self.pipeline
+        uart = self.uart
+        schedule = self._fault_schedule
         return {
             "halted": self.halted,
             "idle_cause": p._idle_cause,
@@ -561,50 +568,60 @@ class Kernel:
             "fill_cycles": p.fill_cycles,
             "dmem_cycles": p.dmem_cycles,
             "gpio_inputs": self.gpio.input_levels,
-            "uart_tx_log": [list(e) for e in self.uart.tx_log],
-            "uart_rx_pending": [list(e) for e in self.uart.rx_pending],
-            "uart_rx_cursor": self.uart.rx_cursor,
-            "pending_increments": {int(d): n for d, n in self._pending_increments.items()},
-            "event_totals": {int(d): n for d, n in self.event_totals.items()},
-            "edge_queue": [list(e) for e in self._edge_queue],
-            "fault_schedule": [
-                [cycle, *e] for cycle, due in sorted(self._fault_schedule.items()) for e in due
-            ],
+            "uart_tx_log": tuple(uart.tx_log),
+            "uart_rx_pending": tuple(uart.rx_pending),
+            "uart_rx_cursor": uart.rx_cursor,
+            "pending_increments": dict(self._pending_increments),
+            "event_totals": dict(self.event_totals),
+            "edge_queue": tuple(self._edge_queue),
+            "fault_schedule": tuple(
+                (cycle, *e) for cycle, due in sorted(schedule.items()) for e in due
+            ) if schedule else (),
             "record_events": self.config.record_events,
         }
 
     def checkpoint(self):
         """Complete machine state as a :class:`Checkpoint` that shares nothing with the
-        kernel: the cycle, each cell's replicas in registry order, the three SRAM banks
-        (one bytes object three times while no row is dirty) and :meth:`_misc_state`."""
-        banks = self.sram.banks
+        kernel: the cycle, each cell's voted value in registry order, ``(index, (r0, r1,
+        r2))`` in index order for each cell whose replicas disagree, the three SRAM banks
+        (one bytes object three times while no row is dirty) and :meth:`_misc_state`.
+        Values and upsets together give every cell's three replicas."""
+        b0, b1, b2 = self.sram.banks
         if self.sram.dirty:
-            banks = tuple(bank.tobytes() for bank in banks)
+            banks = (b0.tobytes(), b1.tobytes(), b2.tobytes())
         else:
-            banks = (banks[0].tobytes(),) * 3
-        cells = tuple(cell.replicas for cell in self.registry.values())
-        return Checkpoint(self.cycle, cells, banks, self._misc_state())
+            banks = (b0.tobytes(),) * 3
+        values = [cell.value for cell in self.registry.values()]
+        upsets = ()
+        if self.dirty:  # it holds every cell whose replicas disagree
+            index = self._index
+            upsets = tuple(sorted(
+                (index[cell.element_id], cell.replicas) for cell in self.dirty if cell.discrepancy
+            ))
+        return Checkpoint(self.cycle, values, upsets, banks, self._misc_state())
 
     def resume(self, checkpoint):
         """Overwrite this kernel's state with a :meth:`checkpoint` of a kernel of the same
-        configuration (not checked). The checkpoint stays as it was, for any number of
-        resumes. The sink starts empty if ``record_events`` is set, and is None otherwise.
+        configuration. Nothing is checked, not even values against cell widths: every
+        cell takes its value, only the upset cells get three replicas, and they make up
+        the dirty set. The checkpoint stays as it was, for any number of resumes. The sink
+        starts empty if ``record_events`` is set, and is None otherwise.
         """
-        cycle, cells, banks, misc = checkpoint
-        # convert first, so that a malformed field raises before any state changes
-        tx_log = [tuple(e) for e in misc["uart_tx_log"]]
-        rx_pending = [tuple(e) for e in misc["uart_rx_pending"]]
-        pending = {Domain(int(d)): n for d, n in misc["pending_increments"].items()}
-        totals = {Domain(int(d)): n for d, n in misc["event_totals"].items()}
-        edge_queue = [tuple(e) for e in misc["edge_queue"]]
-        schedule = {}
+        cycle, values, upsets, banks, misc = checkpoint
+        schedule = {}  # built first, so that a malformed entry raises before any change
         for cycle_due, *e in misc["fault_schedule"]:
             schedule.setdefault(cycle_due, []).append(tuple(e))
+        for cell in self.dirty:
+            cell.refresh()  # drop the replicas, so that assigning the value keeps it clean
         self.dirty.clear()
-        for cell, (r0, r1, r2) in zip(self.registry.values(), cells):
-            cell.set_replicas(r0, r1, r2)
-            if not r0 == r1 == r2:
-                self.dirty.add(cell)
+        cells = self.registry.values()
+        for cell, value in zip(cells, values):
+            cell.value = value
+        if upsets:
+            cells = tuple(cells)
+            for index, replicas in upsets:
+                cells[index].set_replicas(*replicas)
+                self.dirty.add(cells[index])
         self.sram.restore_banks(banks)
         self.sram.repaired.clear()
         self.cycle = cycle
@@ -617,12 +634,12 @@ class Kernel:
         p.fill_cycles = misc["fill_cycles"]
         p.dmem_cycles = misc["dmem_cycles"]
         self.gpio.input_levels = misc["gpio_inputs"]
-        self.uart.tx_log = tx_log
-        self.uart.rx_pending = rx_pending
+        self.uart.tx_log = list(misc["uart_tx_log"])
+        self.uart.rx_pending = list(misc["uart_rx_pending"])
         self.uart.rx_cursor = misc["uart_rx_cursor"]
-        self._pending_increments = pending
-        self.event_totals = totals
-        self._edge_queue = edge_queue
+        self._pending_increments = dict(misc["pending_increments"])
+        self.event_totals = dict(misc["event_totals"])
+        self._edge_queue = list(misc["edge_queue"])
         self._fault_schedule = schedule
         self._schedule_gpio_inputs()
         record_events = misc["record_events"]
@@ -634,24 +651,37 @@ class Kernel:
         """True iff ``other``'s :meth:`checkpoint` equals this kernel's but for the three
         SEU counter cells (last in the registry) and the event totals. Two matching
         kernels of one configuration run on identically, counters and event totals
-        apart, until the core reads the SEU counter block."""
+        apart, until the core reads the SEU counter block.
 
-        def key(cp):
-            return cp._replace(cells=cp.cells[:-3], misc={**cp.misc, "event_totals": None})
-
-        return key(self.checkpoint()) == key(other.checkpoint())
-
-    def _config_json(self):
-        return json.dumps(self.config.to_dict(include_image=False), sort_keys=True).encode()
+        The fields are compared cheapest first: the cycle, the values, the upsets, the
+        misc state and the banks."""
+        a, b = self.checkpoint(), other.checkpoint()
+        if a.cycle != b.cycle or a.values[:-3] != b.values[:-3]:
+            return False
+        counters = len(a.values) - 3
+        if a.upsets != b.upsets and (
+            [u for u in a.upsets if u[0] < counters] != [u for u in b.upsets if u[0] < counters]
+        ):
+            return False
+        a.misc["event_totals"] = b.misc["event_totals"]  # both checkpoints are this call's own
+        if a.misc != b.misc:
+            return False
+        if a.banks[0] is a.banks[2] and b.banks[0] is b.banks[2]:  # no dirty row on either side
+            return a.banks[0] == b.banks[0]
+        return a.banks == b.banks
 
     def snapshot(self):
-        """:meth:`checkpoint` in the snapshot byte layout of docs/formats.md."""
-        cycle, cells, banks, misc = self.checkpoint()
-        cfg = self._config_json()
+        """:meth:`checkpoint` in the snapshot byte layout of docs/formats.md: each cell's
+        value three times, or its three replicas if it is upset."""
+        cycle, values, upsets, banks, misc = self.checkpoint()
+        words = list(chain.from_iterable(zip(values, values, values)))
+        for index, replicas in upsets:
+            words[3 * index : 3 * index + 3] = replicas
+        cfg = self._config_json
         blob = json.dumps(misc, sort_keys=True).encode()
         return b"".join((
             SNAPSHOT_MAGIC, struct.pack("<HQI", SNAPSHOT_VERSION, cycle, len(cfg)), cfg,
-            struct.pack(f"<I{3 * len(cells)}I", len(cells), *chain.from_iterable(cells)),
+            struct.pack(f"<I{len(words)}I", len(values), *words),
             struct.pack("<I", self.sram.rows), *banks, struct.pack("<I", len(blob)), blob,
         ))
 
@@ -696,7 +726,7 @@ class Kernel:
         and leave the kernel as it was.
         """
         version, cycle, cfg, off = self._snapshot_header(data)
-        if cfg != self._config_json():
+        if cfg != self._config_json:
             raise ConfigError("snapshot was taken under a different configuration")
         cells = self.registry.values()
         rows = self.sram.rows
@@ -717,15 +747,24 @@ class Kernel:
             misc = json.loads(data[off + 4 :])
         except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"truncated or malformed snapshot: {exc}") from None
-        replicas = tuple(zip(words, words, words))
-        for cell, (r0, r1, r2) in zip(cells, replicas):
+        values, upsets = [], []
+        for index, (cell, replicas) in enumerate(zip(cells, zip(words, words, words))):
+            r0, r1, r2 = replicas
             if (r0 | r1 | r2) & ~cell.mask:
                 raise ConfigError(f"snapshot replica of {cell.element_id} exceeds its width")
+            values.append(vote3(r0, r1, r2))
+            if not r0 == r1 == r2:
+                upsets.append((index, replicas))
         if version == 1 and isinstance(misc, dict):  # version 1 has neither field
             misc = {"fault_schedule": [], "record_events": False, **misc}
         if not isinstance(misc, dict) or misc.keys() != self._misc_state().keys():
             raise ConfigError("snapshot misc fields are not those of its version")
         try:
-            self.resume(Checkpoint(cycle, replicas, banks, misc))
+            # JSON has lists and string keys where a checkpoint has tuples and domains
+            for name in ("uart_tx_log", "uart_rx_pending", "edge_queue", "fault_schedule"):
+                misc[name] = tuple(map(tuple, misc[name]))
+            for name in ("pending_increments", "event_totals"):
+                misc[name] = {Domain(int(d)): n for d, n in misc[name].items()}
+            self.resume(Checkpoint(cycle, values, tuple(upsets), banks, misc))
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"snapshot misc field is malformed: {exc}") from None

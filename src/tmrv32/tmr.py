@@ -13,8 +13,9 @@ expression; cells, the SRAM banks and the scrubber all vote through it.
 
 A cell always stores its voted value, so a read costs one attribute access. It keeps
 the three replica words only while they disagree, that is from an upset until the
-next write or refresh. ``replicas`` and ``set_replicas`` still see three words, and
-checkpoints and snapshots still hold r0, r1, r2 per cell.
+next write or refresh. ``replicas`` and ``set_replicas`` still see three words.
+Kernel checkpoints hold the same split: each cell's value, plus the three replicas
+of the upset cells; snapshots still hold r0, r1, r2 per cell.
 
 No module-level mutable state; cells are safe to use from any thread as long as a
 given cell is not shared between threads. The simulation kernel drives each cell
@@ -64,8 +65,9 @@ class TmrCell:
     same bit position in two replicas defeat the vote.
 
     ``value`` is the voter output and is always stored; only the methods below
-    assign it. ``_r`` is None while the three replicas agree (each then equals
-    ``value``) and holds them as a tuple while they disagree.
+    assign it, and ``Kernel.resume``, which assigns the value of a clean cell.
+    ``_r`` is None while the three replicas agree (each then equals ``value``)
+    and holds them as a tuple while they disagree.
     """
 
     __slots__ = ("value", "_r", "width", "mask", "element_id", "domain")
