@@ -248,7 +248,6 @@ class Kernel:
         self.registry = {}
         for cell in self._all_cells():
             self.registry[cell.element_id] = cell
-        self._index = {key: index for index, key in enumerate(self.registry)}
         self.dirty = set()  # every cell whose replicas disagree, and maybe clean ones
         # record_events, the one field resume may change, is not in this encoding
         cfg = config.to_dict(include_image=False)
@@ -593,11 +592,11 @@ class Kernel:
             banks = (b0.tobytes(),) * 3
         values = [cell.value for cell in self.registry.values()]
         upsets = ()
-        if self.dirty:  # it holds every cell whose replicas disagree
-            index = self._index
-            upsets = tuple(sorted(
-                (index[cell.element_id], cell.replicas) for cell in self.dirty if cell.discrepancy
-            ))
+        if self.dirty:
+            upsets = tuple(
+                (i, cell.replicas)
+                for i, cell in enumerate(self.registry.values()) if cell.discrepancy
+            )
         return Checkpoint(self.cycle, values, upsets, banks, self._misc_state())
 
     def resume(self, checkpoint):
@@ -666,8 +665,6 @@ class Kernel:
         a.misc["event_totals"] = b.misc["event_totals"]  # both checkpoints are this call's own
         if a.misc != b.misc:
             return False
-        if a.banks[0] is a.banks[2] and b.banks[0] is b.banks[2]:  # no dirty row on either side
-            return a.banks[0] == b.banks[0]
         return a.banks == b.banks
 
     def snapshot(self):

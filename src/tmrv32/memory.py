@@ -146,15 +146,10 @@ class SramArray:
         self.dirty.clear()
         r0, r1, r2 = raw_banks
         if not r0 == r1 == r2:
-            # compare 64-row blocks as bytes; scan rows only in blocks that differ
             b0, b1, b2 = self.banks
-            for lo in range(0, self.rows, 64):
-                s, e = 4 * lo, 4 * lo + 256
-                if not r0[s:e] == r1[s:e] == r2[s:e]:
-                    self.dirty.update(
-                        r for r in range(lo, min(lo + 64, self.rows))
-                        if not b0[r] == b1[r] == b2[r]
-                    )
+            self.dirty.update(
+                r for r in range(self.rows) if not b0[r] == b1[r] == b2[r]
+            )
 
     def mismatched_rows(self):
         """Rows whose replicas currently disagree, ascending."""

@@ -242,16 +242,3 @@ def test_dirty_set_matches_brute_force_under_random_ops():
     clone.restore_banks([bank.tobytes() for bank in sram.banks])
     assert clone.mismatched_rows() == _brute_mismatched(sram)
     assert clone.voted_bytes() == sram.voted_bytes()
-
-
-@pytest.mark.parametrize("rows", [1, 63, 65, 200, 8192])
-def test_restore_banks_finds_dirty_rows_in_every_block(rows):
-    # restore_banks compares 64-row blocks before it scans rows
-    rng = np.random.default_rng(rows)
-    sram = SramArray(rows)
-    for row in {0, rows - 1, rows // 2, *(int(r) for r in rng.integers(rows, size=6))}:
-        sram.flip(row, int(rng.integers(3)), int(rng.integers(32)))
-    clone = SramArray(rows)
-    clone.restore_banks([bank.tobytes() for bank in sram.banks])
-    assert clone.mismatched_rows() == _brute_mismatched(sram) == sram.mismatched_rows()
-    assert clone.voted_bytes() == sram.voted_bytes()
