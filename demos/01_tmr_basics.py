@@ -5,19 +5,20 @@ voting, the discrepancy output, feedback refresh, and the instance-group
 double-fault hazard that motivates scrubbing and fast refresh.
 """
 
-from tmrv32.tmr import Domain, TmrCell, majority_vote
+from tmrv32.tmr import Domain, TmrCell
 
 print("== bitwise majority voting ==")
-r = majority_vote(0x5A5A5A5A, 0x5A5A5A5A, 0x5A5A5A5A)
-print(f"clean replicas vote to 0x{r.value:08X}, discrepancy={r.discrepancy}")
+voter = TmrCell("demo.vote", Domain.CORE)
+voter.set_replicas(0x5A5A5A5A, 0x5A5A5A5A, 0x5A5A5A5A)
+print(f"clean replicas vote to 0x{voter.value:08X}, discrepancy={voter.discrepancy}")
 
-r = majority_vote(0xFFFFFFFF, 0x00000000, 0xFFFFFFFF)
-print(f"one corrupt replica: vote 0x{r.value:08X}, discrepancy={r.discrepancy}")
+voter.set_replicas(0xFFFFFFFF, 0x00000000, 0xFFFFFFFF)
+print(f"one corrupt replica: vote 0x{voter.value:08X}, discrepancy={voter.discrepancy}")
 
 # voting is per bit position, not per word: three pairwise-different words still
 # produce a well-defined majority in every bit
-r = majority_vote(0b101, 0b011, 0b110)
-print(f"0b101/0b011/0b110 vote to 0b{r.value:03b} (per-bit 2-of-3)")
+voter.set_replicas(0b101, 0b011, 0b110)
+print(f"0b101/0b011/0b110 vote to 0b{voter.value:03b} (per-bit 2-of-3)")
 
 print()
 print("== a protected register cell ==")

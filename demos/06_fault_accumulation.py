@@ -25,7 +25,7 @@ def rain(scrub_enabled, cycles=60_000, rate=0.005, seed=31):
             int(rng.integers(8192)), int(rng.integers(3)), int(rng.integers(32)),
         )
     kernel.run_cycles(cycles)
-    dirty = kernel.sram.mismatched_rows()
+    dirty = sorted(kernel.sram.dirty)
     voted = np.frombuffer(kernel.sram.voted_bytes(), dtype="<u4")
     corrupted_words = int(np.count_nonzero(voted))  # memory started all-zero
     return n, len(dirty), corrupted_words, kernel.counters.values()

@@ -23,7 +23,7 @@ from .errors import (
     SimTimeout,
 )
 from .kernel import EDGE_ALIGNED, MID_CYCLE, Kernel, RunResult, SystemConfig, load_image
-from .tmr import Domain, TmrCell, VoteResult, majority_vote
+from .tmr import Domain, TmrCell
 
 __version__ = "0.1.0"
 
@@ -41,8 +41,6 @@ __all__ = [
     "SimTimeout",
     "SystemConfig",
     "TmrCell",
-    "VoteResult",
     "load_image",
-    "majority_vote",
     "__version__",
 ]

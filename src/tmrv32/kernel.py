@@ -37,6 +37,10 @@ happened, so the state of every target at the end of every cycle can be replayed
 from the stream. ``SystemConfig.record_events`` starts a kernel with an empty
 sink; the stream is run metadata, not machine state, and snapshots do not carry it.
 
+``Kernel._advance`` is the one run loop. It holds the rule for when a run ends
+(the program's halt, with SimTimeout at ``max_cycles``, or a fixed end cycle),
+and ``run``, ``run_cycles`` and the campaign engine all call it.
+
 Idle fast-forward: once the core has halted, ``run_cycles`` skips spans in which
 no cycle can do anything but advance the scrubber over clean SRAM rows. It applies
 only while no cell is dirty, no counter increment is pending and the edge queue is
@@ -72,7 +76,7 @@ from .memory import (
     SramArray,
     SystemBus,
 )
-from .peripherals import GpioBank, SeuCounterBank, UartModel, aggregate_discrepancies
+from .peripherals import GPIO_PINS, GpioBank, SeuCounterBank, UartModel, aggregate_discrepancies
 from .pipeline import Pipeline
 from .scrubber import Scrubber
 from .tmr import Domain, vote3
@@ -136,10 +140,13 @@ class SystemConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        if "image_hex" in d:
-            d["image"] = bytes.fromhex(d.pop("image_hex"))
-        d["stimulus"] = tuple(tuple(e) for e in d.get("stimulus", ()))
-        return cls(**d)
+        try:
+            if "image_hex" in d:
+                d["image"] = bytes.fromhex(d.pop("image_hex"))
+            d["stimulus"] = tuple(tuple(e) for e in d.get("stimulus", ()))
+            return cls(**d)
+        except (TypeError, ValueError) as exc:  # the message names an unknown field
+            raise ConfigError(f"system config: {exc}") from None
 
 
 @dataclass
@@ -279,6 +286,8 @@ class Kernel:
                 self.uart.queue_rx(event[1], event[2])
             elif event[0] != "gpio-in":
                 raise ConfigError(f"unknown stimulus event kind {event[0]!r}")
+            elif not 0 <= event[2] < GPIO_PINS:
+                raise ConfigError(f"no such GPIO pin {event[2]} (0..{GPIO_PINS - 1})")
         self._schedule_gpio_inputs()
 
     def _schedule_gpio_inputs(self):
@@ -461,7 +470,7 @@ class Kernel:
 
     def run(self):
         """Run until the program halts; raise SimTimeout if it never does."""
-        self._run_to_halt()
+        self._advance()
         return self.result()
 
     def run_cycles(self, n):
@@ -471,29 +480,31 @@ class Kernel:
         and fault schedule keep running for the remaining cycles. Idle post-halt
         spans are fast-forwarded (see the module docstring).
         """
-        self._run_to(self.cycle + n)
+        self._advance(end=self.cycle + n)
         return self.result()
 
-    def _run_to(self, end):
-        """Run up to cycle ``end`` as :meth:`run_cycles` does, without building a result."""
-        while self.cycle < end:
+    def _advance(self, target=math.inf, end=None):
+        """Run to cycle ``target`` or the end of the run, whichever comes first; True once
+        the run is over. With ``end`` None it ends at the program's halt (SimTimeout at
+        ``config.max_cycles``), otherwise at cycle ``end``, with idle fast-forward."""
+        if end is None:
+            budget = self.config.max_cycles
+            stop = min(target, budget)
+            while self.halted is None and self.cycle < stop:
+                self.step_cycle()
+            if self.halted is None and budget <= self.cycle < target:
+                raise SimTimeout(budget)
+            return self.halted is not None
+        stop = min(target, end)
+        while self.cycle < stop:
             if self.halted is not None and not (
                 self.dirty or self._pending_increments or self._edge_queue
             ):
-                self._skip_idle(end)
-                if self.cycle >= end:
+                self._skip_idle(stop)
+                if self.cycle >= stop:
                     break
             self.step_cycle()
-
-    def _run_to_halt(self, end=math.inf):
-        """Step until the program halts or cycle ``end``; raise SimTimeout if
-        ``config.max_cycles`` comes first."""
-        budget = self.config.max_cycles
-        stop = min(end, budget)
-        while self.halted is None and self.cycle < stop:
-            self.step_cycle()
-        if self.halted is None and budget <= self.cycle < end:
-            raise SimTimeout(budget)
+        return self.cycle >= end
 
     def _skip_idle(self, end):
         """Advance a halted, quiescent machine to the next cycle that needs a step."""
@@ -696,17 +707,16 @@ class Kernel:
         return version, cycle, cfg, 22 + cfg_len
 
     @classmethod
-    def from_snapshot(cls, data, image=None):
+    def from_snapshot(cls, data):
         """Rebuild a kernel from :meth:`snapshot` output (version 1 or 2).
 
-        The memory image travels inside the snapshot (SRAM contents), so ``image``
-        is only needed if the original config must be reproduced exactly for
-        reporting purposes. A version-1 snapshot carries no fault schedule and no
-        ``record_events`` flag; both restore as empty/false.
+        The memory image travels inside the snapshot (SRAM contents), so the
+        rebuilt config has no ``image``. A version-1 snapshot carries no fault
+        schedule and no ``record_events`` flag; both restore as empty/false.
         """
         try:
             cfg = json.loads(cls._snapshot_header(data)[2])
-            cfg["image"] = image
+            cfg["image"] = None
             config = SystemConfig.from_dict(cfg)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"snapshot config is malformed: {exc}") from None

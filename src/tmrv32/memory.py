@@ -151,11 +151,6 @@ class SramArray:
                 r for r in range(self.rows) if not b0[r] == b1[r] == b2[r]
             )
 
-    def mismatched_rows(self):
-        """Rows whose replicas currently disagree, ascending."""
-        return sorted(self.dirty)
-
-
 class SystemBus:
     """Routes core-side accesses to SRAM and the peripheral blocks.
 

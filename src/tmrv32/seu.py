@@ -24,6 +24,10 @@ fault is classified from it in one pass after the run, with no per-cycle probe:
   cycle after ``at_cycle`` for an edge-aligned upset) at whose end it is clean,
   as replayed from its flips and repairs; an uncorrectable fault has no latency.
 
+Golden and every faulted run are driven by ``Kernel._advance``, the one run loop:
+it stops at a given cycle and says once the run is over, at the program's halt or
+after ``run_cycles`` cycles.
+
 Every faulted run starts from a checkpoint of the fault-free golden run
 (``Kernel.checkpoint``, resumed with ``Kernel.resume``): up to its first injection
 cycle a faulted run is golden's run, so it is not simulated again. Campaigns run
@@ -102,6 +106,8 @@ class FaultSpec:
             raise ConfigError(f"unknown fault kind {self.kind!r}")
         if self.kind == "random" and self.key not in _DOMAIN_BY_NAME:
             raise ConfigError(f"random fault domain must be one of {sorted(_DOMAIN_BY_NAME)}")
+        if self.kind == "sram" and not isinstance(self.key, int):
+            raise ConfigError(f"sram fault key must be a row number, got {self.key!r}")
         if self.phase not in (MID_CYCLE, EDGE_ALIGNED):
             raise ConfigError(f"unknown fault phase {self.phase!r}")
         if not 1 <= self.count <= 3:
@@ -138,6 +144,8 @@ class CampaignConfig:
                     raise ConfigError("rates must be non-negative")
         if not 0.0 <= self.edge_aligned_fraction <= 1.0:
             raise ConfigError("edge_aligned_fraction must be within [0, 1]")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for spec in self.faults:
             spec.validate()
 
@@ -160,9 +168,13 @@ class CampaignConfig:
         version = d.pop("version", 1)
         if version != 1:
             raise ConfigError(f"unsupported campaign config version {version}")
-        d["system"] = SystemConfig.from_dict(d["system"])
-        d["faults"] = [FaultSpec(**f) for f in d.get("faults", [])]
-        cfg = cls(**d)
+        if "system" in d:
+            d["system"] = SystemConfig.from_dict(d["system"])
+        try:
+            d["faults"] = [FaultSpec(**f) for f in d.get("faults", [])]
+            cfg = cls(**d)
+        except TypeError as exc:  # the message names an unknown or missing field
+            raise ConfigError(f"campaign config: {exc}") from None
         cfg.validate()
         return cfg
 
@@ -369,23 +381,6 @@ def _requal_cycle(changes, landing, end):
     return since if clean and since < end else None
 
 
-_END = math.inf  # an _advance target: the end of the run
-
-
-def _advance(kernel, target, length):
-    """Run ``kernel`` up to cycle ``target`` as its campaign run goes; True once that run is over.
-
-    With ``length`` None the run ends at the program's halt and raises
-    SimTimeout at ``max_cycles``, as ``Kernel.run`` does; otherwise it ends
-    after ``length`` cycles, as ``Kernel.run_cycles(length)`` from reset does.
-    """
-    if length is None:
-        kernel._run_to_halt(target)
-        return kernel.halted is not None
-    kernel._run_to(min(target, length))
-    return kernel.cycle >= length
-
-
 # Forks alive at once, at most. Past that the oldest runs on to its end unchecked,
 # so memory stays bounded however many faults share an injection cycle.
 _MAX_LIVE_FORKS = 32
@@ -407,10 +402,10 @@ class _Fork:
         Returns False once the run is over instead.
         """
         kernel = self.kernel
-        if _advance(kernel, kernel.cycle + steps, length):
+        if kernel._advance(kernel.cycle + steps, length):
             return False
         while not kernel.settled():
-            if _advance(kernel, kernel.cycle + 1, length):
+            if kernel._advance(kernel.cycle + 1, length):
                 return False
         return True
 
@@ -439,81 +434,79 @@ class _ForkedCampaign:
     def run(self, faults):
         """Return (golden signature or None, records in fault order).
 
-        Raises what the faulted runs, one after another, would have raised.
+        Raises what the faulted runs, one after another, would have raised. Once it
+        returns or raises, the engine holds no exception: a traceback holds the
+        engine, so a kept one would keep every kernel alive until a garbage collection.
         """
-        golden = self.golden
-        due = {}
-        for fault in faults:
-            due.setdefault(fault.at_cycle, []).append(fault)
-        cycles = sorted(due, reverse=True)
-        while cycles or self.live:
-            target = min([f.kernel.cycle for f in self.live] + cycles[-1:])
-            if self._golden_to(target):
-                break
-            for fork in [f for f in self.live if f.kernel.cycle == golden.cycle]:
-                self.live.remove(fork)
-                self._compare(fork)
-            if cycles and cycles[-1] == golden.cycle:
-                checkpoint = golden.checkpoint()
-                for fault in due.pop(cycles.pop()):
-                    if self._moot(fault):
-                        continue
-                    if len(self.live) >= _MAX_LIVE_FORKS:
-                        self._run_out(self.live.pop(0))
-                    self._step(self._fork(checkpoint, fault), 0)
-        if self.golden_compare or self.matched:
-            self._golden_to(_END)
+        try:
+            golden = self.golden
+            due = {}
+            for fault in faults:
+                due.setdefault(fault.at_cycle, []).append(fault)
+            cycles = sorted(due, reverse=True)
+            while cycles or self.live:
+                target = min([f.kernel.cycle for f in self.live] + cycles[-1:])
+                if self._golden_to(target):
+                    break
+                for fork in [f for f in self.live if f.kernel.cycle == golden.cycle]:
+                    self.live.remove(fork)
+                    self._compare(fork)
+                if cycles and cycles[-1] == golden.cycle:
+                    checkpoint = golden.checkpoint()
+                    for fault in due.pop(cycles.pop()):
+                        if len(self.live) >= _MAX_LIVE_FORKS:
+                            self._run_out(self.live.pop(0))
+                        self._step(self._fork(checkpoint, fault), 0)
+            if self.golden_compare or self.matched:
+                self._golden_to(math.inf)
 
-        # Golden's run is over; whatever is left runs on by itself.
-        for fork in self.live:
-            if not self._moot(fork.fault):
+            # Golden's run is over; whatever is left runs on by itself.
+            for fork in self.live:
                 self._run_out(fork)
-        leftover = [fault for cycle in cycles for fault in due[cycle]]
-        if leftover and self.golden_error is None:
-            checkpoint = golden.checkpoint()  # these faults never land
-        for fault in leftover:
-            if self.golden_error is not None:
-                self.errors[fault.index] = self.golden_error
-            elif not self._moot(fault):
-                self._run_out(self._fork(checkpoint, fault))
-        reset = None
-        for record, reads, fault in self.matched:
-            if golden.counters.reads != reads:
-                # golden reads the SEU counters after the match: rerun from reset
-                if not self._moot(fault):
+            leftover = [fault for cycle in cycles for fault in due[cycle]]
+            if leftover and self.golden_error is None:
+                checkpoint = golden.checkpoint()  # these faults never land
+            for fault in leftover:
+                if self.golden_error is not None:
+                    self.errors[fault.index] = self.golden_error
+                else:
+                    self._run_out(self._fork(checkpoint, fault))
+            reset = None
+            for record, reads, fault in self.matched:
+                if golden.counters.reads != reads:
+                    # golden reads the SEU counters after the match: rerun from reset
                     reset = reset or Kernel(self.system).checkpoint()
                     self._run_out(self._fork(reset, fault))
-            elif self.golden_error is not None:
-                self.errors[fault.index] = self.golden_error
-            else:
-                self.done[fault.index] = (record, None)
+                elif self.golden_error is not None:
+                    self.errors[fault.index] = self.golden_error
+                else:
+                    self.done[fault.index] = (record, None)
 
-        if self.errors:
-            raise self.errors[min(self.errors)]
-        golden_sig = golden.architectural_signature() if self.golden_compare else None
-        records = []
-        for fault in faults:
-            record, sig = self.done[fault.index]
-            if golden_sig is not None:
-                record["diverged"] = sig is not None and sig != golden_sig
-            records.append(record)
-        return golden_sig, records
+            if self.errors:
+                raise self.errors[min(self.errors)]
+            golden_sig = golden.architectural_signature() if self.golden_compare else None
+            records = []
+            for fault in faults:
+                record, sig = self.done[fault.index]
+                if golden_sig is not None:
+                    record["diverged"] = sig is not None and sig != golden_sig
+                records.append(record)
+            return golden_sig, records
+        finally:
+            self.errors.clear()
+            self.golden_error = None
 
     def _golden_to(self, target):
         """Advance golden to ``target``; True once its run is over, by its end or by raising."""
         if self.golden_error is not None:
             return True
         try:
-            return _advance(self.golden, target, self.length)
+            return self.golden._advance(target, self.length)
         except SimError as exc:
             if self.golden_compare:
                 raise
             self.golden_error = exc
             return True
-
-    def _moot(self, fault):
-        """True when a fault earlier in the campaign raised, so this one cannot matter."""
-        return bool(self.errors) and fault.index > min(self.errors)
 
     def _fork(self, checkpoint, fault):
         kernel = self.pool.pop() if self.pool else Kernel(self.system)
@@ -541,7 +534,7 @@ class _ForkedCampaign:
 
     def _run_out(self, fork):
         try:
-            _advance(fork.kernel, _END, self.length)
+            fork.kernel._advance(end=self.length)
         except SimError as exc:
             self._fail(fork, exc)
             return
@@ -572,17 +565,17 @@ def run_campaign(config):
         golden_sig, records = engine.run(resolved)
         summary = _summarize(records, config)
     else:
-        _advance(golden, min((f.at_cycle for f in resolved), default=_END), length)
+        golden._advance(min((f.at_cycle for f in resolved), default=math.inf), length)
         kernel = Kernel(config.system)
         kernel.resume(golden.checkpoint())
         golden_sig = None
         if config.golden_compare:
-            _advance(golden, _END, length)
+            golden._advance(end=length)
             golden_sig = golden.architectural_signature()
         kernel.sink = []
         for fault in resolved:
             _schedule(kernel, fault)
-        _advance(kernel, _END, length)
+        kernel._advance(end=length)
         outcomes = _classify(kernel.sink, resolved, kernel.cycle)
         records = [
             _record(fault, outcome, None, kernel) for fault, outcome in zip(resolved, outcomes)
@@ -637,19 +630,19 @@ def counter_crosscheck(report):
 # ---------------------------------------------------------------------------
 
 
-def scrub_latency_samples(rows=8192, samples=10_000, seed=0, stratified=True):
+def scrub_latency_samples(rows=8192, samples=10_000, seed=0):
     """Measure single-upset correction latencies against the real scrubber FSM.
 
     One continuous simulation; each sample injects one bit flip into a clean row at
     a known phase offset from the scan pointer and steps the FSM until the row is
-    written back, counting cycles inclusively. With ``stratified`` sampling the
-    first ``min(rows, samples)`` offsets form a seeded random permutation of all
-    phase offsets (so the worst case is realized); the rest are uniform.
+    written back, counting cycles inclusively. With ``samples >= rows`` the first
+    ``rows`` offsets form a seeded random permutation of all phase offsets (so the
+    worst case is realized); the rest, and every offset otherwise, are uniform.
     """
     rng = np.random.default_rng(seed)
     sram = SramArray(rows)
     scrub = Scrubber(rows)
-    if stratified and samples >= rows:
+    if samples >= rows:
         offsets = list(rng.permutation(rows))
         offsets += list(rng.integers(0, rows, samples - rows))
     else:

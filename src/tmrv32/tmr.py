@@ -22,7 +22,6 @@ given cell is not shared between threads. The simulation kernel drives each cell
 single-threaded.
 """
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 
@@ -37,24 +36,9 @@ class Domain(IntEnum):
 DOMAIN_NAMES = {Domain.CORE: "core", Domain.SRAM: "sram", Domain.PERIPHERALS: "periph"}
 
 
-@dataclass
-class VoteResult:
-    value: int
-    discrepancy: bool
-
-
 def vote3(a, b, c):
     """Bitwise 2-of-3 majority of three words."""
     return (a & b) | (a & c) | (b & c)
-
-
-def majority_vote(a, b, c):
-    """Bitwise 2-of-3 majority of three words, with a discrepancy flag.
-
-    Total function: value = (a & b) | (a & c) | (b & c); discrepancy is true iff
-    the three inputs are not all equal.
-    """
-    return VoteResult(vote3(a, b, c), not (a == b == c))
 
 
 class TmrCell:

@@ -6,6 +6,7 @@ cycle by cycle. The campaign engine must give byte-identical records and
 summaries, or raise the same exception type with the same message.
 """
 
+import gc
 import sys
 from pathlib import Path
 
@@ -314,6 +315,36 @@ def test_hang_raises_simtimeout_like_the_reference():
     for key, bit in (("core.x5", 9), ("core.x5", 31)):
         faults = [FaultSpec(at_cycle=30, kind="cell", key=key, replica=0, bit=bit, count=2)]
         assert_matches_reference(_campaign(None, faults, system=system))
+
+
+def _live_kernels():
+    return sum(isinstance(obj, Kernel) for obj in gc.get_objects())
+
+
+def test_a_campaign_that_raises_keeps_no_kernel_alive():
+    # Each stored exception's traceback holds the engine; once the campaign has
+    # raised, the engine must hold none of them, or its kernels would outlive it
+    # until a cyclic garbage collection.
+    image = acceptance_program().assemble()
+    crash = FaultSpec(at_cycle=60, kind="cell", key="core.x28", replica=0, bit=30, count=2)
+    campaigns = [
+        _campaign(image, [FaultSpec(at_cycle=20, kind="cell", key=key, replica=0, bit=bit,
+                                    count=2), crash])
+        for key, bit in (("core.pc", 20), ("core.x28", 30))
+    ]
+    # golden crashes after a fork matched it, so the fork raises what golden raised
+    system = SystemConfig(image=_crash_program(), max_cycles=300)
+    faults = [FaultSpec(at_cycle=4, kind="cell", key="core.x1", replica=2, bit=0)]
+    campaigns.append(_campaign(None, faults, system=system, golden_compare=False))
+    gc.collect()
+    gc.disable()
+    try:
+        for config in campaigns:
+            before = _live_kernels()
+            assert outcome(run_campaign, config)[:2] == ("raises", "BusFault")
+            assert _live_kernels() == before
+    finally:
+        gc.enable()
 
 
 def _spin_program():

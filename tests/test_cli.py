@@ -187,6 +187,23 @@ def test_campaign_bad_config_exit(tmp_path):
     assert main(["campaign", str(cfg_path)]) == EXIT_CONFIG
 
 
+def test_campaign_malformed_config_is_a_config_error(tmp_path, capsys):
+    fault = {"at_cycle": 1, "kind": "cell", "key": "core.x1"}
+    cases = [
+        ({"system": {}, "bogus": 1}, "bogus"),  # unknown top-level key
+        ({"system": {"bogus": 1}}, "bogus"),  # unknown system key
+        ({"system": {}, "faults": [dict(fault, bogus=2)]}, "bogus"),  # unknown fault key
+        ({"system": {}, "seed": -1}, "seed"),
+        ({"system": {}, "faults": [dict(fault, kind="sram", key="abc")]}, "key"),
+    ]
+    cfg_path = tmp_path / "bad.json"
+    for config, field in cases:
+        cfg_path.write_text(json.dumps({"version": 1, **config}))
+        assert main(["campaign", str(cfg_path)]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error:") and field in line
+
+
 def test_power_single_frequency(capsys):
     assert main(["power", "--scenario", "dhrystone", "--freq", "50"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -248,6 +249,15 @@ def test_config_validation():
         SystemConfig(max_cycles=0)
 
 
+def test_stimulus_gpio_pin_out_of_range_is_a_config_error():
+    for pin in (27, 40, -1):
+        with pytest.raises(ConfigError, match="no such GPIO pin"):
+            Kernel(SystemConfig(stimulus=(("gpio-in", 5, pin, 1),)))
+    kernel = make_kernel(alu_block_program(), stimulus=(("gpio-in", 5, 26, 1),))  # the last pin
+    kernel.run_cycles(10)
+    assert kernel.gpio.read_pin(26) == 1
+
+
 def test_config_dict_round_trip():
     config = SystemConfig(
         image=b"\x73\x00\x10\x00", scrub_divider=4, stimulus=(("uart-rx", 9, 1),)
@@ -417,6 +427,96 @@ def test_run_cycles_fast_forward_resumed_from_snapshot_mid_span():
     assert resumed.snapshot() == plain.snapshot()
     assert resumed.result() == plain.result()
 
+
+# ---------------------------------------------------------------------------
+# Kernel._advance, the one run loop: chunks against one call and single steps
+# ---------------------------------------------------------------------------
+
+
+def _spin_program():
+    p = E.Program()
+    p.emit(E.addi(1, 0, 1))
+    p.label("spin")
+    p.emit(E.add(2, 2, 1))
+    p.branch(E.beq, 0, 0, "spin")
+    return p.assemble()
+
+
+def _run_plainly(kernel, end):
+    """Single steps to the end of the run; the cycle of its SimTimeout, or None."""
+    if end is not None:
+        while kernel.cycle < end:
+            kernel.step_cycle()
+        return None
+    while kernel.halted is None:
+        if kernel.cycle >= kernel.config.max_cycles:
+            return kernel.cycle
+        kernel.step_cycle()
+    return None
+
+
+def _run_in_one_call(kernel, end):
+    try:
+        kernel.run() if end is None else kernel.run_cycles(end)
+    except SimTimeout:
+        return kernel.cycle
+    return None
+
+
+def _run_in_chunks(kernel, end, targets, final, timeout):
+    """``_advance`` to each target in turn, checking where each call stops and what it returns."""
+    for i, target in enumerate(targets):
+        try:
+            over = kernel._advance(target, end)
+        except SimTimeout:
+            # only a call past max_cycles raises, never the one that reaches it
+            assert end is None and kernel.cycle == kernel.config.max_cycles < target
+            assert targets[i - 1] == kernel.cycle
+            return kernel.cycle
+        assert kernel.cycle == min(target, final)
+        assert over == (kernel.cycle == final and timeout is None)
+    return None
+
+
+ADVANCE_CASES = {
+    "acceptance": (lambda: acceptance_program().assemble(), {}, False),
+    "spin": (_spin_program, {"max_cycles": 700}, False),
+    "stimulus-and-flips": (
+        lambda: acceptance_program().assemble(), FAST_FORWARD_CASES["stimulus"], True
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["to-halt", "to-end"])
+@pytest.mark.parametrize("case", sorted(ADVANCE_CASES))
+def test_advance_in_chunks_equals_one_call_and_single_steps(case, mode):
+    program, overrides, flips = ADVANCE_CASES[case]
+    config = SystemConfig(image=program(), record_events=True, **overrides)
+    golden = Kernel(config)
+    _run_in_one_call(golden, None)
+    end = None if mode == "to-halt" else golden.cycle + 6000
+
+    def make():
+        kernel = Kernel(config)
+        if flips:
+            _schedule_random_flips(kernel, 5, golden.cycle, golden.cycle + 6000)
+        return kernel
+
+    plain, single = make(), make()
+    timeout = _run_plainly(plain, end)
+    assert _run_in_one_call(single, end) == timeout
+    final = plain.cycle
+    assert (timeout is not None) == (case == "spin" and mode == "to-halt")
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        horizon = final + 100
+        targets = sorted([*map(int, rng.integers(0, horizon, 30)), config.max_cycles])
+        chunked = make()
+        assert _run_in_chunks(chunked, end, targets + [math.inf], final, timeout) == timeout
+        for kernel in (single, chunked):
+            assert kernel.snapshot() == plain.snapshot()
+            assert kernel.result() == plain.result()
+            assert kernel.sink == plain.sink
 
 def test_snapshot_keeps_scheduled_flips():
     config = SystemConfig(image=acceptance_program().assemble())

@@ -188,7 +188,7 @@ def _brute_voted(sram):
 
 
 def _check_dirty_set(sram, rng):
-    assert sram.mismatched_rows() == _brute_mismatched(sram)
+    assert sorted(sram.dirty) == _brute_mismatched(sram)
     assert sram.voted_bytes() == _brute_voted(sram)
     voted = array("I", _brute_voted(sram))
     mismatched = set(_brute_mismatched(sram))
@@ -200,21 +200,21 @@ def test_dirty_set_named_cases():
     sram = SramArray(16)
     sram.write_masked(3, 0x1234_5678, M32)
     sram.flip(3, 1, 20)
-    assert sram.mismatched_rows() == [3]
+    assert sorted(sram.dirty) == [3]
     sram.write_masked(3, 0xAB, 0xFF)  # masked write misses bit 20: still dirty
-    assert sram.mismatched_rows() == [3]
+    assert sorted(sram.dirty) == [3]
     assert sram.read_voted(3) == (0x1234_56AB, True)
     sram.flip(3, 1, 20)  # the same bit again: replicas agree, clean
-    assert sram.mismatched_rows() == []
+    assert sorted(sram.dirty) == []
     assert sram.read_voted(3) == (0x1234_56AB, False)
     sram.flip(5, 0, 0)
     sram.write_masked(5, 0, 0xFF)  # masked write covering the upset bit: clean
-    assert sram.mismatched_rows() == []
+    assert sorted(sram.dirty) == []
     sram.flip(6, 2, 31)
     sram.write_masked(6, 7, M32)  # full-word write: clean
     sram.flip(7, 0, 1)
     sram.scrub_write(7, 0)
-    assert sram.mismatched_rows() == []
+    assert sorted(sram.dirty) == []
 
 
 def test_dirty_set_matches_brute_force_under_random_ops():
@@ -235,10 +235,10 @@ def test_dirty_set_matches_brute_force_under_random_ops():
         else:
             offset = int(rng.integers(rows * 4 - 16))
             sram.load_bytes(offset, rng.bytes(int(rng.integers(1, 17))))
-            assert sram.mismatched_rows() == []  # a load settles every row
+            assert sorted(sram.dirty) == []  # a load settles every row
         _check_dirty_set(sram, rng)
     # a restore from raw banks rebuilds the same set
     clone = SramArray(rows)
     clone.restore_banks([bank.tobytes() for bank in sram.banks])
-    assert clone.mismatched_rows() == _brute_mismatched(sram)
+    assert sorted(clone.dirty) == _brute_mismatched(sram)
     assert clone.voted_bytes() == sram.voted_bytes()

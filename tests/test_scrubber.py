@@ -213,12 +213,12 @@ def test_skip_clean_stops_before_writeback_and_bad_pointer():
     assert odd.skip_clean(SramArray(5), 0, 10) == 0
 
 
-def _plain_latency_samples(rows, samples, seed, stratified=True):
+def _plain_latency_samples(rows, samples, seed):
     """The single-step reference for scrub_latency_samples: no clean-row skipping."""
     rng = np.random.default_rng(seed)
     sram = SramArray(rows)
     scrub = Scrubber(rows)
-    if stratified and samples >= rows:
+    if samples >= rows:
         offsets = list(rng.permutation(rows))
         offsets += list(rng.integers(0, rows, samples - rows))
     else:
@@ -245,5 +245,6 @@ def test_latency_samples_match_single_step_reference(seed):
 
 
 def test_latency_samples_unstratified_match_reference():
-    fast = scrub_latency_samples(rows=256, samples=300, seed=5, stratified=False)
-    assert fast == _plain_latency_samples(256, 300, 5, stratified=False)
+    # fewer samples than rows: every phase offset is drawn uniformly
+    fast = scrub_latency_samples(rows=256, samples=200, seed=5)
+    assert fast == _plain_latency_samples(256, 200, 5)

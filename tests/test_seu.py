@@ -128,7 +128,7 @@ def test_sram_fault_in_fetched_row_masked_and_counted_per_read_cycle():
     assert result.halt == "ebreak"
     assert kernel.arch.read_reg(1) != 0
     assert kernel.counters.values()[1] >= 1
-    assert kernel.sram.mismatched_rows() == []  # scrubber pass fixed it
+    assert sorted(kernel.sram.dirty) == []  # scrubber pass fixed it
 
 
 def test_core_write_supersedes_scrub_writeback():

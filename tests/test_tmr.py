@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference_tmr import ReferenceTmrCell
 
-from tmrv32.tmr import Domain, TmrCell, majority_vote, vote3
+from tmrv32.tmr import Domain, TmrCell, vote3
 
 
 def bitwise_majority_oracle(a, b, c, width=32):
@@ -24,31 +24,35 @@ def make_cell(*replicas, width=32):
 
 
 def test_vote_identity_clean():
-    r = majority_vote(0x5A5A5A5A, 0x5A5A5A5A, 0x5A5A5A5A)
-    assert r.value == 0x5A5A5A5A
-    assert r.discrepancy is False
+    assert vote3(0x5A5A5A5A, 0x5A5A5A5A, 0x5A5A5A5A) == 0x5A5A5A5A
+    cell = make_cell(0x5A5A5A5A, 0x5A5A5A5A, 0x5A5A5A5A)
+    assert cell.value == 0x5A5A5A5A
+    assert cell.discrepancy is False
 
 
 def test_vote_two_of_three():
-    r = majority_vote(0xFFFFFFFF, 0x00000000, 0xFFFFFFFF)
-    assert r.value == 0xFFFFFFFF
-    assert r.discrepancy is True
+    assert vote3(0xFFFFFFFF, 0x00000000, 0xFFFFFFFF) == 0xFFFFFFFF
+    cell = make_cell(0xFFFFFFFF, 0x00000000, 0xFFFFFFFF)
+    assert cell.value == 0xFFFFFFFF
+    assert cell.discrepancy is True
 
 
 def test_vote_is_bitwise_not_word_granular():
     # all three disagree as words, but each bit has a 2-of-3 majority
-    r = majority_vote(0b101, 0b011, 0b110)
-    assert r.value == 0b111
-    assert r.discrepancy is True
+    assert vote3(0b101, 0b011, 0b110) == 0b111
+    cell = make_cell(0b101, 0b011, 0b110)
+    assert cell.value == 0b111
+    assert cell.discrepancy is True
 
 
 def test_vote_matches_per_bit_enumeration_oracle():
     rng = np.random.default_rng(1234)
     for _ in range(10_000):
         a, b, c = (int(v) for v in rng.integers(0, 1 << 32, 3))
-        assert majority_vote(a, b, c).value == bitwise_majority_oracle(a, b, c)
         assert vote3(a, b, c) == bitwise_majority_oracle(a, b, c)
-        assert majority_vote(a, b, c).discrepancy == (not (a == b == c))
+        cell = make_cell(a, b, c)
+        assert cell.value == bitwise_majority_oracle(a, b, c)
+        assert cell.discrepancy == (not (a == b == c))
 
 
 def test_write_overrides_all_replicas():
