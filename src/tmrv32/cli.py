@@ -231,10 +231,10 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimError, FileNotFoundError, json.JSONDecodeError) as e:
-        if isinstance(e, (FileNotFoundError, json.JSONDecodeError)):
-            print(f"config error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SimError as e:
         print(f"simulation fault: {e}", file=sys.stderr)
         return EXIT_SIM_FAULT
 

@@ -258,7 +258,7 @@ def nop():
     return addi(0, 0, 0)
 
 
-# Compressed encoders for the forms exercised in tests and demos.
+# Compressed encoders for the forms exercised in tests.
 
 
 def c_li(rd, imm):
@@ -277,67 +277,6 @@ def c_mv(rd, rs2):
 
 def c_add(rd, rs2):
     return (0x9 << 12) | (rd << 7) | (rs2 << 2) | 0x2
-
-
-def c_nop():
-    return 0x0001
-
-
-def c_ebreak():
-    return 0x9002
-
-
-def c_lw(rdp, rs1p, uimm):
-    # rdp/rs1p are x8..x15; uimm is a word-aligned offset 0..124
-    return (
-        (0x2 << 13)
-        | (((uimm >> 3) & 7) << 10)
-        | ((rs1p - 8) << 7)
-        | (((uimm >> 2) & 1) << 6)
-        | (((uimm >> 6) & 1) << 5)
-        | ((rdp - 8) << 2)
-    )
-
-
-def c_sw(rs2p, rs1p, uimm):
-    return (
-        (0x6 << 13)
-        | (((uimm >> 3) & 7) << 10)
-        | ((rs1p - 8) << 7)
-        | (((uimm >> 2) & 1) << 6)
-        | (((uimm >> 6) & 1) << 5)
-        | ((rs2p - 8) << 2)
-    )
-
-
-def c_j(offset):
-    imm = offset & 0xFFF
-    return (
-        (0x5 << 13)
-        | (((imm >> 11) & 1) << 12)
-        | (((imm >> 4) & 1) << 11)
-        | (((imm >> 8) & 3) << 9)
-        | (((imm >> 10) & 1) << 8)
-        | (((imm >> 6) & 1) << 7)
-        | (((imm >> 7) & 1) << 6)
-        | (((imm >> 1) & 7) << 3)
-        | (((imm >> 5) & 1) << 2)
-        | 0x1
-    )
-
-
-def c_beqz(rs1p, offset):
-    imm = offset & 0x1FF
-    return (
-        (0x6 << 13)
-        | (((imm >> 8) & 1) << 12)
-        | (((imm >> 3) & 3) << 10)
-        | ((rs1p - 8) << 7)
-        | (((imm >> 6) & 3) << 5)
-        | (((imm >> 1) & 3) << 3)
-        | (((imm >> 5) & 1) << 2)
-        | 0x1
-    )
 
 
 def li32(rd, value):

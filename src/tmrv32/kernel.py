@@ -113,12 +113,12 @@ class SystemConfig:
     record_events: bool = False  # start the kernel with an event sink (see Kernel.sink)
 
     def __post_init__(self):
-        if self.freq_mhz <= 0:
-            raise ConfigError("clock frequency must be positive")
-        if self.scrub_divider < 1:
-            raise ConfigError("scrub_divider must be >= 1")
-        if self.max_cycles < 1:
-            raise ConfigError("max_cycles must be >= 1")
+        if not isinstance(self.freq_mhz, (int, float)) or self.freq_mhz <= 0:
+            raise ConfigError(f"freq_mhz must be a positive number, got {self.freq_mhz!r}")
+        if not isinstance(self.scrub_divider, int) or self.scrub_divider < 1:
+            raise ConfigError(f"scrub_divider must be an integer >= 1, got {self.scrub_divider!r}")
+        if not isinstance(self.max_cycles, int) or self.max_cycles < 1:
+            raise ConfigError(f"max_cycles must be an integer >= 1, got {self.max_cycles!r}")
 
     def to_dict(self, include_image=True):
         d = {
@@ -139,6 +139,8 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"system config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         try:
             if "image_hex" in d:
@@ -282,12 +284,16 @@ class Kernel:
             self.arch.pc.write(config.entry_pc)
 
         for event in config.stimulus:
-            if event[0] == "uart-rx":
-                self.uart.queue_rx(event[1], event[2])
-            elif event[0] != "gpio-in":
-                raise ConfigError(f"unknown stimulus event kind {event[0]!r}")
-            elif not 0 <= event[2] < GPIO_PINS:
-                raise ConfigError(f"no such GPIO pin {event[2]} (0..{GPIO_PINS - 1})")
+            kind, *values = event or (None,)
+            if kind not in ("uart-rx", "gpio-in"):
+                raise ConfigError(f"unknown stimulus event kind {kind!r}")
+            arity = 2 if kind == "uart-rx" else 3
+            if len(values) != arity or not all(isinstance(v, int) for v in values):
+                raise ConfigError(f"stimulus event {list(event)!r}: {kind} takes {arity} integers")
+            if kind == "uart-rx":
+                self.uart.queue_rx(*values)
+            elif not 0 <= values[1] < GPIO_PINS:
+                raise ConfigError(f"no such GPIO pin {values[1]} (0..{GPIO_PINS - 1})")
         self._schedule_gpio_inputs()
 
     def _schedule_gpio_inputs(self):
@@ -316,26 +322,29 @@ class Kernel:
 
     def schedule_flip(self, cycle, kind, key, replica, bit, phase=MID_CYCLE):
         """Queue one bit flip: ``kind`` is "cell" (key = element id) or "sram" (key = row)."""
-        if kind == "cell":
-            if key not in self.registry:
-                raise ConfigError(f"no such element {key!r}")
-            cell = self.registry[key]
-            if not 0 <= bit < cell.width:
-                raise ConfigError(f"{key} has width {cell.width}, bit {bit} out of range")
-        elif kind == "sram":
-            if not 0 <= key < self.sram.rows:
-                raise ConfigError(f"SRAM row {key} out of range")
-            if phase != MID_CYCLE:
-                raise ConfigError("SRAM injections are phase-independent; use mid-cycle")
-            if not 0 <= bit < 32:
-                raise ConfigError(f"SRAM bit {bit} out of range")
-        else:
-            raise ConfigError(f"unknown fault target kind {kind!r}")
+        _, width = self._flip_target(kind, key, phase)
+        if not 0 <= bit < width:
+            raise ConfigError(f"bit {bit} out of range for {key!r} (width {width})")
         if replica not in (0, 1, 2):
             raise ConfigError(f"replica must be 0..2, got {replica}")
         if phase not in (MID_CYCLE, EDGE_ALIGNED):
             raise ConfigError(f"unknown fault phase {phase!r}")
         self._fault_schedule.setdefault(cycle, []).append((phase, kind, key, replica, bit))
+
+    def _flip_target(self, kind, key, phase):
+        """(domain, width) of the element or SRAM row a flip may target, else ConfigError."""
+        if kind == "cell":
+            if key not in self.registry:
+                raise ConfigError(f"no such element {key!r}")
+            cell = self.registry[key]
+            return cell.domain, cell.width
+        if kind != "sram":
+            raise ConfigError(f"unknown fault target kind {kind!r}")
+        if not 0 <= key < self.sram.rows:
+            raise ConfigError(f"SRAM row {key} out of range")
+        if phase != MID_CYCLE:
+            raise ConfigError("SRAM injections are phase-independent; use mid-cycle")
+        return Domain.SRAM, 32
 
     def settled(self):
         """True iff no upset is outstanding: no dirty cell or SRAM row, no pending

@@ -69,12 +69,6 @@ class GpioBank:
         else:
             self.input_levels &= ~(1 << pin)
 
-    def read_pin(self, pin):
-        """Host-side view of one pin."""
-        if not 0 <= pin < GPIO_PINS:
-            raise BusFault(pin, f"no such GPIO pin (0..{GPIO_PINS - 1})")
-        return (self.read(GPIO_REG_IN) >> pin) & 1
-
     def cells(self):
         yield self.direction
         yield self.out

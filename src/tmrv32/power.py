@@ -67,13 +67,16 @@ class PowerModel:
     def __init__(self, calibration=None):
         cal = calibration if calibration is not None else load_default_calibration()
         self.calibration = cal
-        self.leakage_mw = cal["leakage_mw"]
-        self.scrub_adder_mw_per_mhz = cal["scrub_adder_uw_per_mhz"] / 1000.0
-        f0 = cal["calibration_freq_mhz"]
         self.slopes = {}  # scenario -> {domain: mW/MHz}, dynamic power only
-        for scenario, row in cal["scenarios_scrub_off_mw"].items():
-            deflate = 1.0 - self.leakage_mw / row["total"]
-            self.slopes[scenario] = {d: row[d] * deflate / f0 for d in _DOMAINS}
+        try:
+            self.leakage_mw = cal["leakage_mw"]
+            self.scrub_adder_mw_per_mhz = cal["scrub_adder_uw_per_mhz"] / 1000.0
+            f0 = cal["calibration_freq_mhz"]
+            for scenario, row in cal["scenarios_scrub_off_mw"].items():
+                deflate = 1.0 - self.leakage_mw / row["total"]
+                self.slopes[scenario] = {d: row[d] * deflate / f0 for d in _DOMAINS}
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"power calibration: missing or malformed field {exc}") from None
 
     def estimate_power(self, freq_mhz, scenario, scrub_enabled=True):
         """Linear power estimate at ``freq_mhz`` for one activity class."""

@@ -60,6 +60,12 @@ run from reset per fault, but it does not simulate that way:
   wins, as when the runs go one after another. A fork that matched golden raises
   what golden raises.
 
+Before any simulation, ``resolve_faults`` turns every spec into one target,
+replica, bit and phase, drawing from the campaign seed what the spec leaves open.
+Which upsets are valid (the element exists; an SRAM row is in range and its
+upset is mid-cycle) is decided in one place, ``Kernel._flip_target``, which
+``Kernel.schedule_flip`` applies too.
+
 Everything is deterministic given the seed; reports serialize to byte-stable JSON
 lines.
 """
@@ -74,7 +80,7 @@ import numpy as np
 from .errors import ConfigError, SimError
 from .kernel import EDGE_ALIGNED, MID_CYCLE, Discrepancy, Flip, Kernel, Repair, SystemConfig
 from .memory import SramArray
-from .scrubber import Scrubber, worst_case_correction_cycles
+from .scrubber import Scrubber
 from .tmr import DOMAIN_NAMES, Domain
 
 _DOMAIN_BY_NAME = {name: dom for dom, name in DOMAIN_NAMES.items()}
@@ -100,20 +106,25 @@ class FaultSpec:
     count: int = 1
 
     def validate(self):
-        if self.at_cycle < 0:
-            raise ConfigError("at_cycle must be non-negative")
+        if not isinstance(self.at_cycle, int) or self.at_cycle < 0:
+            raise ConfigError(f"at_cycle must be a non-negative integer, got {self.at_cycle!r}")
         if self.kind not in ("cell", "sram", "random"):
             raise ConfigError(f"unknown fault kind {self.kind!r}")
         if self.kind == "random" and self.key not in _DOMAIN_BY_NAME:
             raise ConfigError(f"random fault domain must be one of {sorted(_DOMAIN_BY_NAME)}")
+        if self.kind == "cell" and not isinstance(self.key, str):
+            raise ConfigError(f"cell fault key must be an element id, got {self.key!r}")
         if self.kind == "sram" and not isinstance(self.key, int):
             raise ConfigError(f"sram fault key must be a row number, got {self.key!r}")
         if self.phase not in (MID_CYCLE, EDGE_ALIGNED):
             raise ConfigError(f"unknown fault phase {self.phase!r}")
-        if not 1 <= self.count <= 3:
+        if not isinstance(self.count, int) or not 1 <= self.count <= 3:
             raise ConfigError("count must be 1..3 (flips within one instance group)")
-        if self.replica not in (None, 0, 1, 2):
-            raise ConfigError(f"replica must be None or 0..2, got {self.replica!r}")
+        replica = self.replica
+        if not (replica is None or isinstance(replica, int) and 0 <= replica <= 2):
+            raise ConfigError(f"replica must be None or 0..2, got {replica!r}")
+        if not (self.bit is None or isinstance(self.bit, int)):
+            raise ConfigError(f"bit must be None or an integer, got {self.bit!r}")
 
 
 @dataclass
@@ -133,6 +144,8 @@ class CampaignConfig:
         if self.mode not in ("isolated", "accumulate"):
             raise ConfigError(f"unknown campaign mode {self.mode!r}")
         if self.rates:
+            if not isinstance(self.rates, dict):
+                raise ConfigError(f"rates must map domain names to rates, got {self.rates!r}")
             if self.mode != "accumulate":
                 raise ConfigError("rate-model campaigns require accumulate mode")
             if self.run_cycles is None:
@@ -140,10 +153,14 @@ class CampaignConfig:
             for name, rate in self.rates.items():
                 if name not in _DOMAIN_BY_NAME:
                     raise ConfigError(f"unknown rate domain {name!r}")
-                if rate < 0:
-                    raise ConfigError("rates must be non-negative")
-        if not 0.0 <= self.edge_aligned_fraction <= 1.0:
-            raise ConfigError("edge_aligned_fraction must be within [0, 1]")
+                if not isinstance(rate, (int, float)) or rate < 0:
+                    raise ConfigError(f"rates must be non-negative numbers, got {name}: {rate!r}")
+        cycles = self.run_cycles
+        if not (cycles is None or isinstance(cycles, int) and cycles >= 0):
+            raise ConfigError(f"run_cycles must be a non-negative integer, got {cycles!r}")
+        fraction = self.edge_aligned_fraction
+        if not isinstance(fraction, (int, float)) or not 0.0 <= fraction <= 1.0:
+            raise ConfigError(f"edge_aligned_fraction must be within [0, 1], got {fraction!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for spec in self.faults:
@@ -164,6 +181,8 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"campaign config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         version = d.pop("version", 1)
         if version != 1:
@@ -195,74 +214,34 @@ class ResolvedFault:
 
 
 def resolve_faults(config, registry_kernel, rng):
-    """Pin down every random target choice; deterministic given the seed."""
+    """Pin down every random choice and check every target; deterministic given the seed."""
     resolved = []
-    domain_cells = {
-        dom: registry_kernel.cells_in_domain(dom)
-        for dom in (Domain.CORE, Domain.PERIPHERALS, Domain.SRAM)
-    }
+    domain_cells = {dom: registry_kernel.cells_in_domain(dom) for dom in Domain}
     specs = list(config.faults)
     if config.rates:
         specs += _poisson_specs(config, rng)
     for index, spec in enumerate(specs):
         spec.validate()
-        if spec.kind == "random":
-            domain = _DOMAIN_BY_NAME[spec.key]
-            if domain == Domain.SRAM:
-                kind = "sram"
-                key = int(rng.integers(registry_kernel.sram.rows))
-                width = 32
-                dom = Domain.SRAM
+        kind, key, replica, bit, phase = spec.kind, spec.key, spec.replica, spec.bit, spec.phase
+        if kind == "random":  # draw the target; replica and bit are drawn below
+            if key == "sram":
+                kind, key, phase = "sram", int(rng.integers(registry_kernel.sram.rows)), MID_CYCLE
             else:
-                kind = "cell"
-                cells = domain_cells[domain]
-                key = cells[int(rng.integers(len(cells)))]
-                width = registry_kernel.registry[key].width
-                dom = domain
+                cells = domain_cells[_DOMAIN_BY_NAME[key]]
+                kind, key = "cell", cells[int(rng.integers(len(cells)))]
+            replica = bit = None
+        domain, width = registry_kernel._flip_target(kind, key, phase)
+        if replica is None:
             replica = int(rng.integers(3))
+        if bit is None:
             bit = int(rng.integers(width))
-            if kind == "sram":
-                phase = MID_CYCLE
-            elif spec.phase != MID_CYCLE:
-                phase = spec.phase
-            elif config.edge_aligned_fraction and rng.random() < config.edge_aligned_fraction:
-                phase = EDGE_ALIGNED
-            else:
-                phase = MID_CYCLE
-        else:
-            kind = spec.kind
-            key = spec.key
-            if kind == "cell":
-                if key not in registry_kernel.registry:
-                    raise ConfigError(f"no such element {key!r}")
-                cell = registry_kernel.registry[key]
-                width = cell.width
-                dom = cell.domain
-            else:
-                if not 0 <= key < registry_kernel.sram.rows:
-                    raise ConfigError(f"SRAM row {key} out of range")
-                if spec.phase != MID_CYCLE:
-                    raise ConfigError("SRAM injections are phase-independent; use mid-cycle")
-                width = 32
-                dom = Domain.SRAM
-            replica = int(rng.integers(3)) if spec.replica is None else spec.replica
-            bit = int(rng.integers(width)) if spec.bit is None else spec.bit
-            phase = spec.phase
-            if not 0 <= bit < width:
-                raise ConfigError(f"bit {bit} out of range for {key!r} (width {width})")
-        resolved.append(
-            ResolvedFault(
-                index=index,
-                at_cycle=spec.at_cycle,
-                kind=kind,
-                key=key,
-                domain=dom,
-                replica=replica,
-                bit=bit,
-                phase=phase,
-                count=spec.count,
-            )
-        )
+        if not 0 <= bit < width:
+            raise ConfigError(f"bit {bit} out of range for {key!r} (width {width})")
+        fraction = config.edge_aligned_fraction if spec.kind == "random" and kind == "cell" else 0
+        if phase == MID_CYCLE and fraction and rng.random() < fraction:
+            phase = EDGE_ALIGNED
+        resolved.append(ResolvedFault(index, spec.at_cycle, kind, key, domain, replica, bit,
+                                      phase, spec.count))
     return resolved
 
 
@@ -667,30 +646,3 @@ def scrub_latency_samples(rows=8192, samples=10_000, seed=0):
         latencies.append(elapsed)
     return latencies
 
-
-def exhaustive_toy_scrub_latency(rows=16):
-    """Every (phase offset, row) on a toy memory: measured latency vs. the analytic FSM count.
-
-    Returns a list of (offset, row, measured, expected) with expected = offset + 2,
-    all bounded by ``worst_case_correction_cycles(rows)``.
-    """
-    out = []
-    for offset in range(rows):
-        for row0 in range(rows):
-            sram = SramArray(rows)
-            scrub = Scrubber(rows)
-            # advance the scan so the pointer sits at row0
-            for _ in range(row0):
-                scrub.step(sram, None)
-            row = (row0 + offset) % rows
-            sram.flip(row, 1, 7)
-            elapsed = 0
-            while True:
-                elapsed += 1
-                if scrub.step(sram, None) == row:
-                    break
-                if elapsed > rows + 2:
-                    raise AssertionError("toy scrub failed to correct within its bound")
-            out.append((offset, row, elapsed, offset + 2))
-    assert all(m <= worst_case_correction_cycles(rows) for _, _, m, _ in out)
-    return out

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_program, gen_random_program, run_kernel, run_reference
+from test_scrubber import exhaustive_toy_scrub_latency
 
 from tmrv32.kernel import EDGE_ALIGNED, MID_CYCLE, Kernel, SystemConfig
 from tmrv32.power import PowerModel
@@ -20,7 +21,6 @@ from tmrv32.seu import (
     CampaignConfig,
     FaultSpec,
     counter_crosscheck,
-    exhaustive_toy_scrub_latency,
     run_campaign,
     scrub_latency_samples,
 )

@@ -196,12 +196,62 @@ def test_campaign_malformed_config_is_a_config_error(tmp_path, capsys):
         ({"system": {}, "seed": -1}, "seed"),
         ({"system": {}, "faults": [dict(fault, kind="sram", key="abc")]}, "key"),
     ]
+    _assert_config_errors(tmp_path, capsys, cases)
+
+
+def test_campaign_wrong_typed_value_is_a_config_error(tmp_path, capsys):
+    fault = {"at_cycle": 1, "kind": "cell", "key": "core.x1"}
+    cases = [
+        ({"system": {}, "faults": [dict(fault, at_cycle="5")]}, "at_cycle"),
+        ({"system": {}, "faults": [dict(fault, bit="3")]}, "bit"),
+        ({"system": {}, "faults": [dict(fault, count="2")]}, "count"),
+        ({"system": {}, "faults": [dict(fault, replica=1.0)]}, "replica"),
+        ({"system": {}, "mode": "accumulate", "run_cycles": 100, "rates": [1]}, "rates"),
+        ({"system": {}, "run_cycles": "100"}, "run_cycles"),
+        ({"system": {}, "edge_aligned_fraction": "0.5"}, "edge_aligned_fraction"),
+        ({"system": {}, "mode": "accumulate", "run_cycles": 100, "rates": {"core": "0.1"}},
+         "rates"),
+        ({"system": {"stimulus": [["gpio-in", 5]]}}, "stimulus"),
+        ({"system": {"stimulus": [["uart-rx", "x", 5]]}}, "stimulus"),
+        ({"system": {"freq_mhz": "fast"}}, "freq_mhz"),
+    ]
+    _assert_config_errors(tmp_path, capsys, cases)
+
+
+def _assert_config_errors(tmp_path, capsys, cases):
+    """Each config makes ``tmrv32 campaign`` exit 2 with one error line naming the field."""
     cfg_path = tmp_path / "bad.json"
     for config, field in cases:
         cfg_path.write_text(json.dumps({"version": 1, **config}))
         assert main(["campaign", str(cfg_path)]) == EXIT_CONFIG
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error:") and field in line
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp, image: ["campaign", str(tmp)],
+        lambda tmp, image: ["run", str(tmp)],
+        lambda tmp, image: ["campaign", _write(tmp, "c.json", b'{"version": 1, "x": "\xe9"}')],
+        lambda tmp, image: ["run", image, "--stimulus", _write(tmp, "s.txt", b"5 uart-rx \xff")],
+        lambda tmp, image: ["power", "--calibration", _write(tmp, "p.json", b'{"\xff": 1}')],
+        lambda tmp, image: ["campaign", _write(tmp, "c.json", b'[{"version": 1}]')],
+        lambda tmp, image: ["power", "--calibration", _write(tmp, "p.json", b"{}"), "--freq", "5"],
+    ],
+    ids=["campaign-dir", "run-dir", "campaign-non-utf8", "stimulus-non-utf8",
+         "calibration-non-utf8", "campaign-list", "calibration-empty"],
+)
+def test_unreadable_or_non_object_input_is_a_config_error(tmp_path, image_path, capsys, argv):
+    assert main(argv(tmp_path, str(image_path))) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:")
 
 
 def test_power_single_frequency(capsys):

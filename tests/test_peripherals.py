@@ -28,33 +28,31 @@ def test_gpio_output_pin_reads_driven_value():
     gpio = GpioBank()
     gpio.write(GPIO_REG_DIR, 1 << 3)
     gpio.write(GPIO_REG_OUT, 1 << 3)
-    assert gpio.read_pin(3) == 1
+    assert (gpio.read(GPIO_REG_IN) >> 3) & 1 == 1
     gpio.write(GPIO_REG_OUT, 0)
-    assert gpio.read_pin(3) == 0
+    assert (gpio.read(GPIO_REG_IN) >> 3) & 1 == 0
 
 
 def test_gpio_input_pin_reflects_stimulus():
     gpio = GpioBank()
     gpio.set_input(5, 1)
-    assert gpio.read_pin(5) == 1
+    assert (gpio.read(GPIO_REG_IN) >> 5) & 1 == 1
     assert gpio.read(GPIO_REG_IN) & (1 << 5)
     gpio.set_input(5, 0)
-    assert gpio.read_pin(5) == 0
+    assert (gpio.read(GPIO_REG_IN) >> 5) & 1 == 0
 
 
 def test_gpio_direction_masks_input():
     gpio = GpioBank()
     gpio.set_input(2, 1)
     gpio.write(GPIO_REG_DIR, 1 << 2)  # output now; stimulus no longer visible
-    assert gpio.read_pin(2) == 0
+    assert (gpio.read(GPIO_REG_IN) >> 2) & 1 == 0
 
 
 def test_gpio_pin_27_faults():
     gpio = GpioBank()
     with pytest.raises(BusFault):
         gpio.set_input(27, 1)
-    with pytest.raises(BusFault):
-        gpio.read_pin(27)
 
 
 def test_gpio_unused_register_bits_read_zero():

@@ -5,7 +5,7 @@ import pytest
 
 from tmrv32.memory import SramArray
 from tmrv32.scrubber import PHASE_READ, PHASE_WRITEBACK, Scrubber, worst_case_correction_cycles
-from tmrv32.seu import exhaustive_toy_scrub_latency, scrub_latency_samples
+from tmrv32.seu import scrub_latency_samples
 
 
 def test_clean_full_pass_no_writes():
@@ -235,6 +235,34 @@ def _plain_latency_samples(rows, samples, seed):
             assert elapsed <= rows + 2
         latencies.append(elapsed)
     return latencies
+
+
+def exhaustive_toy_scrub_latency(rows=16):
+    """Every (phase offset, row) on a toy memory: measured latency vs. the analytic FSM count.
+
+    Returns a list of (offset, row, measured, expected) with expected = offset + 2,
+    all bounded by ``worst_case_correction_cycles(rows)``.
+    """
+    out = []
+    for offset in range(rows):
+        for row0 in range(rows):
+            sram = SramArray(rows)
+            scrub = Scrubber(rows)
+            # advance the scan so the pointer sits at row0
+            for _ in range(row0):
+                scrub.step(sram, None)
+            row = (row0 + offset) % rows
+            sram.flip(row, 1, 7)
+            elapsed = 0
+            while True:
+                elapsed += 1
+                if scrub.step(sram, None) == row:
+                    break
+                if elapsed > rows + 2:
+                    raise AssertionError("toy scrub failed to correct within its bound")
+            out.append((offset, row, elapsed, offset + 2))
+    assert all(m <= worst_case_correction_cycles(rows) for _, _, m, _ in out)
+    return out
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2026])

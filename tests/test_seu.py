@@ -1,6 +1,7 @@
 """Fault mechanics, outcome classification, campaign determinism, counters."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -308,3 +309,52 @@ def test_fault_spec_validation():
             FaultSpec(at_cycle=0, kind="cell", key="core.x6", replica=replica).validate()
     for replica in (None, 0, 1, 2):
         FaultSpec(at_cycle=0, kind="cell", key="core.x6", replica=replica).validate()
+
+
+def _resolution_lines():
+    """One JSON line per resolved fault, over random, explicit and Poisson specs, and the
+    generator's next draw after each campaign."""
+    kernel = Kernel(SystemConfig())
+    specs = []
+    for name in ("core", "periph", "sram"):
+        for phase in (MID_CYCLE, EDGE_ALIGNED):
+            for count in (1, 2, 3):
+                specs.append(FaultSpec(at_cycle=7, kind="random", key=name, phase=phase,
+                                       count=count))
+    for replica, bit in ((None, None), (None, 4), (2, None), (1, 9)):
+        for phase in (MID_CYCLE, EDGE_ALIGNED):
+            specs.append(FaultSpec(at_cycle=3, kind="cell", key="core.x5", replica=replica,
+                                   bit=bit, phase=phase, count=2))
+            specs.append(FaultSpec(at_cycle=4, kind="cell", key="periph.gpio_out", replica=replica,
+                                   bit=bit, phase=phase))
+        specs.append(FaultSpec(at_cycle=5, kind="sram", key=100, replica=replica, bit=bit,
+                               count=3))
+    rates = {"core": 0.004, "sram": 0.002, "periph": 0.003}
+    lines = []
+    for seed in (0, 1, 7):
+        configs = [
+            CampaignConfig(system=SystemConfig(), faults=specs, seed=seed,
+                           edge_aligned_fraction=fraction)
+            for fraction in (0.0, 0.5, 1.0)
+        ]
+        configs.append(CampaignConfig(system=SystemConfig(), faults=specs[:4], rates=rates,
+                                      run_cycles=3000, mode="accumulate", seed=seed,
+                                      edge_aligned_fraction=0.5))
+        for config in configs:
+            rng = np.random.default_rng(seed)
+            for fault in resolve_faults(config, kernel, rng):
+                lines.append(json.dumps(dataclasses.asdict(fault), sort_keys=True))
+            lines.append(repr(rng.random()))  # resolution consumed the same draws
+    return lines
+
+
+def test_fault_resolution_is_pinned():
+    """Which targets, replicas, bits and phases get drawn, pinned by digest.
+
+    The fork and accumulate reference tests resolve faults with ``resolve_faults``
+    itself, so only this test would see a change in the draws.
+    """
+    lines = _resolution_lines()
+    assert len(lines) == 446
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "da0910818e03fb8e084a892ec06e24ab7569b2b1cc795cd1ff4f59ae9a11d869"
