@@ -82,10 +82,18 @@ def _build_parser():
     return parser
 
 
+def _read_text(path):
+    """The text of an input file; one that does not decode is a ConfigError naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _cmd_run(args):
     stimulus = ()
     if args.stimulus:
-        stimulus = parse_stimulus(Path(args.stimulus).read_text())
+        stimulus = parse_stimulus(_read_text(args.stimulus))
     config = SystemConfig(
         image=args.image,
         image_base=args.base,
@@ -157,7 +165,7 @@ def _trace_line(rec):
 
 
 def _cmd_campaign(args):
-    cfg_data = json.loads(Path(args.config).read_text())
+    cfg_data = json.loads(_read_text(args.config))
     config = CampaignConfig.from_dict(cfg_data)
     report = run_campaign(config)
     crosscheck = counter_crosscheck(report)
@@ -191,7 +199,7 @@ def _cmd_campaign(args):
 def _cmd_power(args):
     calibration = None
     if args.calibration:
-        calibration = json.loads(Path(args.calibration).read_text())
+        calibration = json.loads(_read_text(args.calibration))
     model = PowerModel(calibration)
     scenario = canonical_scenario(args.scenario)
     if args.freq is not None:
@@ -231,7 +239,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except SimError as e:

@@ -10,6 +10,7 @@ class BusFault(SimError):
 
     def __init__(self, addr, detail=""):
         self.addr = addr
+        self.detail = detail
         super().__init__(f"bus fault at 0x{addr:08x}" + (f": {detail}" if detail else ""))
 
 

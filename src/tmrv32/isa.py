@@ -336,8 +336,8 @@ class ArchState:
     discarded; its storage cell still exists as an injection target.
     """
 
-    def __init__(self, reset_pc=0):
-        self.pc = TmrCell("core.pc", Domain.CORE, 32, reset_pc)
+    def __init__(self):
+        self.pc = TmrCell("core.pc", Domain.CORE, 32, 0)
         self.regs = [TmrCell(f"core.x{i}", Domain.CORE, 32, 0) for i in range(32)]
         self.cycle = 0
         self.retired = 0  # instructions retired; the instret CSR reads it

@@ -119,6 +119,9 @@ class SystemConfig:
             raise ConfigError(f"scrub_divider must be an integer >= 1, got {self.scrub_divider!r}")
         if not isinstance(self.max_cycles, int) or self.max_cycles < 1:
             raise ConfigError(f"max_cycles must be an integer >= 1, got {self.max_cycles!r}")
+        for name in ("scrub_enabled", "record_events"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
     def to_dict(self, include_image=True):
         d = {

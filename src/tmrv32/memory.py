@@ -160,9 +160,9 @@ class SystemBus:
     cycle (the scrubber's write-conflict input); the kernel clears it each cycle.
     """
 
-    def __init__(self, sram, devices=(), events=None):
+    def __init__(self, sram, events=None):
         self.sram = sram
-        self.devices = list(devices)  # (base, size, device) triples
+        self.devices = []  # (base, size, device) triples
         self.events = events if events is not None else []
         self.last_store_row = None
 
@@ -219,7 +219,10 @@ class SystemBus:
             raise BusFault(addr, "read from unmapped address")
         if width != 4:
             raise BusFault(addr, "peripheral registers require word access")
-        return device.read(offset)
+        try:
+            return device.read(offset)
+        except BusFault as exc:  # a device names the offset in its block
+            raise BusFault(addr, exc.detail) from None
 
     def write(self, addr, value, width):
         """Data write; sub-word SRAM stores update only the enabled bytes."""
@@ -240,4 +243,7 @@ class SystemBus:
             raise BusFault(addr, "write to unmapped address")
         if width != 4:
             raise BusFault(addr, "peripheral registers require word access")
-        device.write(offset, value & M32)
+        try:
+            device.write(offset, value & M32)
+        except BusFault as exc:
+            raise BusFault(addr, exc.detail) from None

@@ -6,7 +6,9 @@ interaction is deterministic: GPIO input levels and UART receive bytes come from
 cycle-stamped stimulus events supplied up front, and UART transmit bytes are captured
 with their cycle of occurrence.
 
-Register offsets within each block are defined in :mod:`tmrv32.memory`.
+Register offsets within each block are defined here; the block base addresses are
+in :mod:`tmrv32.memory`. A device names the offset in its block when it raises
+``BusFault``; ``SystemBus`` reports the full bus address instead.
 """
 
 from .errors import BusFault

@@ -55,10 +55,17 @@ run from reset per fault, but it does not simulate that way:
   only on a discrepancy, which golden never has, so the record is final. The
   counters feed back only when the core reads the SEU counter block: if golden
   reads it after the match, the fault is run again from reset instead.
+* A fault due at or after the cycle where golden's run ends never lands. It is
+  recorded from golden's final state with an empty event stream, as a fork that
+  matched golden there, so no kernel is forked or run for it.
 * A fault whose run raises (the simulated core crashed or hung) makes the
   campaign raise the same exception; if several do, the first in fault order
   wins, as when the runs go one after another. A fork that matched golden raises
   what golden raises.
+
+Both modes build records through one path, ``_records``, from a run's final
+state and its event stream: the accumulate run is a ``_Fork`` with every fault,
+each isolated fork a ``_Fork`` with one fault.
 
 Before any simulation, ``resolve_faults`` turns every spec into one target,
 replica, bit and phase, drawing from the campaign seed what the spec leaves open.
@@ -161,6 +168,8 @@ class CampaignConfig:
         fraction = self.edge_aligned_fraction
         if not isinstance(fraction, (int, float)) or not 0.0 <= fraction <= 1.0:
             raise ConfigError(f"edge_aligned_fraction must be within [0, 1], got {fraction!r}")
+        if not isinstance(self.golden_compare, bool):
+            raise ConfigError(f"golden_compare must be true or false, got {self.golden_compare!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for spec in self.faults:
@@ -300,10 +309,6 @@ class CampaignReport:
         lines = [json.dumps(r, sort_keys=True) for r in self.records]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    @staticmethod
-    def records_from_jsonl(text):
-        return [json.loads(line) for line in text.splitlines() if line.strip()]
-
     def latency_histogram(self):
         hist = {}
         for r in self.records:
@@ -360,19 +365,26 @@ def _requal_cycle(changes, landing, end):
     return since if clean and since < end else None
 
 
+def _records(kernel, faults, stream):
+    """The record of each fault, from the run's final state and its event stream."""
+    outcomes = _classify(stream, faults, kernel.cycle)
+    return [_record(fault, outcome, None, kernel) for fault, outcome in zip(faults, outcomes)]
+
+
 # Forks alive at once, at most. Past that the oldest runs on to its end unchecked,
 # so memory stays bounded however many faults share an injection cycle.
 _MAX_LIVE_FORKS = 32
 
 
 class _Fork:
-    """One isolated faulted run, restored from a golden checkpoint."""
+    """A faulted run resumed from golden's checkpoint: one fault's fork, or the accumulate run."""
 
-    def __init__(self, kernel, fault):
+    def __init__(self, kernel, faults):
         self.kernel = kernel
-        self.fault = fault
+        self.faults = faults
         kernel.sink = []
-        _schedule(kernel, fault)
+        for fault in faults:
+            _schedule(kernel, fault)
         self.gap = 1  # cycles to step after a failed comparison; doubles each time
 
     def settle(self, steps, length):
@@ -388,17 +400,14 @@ class _Fork:
                 return False
         return True
 
-    def record(self):
-        kernel = self.kernel
-        (outcome,) = _classify(kernel.sink, [self.fault], kernel.cycle)
-        return _record(self.fault, outcome, None, kernel)
+    def records(self):
+        return _records(self.kernel, self.faults, self.kernel.sink)
 
 
 class _ForkedCampaign:
     """The isolated-mode engine (see the module docstring): forks that stop on a golden match."""
 
-    def __init__(self, system, golden, length, golden_compare):
-        self.system = system
+    def __init__(self, golden, length, golden_compare):
         self.golden = golden
         self.length = length
         self.golden_compare = golden_compare
@@ -406,7 +415,7 @@ class _ForkedCampaign:
         self.done = {}  # fault index -> (record, final signature; None if it matched golden)
         self.errors = {}  # fault index -> the exception its run raised
         self.live = []  # forks ahead of golden, each waiting for golden to reach its cycle
-        self.matched = []  # (record, golden's counter reads at the match, fault)
+        self.matched = []  # (records, golden's counter reads at the match, faults)
         self.pool = []  # kernels of finished forks, reused by later forks; with the
         # live forks, never more than _MAX_LIVE_FORKS
 
@@ -442,24 +451,20 @@ class _ForkedCampaign:
             # Golden's run is over; whatever is left runs on by itself.
             for fork in self.live:
                 self._run_out(fork)
+            # a fault due at or after golden's end never lands: its run is golden's
             leftover = [fault for cycle in cycles for fault in due[cycle]]
-            if leftover and self.golden_error is None:
-                checkpoint = golden.checkpoint()  # these faults never land
-            for fault in leftover:
-                if self.golden_error is not None:
-                    self.errors[fault.index] = self.golden_error
-                else:
-                    self._run_out(self._fork(checkpoint, fault))
+            self.matched.append((_records(golden, leftover, ()), golden.counters.reads, leftover))
             reset = None
-            for record, reads, fault in self.matched:
-                if golden.counters.reads != reads:
-                    # golden reads the SEU counters after the match: rerun from reset
-                    reset = reset or Kernel(self.system).checkpoint()
-                    self._run_out(self._fork(reset, fault))
-                elif self.golden_error is not None:
-                    self.errors[fault.index] = self.golden_error
-                else:
-                    self.done[fault.index] = (record, None)
+            for run_records, reads, run_faults in self.matched:
+                for record, fault in zip(run_records, run_faults):
+                    if golden.counters.reads != reads:
+                        # golden reads the SEU counters after the match: rerun from reset
+                        reset = reset or Kernel(golden.config).checkpoint()
+                        self._run_out(self._fork(reset, fault))
+                    elif self.golden_error is not None:
+                        self.errors[fault.index] = self.golden_error
+                    else:
+                        self.done[fault.index] = (record, None)
 
             if self.errors:
                 raise self.errors[min(self.errors)]
@@ -488,9 +493,9 @@ class _ForkedCampaign:
             return True
 
     def _fork(self, checkpoint, fault):
-        kernel = self.pool.pop() if self.pool else Kernel(self.system)
+        kernel = self.pool.pop() if self.pool else Kernel(self.golden.config)
         kernel.resume(checkpoint)
-        return _Fork(kernel, fault)
+        return _Fork(kernel, [fault])
 
     def _step(self, fork, steps):
         try:
@@ -505,7 +510,7 @@ class _ForkedCampaign:
 
     def _compare(self, fork):
         if fork.kernel.matches(self.golden):
-            self.matched.append((fork.record(), self.golden.counters.reads, fork.fault))
+            self.matched.append((fork.records(), self.golden.counters.reads, fork.faults))
             self._release(fork)
         else:
             steps, fork.gap = fork.gap, 2 * fork.gap
@@ -521,11 +526,13 @@ class _ForkedCampaign:
 
     def _finish(self, fork):
         sig = fork.kernel.architectural_signature() if self.golden_compare else None
-        self.done[fork.fault.index] = (fork.record(), sig)
+        for record in fork.records():
+            self.done[record["index"]] = (record, sig)
         self._release(fork)
 
     def _fail(self, fork, exc):
-        self.errors[fork.fault.index] = exc
+        for fault in fork.faults:
+            self.errors[fault.index] = exc
         self._release(fork)
 
     def _release(self, fork):
@@ -540,8 +547,7 @@ def run_campaign(config):
     resolved = resolve_faults(config, golden, rng)
     length = config.run_cycles
     if config.mode == "isolated":
-        engine = _ForkedCampaign(config.system, golden, length, config.golden_compare)
-        golden_sig, records = engine.run(resolved)
+        golden_sig, records = _ForkedCampaign(golden, length, config.golden_compare).run(resolved)
         summary = _summarize(records, config)
     else:
         golden._advance(min((f.at_cycle for f in resolved), default=math.inf), length)
@@ -551,14 +557,9 @@ def run_campaign(config):
         if config.golden_compare:
             golden._advance(end=length)
             golden_sig = golden.architectural_signature()
-        kernel.sink = []
-        for fault in resolved:
-            _schedule(kernel, fault)
+        run = _Fork(kernel, resolved)
         kernel._advance(end=length)
-        outcomes = _classify(kernel.sink, resolved, kernel.cycle)
-        records = [
-            _record(fault, outcome, None, kernel) for fault, outcome in zip(resolved, outcomes)
-        ]
+        records = run.records()
         summary = _summarize(records, config)
         if golden_sig is not None:
             summary["run_diverged"] = kernel.architectural_signature() != golden_sig
@@ -587,19 +588,13 @@ def _summarize(records, config):
 
 
 def counter_crosscheck(report):
-    """True iff, for every run in the campaign, each domain's memory-mapped counter
-    equals the number of distinct detected discrepancy events for that domain."""
+    """True iff, in every record, each domain's memory-mapped counter equals the
+    number of distinct detected discrepancy events for that domain."""
     sat = 0xFFFFFFFF
-    checked = set()
     for rec in report.records:
-        key = json.dumps(rec["event_totals"], sort_keys=True) + repr(rec["counters"])
-        if report.config.mode == "accumulate" and key in checked:
-            continue
-        checked.add(key)
-        counters = rec["counters"]
         totals = rec["event_totals"]
         expected = [min(totals["core"], sat), min(totals["sram"], sat), min(totals["periph"], sat)]
-        if list(counters) != expected:
+        if list(rec["counters"]) != expected:
             return False
     return True
 

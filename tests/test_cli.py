@@ -81,9 +81,19 @@ def test_run_trace_shows_cell_flip_and_refresh(tmp_path, image_path):
     ]
 
 
-def test_run_rejects_a_malformed_flip(image_path):
-    assert main(["run", str(image_path), "--flip", "3:core.x1:2"]) == EXIT_CONFIG
-    assert main(["run", str(image_path), "--flip", "3:core.nope:0:0"]) == EXIT_CONFIG
+def test_run_rejects_a_malformed_flip(image_path, capsys):
+    for flip, field in (
+        ("3:core.x1:2", "--flip"),
+        ("3:core.nope:0:0", "core.nope"),
+        ("1:core.x1:3:0", "replica"),
+        ("1:core.x1:0:32", "bit"),
+        ("1:core.x1:0:0:sideways", "phase"),
+        ("1:9000:0:0", "row"),
+        ("1:5:0:0:edge-aligned", "phase"),
+    ):
+        assert main(["run", str(image_path), "--flip", flip]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error:") and field in line
 
 
 def test_run_max_cycles_timeout(tmp_path):
@@ -99,6 +109,18 @@ def test_run_simulation_fault_exit_code(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\x00\x00\x00\x00")  # all-zero encoding is illegal
     assert main(["run", str(path)]) == EXIT_SIM_FAULT
+
+
+def test_run_peripheral_bus_fault_names_the_bus_address(tmp_path, capsys):
+    p = E.Program()
+    p.emit(E.lui(1, 0x10000))
+    p.emit(E.lw(2, 1, 0xC))
+    p.emit(E.ebreak())
+    path = tmp_path / "gpio.bin"
+    path.write_bytes(p.assemble())
+    assert main(["run", str(path)]) == EXIT_SIM_FAULT
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "simulation fault: bus fault at 0x1000000c: unmapped GPIO register"
 
 
 def test_run_missing_image_is_config_error(tmp_path):
@@ -164,6 +186,24 @@ def test_campaign_seed_replay_byte_identical(tmp_path):
     assert (out1 / "records.jsonl").read_bytes() == (out2 / "records.jsonl").read_bytes()
 
 
+def test_campaign_reports_a_failed_counter_crosscheck(tmp_path):
+    # a same-bit double upset outvotes the core counter cell: 16 counted, no event seen
+    config = {
+        "version": 1,
+        "system": {"image_hex": acceptance_program().assemble().hex()},
+        "faults": [
+            {"at_cycle": 20, "kind": "cell", "key": "periph.seu_count_core", "replica": 0,
+             "bit": 4, "count": 2}
+        ],
+    }
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["campaign", str(cfg_path), "--out-dir", str(out)]) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["counter_crosscheck"] is False
+    assert main(["campaign", str(cfg_path), "--strict"]) == EXIT_STRICT
+
+
 def test_campaign_strict_flags_double_fault(tmp_path):
     config = {
         "version": 1,
@@ -195,6 +235,12 @@ def test_campaign_malformed_config_is_a_config_error(tmp_path, capsys):
         ({"system": {}, "faults": [dict(fault, bogus=2)]}, "bogus"),  # unknown fault key
         ({"system": {}, "seed": -1}, "seed"),
         ({"system": {}, "faults": [dict(fault, kind="sram", key="abc")]}, "key"),
+        ({"system": {}, "faults": [dict(fault, key=5)]}, "key"),
+        ({"system": {}, "faults": [dict(fault, phase="sideways")]}, "phase"),
+        ({"system": {}, "mode": "accumulate", "rates": {"core": 0.1}}, "run_cycles"),
+        ({"system": {}, "mode": "accumulate", "run_cycles": 100, "rates": {"disk": 0.1}},
+         "rate domain 'disk'"),
+        ({"system": {}, "version": 2}, "version"),
     ]
     _assert_config_errors(tmp_path, capsys, cases)
 
@@ -214,6 +260,9 @@ def test_campaign_wrong_typed_value_is_a_config_error(tmp_path, capsys):
         ({"system": {"stimulus": [["gpio-in", 5]]}}, "stimulus"),
         ({"system": {"stimulus": [["uart-rx", "x", 5]]}}, "stimulus"),
         ({"system": {"freq_mhz": "fast"}}, "freq_mhz"),
+        ({"system": {"scrub_enabled": "no"}}, "scrub_enabled"),
+        ({"system": {"record_events": "no"}}, "record_events"),
+        ({"system": {}, "golden_compare": "no"}, "golden_compare"),
     ]
     _assert_config_errors(tmp_path, capsys, cases)
 
@@ -235,23 +284,32 @@ def _write(tmp_path, name, data):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, names_file",
     [
-        lambda tmp, image: ["campaign", str(tmp)],
-        lambda tmp, image: ["run", str(tmp)],
-        lambda tmp, image: ["campaign", _write(tmp, "c.json", b'{"version": 1, "x": "\xe9"}')],
-        lambda tmp, image: ["run", image, "--stimulus", _write(tmp, "s.txt", b"5 uart-rx \xff")],
-        lambda tmp, image: ["power", "--calibration", _write(tmp, "p.json", b'{"\xff": 1}')],
-        lambda tmp, image: ["campaign", _write(tmp, "c.json", b'[{"version": 1}]')],
-        lambda tmp, image: ["power", "--calibration", _write(tmp, "p.json", b"{}"), "--freq", "5"],
+        (lambda tmp, image: ["campaign", str(tmp)], True),
+        (lambda tmp, image: ["run", str(tmp)], True),
+        (lambda tmp, image: ["campaign", _write(tmp, "c.json", b'{"version": 1, "x": "\xe9"}')],
+         True),
+        (lambda tmp, image: ["run", image, "--stimulus", _write(tmp, "s.txt", b"5 uart-rx \xff")],
+         True),
+        (lambda tmp, image: ["power", "--calibration", _write(tmp, "p.json", b'{"\xff": 1}')],
+         True),
+        (lambda tmp, image: ["campaign", _write(tmp, "c.json", b'[{"version": 1}]')], False),
+        (lambda tmp, image: ["power", "--calibration", _write(tmp, "p.json", b"{}"), "--freq", "5"],
+         False),
     ],
     ids=["campaign-dir", "run-dir", "campaign-non-utf8", "stimulus-non-utf8",
          "calibration-non-utf8", "campaign-list", "calibration-empty"],
 )
-def test_unreadable_or_non_object_input_is_a_config_error(tmp_path, image_path, capsys, argv):
-    assert main(argv(tmp_path, str(image_path))) == EXIT_CONFIG
+def test_unreadable_or_non_object_input_is_a_config_error(
+    tmp_path, image_path, capsys, argv, names_file
+):
+    args = argv(tmp_path, str(image_path))
+    assert main(args) == EXIT_CONFIG
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("config error:")
+    if names_file:  # the unreadable file is the last argument
+        assert args[-1] in line
 
 
 def test_power_single_frequency(capsys):

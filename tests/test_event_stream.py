@@ -8,6 +8,7 @@ in a run that fast-forwards.
 """
 
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from tmrv32.kernel import (
 )
 from tmrv32.seu import (
     CampaignConfig,
-    CampaignReport,
     FaultSpec,
     counter_crosscheck,
     run_campaign,
@@ -78,7 +78,7 @@ def _row(at, row, replica=0, bit=0, **kw):
 
 
 def _records(got):
-    return CampaignReport.records_from_jsonl(got[0])
+    return [json.loads(line) for line in got[0].splitlines()]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from conftest import (
 
 from tmrv32 import encode as E
 from tmrv32.errors import ConfigError, SimTimeout
+from tmrv32.isa import CSR_CYCLE, CSR_CYCLEH, CSR_INSTRET
 from tmrv32.kernel import (
     EDGE_ALIGNED,
     MID_CYCLE,
@@ -152,6 +153,28 @@ def test_timeout_raises():
     kernel = make_kernel(p, max_cycles=500)
     with pytest.raises(SimTimeout):
         kernel.run()
+
+
+def _cycle_csr_program():
+    p = E.Program()
+    p.emit(E.csrrs(1, CSR_CYCLE))
+    p.emit(E.addi(5, 0, 7))
+    p.emit(E.lw(6, 0, 0))
+    p.emit(E.csrrs(2, CSR_CYCLE))
+    p.emit(E.csrrs(3, CSR_CYCLEH))
+    p.emit(E.csrrs(4, CSR_INSTRET))
+    p.emit(E.ebreak())
+    return p
+
+
+def test_cycle_csrs_read_the_current_cycle():
+    kernel = make_kernel(_cycle_csr_program())
+    assert kernel.run().cycles == 9
+    assert [kernel.arch.read_reg(i) for i in (1, 2, 3, 4)] == [1, 5, 0, 5]
+    assert kernel.arch.cycle == 8
+    # idle fast-forward after the halt keeps the cycle CSR's source current too
+    kernel.run_cycles(5000)
+    assert kernel.arch.cycle == kernel.cycle - 1 == 5008
 
 
 def test_run_cycles_is_exact():

@@ -162,6 +162,32 @@ def test_counter_offsets_and_readonly():
         bank.write(0x0, 9)
 
 
+def _peripheral_access_program(addr, store):
+    p = E.Program()
+    p.emit(E.lui(1, addr >> 12))
+    p.emit(E.sw(0, 1, addr & 0xFFF) if store else E.lw(2, 1, addr & 0xFFF))
+    p.emit(E.ebreak())
+    return p
+
+
+PERIPHERAL_FAULTS = [
+    (0x1000000C, False, "unmapped GPIO register"),
+    (0x10002000, True, "SEU counters are read-only"),
+    (0x10001004, True, "UART register not writable"),
+]
+
+
+@pytest.mark.parametrize("addr, store, detail", PERIPHERAL_FAULTS,
+                         ids=["gpio-load", "counter-store", "uart-store"])
+def test_peripheral_bus_fault_names_the_bus_address(addr, store, detail):
+    kernel = make_kernel(_peripheral_access_program(addr, store))
+    with pytest.raises(BusFault) as info:
+        kernel.run()
+    assert type(info.value) is BusFault
+    assert info.value.addr == addr
+    assert str(info.value) == f"bus fault at 0x{addr:08x}: {detail}"
+
+
 def test_aggregate_no_events():
     assert aggregate_discrepancies([]) == {}
 
