@@ -82,18 +82,19 @@ def _build_parser():
     return parser
 
 
-def _read_text(path):
-    """The text of an input file; one that does not decode is a ConfigError naming it."""
+def _read_input(path, parse=str):
+    """``parse`` of the text of an input file; a file that does not decode or parse is a
+    ConfigError naming it."""
     try:
-        return Path(path).read_text()
-    except UnicodeDecodeError as exc:
+        return parse(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def _cmd_run(args):
     stimulus = ()
     if args.stimulus:
-        stimulus = parse_stimulus(_read_text(args.stimulus))
+        stimulus = parse_stimulus(_read_input(args.stimulus))
     config = SystemConfig(
         image=args.image,
         image_base=args.base,
@@ -165,7 +166,7 @@ def _trace_line(rec):
 
 
 def _cmd_campaign(args):
-    cfg_data = json.loads(_read_text(args.config))
+    cfg_data = _read_input(args.config, json.loads)
     config = CampaignConfig.from_dict(cfg_data)
     report = run_campaign(config)
     crosscheck = counter_crosscheck(report)
@@ -199,7 +200,7 @@ def _cmd_campaign(args):
 def _cmd_power(args):
     calibration = None
     if args.calibration:
-        calibration = json.loads(_read_text(args.calibration))
+        calibration = _read_input(args.calibration, json.loads)
     model = PowerModel(calibration)
     scenario = canonical_scenario(args.scenario)
     if args.freq is not None:
@@ -236,10 +237,7 @@ def main(argv=None):
     except SimTimeout as e:
         print(f"timeout: {e}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as e:
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except SimError as e:

@@ -271,7 +271,7 @@ class Kernel:
 
         self._pending_increments = {}
         self._edge_queue = []  # (kind, key, replica, bit) landing at the next edge
-        self._fault_schedule = {}  # cycle -> [(phase, kind, key, replica, bit)]
+        self._fault_schedule = {}  # cycle -> [(phase, kind, key, replica, bit)], cycle order
 
         if config.image is not None:
             segments, entry = load_image(config.image, config.image_base)
@@ -300,10 +300,11 @@ class Kernel:
         self._schedule_gpio_inputs()
 
     def _schedule_gpio_inputs(self):
-        self._gpio_schedule = {}
+        schedule = {}  # cycle -> [(pin, level)], cycle order
         for event in self.config.stimulus:
             if event[0] == "gpio-in":
-                self._gpio_schedule.setdefault(event[1], []).append((event[2], event[3]))
+                schedule.setdefault(event[1], []).append((event[2], event[3]))
+        self._gpio_schedule = dict(sorted(schedule.items()))
 
     def _all_cells(self):
         yield from self.arch.cells()
@@ -332,7 +333,10 @@ class Kernel:
             raise ConfigError(f"replica must be 0..2, got {replica}")
         if phase not in (MID_CYCLE, EDGE_ALIGNED):
             raise ConfigError(f"unknown fault phase {phase!r}")
-        self._fault_schedule.setdefault(cycle, []).append((phase, kind, key, replica, bit))
+        schedule = self._fault_schedule
+        if schedule and cycle < next(reversed(schedule)):  # keep the cycle order
+            schedule = self._fault_schedule = dict(sorted({cycle: [], **schedule}.items()))
+        schedule.setdefault(cycle, []).append((phase, kind, key, replica, bit))
 
     def _flip_target(self, kind, key, phase):
         """(domain, width) of the element or SRAM row a flip may target, else ConfigError."""
@@ -521,8 +525,9 @@ class Kernel:
     def _skip_idle(self, end):
         """Advance a halted, quiescent machine to the next cycle that needs a step."""
         c = self.cycle
-        stop = min(
-            (k for k in (*self._fault_schedule, *self._gpio_schedule) if k >= c), default=end
+        stop = min(  # both schedules are in cycle order
+            next((k for k in self._fault_schedule if k >= c), end),
+            next((k for k in self._gpio_schedule if k >= c), end),
         )
         uart = self.uart
         if not uart.rx_valid.value and uart.rx_cursor < len(uart.rx_pending):
@@ -630,7 +635,7 @@ class Kernel:
         starts empty if ``record_events`` is set, and is None otherwise.
         """
         cycle, values, upsets, banks, misc = checkpoint
-        schedule = {}  # built first, so that a malformed entry raises before any change
+        schedule = {}  # cycle order, as listed; built first: a bad entry raises before any change
         for cycle_due, *e in misc["fault_schedule"]:
             schedule.setdefault(cycle_due, []).append(tuple(e))
         for cell in self.dirty:

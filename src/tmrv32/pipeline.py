@@ -26,7 +26,7 @@ fetch-stall cycles + branch bubbles + fill cycles.
 """
 
 from .errors import IllegalInstruction
-from .isa import M32, decode, execute, extend_load
+from .isa import M32, decode, extend_load
 from .tmr import Domain, TmrCell
 
 
@@ -59,16 +59,18 @@ class Pipeline:
         halts the machine, else None. Bus faults and illegal instructions
         propagate as exceptions for the kernel's diagnostics.
 
-        A latch cell is only written when its new value differs from its voted
-        value. That is exact because the kernel refreshes every dirty cell
-        before the pipeline advances and lands flips only after it, so each
-        latch cell's replicas agree here.
+        Latch cells, ``arch.pc`` and the committed register are stored by
+        assigning ``value``, not through :meth:`TmrCell.write`. That is exact
+        because the kernel refreshes every dirty cell before the pipeline
+        advances and lands flips only after it, so every cell is clean here, and
+        every value stored already fits its cell: results and pcs are masked to
+        32 bits, ``rd`` comes from decode and ``raw`` from ``fetch_window``.
         """
         # W: commit the writeback latch to the register file (x0 discards it).
         if self.wl_valid.value:
             rd = self.wl_rd.value
             if rd:
-                arch.regs[rd].write(self.wl_value.value)
+                arch.regs[rd].value = self.wl_value.value
 
         # X: consume the fetch latch.
         halt = None
@@ -81,7 +83,7 @@ class Pipeline:
                 ins = decode(self.fl_raw.value)
             except IllegalInstruction as e:
                 raise IllegalInstruction(e.raw, pc) from None
-            rd_write, redirect, mem, halt = execute(arch, ins, pc)
+            rd_write, redirect, mem, halt = ins.run(arch, pc)
             if mem is not None:
                 addr, width, data = mem
                 dmem_busy = True
@@ -101,24 +103,15 @@ class Pipeline:
             self.fill_cycles += 1
 
         if rd_write is None:
-            valid = rd = value = 0
+            self.wl_valid.value = self.wl_rd.value = self.wl_value.value = 0
         else:
-            valid = 1
-            rd, value = rd_write
-        cell = self.wl_valid
-        if cell.value != valid:
-            cell.write(valid)
-        cell = self.wl_rd
-        if cell.value != rd:
-            cell.write(rd)
-        cell = self.wl_value
-        if cell.value != value:
-            cell.write(value)
+            self.wl_valid.value = 1
+            self.wl_rd.value, self.wl_value.value = rd_write
 
         # F: fetch unless the data bus owns the SRAM port or X transferred control.
         if redirect is not None:
             valid = pc = raw = 0
-            arch.pc.write(redirect)
+            arch.pc.value = redirect
             self._idle_cause = "branch"
         elif dmem_busy or halt is not None:
             valid = pc = raw = 0
@@ -127,19 +120,13 @@ class Pipeline:
             pc = arch.pc.value
             raw = bus.fetch_window(pc)
             if raw & 3 == 3:
-                arch.pc.write((pc + 4) & M32)
+                arch.pc.value = (pc + 4) & M32
             else:
                 raw &= 0xFFFF
-                arch.pc.write((pc + 2) & M32)
+                arch.pc.value = (pc + 2) & M32
             valid = 1
             self._idle_cause = "fill"
-        cell = self.fl_valid
-        if cell.value != valid:
-            cell.write(valid)
-        cell = self.fl_pc
-        if cell.value != pc:
-            cell.write(pc)
-        cell = self.fl_raw
-        if cell.value != raw:
-            cell.write(raw)
+        self.fl_valid.value = valid
+        self.fl_pc.value = pc
+        self.fl_raw.value = raw
         return halt

@@ -48,8 +48,10 @@ class TmrCell:
     masked by the voter and repaired by feedback refresh, while two upsets at the
     same bit position in two replicas defeat the vote.
 
-    ``value`` is the voter output and is always stored; only the methods below
-    assign it, and ``Kernel.resume``, which assigns the value of a clean cell.
+    ``value`` is the voter output and is always stored. Besides the methods below,
+    two callers assign it, each to a clean cell only: ``Kernel.resume``, and
+    ``Pipeline.advance``, which relies on the kernel refreshing every dirty cell
+    before the pipeline advances and on storing only values that fit the width.
     ``_r`` is None while the three replicas agree (each then equals ``value``)
     and holds them as a tuple while they disagree.
     """

@@ -294,12 +294,16 @@ def _write(tmp_path, name, data):
          True),
         (lambda tmp, image: ["power", "--calibration", _write(tmp, "p.json", b'{"\xff": 1}')],
          True),
+        (lambda tmp, image: ["campaign", _write(tmp, "c.json", b"{not json")], True),
+        (lambda tmp, image: ["power", "--freq", "5", "--calibration",
+                             _write(tmp, "p.json", b"{not json")], True),
         (lambda tmp, image: ["campaign", _write(tmp, "c.json", b'[{"version": 1}]')], False),
         (lambda tmp, image: ["power", "--calibration", _write(tmp, "p.json", b"{}"), "--freq", "5"],
          False),
     ],
     ids=["campaign-dir", "run-dir", "campaign-non-utf8", "stimulus-non-utf8",
-         "calibration-non-utf8", "campaign-list", "calibration-empty"],
+         "calibration-non-utf8", "campaign-bad-json", "calibration-bad-json", "campaign-list",
+         "calibration-empty"],
 )
 def test_unreadable_or_non_object_input_is_a_config_error(
     tmp_path, image_path, capsys, argv, names_file

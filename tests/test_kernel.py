@@ -410,6 +410,9 @@ FAST_FORWARD_CASES = {
             ("uart-rx", 29_990, 0x42),  # due after the last scheduled upset
         )
     ),
+    "stimulus-out-of-order": dict(
+        stimulus=(("gpio-in", 9000, 7, 1), ("gpio-in", 40, 3, 1), ("gpio-in", 3000, 3, 0))
+    ),
 }
 
 

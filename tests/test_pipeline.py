@@ -13,6 +13,8 @@ from conftest import (
 )
 
 from tmrv32 import encode as E
+from tmrv32.errors import SimError
+from tmrv32.kernel import EDGE_ALIGNED, MID_CYCLE
 
 
 def test_alu_block_sustains_one_instruction_per_cycle():
@@ -184,3 +186,59 @@ def test_pipelined_matches_reference_on_loops():
     assert regs == regs_r
     assert mem == mem_r
     assert regs[1] == 479001600  # 12!
+
+
+def _store_loop(base):
+    """A 12-pass store/load loop at ``base``, then ebreak (x28 points at scratch)."""
+    p = E.Program(base)
+    p.emit(E.addi(20, 0, 12))
+    p.label("loop")
+    p.emit(E.sw(20, 28, 0))
+    p.emit(E.lw(21, 28, 0))
+    p.emit(E.sb(21, 28, 7))
+    p.emit(E.addi(20, 20, -1))
+    p.branch(E.bne, 20, 0, "loop")
+    p.emit(E.ebreak())
+    return p.assemble()
+
+
+def test_every_cell_is_clean_when_the_pipeline_advances_under_upsets():
+    # Pipeline.advance assigns cell values directly, with no width check and no
+    # replica reset: exact only while every cell is clean on entry and every
+    # stored value fits. Upsets of the pc, the six latches and the registers,
+    # single and same-bit double, in both phases, must keep both true.
+    rng = np.random.default_rng(1207)
+    latches = ["core.pc", "core.fetch_valid", "core.fetch_pc", "core.fetch_raw",
+               "core.wb_valid", "core.wb_rd", "core.wb_value"]
+    entries = 0
+    for _ in range(40):
+        body = gen_random_program(rng, n=20)[:-4]  # drop the closing ebreak
+        kernel = make_kernel(body + _store_loop(len(body)))
+        for _ in range(8):
+            key = latches[rng.integers(len(latches))] if rng.random() < 0.6 else (
+                f"core.x{rng.integers(1, 32)}")
+            cycle = int(rng.integers(0, 120))
+            replica = int(rng.integers(3))
+            bit = int(rng.integers(kernel.registry[key].width))
+            phase = MID_CYCLE if rng.random() < 0.5 else EDGE_ALIGNED
+            for i in range(1 if rng.random() < 0.7 else 2):
+                kernel.schedule_flip(cycle, "cell", key, (replica + i) % 3, bit, phase=phase)
+
+        cells = list(kernel.registry.values())
+        advance = kernel.pipeline.advance
+
+        def checked_advance(*args, advance=advance, cells=cells):
+            nonlocal entries
+            entries += 1
+            assert not [c.element_id for c in cells if c.discrepancy]
+            return advance(*args)
+
+        kernel.pipeline.advance = checked_advance
+        while kernel.halted is None and kernel.cycle < 400:
+            try:
+                kernel.step_cycle()
+            except SimError:  # an upset that defeats the vote may crash the core
+                break
+            assert not [c.element_id for c in cells if c.value & ~c.mask]
+            assert {c for c in cells if c.discrepancy} <= kernel.dirty
+    assert entries > 40 * 100
