@@ -41,14 +41,26 @@ sink; the stream is run metadata, not machine state, and snapshots do not carry 
 (the program's halt, with SimTimeout at ``max_cycles``, or a fixed end cycle),
 and ``run``, ``run_cycles`` and the campaign engine all call it.
 
-Idle fast-forward: once the core has halted, ``run_cycles`` skips spans in which
-no cycle can do anything but advance the scrubber over clean SRAM rows. It applies
-only while no cell is dirty, no counter increment is pending and the edge queue is
-empty. A skip ends at the next scheduled flip, the next GPIO or UART stimulus that
-can land, the cycle whose scrub step would read a dirty row or write back
-(honouring ``scrub_divider``), or the end of the run; that cycle is then simulated
-by ``step_cycle``. ``step_cycle`` stays the oracle: the fast path must leave
-exactly the state and the event stream that single-stepping leaves.
+Idle fast-forward: ``_advance`` skips the upset and stimulus bookkeeping of
+cycles in which nothing is upset. It applies only while no cell is dirty, no
+counter increment is pending and the edge queue is empty, and it takes two forms.
+
+* A running core whose SRAM has no dirty row, with the scrubber (if enabled) in its
+  read phase and its pointer in range, runs ``Pipeline.advance`` cycle by cycle in
+  one tight loop (``_run_quiet``). Nothing in such a cycle can raise a discrepancy,
+  so voting and counter aggregation have nothing to do, and every due scrub step is
+  a clean read: one ``Scrubber.skip_clean`` call catches the scan up at the end of
+  the span, also when the pipeline raises. The span stops at the halt (recorded
+  with its ``Halt`` record), at the end of the run or the call, or at the next
+  cycle with a scheduled flip, a GPIO input or a UART RX byte that can land.
+* Once the core has halted, ``run_cycles`` skips spans in which no cycle can do
+  anything but advance the scrubber over clean SRAM rows (``_skip_idle``). A skip
+  ends at the same scheduled cycles, at the cycle whose scrub step would read a
+  dirty row or write back (honouring ``scrub_divider``), or at the end of the run.
+
+The cycle a span stops at is then simulated by ``step_cycle``, and both forms take
+their scheduled stop from ``_next_due``. ``step_cycle`` stays the oracle: the fast
+paths must leave exactly the state and the event stream that single-stepping leaves.
 
 One kernel instance is one single-threaded simulation; instances share nothing, so
 campaigns may run many in parallel.
@@ -78,7 +90,7 @@ from .memory import (
 )
 from .peripherals import GPIO_PINS, GpioBank, SeuCounterBank, UartModel, aggregate_discrepancies
 from .pipeline import Pipeline
-from .scrubber import Scrubber
+from .scrubber import PHASE_READ, Scrubber
 from .tmr import Domain, vote3
 
 SNAPSHOT_MAGIC = b"TMRV32SS"
@@ -333,6 +345,8 @@ class Kernel:
             raise ConfigError(f"replica must be 0..2, got {replica}")
         if phase not in (MID_CYCLE, EDGE_ALIGNED):
             raise ConfigError(f"unknown fault phase {phase!r}")
+        if cycle < self.cycle:  # it would never land
+            raise ConfigError(f"flip cycle {cycle} is before the current cycle {self.cycle}")
         schedule = self._fault_schedule
         if schedule and cycle < next(reversed(schedule)):  # keep the cycle order
             schedule = self._fault_schedule = dict(sorted({cycle: [], **schedule}.items()))
@@ -502,42 +516,89 @@ class Kernel:
     def _advance(self, target=math.inf, end=None):
         """Run to cycle ``target`` or the end of the run, whichever comes first; True once
         the run is over. With ``end`` None it ends at the program's halt (SimTimeout at
-        ``config.max_cycles``), otherwise at cycle ``end``, with idle fast-forward."""
+        ``config.max_cycles``), otherwise at cycle ``end``. Quiet spans are fast-forwarded
+        (see the module docstring)."""
         if end is None:
             budget = self.config.max_cycles
             stop = min(target, budget)
             while self.halted is None and self.cycle < stop:
+                if not (self.dirty or self._pending_increments or self._edge_queue):
+                    self._run_quiet(stop)
+                    if self.halted is not None or self.cycle >= stop:
+                        break
                 self.step_cycle()
             if self.halted is None and budget <= self.cycle < target:
                 raise SimTimeout(budget)
             return self.halted is not None
         stop = min(target, end)
         while self.cycle < stop:
-            if self.halted is not None and not (
-                self.dirty or self._pending_increments or self._edge_queue
-            ):
-                self._skip_idle(stop)
+            if not (self.dirty or self._pending_increments or self._edge_queue):
+                if self.halted is None:
+                    self._run_quiet(stop)
+                if self.halted is not None:
+                    self._skip_idle(stop)
                 if self.cycle >= stop:
                     break
             self.step_cycle()
         return self.cycle >= end
 
-    def _skip_idle(self, end):
-        """Advance a halted, quiescent machine to the next cycle that needs a step."""
+    def _next_due(self, end):
+        """The first cycle from ``self.cycle`` on, and before ``end``, with a scheduled flip,
+        a GPIO input or a UART RX byte that can land; ``end`` if there is none."""
         c = self.cycle
         stop = min(  # both schedules are in cycle order
             next((k for k in self._fault_schedule if k >= c), end),
             next((k for k in self._gpio_schedule if k >= c), end),
+            end,
         )
         uart = self.uart
-        if not uart.rx_valid.value and uart.rx_cursor < len(uart.rx_pending):
+        # a held byte blocks the next one until a running core reads it
+        if uart.rx_cursor < len(uart.rx_pending) and (
+            self.halted is None or not uart.rx_valid.value
+        ):
             stop = min(stop, max(c, uart.rx_pending[uart.rx_cursor][0]))
-        stop = min(stop, end)
+        return stop
+
+    def _run_quiet(self, end):
+        """Run a running, quiescent core with no dirty SRAM row up to the next cycle that
+        needs ``step_cycle``, the halt, or ``end``, skipping the upset bookkeeping."""
+        config = self.config
+        scrub = config.scrub_enabled
+        scrubber = self.scrubber
+        if self.sram.dirty or scrub and (
+            scrubber.phase.value != PHASE_READ or scrubber.row_ptr.value >= scrubber.rows
+        ):
+            return
+        stop = self._next_due(end)
+        c = start = self.cycle
+        arch, bus, uart, advance = self.arch, self.bus, self.uart, self.pipeline.advance
+        sink = self.sink
+        retire = self._log_retire if sink is not None else None
+        try:
+            while c < stop:
+                self.cycle = arch.cycle = uart.cycle = c
+                bus.last_store_row = None
+                halt = advance(arch, bus, retire)
+                c += 1
+                if halt is not None:
+                    self.halted = halt
+                    if sink is not None:
+                        sink.append(Halt(c - 1, halt))
+                    break
+        finally:  # c is the cycle that raised, if one did
+            self.cycle = c
+            if scrub:
+                scrubber.skip_clean(self.sram, start, c, config.scrub_divider)
+
+    def _skip_idle(self, end):
+        """Advance a halted, quiescent machine to the next cycle that needs a step."""
+        c = self.cycle
+        stop = self._next_due(end)
         if self.config.scrub_enabled:
             stop = self.scrubber.skip_clean(self.sram, c, stop, self.config.scrub_divider)
         if stop <= c:
             return
-        self.arch.cycle = uart.cycle = stop - 1
+        self.arch.cycle = self.uart.cycle = stop - 1
         self.cycle = stop
 
     def result(self):

@@ -61,10 +61,12 @@ class Pipeline:
 
         Latch cells, ``arch.pc`` and the committed register are stored by
         assigning ``value``, not through :meth:`TmrCell.write`. That is exact
-        because the kernel refreshes every dirty cell before the pipeline
-        advances and lands flips only after it, so every cell is clean here, and
-        every value stored already fits its cell: results and pcs are masked to
-        32 bits, ``rd`` comes from decode and ``raw`` from ``fetch_window``.
+        because every cell is clean here, from both of the kernel's callers:
+        ``step_cycle`` refreshes every dirty cell before the pipeline advances and
+        lands flips only after it, and ``_run_quiet`` runs only while no cell is
+        dirty and stops before the next flip. Every value stored already fits its
+        cell: results and pcs are masked to 32 bits, ``rd`` comes from decode and
+        ``raw`` from ``fetch_window``.
         """
         # W: commit the writeback latch to the register file (x0 discards it).
         if self.wl_valid.value:

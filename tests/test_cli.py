@@ -96,6 +96,14 @@ def test_run_rejects_a_malformed_flip(image_path, capsys):
         assert line.startswith("config error:") and field in line
 
 
+def test_run_rejects_a_flip_before_cycle_0(tmp_path, capsys):
+    image = tmp_path / "ebreak.bin"
+    image.write_bytes(E.ebreak().to_bytes(4, "little"))
+    assert main(["run", str(image), "--flip=-1:core.x1:0:0"]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:") and "cycle -1" in line
+
+
 def test_run_max_cycles_timeout(tmp_path):
     p = E.Program()
     p.label("spin")

@@ -13,17 +13,26 @@ from conftest import (
     SCRATCH_BASE,
     acceptance_program,
     alu_block_program,
+    gen_random_program,
     make_kernel,
     uart_hello_program,
 )
 
 from tmrv32 import encode as E
-from tmrv32.errors import ConfigError, SimTimeout
+from tmrv32.errors import (
+    AlignmentFault,
+    BusFault,
+    ConfigError,
+    IllegalInstruction,
+    SimError,
+    SimTimeout,
+)
 from tmrv32.isa import CSR_CYCLE, CSR_CYCLEH, CSR_INSTRET
 from tmrv32.kernel import (
     EDGE_ALIGNED,
     MID_CYCLE,
     SNAPSHOT_MAGIC,
+    Flip,
     Kernel,
     SystemConfig,
     load_image,
@@ -469,24 +478,28 @@ def _spin_program():
     return p.assemble()
 
 
-def _run_plainly(kernel, end):
-    """Single steps to the end of the run; the cycle of its SimTimeout, or None."""
-    if end is not None:
-        while kernel.cycle < end:
-            kernel.step_cycle()
-        return None
-    while kernel.halted is None:
-        if kernel.cycle >= kernel.config.max_cycles:
-            return kernel.cycle
-        kernel.step_cycle()
+def _stepped_outcome(kernel, end):
+    """Single steps as ``run()`` (``end`` None) or ``run_cycles`` to ``end`` would take
+    them; (type, message, cycle) of what the run raised, or None."""
+    try:
+        if end is None:
+            while kernel.halted is None:
+                if kernel.cycle >= kernel.config.max_cycles:
+                    raise SimTimeout(kernel.config.max_cycles)
+                kernel.step_cycle()
+        else:
+            while kernel.cycle < end:
+                kernel.step_cycle()
+    except (SimError, ValueError) as exc:  # ValueError: a scrub pointer past the last row
+        return type(exc), str(exc), kernel.cycle
     return None
 
 
-def _run_in_one_call(kernel, end):
+def _fast_outcome(kernel, end):
     try:
         kernel.run() if end is None else kernel.run_cycles(end)
-    except SimTimeout:
-        return kernel.cycle
+    except (SimError, ValueError) as exc:
+        return type(exc), str(exc), kernel.cycle
     return None
 
 
@@ -520,7 +533,7 @@ def test_advance_in_chunks_equals_one_call_and_single_steps(case, mode):
     program, overrides, flips = ADVANCE_CASES[case]
     config = SystemConfig(image=program(), record_events=True, **overrides)
     golden = Kernel(config)
-    _run_in_one_call(golden, None)
+    _fast_outcome(golden, None)
     end = None if mode == "to-halt" else golden.cycle + 6000
 
     def make():
@@ -530,8 +543,9 @@ def test_advance_in_chunks_equals_one_call_and_single_steps(case, mode):
         return kernel
 
     plain, single = make(), make()
-    timeout = _run_plainly(plain, end)
-    assert _run_in_one_call(single, end) == timeout
+    outcome = _stepped_outcome(plain, end)
+    assert _fast_outcome(single, end) == outcome
+    timeout = outcome and outcome[2]
     final = plain.cycle
     assert (timeout is not None) == (case == "spin" and mode == "to-halt")
     for seed in range(3):
@@ -544,6 +558,176 @@ def test_advance_in_chunks_equals_one_call_and_single_steps(case, mode):
             assert kernel.snapshot() == plain.snapshot()
             assert kernel.result() == plain.result()
             assert kernel.sink == plain.sink
+
+
+# ---------------------------------------------------------------------------
+# quiet spans of a running core vs. single-stepping
+# ---------------------------------------------------------------------------
+
+
+def _loop_then(*tail, passes=40):
+    """A GPIO-reading, UART-echoing store/load loop of ``passes`` passes, then ``tail``."""
+    p = E.Program()
+    p.emit(E.addi(20, 0, passes))
+    p.emit(E.lui(28, SCRATCH_BASE >> 12))
+    p.emit(E.lui(10, 0x10001))  # UART block
+    p.emit(E.lui(11, 0x10000))  # GPIO block
+    p.label("loop")
+    p.emit(E.lw(5, 11, 8))  # GPIO IN
+    p.emit(E.lw(6, 10, 4))  # UART RX, or the empty marker (negative)
+    p.branch(E.blt, 6, 0, "no-byte")
+    p.emit(E.sw(6, 10, 0))  # echo it
+    p.label("no-byte")
+    p.emit(E.add(7, 5, 20))
+    p.emit(E.sw(7, 28, 0))
+    p.emit(E.lw(8, 28, 0))
+    p.emit(E.mul(9, 8, 20))
+    p.emit(E.addi(20, 20, -1))
+    p.branch(E.bne, 20, 0, "loop")
+    p.emit(*tail)
+    return p.assemble()
+
+
+# name -> (image, max_cycles, what a clean run raises)
+QUIET_PROGRAMS = {
+    "acceptance": (lambda: acceptance_program().assemble(), 3000, None),
+    **{
+        f"random-{seed}": (
+            lambda seed=seed: gen_random_program(np.random.default_rng(seed)), 3000, None
+        )
+        for seed in range(3)
+    },
+    "loop": (lambda: _loop_then(E.ebreak()), 3000, None),
+    "bus-fault": (lambda: _loop_then(E.lui(3, 0x20000), E.lw(4, 3, 0)), 3000, BusFault),
+    "alignment-fault": (lambda: _loop_then(E.lw(4, 28, 2)), 3000, AlignmentFault),
+    "illegal": (lambda: _loop_then(0x0000, 0x0000), 3000, IllegalInstruction),
+    "timeout": (_spin_program, 700, SimTimeout),
+}
+
+QUIET_STIMULUS = (
+    ("uart-rx", 5, 0x41),
+    ("uart-rx", 6, 0x42),  # held until the core reads the first byte
+    ("gpio-in", 30, 3, 1),
+    ("uart-rx", 90, 0x43),
+    ("gpio-in", 200, 3, 0),
+    ("uart-rx", 400, 0x44),
+)
+
+# name -> (config overrides, whether upsets are scheduled)
+QUIET_SETTINGS = {
+    "sink": (dict(record_events=True), False),
+    "no-sink": (dict(), False),
+    "flips": (dict(record_events=True), True),
+    "flips-no-sink": (dict(), True),
+    "flips-scrub-off": (dict(scrub_enabled=False, record_events=True), True),
+    "flips-divider-3": (dict(scrub_divider=3, record_events=True), True),
+    "flips-stimulus": (dict(stimulus=QUIET_STIMULUS, record_events=True), True),
+}
+
+
+def _schedule_running_flips(kernel, rng, length):
+    """Single and same-bit double upsets of random cells (both phases) and SRAM rows."""
+    names = list(kernel.registry)
+    for _ in range(10):
+        cycle = int(rng.integers(length))
+        count = 1 if rng.random() < 0.7 else 2
+        if rng.random() < 0.6:
+            key = names[int(rng.integers(len(names)))]
+            kind, bit = "cell", int(rng.integers(kernel.registry[key].width))
+            phase = EDGE_ALIGNED if rng.random() < 0.5 else MID_CYCLE
+        else:  # a code row, the scratch row the loops use, or any row
+            key = int(rng.choice([rng.integers(32), SCRATCH_BASE // 4, rng.integers(8192)]))
+            kind, bit, phase = "sram", int(rng.integers(32)), MID_CYCLE
+        replica = int(rng.integers(3))
+        for i in range(count):
+            kernel.schedule_flip(cycle, kind, key, (replica + i) % 3, bit, phase=phase)
+
+
+@pytest.mark.parametrize("setting", sorted(QUIET_SETTINGS))
+@pytest.mark.parametrize("program", sorted(QUIET_PROGRAMS))
+def test_quiet_running_spans_match_single_steps(program, setting):
+    image, max_cycles, raises = QUIET_PROGRAMS[program]
+    overrides, flips = QUIET_SETTINGS[setting]
+    config = SystemConfig(image=image(), max_cycles=max_cycles, **overrides)
+    clean = Kernel(config)
+    outcome = _stepped_outcome(clean, None)
+    assert (outcome and outcome[0]) == raises
+    length = clean.cycle
+    for end in (None, length * 2 // 3):  # run(), and run_cycles to before the halt
+        plain, fast = Kernel(config), Kernel(config)
+        if flips:
+            for kernel in (plain, fast):
+                _schedule_running_flips(kernel, np.random.default_rng(length), length)
+        assert _fast_outcome(fast, end) == _stepped_outcome(plain, end)
+        _assert_same_run(plain, fast)
+        assert fast.bus.last_store_row == plain.bus.last_store_row
+
+
+@pytest.mark.parametrize(
+    "rows, key, bit, raises",
+    [(8192, "sram.scrub_phase", 0, None), (40, "sram.scrub_row_ptr", 5, ValueError)],
+)
+def test_an_upset_scrubber_keeps_a_running_core_single_stepping(rows, key, bit, raises):
+    # A same-bit double upset at cycle 31 leaves the scrubber in its write-back
+    # phase, or its pointer past the last row (11 -> 43), when the machine is
+    # quiet again at the next due scrub step (cycle 33).
+    config = SystemConfig(image=_spin_program(), scrub_divider=3, record_events=True)
+    plain, fast = _toy_kernel(rows, config), _toy_kernel(rows, config)
+    for kernel in (plain, fast):
+        for replica in (0, 1):
+            kernel.schedule_flip(31, "cell", key, replica, bit)
+    outcome = _stepped_outcome(plain, 200)
+    assert (outcome and outcome[0]) == raises
+    assert _fast_outcome(fast, 200) == outcome
+    _assert_same_run(plain, fast)
+
+
+def test_a_resumed_upset_with_no_increment_pending_is_single_stepped():
+    # Runs never leave a cell upset with no counter increment pending, but a
+    # checkpoint may hold one; the quiet span must not start over it.
+    kernel = make_kernel(_loop_then(E.ebreak()), record_events=True)
+    kernel.schedule_flip(20, "cell", "core.x20", 0, 3)
+    kernel.run_cycles(21)
+    checkpoint = kernel.checkpoint()
+    assert checkpoint.upsets and checkpoint.misc["pending_increments"]
+    checkpoint.misc["pending_increments"] = {}
+    plain, fast = make_kernel(_loop_then(E.ebreak()), record_events=True), kernel
+    for k in (plain, fast):
+        k.resume(checkpoint)
+    assert _fast_outcome(fast, None) == _stepped_outcome(plain, None) is None
+    _assert_same_run(plain, fast)
+
+
+def test_a_fault_free_running_core_rarely_single_steps():
+    image = _loop_then(E.ebreak(), passes=500)
+    length = make_kernel(image).run().cycles
+    for end in (None, length // 2):
+        kernel = make_kernel(image)
+        steps = []
+        step = kernel.step_cycle
+
+        def counted_step(step=step):
+            steps.append(kernel.cycle)
+            step()
+
+        kernel.step_cycle = counted_step
+        assert _fast_outcome(kernel, end) is None
+        assert kernel.cycle == (length if end is None else end)
+        assert len(steps) < kernel.cycle // 100
+
+
+def test_a_flip_before_the_current_cycle_is_a_config_error():
+    kernel = make_kernel(_loop_then(E.ebreak()))
+    kernel.run_cycles(10)
+    with pytest.raises(ConfigError, match="flip cycle 5 "):
+        kernel.schedule_flip(5, "cell", "core.x7", 0, 3)
+    assert kernel.settled()
+    kernel.schedule_flip(10, "cell", "core.x7", 0, 3)  # due now: it lands
+    kernel.sink = []
+    kernel.run_cycles(5)
+    assert kernel.sink[0] == Flip(10, "core.x7", 0, 3, False)
+    assert kernel.settled()
+
 
 def test_snapshot_keeps_scheduled_flips():
     config = SystemConfig(image=acceptance_program().assemble())

@@ -206,39 +206,52 @@ def test_every_cell_is_clean_when_the_pipeline_advances_under_upsets():
     # Pipeline.advance assigns cell values directly, with no width check and no
     # replica reset: exact only while every cell is clean on entry and every
     # stored value fits. Upsets of the pc, the six latches and the registers,
-    # single and same-bit double, in both phases, must keep both true.
+    # single and same-bit double, in both phases, must keep both true, whether
+    # the kernel runs by single steps or by Kernel._advance in random chunks
+    # (which runs quiet spans through the pipeline alone).
     rng = np.random.default_rng(1207)
+    chunks = np.random.default_rng(1208)
     latches = ["core.pc", "core.fetch_valid", "core.fetch_pc", "core.fetch_raw",
                "core.wb_valid", "core.wb_rd", "core.wb_value"]
     entries = 0
+
+    def stepped(kernel):
+        kernel.step_cycle()
+
+    def chunked(kernel):
+        end = None if chunks.random() < 0.5 else 400
+        kernel._advance(kernel.cycle + int(chunks.integers(1, 60)), end)
+
     for _ in range(40):
         body = gen_random_program(rng, n=20)[:-4]  # drop the closing ebreak
-        kernel = make_kernel(body + _store_loop(len(body)))
+        kernels = [make_kernel(body + _store_loop(len(body))) for _ in range(2)]
         for _ in range(8):
             key = latches[rng.integers(len(latches))] if rng.random() < 0.6 else (
                 f"core.x{rng.integers(1, 32)}")
             cycle = int(rng.integers(0, 120))
             replica = int(rng.integers(3))
-            bit = int(rng.integers(kernel.registry[key].width))
+            bit = int(rng.integers(kernels[0].registry[key].width))
             phase = MID_CYCLE if rng.random() < 0.5 else EDGE_ALIGNED
             for i in range(1 if rng.random() < 0.7 else 2):
-                kernel.schedule_flip(cycle, "cell", key, (replica + i) % 3, bit, phase=phase)
+                for kernel in kernels:
+                    kernel.schedule_flip(cycle, "cell", key, (replica + i) % 3, bit, phase=phase)
 
-        cells = list(kernel.registry.values())
-        advance = kernel.pipeline.advance
+        for kernel, run in zip(kernels, (stepped, chunked)):
+            cells = list(kernel.registry.values())
+            advance = kernel.pipeline.advance
 
-        def checked_advance(*args, advance=advance, cells=cells):
-            nonlocal entries
-            entries += 1
-            assert not [c.element_id for c in cells if c.discrepancy]
-            return advance(*args)
+            def checked_advance(*args, advance=advance, cells=cells):
+                nonlocal entries
+                entries += 1
+                assert not [c.element_id for c in cells if c.discrepancy]
+                return advance(*args)
 
-        kernel.pipeline.advance = checked_advance
-        while kernel.halted is None and kernel.cycle < 400:
-            try:
-                kernel.step_cycle()
-            except SimError:  # an upset that defeats the vote may crash the core
-                break
-            assert not [c.element_id for c in cells if c.value & ~c.mask]
-            assert {c for c in cells if c.discrepancy} <= kernel.dirty
-    assert entries > 40 * 100
+            kernel.pipeline.advance = checked_advance
+            while kernel.halted is None and kernel.cycle < 400:
+                try:
+                    run(kernel)
+                except SimError:  # an upset that defeats the vote may crash the core
+                    break
+                assert not [c.element_id for c in cells if c.value & ~c.mask]
+                assert {c for c in cells if c.discrepancy} <= kernel.dirty
+    assert entries > 2 * 40 * 100
