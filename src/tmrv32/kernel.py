@@ -41,26 +41,28 @@ sink; the stream is run metadata, not machine state, and snapshots do not carry 
 (the program's halt, with SimTimeout at ``max_cycles``, or a fixed end cycle),
 and ``run``, ``run_cycles`` and the campaign engine all call it.
 
-Idle fast-forward: ``_advance`` skips the upset and stimulus bookkeeping of
-cycles in which nothing is upset. It applies only while no cell is dirty, no
-counter increment is pending and the edge queue is empty, and it takes two forms.
+Fast-forward: ``_advance`` hands every quiet span to ``_fast_forward``, which
+skips the upset and stimulus bookkeeping of its cycles. A span starts only if
 
-* A running core whose SRAM has no dirty row, with the scrubber (if enabled) in its
-  read phase and its pointer in range, runs ``Pipeline.advance`` cycle by cycle in
-  one tight loop (``_run_quiet``). Nothing in such a cycle can raise a discrepancy,
-  so voting and counter aggregation have nothing to do, and every due scrub step is
-  a clean read: one ``Scrubber.skip_clean`` call catches the scan up at the end of
-  the span, also when the pipeline raises. The span stops at the halt (recorded
-  with its ``Halt`` record), at the end of the run or the call, or at the next
-  cycle with a scheduled flip, a GPIO input or a UART RX byte that can land.
-* Once the core has halted, ``run_cycles`` skips spans in which no cycle can do
-  anything but advance the scrubber over clean SRAM rows (``_skip_idle``). A skip
-  ends at the same scheduled cycles, at the cycle whose scrub step would read a
-  dirty row or write back (honouring ``scrub_divider``), or at the end of the run.
+* no cell is dirty, no counter increment is pending and the edge queue is empty;
+* while the core runs, also no SRAM row is dirty and the scrubber (if enabled) is
+  in its read phase with its pointer in range.
 
-The cycle a span stops at is then simulated by ``step_cycle``, and both forms take
-their scheduled stop from ``_next_due``. ``step_cycle`` stays the oracle: the fast
-paths must leave exactly the state and the event stream that single-stepping leaves.
+Then no cycle of the span can raise a discrepancy, so voting and counter
+aggregation have nothing to do and every due scrub step is a clean read. A
+running core's cycles go through ``Pipeline.advance`` alone; on a halted core only
+the scrubber moves. One ``Scrubber.skip_clean`` call catches the scan up at the
+end, also when the pipeline raises. A span stops
+
+* at the end of the run or the call;
+* at the next cycle with a scheduled flip, a GPIO input or a UART RX byte that
+  can land (``_next_due``);
+* at the halt, recorded with its ``Halt`` record;
+* on a halted core, at the cycle whose scrub step would read a dirty row or write
+  back (honouring ``scrub_divider``).
+
+``step_cycle`` simulates the cycle a span stops at and stays the oracle: a span
+must leave exactly the state and the event stream that single-stepping leaves.
 
 One kernel instance is one single-threaded simulation; instances share nothing, so
 campaigns may run many in parallel.
@@ -305,6 +307,8 @@ class Kernel:
             arity = 2 if kind == "uart-rx" else 3
             if len(values) != arity or not all(isinstance(v, int) for v in values):
                 raise ConfigError(f"stimulus event {list(event)!r}: {kind} takes {arity} integers")
+            if values[0] < 0:  # it would never land
+                raise ConfigError(f"stimulus event {list(event)!r}: cycle {values[0]} is before 0")
             if kind == "uart-rx":
                 self.uart.queue_rx(*values)
             elif not 0 <= values[1] < GPIO_PINS:
@@ -338,6 +342,14 @@ class Kernel:
 
     def schedule_flip(self, cycle, kind, key, replica, bit, phase=MID_CYCLE):
         """Queue one bit flip: ``kind`` is "cell" (key = element id) or "sram" (key = row)."""
+        self._check_flip(self.cycle, cycle, phase, kind, key, replica, bit)
+        schedule = self._fault_schedule
+        if schedule and cycle < next(reversed(schedule)):  # keep the cycle order
+            schedule = self._fault_schedule = dict(sorted({cycle: [], **schedule}.items()))
+        schedule.setdefault(cycle, []).append((phase, kind, key, replica, bit))
+
+    def _check_flip(self, now, cycle, phase, kind, key, replica, bit):
+        """ConfigError unless the flip is one that can land when scheduled at cycle ``now``."""
         _, width = self._flip_target(kind, key, phase)
         if not 0 <= bit < width:
             raise ConfigError(f"bit {bit} out of range for {key!r} (width {width})")
@@ -345,12 +357,8 @@ class Kernel:
             raise ConfigError(f"replica must be 0..2, got {replica}")
         if phase not in (MID_CYCLE, EDGE_ALIGNED):
             raise ConfigError(f"unknown fault phase {phase!r}")
-        if cycle < self.cycle:  # it would never land
-            raise ConfigError(f"flip cycle {cycle} is before the current cycle {self.cycle}")
-        schedule = self._fault_schedule
-        if schedule and cycle < next(reversed(schedule)):  # keep the cycle order
-            schedule = self._fault_schedule = dict(sorted({cycle: [], **schedule}.items()))
-        schedule.setdefault(cycle, []).append((phase, kind, key, replica, bit))
+        if cycle < now:  # it would never land
+            raise ConfigError(f"flip cycle {cycle} is before the current cycle {now}")
 
     def _flip_target(self, kind, key, phase):
         """(domain, width) of the element or SRAM row a flip may target, else ConfigError."""
@@ -507,8 +515,8 @@ class Kernel:
         """Run exactly ``n`` more cycles, no timeout semantics.
 
         A program halt stops the core, not the clock: the scrubber, counters,
-        and fault schedule keep running for the remaining cycles. Idle post-halt
-        spans are fast-forwarded (see the module docstring).
+        and fault schedule keep running for the remaining cycles. Quiet spans,
+        before and after the halt, are fast-forwarded (see the module docstring).
         """
         self._advance(end=self.cycle + n)
         return self.result()
@@ -518,29 +526,19 @@ class Kernel:
         the run is over. With ``end`` None it ends at the program's halt (SimTimeout at
         ``config.max_cycles``), otherwise at cycle ``end``. Quiet spans are fast-forwarded
         (see the module docstring)."""
-        if end is None:
-            budget = self.config.max_cycles
-            stop = min(target, budget)
-            while self.halted is None and self.cycle < stop:
-                if not (self.dirty or self._pending_increments or self._edge_queue):
-                    self._run_quiet(stop)
-                    if self.halted is not None or self.cycle >= stop:
-                        break
-                self.step_cycle()
-            if self.halted is None and budget <= self.cycle < target:
-                raise SimTimeout(budget)
-            return self.halted is not None
-        stop = min(target, end)
-        while self.cycle < stop:
-            if not (self.dirty or self._pending_increments or self._edge_queue):
-                if self.halted is None:
-                    self._run_quiet(stop)
-                if self.halted is not None:
-                    self._skip_idle(stop)
-                if self.cycle >= stop:
-                    break
+        to_halt = end is None
+        budget = self.config.max_cycles
+        stop = min(target, budget if to_halt else end)
+        while self.cycle < stop and not (to_halt and self.halted is not None):
+            self._fast_forward(stop)
+            if self.cycle >= stop or to_halt and self.halted is not None:
+                break
             self.step_cycle()
-        return self.cycle >= end
+        if not to_halt:
+            return self.cycle >= end
+        if self.halted is None and budget <= self.cycle < target:
+            raise SimTimeout(budget)
+        return self.halted is not None
 
     def _next_due(self, end):
         """The first cycle from ``self.cycle`` on, and before ``end``, with a scheduled flip,
@@ -559,47 +557,44 @@ class Kernel:
             stop = min(stop, max(c, uart.rx_pending[uart.rx_cursor][0]))
         return stop
 
-    def _run_quiet(self, end):
-        """Run a running, quiescent core with no dirty SRAM row up to the next cycle that
-        needs ``step_cycle``, the halt, or ``end``, skipping the upset bookkeeping."""
+    def _fast_forward(self, end):
+        """Run a quiet span up to the next cycle that needs ``step_cycle`` or ``end``,
+        skipping the upset and stimulus bookkeeping (see the module docstring)."""
+        if self.dirty or self._pending_increments or self._edge_queue:
+            return
         config = self.config
         scrub = config.scrub_enabled
         scrubber = self.scrubber
-        if self.sram.dirty or scrub and (
+        running = self.halted is None
+        if running and (self.sram.dirty or scrub and (
             scrubber.phase.value != PHASE_READ or scrubber.row_ptr.value >= scrubber.rows
-        ):
+        )):
             return
-        stop = self._next_due(end)
         c = start = self.cycle
-        arch, bus, uart, advance = self.arch, self.bus, self.uart, self.pipeline.advance
-        sink = self.sink
-        retire = self._log_retire if sink is not None else None
-        try:
-            while c < stop:
-                self.cycle = arch.cycle = uart.cycle = c
-                bus.last_store_row = None
-                halt = advance(arch, bus, retire)
-                c += 1
-                if halt is not None:
-                    self.halted = halt
-                    if sink is not None:
-                        sink.append(Halt(c - 1, halt))
-                    break
-        finally:  # c is the cycle that raised, if one did
-            self.cycle = c
-            if scrub:
-                scrubber.skip_clean(self.sram, start, c, config.scrub_divider)
-
-    def _skip_idle(self, end):
-        """Advance a halted, quiescent machine to the next cycle that needs a step."""
-        c = self.cycle
         stop = self._next_due(end)
-        if self.config.scrub_enabled:
-            stop = self.scrubber.skip_clean(self.sram, c, stop, self.config.scrub_divider)
-        if stop <= c:
-            return
-        self.arch.cycle = self.uart.cycle = stop - 1
-        self.cycle = stop
+        try:
+            if not running:  # only the scrubber moves; skip_clean bounds the span
+                c = stop
+            else:
+                arch, bus, uart, advance = self.arch, self.bus, self.uart, self.pipeline.advance
+                sink = self.sink
+                retire = self._log_retire if sink is not None else None
+                while c < stop:
+                    self.cycle = arch.cycle = uart.cycle = c
+                    bus.last_store_row = None
+                    halt = advance(arch, bus, retire)
+                    c += 1
+                    if halt is not None:
+                        self.halted = halt
+                        if sink is not None:
+                            sink.append(Halt(c - 1, halt))
+                        break
+        finally:  # c is the cycle that raised, if one did
+            if scrub:
+                c = scrubber.skip_clean(self.sram, start, c, config.scrub_divider)
+            self.cycle = c
+        if c > start:
+            self.arch.cycle = self.uart.cycle = c - 1
 
     def result(self):
         p = self.pipeline
@@ -850,6 +845,13 @@ class Kernel:
                 misc[name] = tuple(map(tuple, misc[name]))
             for name in ("pending_increments", "event_totals"):
                 misc[name] = {Domain(int(d)): n for d, n in misc[name].items()}
+            for entry in misc["fault_schedule"]:  # each must be one schedule_flip accepts
+                try:
+                    self._check_flip(cycle, *entry)
+                except (ConfigError, TypeError) as exc:
+                    raise ConfigError(
+                        f"snapshot fault_schedule entry {list(entry)!r}: {exc}"
+                    ) from None
             self.resume(Checkpoint(cycle, values, tuple(upsets), banks, misc))
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"snapshot misc field is malformed: {exc}") from None

@@ -63,7 +63,7 @@ class Pipeline:
         assigning ``value``, not through :meth:`TmrCell.write`. That is exact
         because every cell is clean here, from both of the kernel's callers:
         ``step_cycle`` refreshes every dirty cell before the pipeline advances and
-        lands flips only after it, and ``_run_quiet`` runs only while no cell is
+        lands flips only after it, and ``_fast_forward`` runs only while no cell is
         dirty and stops before the next flip. Every value stored already fits its
         cell: results and pcs are masked to 32 bits, ``rd`` comes from decode and
         ``raw`` from ``fetch_window``.

@@ -52,7 +52,7 @@ class TmrCell:
     two callers assign it, each to a clean cell only: ``Kernel.resume``, and
     ``Pipeline.advance``, which relies on storing only values that fit the width
     and on every cell being clean when it runs: ``Kernel.step_cycle`` refreshes
-    every dirty cell first, and ``Kernel._run_quiet`` runs only with none dirty.
+    every dirty cell first, and ``Kernel._fast_forward`` runs only with none dirty.
     ``_r`` is None while the three replicas agree (each then equals ``value``)
     and holds them as a tuple while they disagree.
     """

@@ -104,6 +104,16 @@ def test_run_rejects_a_flip_before_cycle_0(tmp_path, capsys):
     assert line.startswith("config error:") and "cycle -1" in line
 
 
+def test_run_rejects_stimulus_before_cycle_0(tmp_path, capsys):
+    image = tmp_path / "ebreak.bin"
+    image.write_bytes(E.ebreak().to_bytes(4, "little"))
+    stim = tmp_path / "stim.txt"
+    stim.write_text("-5 gpio-in 3 1\n")
+    assert main(["run", str(image), "--stimulus", str(stim)]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:") and "cycle -5" in line
+
+
 def test_run_max_cycles_timeout(tmp_path):
     p = E.Program()
     p.label("spin")

@@ -291,6 +291,16 @@ def test_stimulus_gpio_pin_out_of_range_is_a_config_error():
     assert (kernel.gpio.read(GPIO_REG_IN) >> 26) & 1
 
 
+def test_stimulus_before_cycle_0_is_a_config_error():
+    # a GPIO input would never land, and a UART byte would land at cycle 0
+    for event in (("gpio-in", -5, 3, 1), ("uart-rx", -5, 0x41)):
+        with pytest.raises(ConfigError, match=r"stimulus event \[.*-5.*\]: cycle -5 is before 0"):
+            Kernel(SystemConfig(stimulus=(event,)))
+    kernel = make_kernel(alu_block_program(), stimulus=(("gpio-in", 0, 3, 1),))  # cycle 0 lands
+    kernel.run_cycles(1)
+    assert (kernel.gpio.read(GPIO_REG_IN) >> 3) & 1
+
+
 def test_config_dict_round_trip():
     config = SystemConfig(
         image=b"\x73\x00\x10\x00", scrub_divider=4, stimulus=(("uart-rx", 9, 1),)
@@ -653,7 +663,8 @@ def test_quiet_running_spans_match_single_steps(program, setting):
     outcome = _stepped_outcome(clean, None)
     assert (outcome and outcome[0]) == raises
     length = clean.cycle
-    for end in (None, length * 2 // 3):  # run(), and run_cycles to before the halt
+    # run(), and run_cycles to before the halt and across it in one call
+    for end in (None, length * 2 // 3, length + 300):
         plain, fast = Kernel(config), Kernel(config)
         if flips:
             for kernel in (plain, fast):
@@ -701,7 +712,7 @@ def test_a_resumed_upset_with_no_increment_pending_is_single_stepped():
 def test_a_fault_free_running_core_rarely_single_steps():
     image = _loop_then(E.ebreak(), passes=500)
     length = make_kernel(image).run().cycles
-    for end in (None, length // 2):
+    for end in (None, length // 2, 10 * length):  # the last one runs on past the halt
         kernel = make_kernel(image)
         steps = []
         step = kernel.step_cycle
@@ -727,6 +738,46 @@ def test_a_flip_before_the_current_cycle_is_a_config_error():
     kernel.run_cycles(5)
     assert kernel.sink[0] == Flip(10, "core.x7", 0, 3, False)
     assert kernel.settled()
+
+
+def _with_fault_schedule(blob, schedule):
+    """``blob`` with its misc ``fault_schedule`` replaced by ``schedule``."""
+    off = _misc_offset(blob)
+    misc = json.loads(blob[off + 4 :])
+    raw = json.dumps({**misc, "fault_schedule": schedule}, sort_keys=True).encode()
+    return blob[:off] + struct.pack("<I", len(raw)) + raw
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([5, "mid-cycle", "cell", "core.x7", 0, 3], "flip cycle 5 is before the current cycle 10"),
+        ([15, "mid-cycle", "cell", "core.nope", 0, 3], "no such element 'core.nope'"),
+        ([15, "edge-aligned", "sram", 9, 0, 3], "SRAM injections are phase-independent"),
+        ([15, "mid-cycle", "cell", "core.x7", 0, 32], "bit 32 out of range"),
+        ([15, "mid-cycle", "cell", "core.x7", 0], "missing 1 required"),  # no bit
+    ],
+)
+def test_restore_rejects_a_flip_that_schedule_flip_rejects(entry, message):
+    source = make_kernel(acceptance_program())
+    source.schedule_flip(20, "cell", "core.x9", 1, 2)
+    source.run_cycles(10)
+    blob = source.snapshot()
+    kernel = make_kernel(acceptance_program())
+    kernel.schedule_flip(30, "sram", 44, 0, 1)
+    kernel.run_cycles(25)
+    before = kernel.snapshot()
+    bad = _with_fault_schedule(blob, [entry, [20, "mid-cycle", "cell", "core.x9", 1, 2]])
+    with pytest.raises(ConfigError, match=r"snapshot fault_schedule entry \[") as info:
+        kernel.restore(bad)
+    assert message in str(info.value) and repr(entry[3]) in str(info.value)
+    assert kernel.snapshot() == before
+    with pytest.raises(ConfigError):
+        Kernel.from_snapshot(bad)
+    # a flip due at the snapshot's own cycle still lands
+    kernel.restore(_with_fault_schedule(blob, [[10, "mid-cycle", "cell", "core.x7", 0, 3]]))
+    kernel.run_cycles(5)
+    assert kernel.settled() and kernel.event_totals[Domain.CORE] == 1
 
 
 def test_snapshot_keeps_scheduled_flips():
