@@ -72,6 +72,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -127,6 +128,14 @@ class SystemConfig:
     record_events: bool = False  # start the kernel with an event sink (see Kernel.sink)
 
     def __post_init__(self):
+        image = self.image
+        if not (image is None or isinstance(image, (bytes, bytearray, str, os.PathLike))):
+            raise ConfigError(f"image must be bytes, a path or None, got {image!r}")
+        if not isinstance(self.image_base, int) or self.image_base < 0:
+            raise ConfigError(f"image_base must be an integer >= 0, got {self.image_base!r}")
+        entry = self.entry_pc
+        if not (entry is None or isinstance(entry, int) and 0 <= entry <= 0xFFFFFFFF):
+            raise ConfigError(f"entry_pc must be None or an integer in 0..2^32-1, got {entry!r}")
         if not isinstance(self.freq_mhz, (int, float)) or self.freq_mhz <= 0:
             raise ConfigError(f"freq_mhz must be a positive number, got {self.freq_mhz!r}")
         if not isinstance(self.scrub_divider, int) or self.scrub_divider < 1:
@@ -187,7 +196,7 @@ def load_image(data, base=0):
     file, or an ELF32 executable whose loadable segments are extracted and placed
     at their physical addresses.
     """
-    if isinstance(data, (str, Path)):
+    if isinstance(data, (str, os.PathLike)):
         data = Path(data).read_bytes()
     if data[:4] == b"\x7fELF":
         return _load_elf32(data)
@@ -803,7 +812,7 @@ class Kernel:
         The snapshot is decoded into a checkpoint and resumed. The result is the
         kernel :meth:`from_snapshot` builds, without building one. Bytes that are
         not a whole, well-formed snapshot of this configuration raise ConfigError
-        and leave the kernel as it was.
+        and leave the kernel as it was. The fault schedule may be listed in any order.
         """
         version, cycle, cfg, off = self._snapshot_header(data)
         if cfg != self._config_json:
@@ -852,6 +861,8 @@ class Kernel:
                     raise ConfigError(
                         f"snapshot fault_schedule entry {list(entry)!r}: {exc}"
                     ) from None
+            # edited bytes may list it in any order; resume takes it in cycle order
+            misc["fault_schedule"] = tuple(sorted(misc["fault_schedule"], key=lambda e: e[0]))
             self.resume(Checkpoint(cycle, values, tuple(upsets), banks, misc))
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"snapshot misc field is malformed: {exc}") from None

@@ -53,15 +53,19 @@ run from reset per fault, but it does not simulate that way:
 * A match ends the fork early. That is sound because from there on the fork
   runs as golden does, apart from its counters and event totals; those change
   only on a discrepancy, which golden never has, so the record is final. The
-  counters feed back only when the core reads the SEU counter block: if golden
-  reads it after the match, the fault is run again from reset instead.
+  counters feed back only when the core reads the SEU counter block, which is
+  why a match keeps golden's count of those reads.
 * A fault due at or after the cycle where golden's run ends never lands. It is
   recorded from golden's final state with an empty event stream, as a fork that
   matched golden there, so no kernel is forked or run for it.
-* A fault whose run raises (the simulated core crashed or hung) makes the
-  campaign raise the same exception; if several do, the first in fault order
-  wins, as when the runs go one after another. A fork that matched golden raises
-  what golden raises.
+* Each fault has one result: the record and final state of a run that ran out,
+  the record of a run that matched golden, or the exception its run raised (the
+  simulated core crashed or hung). Once no fork is left, the results are settled
+  in fault order, and golden runs on to its end if ``golden_compare`` or a match
+  needs it. A match after which golden read the SEU counters is run again from
+  reset there, and a match takes what golden raised, if golden raised. The first
+  exception met is raised, as when the runs go one after another; otherwise every
+  result becomes its record.
 
 Both modes build records through one path, ``_records``, from a run's final
 state and its event stream: the accumulate run is a ``_Fork`` with every fault,
@@ -387,19 +391,6 @@ class _Fork:
             _schedule(kernel, fault)
         self.gap = 1  # cycles to step after a failed comparison; doubles each time
 
-    def settle(self, steps, length):
-        """Step ``steps`` cycles, then on until the upset is resolved.
-
-        Returns False once the run is over instead.
-        """
-        kernel = self.kernel
-        if kernel._advance(kernel.cycle + steps, length):
-            return False
-        while not kernel.settled():
-            if kernel._advance(kernel.cycle + 1, length):
-                return False
-        return True
-
     def records(self):
         return _records(self.kernel, self.faults, self.kernel.sink)
 
@@ -412,10 +403,11 @@ class _ForkedCampaign:
         self.length = length
         self.golden_compare = golden_compare
         self.golden_error = None  # what golden raised, when golden_compare is off
-        self.done = {}  # fault index -> (record, final signature; None if it matched golden)
-        self.errors = {}  # fault index -> the exception its run raised
+        # fault index -> its one result: (record, final signature, None) for a run that
+        # ran out, (record, None, golden's counter reads at the match) for one that
+        # matched golden, or the exception its run raised
+        self.results = {}
         self.live = []  # forks ahead of golden, each waiting for golden to reach its cycle
-        self.matched = []  # (records, golden's counter reads at the match, faults)
         self.pool = []  # kernels of finished forks, reused by later forks; with the
         # live forks, never more than _MAX_LIVE_FORKS
 
@@ -426,8 +418,8 @@ class _ForkedCampaign:
         returns or raises, the engine holds no exception: a traceback holds the
         engine, so a kept one would keep every kernel alive until a garbage collection.
         """
+        golden, results = self.golden, self.results
         try:
-            golden = self.golden
             due = {}
             for fault in faults:
                 due.setdefault(fault.at_cycle, []).append(fault)
@@ -443,42 +435,45 @@ class _ForkedCampaign:
                     checkpoint = golden.checkpoint()
                     for fault in due.pop(cycles.pop()):
                         if len(self.live) >= _MAX_LIVE_FORKS:
-                            self._run_out(self.live.pop(0))
+                            self._step(self.live.pop(0), math.inf)
                         self._step(self._fork(checkpoint, fault), 0)
-            if self.golden_compare or self.matched:
-                self._golden_to(math.inf)
 
             # Golden's run is over; whatever is left runs on by itself.
-            for fork in self.live:
-                self._run_out(fork)
+            while self.live:
+                self._step(self.live.pop(), math.inf)
             # a fault due at or after golden's end never lands: its run is golden's
             leftover = [fault for cycle in cycles for fault in due[cycle]]
-            self.matched.append((_records(golden, leftover, ()), golden.counters.reads, leftover))
-            reset = None
-            for run_records, reads, run_faults in self.matched:
-                for record, fault in zip(run_records, run_faults):
-                    if golden.counters.reads != reads:
-                        # golden reads the SEU counters after the match: rerun from reset
-                        reset = reset or Kernel(golden.config).checkpoint()
-                        self._run_out(self._fork(reset, fault))
-                    elif self.golden_error is not None:
-                        self.errors[fault.index] = self.golden_error
-                    else:
-                        self.done[fault.index] = (record, None)
+            for record in _records(golden, leftover, ()):
+                results[record["index"]] = (record, None, golden.counters.reads)
 
-            if self.errors:
-                raise self.errors[min(self.errors)]
-            golden_sig = golden.architectural_signature() if self.golden_compare else None
+            golden_sig = None
+            if self.golden_compare:
+                self._golden_to(math.inf)
+                golden_sig = golden.architectural_signature()
+            # Settle in fault order, so the first exception met is the one raised.
+            reset = None
             records = []
             for fault in faults:
-                record, sig = self.done[fault.index]
+                entry = results[fault.index]
+                if not isinstance(entry, SimError) and entry[2] is not None:  # matched golden
+                    self._golden_to(math.inf)  # golden runs to its end only if some fork matched
+                    if entry[2] != golden.counters.reads:
+                        # golden reads the SEU counters after the match: rerun from reset
+                        reset = reset or Kernel(golden.config).checkpoint()
+                        self._step(self._fork(reset, fault), math.inf)
+                        entry = results[fault.index]
+                    elif self.golden_error is not None:
+                        entry = self.golden_error
+                if isinstance(entry, SimError):
+                    raise entry
+                record, sig, _ = entry
                 if golden_sig is not None:
                     record["diverged"] = sig is not None and sig != golden_sig
                 records.append(record)
             return golden_sig, records
-        finally:
-            self.errors.clear()
-            self.golden_error = None
+        finally:  # a raised exception's traceback holds this frame and the engine
+            results.clear()
+            self.golden_error = entry = None
 
     def _golden_to(self, target):
         """Advance golden to ``target``; True once its run is over, by its end or by raising."""
@@ -498,45 +493,33 @@ class _ForkedCampaign:
         return _Fork(kernel, [fault])
 
     def _step(self, fork, steps):
+        """Step ``fork`` ``steps`` cycles (``math.inf``: to its end), then on until its
+        upset is resolved, and keep it live. Once its run is over or has raised, write
+        its result instead and return its kernel to the pool."""
+        kernel, length = fork.kernel, self.length
+        (fault,) = fork.faults
         try:
-            going = fork.settle(steps, self.length)
+            over = kernel._advance(kernel.cycle + steps, length)
+            while not (over or kernel.settled()):
+                over = kernel._advance(kernel.cycle + 1, length)
         except SimError as exc:
-            self._fail(fork, exc)
-            return
-        if going:
-            self.live.append(fork)
+            self.results[fault.index] = exc
         else:
-            self._finish(fork)
+            if not over:
+                self.live.append(fork)
+                return
+            sig = kernel.architectural_signature() if self.golden_compare else None
+            self.results[fault.index] = (*fork.records(), sig, None)
+        self.pool.append(kernel)
 
     def _compare(self, fork):
-        if fork.kernel.matches(self.golden):
-            self.matched.append((fork.records(), self.golden.counters.reads, fork.faults))
-            self._release(fork)
+        golden = self.golden
+        if fork.kernel.matches(golden):
+            self.results[fork.faults[0].index] = (*fork.records(), None, golden.counters.reads)
+            self.pool.append(fork.kernel)
         else:
             steps, fork.gap = fork.gap, 2 * fork.gap
             self._step(fork, steps)
-
-    def _run_out(self, fork):
-        try:
-            fork.kernel._advance(end=self.length)
-        except SimError as exc:
-            self._fail(fork, exc)
-            return
-        self._finish(fork)
-
-    def _finish(self, fork):
-        sig = fork.kernel.architectural_signature() if self.golden_compare else None
-        for record in fork.records():
-            self.done[record["index"]] = (record, sig)
-        self._release(fork)
-
-    def _fail(self, fork, exc):
-        for fault in fork.faults:
-            self.errors[fault.index] = exc
-        self._release(fork)
-
-    def _release(self, fork):
-        self.pool.append(fork.kernel)
 
 
 def run_campaign(config):

@@ -18,6 +18,7 @@ from reference_observer import outcome, reference_isolated
 
 from tmrv32 import encode as E
 from tmrv32 import seu
+from tmrv32.errors import BusFault
 from tmrv32.kernel import EDGE_ALIGNED, MID_CYCLE, Kernel, SystemConfig
 from tmrv32.memory import SEU_COUNTER_BASE
 from tmrv32.seu import CampaignConfig, FaultSpec, run_campaign
@@ -308,6 +309,49 @@ def test_first_fault_in_index_order_decides_the_exception():
     assert got[:2] == ("raises", "BusFault") and "unmapped" in got[2]
 
 
+def _counter_crash_program():
+    """A delay loop, then the core SEU counter read into x7 and a load from x7 << 29.
+
+    Fault-free it reads 0 and loads from SRAM; a run whose core counter reads 1
+    loads from 0x20000100, which nothing maps."""
+    p = E.Program()
+    p.emit(E.addi(2, 0, 10))
+    p.label("wait")
+    p.emit(E.addi(2, 2, -1))
+    p.branch(E.bne, 2, 0, "wait")
+    p.emit(E.lui(6, SEU_COUNTER_BASE >> 12))
+    p.emit(E.lw(7, 6, 0))
+    p.emit(E.slli(9, 7, 29))
+    p.emit(E.lw(8, 9, 0x100))
+    p.emit(E.ebreak())
+    return p.assemble()
+
+
+# a fork that matches golden early, then is rerun from reset and crashes there
+_RERUN_CRASH = FaultSpec(at_cycle=6, kind="cell", key="core.x5", replica=0, bit=3)
+# a later-index fault that crashes earlier in time
+_EARLY_CRASH = FaultSpec(at_cycle=4, kind="cell", key="core.pc", replica=0, bit=20, count=2)
+
+
+@pytest.mark.parametrize("faults, message", [
+    ([_RERUN_CRASH], "0x20000100: read from unmapped address"),
+    ([_RERUN_CRASH, _EARLY_CRASH], "0x20000100: read from unmapped address"),
+    ([_EARLY_CRASH, _RERUN_CRASH], "instruction fetch outside SRAM"),
+])
+def test_a_rerun_from_reset_that_raises(faults, message):
+    got = assert_matches_reference(_campaign(_counter_crash_program(), faults))
+    assert got[:2] == ("raises", "BusFault") and message in got[2]
+
+
+def test_the_rerun_is_what_raises(monkeypatch):
+    count = _Counting(monkeypatch)
+    with pytest.raises(BusFault, match="0x20000100"):
+        run_campaign(_campaign(_counter_crash_program(), [_RERUN_CRASH]))
+    # golden, the fork, and the kernel that checkpoints the reset state: the fork
+    # matched golden, so the crash came from its rerun
+    assert count.kernels == 3
+
+
 def test_hang_raises_simtimeout_like_the_reference():
     image = acceptance_program().assemble()
     golden = _golden_cycles(SystemConfig(image=image))
@@ -332,6 +376,8 @@ def test_a_campaign_that_raises_keeps_no_kernel_alive():
                                     count=2), crash])
         for key, bit in (("core.pc", 20), ("core.x28", 30))
     ]
+    # a rerun from reset raises; a later-index fault raised first
+    campaigns.append(_campaign(_counter_crash_program(), [_RERUN_CRASH, _EARLY_CRASH]))
     # golden crashes after a fork matched it, so the fork raises what golden raised
     system = SystemConfig(image=_crash_program(), max_cycles=300)
     faults = [FaultSpec(at_cycle=4, kind="cell", key="core.x1", replica=2, bit=0)]

@@ -281,8 +281,20 @@ def test_campaign_wrong_typed_value_is_a_config_error(tmp_path, capsys):
         ({"system": {"scrub_enabled": "no"}}, "scrub_enabled"),
         ({"system": {"record_events": "no"}}, "record_events"),
         ({"system": {}, "golden_compare": "no"}, "golden_compare"),
+        ({"system": {"image_hex": "73001000", "entry_pc": "0"}}, "entry_pc"),
+        ({"system": {"image_hex": "73001000", "entry_pc": -4}}, "entry_pc"),
+        ({"system": {"image_hex": "73001000", "image_base": "0x10"}}, "image_base"),
+        ({"system": {"image": 5}}, "image"),
     ]
     _assert_config_errors(tmp_path, capsys, cases)
+
+
+def test_run_rejects_an_entry_pc_past_32_bits(tmp_path, capsys):
+    image = tmp_path / "ebreak.bin"
+    image.write_bytes(E.ebreak().to_bytes(4, "little"))
+    assert main(["run", str(image), "--entry=0x100000000"]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:") and "entry_pc" in line
 
 
 def _assert_config_errors(tmp_path, capsys, cases):

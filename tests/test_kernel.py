@@ -282,6 +282,34 @@ def test_config_validation():
         SystemConfig(max_cycles=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("image", 5),
+        ("image", ["73001000"]),
+        ("image_base", "0x10"),
+        ("image_base", -1),
+        ("image_base", 16.0),
+        ("entry_pc", "0"),
+        ("entry_pc", -4),
+        ("entry_pc", 1 << 32),
+        ("entry_pc", 4.0),
+    ],
+)
+def test_wrong_typed_image_fields_are_config_errors(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        SystemConfig(**{"image": b"\x73\x00\x10\x00", field: value})
+
+
+def test_image_fields_take_their_whole_range(tmp_path):
+    path = tmp_path / "ebreak.bin"
+    path.write_bytes(E.ebreak().to_bytes(4, "little"))
+    for image in (path, str(path), path.read_bytes()):
+        kernel = Kernel(SystemConfig(image=image, image_base=0x100, entry_pc=0x100))
+        assert kernel.run().halt == "ebreak" and kernel.sram.voted_bytes()[0x100] == 0x73
+    assert SystemConfig(entry_pc=0xFFFFFFFF).entry_pc == 0xFFFFFFFF
+
+
 def test_stimulus_gpio_pin_out_of_range_is_a_config_error():
     for pin in (27, 40, -1):
         with pytest.raises(ConfigError, match="no such GPIO pin"):
@@ -778,6 +806,25 @@ def test_restore_rejects_a_flip_that_schedule_flip_rejects(entry, message):
     kernel.restore(_with_fault_schedule(blob, [[10, "mid-cycle", "cell", "core.x7", 0, 3]]))
     kernel.run_cycles(5)
     assert kernel.settled() and kernel.event_totals[Domain.CORE] == 1
+
+
+def test_restore_takes_a_fault_schedule_in_any_order():
+    straight = make_kernel(acceptance_program())
+    straight.run_cycles(10)
+    blob = straight.snapshot()
+    straight.schedule_flip(30, "cell", "core.x7", 0, 3)
+    straight.schedule_flip(15, "cell", "core.x8", 0, 3)
+    straight.run_cycles(1000)
+    kernel = make_kernel(acceptance_program())
+    kernel.restore(_with_fault_schedule(blob, [
+        [30, "mid-cycle", "cell", "core.x7", 0, 3], [15, "mid-cycle", "cell", "core.x8", 0, 3],
+    ]))
+    kernel.sink = []
+    kernel.run_cycles(1000)
+    flips = [rec for rec in kernel.sink if type(rec) is Flip]
+    assert [(f.cycle, f.target) for f in flips] == [(15, "core.x8"), (30, "core.x7")]
+    assert kernel.settled()
+    assert kernel.snapshot() == straight.snapshot()
 
 
 def test_snapshot_keeps_scheduled_flips():
