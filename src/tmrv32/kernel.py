@@ -50,9 +50,10 @@ skips the upset and stimulus bookkeeping of its cycles. A span starts only if
 
 Then no cycle of the span can raise a discrepancy, so voting and counter
 aggregation have nothing to do and every due scrub step is a clean read. A
-running core's cycles go through ``Pipeline.advance`` alone; on a halted core only
-the scrubber moves. One ``Scrubber.skip_clean`` call catches the scan up at the
-end, also when the pipeline raises. A span stops
+running core's span is one ``Pipeline.advance`` call, the call ``step_cycle``
+makes for its one cycle; on a halted core only the scrubber moves. One
+``Scrubber.skip_clean`` call catches the scan up at the end, also when the
+pipeline raises, and then the kernel stands at the cycle that raised. A span stops
 
 * at the end of the run or the call;
 * at the next cycle with a scheduled flip, a GPIO input or a UART RX byte that
@@ -157,10 +158,11 @@ class SystemConfig:
             "stimulus": [list(e) for e in self.stimulus],
         }
         if include_image:
-            if isinstance(self.image, bytes):
-                d["image_hex"] = self.image.hex()
-            else:
-                d["image"] = self.image
+            image = self.image
+            if isinstance(image, (bytes, bytearray)):
+                d["image_hex"] = image.hex()
+            else:  # a path or None
+                d["image"] = image if image is None else os.fspath(image)
         return d
 
     @classmethod
@@ -342,8 +344,8 @@ class Kernel:
     def cells_in_domain(self, domain):
         return [c.element_id for c in self.registry.values() if c.domain == domain]
 
-    def _log_retire(self, pc, ins):
-        self.sink.append(Retire(self.cycle, pc, ins.raw))
+    def _log_retire(self, c, pc, ins):
+        self.sink.append(Retire(c, pc, ins.raw))
 
     # ------------------------------------------------------------------
     # fault injection surface (used by the campaign engine and tests)
@@ -440,7 +442,7 @@ class Kernel:
         halt = None
         if self.halted is None:  # the core stops at a halt; the scrubber never does
             retire = self._log_retire if self.sink is not None else None
-            halt = self.pipeline.advance(self.arch, self.bus, retire)
+            halt = self.pipeline.advance(self.arch, self.bus, uart, c, c + 1, retire)[1]
             if self.sram.repaired:  # stores took rows out of the dirty set
                 self._log_sram_repairs(c)
         if self._edge_queue:
@@ -584,21 +586,18 @@ class Kernel:
         try:
             if not running:  # only the scrubber moves; skip_clean bounds the span
                 c = stop
-            else:
-                arch, bus, uart, advance = self.arch, self.bus, self.uart, self.pipeline.advance
+            elif c < stop:
                 sink = self.sink
                 retire = self._log_retire if sink is not None else None
-                while c < stop:
-                    self.cycle = arch.cycle = uart.cycle = c
-                    bus.last_store_row = None
-                    halt = advance(arch, bus, retire)
-                    c += 1
-                    if halt is not None:
-                        self.halted = halt
-                        if sink is not None:
-                            sink.append(Halt(c - 1, halt))
-                        break
-        finally:  # c is the cycle that raised, if one did
+                c, halt = self.pipeline.advance(self.arch, self.bus, self.uart, c, stop, retire)
+                if halt is not None:
+                    self.halted = halt
+                    if sink is not None:
+                        sink.append(Halt(c - 1, halt))
+        except BaseException:
+            c = self.arch.cycle  # the cycle that raised
+            raise
+        finally:
             if scrub:
                 c = scrubber.skip_clean(self.sram, start, c, config.scrub_divider)
             self.cycle = c
@@ -671,6 +670,34 @@ class Kernel:
             ) if schedule else (),
             "record_events": self.config.record_events,
         }
+
+    @staticmethod
+    def _check_misc_values(misc):
+        """ConfigError unless each misc value other than a flip list has the type and
+        range :meth:`_misc_state` gives it."""
+        def count(v):
+            return type(v) is int and v >= 0
+
+        def log(v):  # (cycle, byte) pairs
+            return all(len(e) == 2 and count(e[0]) and count(e[1]) and e[1] <= 0xFF for e in v)
+
+        valid = {
+            "halted": lambda v: v is None or type(v) is str,
+            "idle_cause": lambda v: v in ("fill", "stall", "branch"),
+            "gpio_inputs": lambda v: count(v) and not v >> GPIO_PINS,
+            "uart_tx_log": log,
+            "uart_rx_pending": log,
+            "uart_rx_cursor": lambda v: count(v) and v <= len(misc["uart_rx_pending"]),
+            "pending_increments": lambda v: all(map(count, v.values())),
+            "event_totals": lambda v: v.keys() == set(Domain) and all(map(count, v.values())),
+            "record_events": lambda v: type(v) is bool,
+        }
+        for name in ("retired", "arch_retired", "fetch_stalls", "branch_bubbles",
+                     "fill_cycles", "dmem_cycles"):
+            valid[name] = count
+        for name, ok in valid.items():
+            if not ok(misc[name]):
+                raise ConfigError(f"snapshot misc field {name} is out of range: {misc[name]!r}")
 
     def checkpoint(self):
         """Complete machine state as a :class:`Checkpoint` that shares nothing with the
@@ -854,13 +881,14 @@ class Kernel:
                 misc[name] = tuple(map(tuple, misc[name]))
             for name in ("pending_increments", "event_totals"):
                 misc[name] = {Domain(int(d)): n for d, n in misc[name].items()}
-            for entry in misc["fault_schedule"]:  # each must be one schedule_flip accepts
+            flips = [("fault_schedule", e, e) for e in misc["fault_schedule"]]
+            flips += [("edge_queue", e, (cycle, EDGE_ALIGNED, *e)) for e in misc["edge_queue"]]
+            for name, entry, flip in flips:  # each must be one schedule_flip accepts
                 try:
-                    self._check_flip(cycle, *entry)
+                    self._check_flip(cycle, *flip)
                 except (ConfigError, TypeError) as exc:
-                    raise ConfigError(
-                        f"snapshot fault_schedule entry {list(entry)!r}: {exc}"
-                    ) from None
+                    raise ConfigError(f"snapshot {name} entry {list(entry)!r}: {exc}") from None
+            self._check_misc_values(misc)
             # edited bytes may list it in any order; resume takes it in cycle order
             misc["fault_schedule"] = tuple(sorted(misc["fault_schedule"], key=lambda e: e[0]))
             self.resume(Checkpoint(cycle, values, tuple(upsets), banks, misc))

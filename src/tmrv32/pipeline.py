@@ -23,6 +23,10 @@ second, so back-to-back dependent instructions never stall.
 
 Accounting identity, asserted in tests: total cycles = retired instructions +
 fetch-stall cycles + branch bubbles + fill cycles.
+
+:meth:`Pipeline.advance` runs a whole span of cycles in one call, with the latch
+values, the pc, the idle cause and the counters in locals; ``Kernel.step_cycle``
+calls it with a one-cycle span and ``Kernel._fast_forward`` with a quiet span.
 """
 
 from .errors import IllegalInstruction
@@ -52,83 +56,116 @@ class Pipeline:
         yield self.wl_rd
         yield self.wl_value
 
-    def advance(self, arch, bus, retire_sink=None):
-        """Simulate one clock edge plus the cycle it opens.
+    def advance(self, arch, bus, uart, c, stop, retire=None):
+        """Simulate the cycles ``c`` .. ``stop - 1``, each a clock edge plus the cycle it
+        opens, and return ``(next cycle, halt)``. The span ends early after a cycle
+        whose instruction halts the machine; ``halt`` is then its reason string, else
+        None. ``retire(cycle, pc, ins)``, if given, is called for each instruction
+        executed. Bus faults and illegal instructions propagate as exceptions for the
+        kernel's diagnostics.
 
-        Returns a halt reason string when the instruction executed this cycle
-        halts the machine, else None. Bus faults and illegal instructions
-        propagate as exceptions for the kernel's diagnostics.
+        The six latch values, ``arch.pc``, the idle cause and the four counters live
+        in locals during the span, and a ``finally`` stores them back, so a cycle that
+        raises leaves them as of the raise. Stored every cycle are the committed
+        register (``ins.run`` reads the registers), ``arch.cycle``, ``arch.retired``
+        and ``uart.cycle`` (CSR reads and UART TX stamps read them), and
+        ``bus.last_store_row = None``.
 
-        Latch cells, ``arch.pc`` and the committed register are stored by
-        assigning ``value``, not through :meth:`TmrCell.write`. That is exact
-        because every cell is clean here, from both of the kernel's callers:
-        ``step_cycle`` refreshes every dirty cell before the pipeline advances and
-        lands flips only after it, and ``_fast_forward`` runs only while no cell is
+        Cells are stored by assigning ``value``, not through :meth:`TmrCell.write`.
+        That is exact because every cell is clean here, from both of the kernel's
+        callers: ``step_cycle`` refreshes every dirty cell before the pipeline advances
+        and lands flips only after it, and ``_fast_forward`` runs only while no cell is
         dirty and stops before the next flip. Every value stored already fits its
         cell: results and pcs are masked to 32 bits, ``rd`` comes from decode and
-        ``raw`` from ``fetch_window``.
+        ``raw`` from ``fetch_window`` or an SRAM row.
+
+        An aligned fetch inside SRAM reads bank 0 directly if no SRAM row is dirty when
+        the call starts: only an upset makes a row dirty, and none lands during a call,
+        so no such read would vote. Every other fetch goes through
+        ``bus.fetch_window``, with its faults and discrepancy events.
         """
-        # W: commit the writeback latch to the register file (x0 discards it).
-        if self.wl_valid.value:
-            rd = self.wl_rd.value
-            if rd:
-                arch.regs[rd].value = self.wl_value.value
-
-        # X: consume the fetch latch.
+        fl_valid, fl_pc, fl_raw = self.fl_valid.value, self.fl_pc.value, self.fl_raw.value
+        wl_valid, wl_rd, wl_value = self.wl_valid.value, self.wl_rd.value, self.wl_value.value
+        next_pc = arch.pc.value
+        idle = self._idle_cause
+        stalls, bubbles = self.fetch_stalls, self.branch_bubbles
+        fills, dmem = self.fill_cycles, self.dmem_cycles
+        regs = arch.regs
+        sram = bus.sram
+        bank = sram.banks[0]
+        direct_end = 0 if sram.dirty else sram.rows * 4  # SRAM starts at address 0
         halt = None
-        dmem_busy = False
-        redirect = None
-        rd_write = None
-        if self.fl_valid.value:
-            pc = self.fl_pc.value
-            try:
-                ins = decode(self.fl_raw.value)
-            except IllegalInstruction as e:
-                raise IllegalInstruction(e.raw, pc) from None
-            rd_write, redirect, mem, halt = ins.run(arch, pc)
-            if mem is not None:
-                addr, width, data = mem
-                dmem_busy = True
-                self.dmem_cycles += 1
-                if data is None:
-                    rd_write = (ins.rd, extend_load(ins, bus.read(addr, width)))
+        try:
+            while c < stop:
+                arch.cycle = uart.cycle = c
+                bus.last_store_row = None
+
+                # W: commit the writeback latch to the register file (x0 discards it).
+                if wl_valid and wl_rd:
+                    regs[wl_rd].value = wl_value
+
+                # X: consume the fetch latch.
+                dmem_busy = False
+                redirect = rd_write = None
+                if fl_valid:
+                    try:
+                        ins = decode(fl_raw)
+                    except IllegalInstruction as e:
+                        raise IllegalInstruction(e.raw, fl_pc) from None
+                    rd_write, redirect, mem, halt = ins.run(arch, fl_pc)
+                    if mem is not None:
+                        addr, width, data = mem
+                        dmem_busy = True
+                        dmem += 1
+                        if data is None:
+                            rd_write = (ins.rd, extend_load(ins, bus.read(addr, width)))
+                        else:
+                            bus.write(addr, data, width)
+                    arch.retired += 1
+                    if retire is not None:
+                        retire(c, fl_pc, ins)
+                elif idle == "stall":
+                    stalls += 1
+                elif idle == "branch":
+                    bubbles += 1
                 else:
-                    bus.write(addr, data, width)
-            arch.retired += 1
-            if retire_sink is not None:
-                retire_sink(pc, ins)
-        elif self._idle_cause == "stall":
-            self.fetch_stalls += 1
-        elif self._idle_cause == "branch":
-            self.branch_bubbles += 1
-        else:
-            self.fill_cycles += 1
+                    fills += 1
 
-        if rd_write is None:
-            self.wl_valid.value = self.wl_rd.value = self.wl_value.value = 0
-        else:
-            self.wl_valid.value = 1
-            self.wl_rd.value, self.wl_value.value = rd_write
+                if rd_write is None:
+                    wl_valid = wl_rd = wl_value = 0
+                else:
+                    wl_valid = 1
+                    wl_rd, wl_value = rd_write
 
-        # F: fetch unless the data bus owns the SRAM port or X transferred control.
-        if redirect is not None:
-            valid = pc = raw = 0
-            arch.pc.value = redirect
-            self._idle_cause = "branch"
-        elif dmem_busy or halt is not None:
-            valid = pc = raw = 0
-            self._idle_cause = "stall" if dmem_busy else "fill"
-        else:
-            pc = arch.pc.value
-            raw = bus.fetch_window(pc)
-            if raw & 3 == 3:
-                arch.pc.value = (pc + 4) & M32
-            else:
-                raw &= 0xFFFF
-                arch.pc.value = (pc + 2) & M32
-            valid = 1
-            self._idle_cause = "fill"
-        self.fl_valid.value = valid
-        self.fl_pc.value = pc
-        self.fl_raw.value = raw
-        return halt
+                # F: fetch unless the data bus owns the SRAM port or X transferred control.
+                if redirect is not None:
+                    fl_valid = fl_pc = fl_raw = 0
+                    next_pc = redirect
+                    idle = "branch"
+                elif dmem_busy or halt is not None:
+                    fl_valid = fl_pc = fl_raw = 0
+                    idle = "stall" if dmem_busy else "fill"
+                else:
+                    pc = next_pc
+                    if pc & 3 or pc >= direct_end:
+                        raw = bus.fetch_window(pc)
+                    else:
+                        raw = bank[pc >> 2]
+                    if raw & 3 == 3:
+                        next_pc = (pc + 4) & M32
+                    else:
+                        raw &= 0xFFFF
+                        next_pc = (pc + 2) & M32
+                    fl_valid, fl_pc, fl_raw = 1, pc, raw
+                    idle = "fill"
+                c += 1
+                if halt is not None:
+                    break
+        finally:
+            self.fl_valid.value, self.fl_pc.value, self.fl_raw.value = fl_valid, fl_pc, fl_raw
+            self.wl_valid.value, self.wl_rd.value, self.wl_value.value = wl_valid, wl_rd, wl_value
+            arch.pc.value = next_pc
+            self._idle_cause = idle
+            self.fetch_stalls, self.branch_bubbles = stalls, bubbles
+            self.fill_cycles, self.dmem_cycles = fills, dmem
+        return c, halt

@@ -121,7 +121,9 @@ class FaultSpec:
             raise ConfigError(f"at_cycle must be a non-negative integer, got {self.at_cycle!r}")
         if self.kind not in ("cell", "sram", "random"):
             raise ConfigError(f"unknown fault kind {self.kind!r}")
-        if self.kind == "random" and self.key not in _DOMAIN_BY_NAME:
+        if self.kind == "random" and not (
+            isinstance(self.key, str) and self.key in _DOMAIN_BY_NAME
+        ):
             raise ConfigError(f"random fault domain must be one of {sorted(_DOMAIN_BY_NAME)}")
         if self.kind == "cell" and not isinstance(self.key, str):
             raise ConfigError(f"cell fault key must be an element id, got {self.key!r}")

@@ -289,6 +289,13 @@ def test_campaign_wrong_typed_value_is_a_config_error(tmp_path, capsys):
     _assert_config_errors(tmp_path, capsys, cases)
 
 
+@pytest.mark.parametrize("key", [{}, []], ids=["object", "array"])
+def test_campaign_random_fault_with_a_non_string_key_is_a_config_error(tmp_path, capsys, key):
+    fault = {"at_cycle": 0, "kind": "random", "key": key}
+    cases = [({"system": {"image_hex": "73001000"}, "faults": [fault]}, "random fault domain")]
+    _assert_config_errors(tmp_path, capsys, cases)
+
+
 def test_run_rejects_an_entry_pc_past_32_bits(tmp_path, capsys):
     image = tmp_path / "ebreak.bin"
     image.write_bytes(E.ebreak().to_bytes(4, "little"))

@@ -626,6 +626,24 @@ def _loop_then(*tail, passes=40):
     return p.assemble()
 
 
+def _csr_loop():
+    """A loop that reads the cycle and instret CSRs each pass and stores what it read."""
+    p = E.Program()
+    p.emit(E.addi(20, 0, 40))
+    p.emit(E.lui(28, SCRATCH_BASE >> 12))
+    p.label("loop")
+    p.emit(E.csrrs(5, CSR_CYCLE))
+    p.emit(E.csrrs(6, CSR_INSTRET))
+    p.emit(E.sub(7, 5, 6))
+    p.emit(E.sw(7, 28, 0))
+    p.emit(E.add(9, 9, 5))
+    p.emit(E.sw(9, 28, 4))
+    p.emit(E.addi(20, 20, -1))
+    p.branch(E.bne, 20, 0, "loop")
+    p.emit(E.ebreak())
+    return p.assemble()
+
+
 # name -> (image, max_cycles, what a clean run raises)
 QUIET_PROGRAMS = {
     "acceptance": (lambda: acceptance_program().assemble(), 3000, None),
@@ -637,6 +655,9 @@ QUIET_PROGRAMS = {
     },
     "loop": (lambda: _loop_then(E.ebreak()), 3000, None),
     "bus-fault": (lambda: _loop_then(E.lui(3, 0x20000), E.lw(4, 3, 0)), 3000, BusFault),
+    "csr-reads": (_csr_loop, 3000, None),
+    # the jump's target is fetched, mid-span, from outside SRAM
+    "fetch-fault": (lambda: _loop_then(E.lui(3, 0x20000), E.jalr(0, 3, 0)), 3000, BusFault),
     "alignment-fault": (lambda: _loop_then(E.lw(4, 28, 2)), 3000, AlignmentFault),
     "illegal": (lambda: _loop_then(0x0000, 0x0000), 3000, IllegalInstruction),
     "timeout": (_spin_program, 700, SimTimeout),
@@ -768,11 +789,11 @@ def test_a_flip_before_the_current_cycle_is_a_config_error():
     assert kernel.settled()
 
 
-def _with_fault_schedule(blob, schedule):
-    """``blob`` with its misc ``fault_schedule`` replaced by ``schedule``."""
+def _with_misc(blob, **fields):
+    """``blob`` with the named misc fields replaced."""
     off = _misc_offset(blob)
     misc = json.loads(blob[off + 4 :])
-    raw = json.dumps({**misc, "fault_schedule": schedule}, sort_keys=True).encode()
+    raw = json.dumps({**misc, **fields}, sort_keys=True).encode()
     return blob[:off] + struct.pack("<I", len(raw)) + raw
 
 
@@ -795,7 +816,7 @@ def test_restore_rejects_a_flip_that_schedule_flip_rejects(entry, message):
     kernel.schedule_flip(30, "sram", 44, 0, 1)
     kernel.run_cycles(25)
     before = kernel.snapshot()
-    bad = _with_fault_schedule(blob, [entry, [20, "mid-cycle", "cell", "core.x9", 1, 2]])
+    bad = _with_misc(blob, fault_schedule=[entry, [20, "mid-cycle", "cell", "core.x9", 1, 2]])
     with pytest.raises(ConfigError, match=r"snapshot fault_schedule entry \[") as info:
         kernel.restore(bad)
     assert message in str(info.value) and repr(entry[3]) in str(info.value)
@@ -803,9 +824,47 @@ def test_restore_rejects_a_flip_that_schedule_flip_rejects(entry, message):
     with pytest.raises(ConfigError):
         Kernel.from_snapshot(bad)
     # a flip due at the snapshot's own cycle still lands
-    kernel.restore(_with_fault_schedule(blob, [[10, "mid-cycle", "cell", "core.x7", 0, 3]]))
+    kernel.restore(_with_misc(blob, fault_schedule=[[10, "mid-cycle", "cell", "core.x7", 0, 3]]))
     kernel.run_cycles(5)
     assert kernel.settled() and kernel.event_totals[Domain.CORE] == 1
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("edge_queue", [["cell", "core.nope", 0, 3]], "edge_queue entry .*no such element"),
+        ("fetch_stalls", "x", "fetch_stalls"),
+        ("gpio_inputs", None, "gpio_inputs"),
+        ("uart_rx_cursor", -3, "uart_rx_cursor"),
+        ("halted", 5, "halted"),
+    ],
+    ids=["edge-queue-target", "fetch-stalls", "gpio-inputs", "uart-rx-cursor", "halted"],
+)
+def test_restore_rejects_a_misc_value_that_snapshot_never_writes(field, value, message):
+    source = make_kernel(acceptance_program())
+    source.run_cycles(50)
+    bad = _with_misc(source.snapshot(), **{field: value})
+    kernel = make_kernel(acceptance_program())
+    kernel.schedule_flip(30, "sram", 44, 0, 1)
+    kernel.run_cycles(25)
+    before = kernel.snapshot()
+    with pytest.raises(ConfigError, match=message):
+        kernel.restore(bad)
+    assert kernel.snapshot() == before
+    with pytest.raises(ConfigError):
+        Kernel.from_snapshot(bad)
+
+
+def test_restore_takes_an_edge_queue_and_misc_values_at_their_limits():
+    source = make_kernel(acceptance_program(), stimulus=(("uart-rx", 5, 0x41),))
+    source.run_cycles(50)
+    blob = _with_misc(source.snapshot(), edge_queue=[["cell", "core.x7", 0, 3]],
+                      uart_rx_cursor=1, gpio_inputs=(1 << 27) - 1, halted="ebreak")
+    kernel = Kernel.from_snapshot(blob)
+    assert kernel.halted == "ebreak" and kernel.gpio.input_levels == (1 << 27) - 1
+    kernel.sink = []
+    kernel.run_cycles(1)
+    assert kernel.sink[0] == Flip(50, "core.x7", 0, 3, False)
 
 
 def test_restore_takes_a_fault_schedule_in_any_order():
@@ -816,7 +875,7 @@ def test_restore_takes_a_fault_schedule_in_any_order():
     straight.schedule_flip(15, "cell", "core.x8", 0, 3)
     straight.run_cycles(1000)
     kernel = make_kernel(acceptance_program())
-    kernel.restore(_with_fault_schedule(blob, [
+    kernel.restore(_with_misc(blob, fault_schedule=[
         [30, "mid-cycle", "cell", "core.x7", 0, 3], [15, "mid-cycle", "cell", "core.x8", 0, 3],
     ]))
     kernel.sink = []

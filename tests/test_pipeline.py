@@ -208,12 +208,12 @@ def test_every_cell_is_clean_when_the_pipeline_advances_under_upsets():
     # stored value fits. Upsets of the pc, the six latches and the registers,
     # single and same-bit double, in both phases, must keep both true, whether
     # the kernel runs by single steps or by Kernel._advance in random chunks
-    # (which runs quiet spans through the pipeline alone).
+    # (which runs quiet spans through the pipeline alone, one call per span).
     rng = np.random.default_rng(1207)
     chunks = np.random.default_rng(1208)
     latches = ["core.pc", "core.fetch_valid", "core.fetch_pc", "core.fetch_raw",
                "core.wb_valid", "core.wb_rd", "core.wb_value"]
-    entries = 0
+    covered = 0  # cycles the checked calls were asked to simulate
 
     def stepped(kernel):
         kernel.step_cycle()
@@ -240,11 +240,12 @@ def test_every_cell_is_clean_when_the_pipeline_advances_under_upsets():
             cells = list(kernel.registry.values())
             advance = kernel.pipeline.advance
 
-            def checked_advance(*args, advance=advance, cells=cells):
-                nonlocal entries
-                entries += 1
+            def checked_advance(arch, bus, uart, c, stop, retire=None, advance=advance,
+                                cells=cells):
+                nonlocal covered
+                covered += stop - c
                 assert not [c.element_id for c in cells if c.discrepancy]
-                return advance(*args)
+                return advance(arch, bus, uart, c, stop, retire)
 
             kernel.pipeline.advance = checked_advance
             while kernel.halted is None and kernel.cycle < 400:
@@ -254,4 +255,4 @@ def test_every_cell_is_clean_when_the_pipeline_advances_under_upsets():
                     break
                 assert not [c.element_id for c in cells if c.value & ~c.mask]
                 assert {c for c in cells if c.discrepancy} <= kernel.dirty
-    assert entries > 2 * 40 * 100
+    assert covered > 2 * 40 * 100

@@ -309,6 +309,17 @@ def test_campaign_config_file_round_trip():
     assert clone.seed == config.seed
 
 
+@pytest.mark.parametrize("kind", ["path", "bytearray"])
+def test_campaign_config_with_a_path_or_bytearray_image_serializes(tmp_path, kind):
+    data = acceptance_program().assemble()
+    path = tmp_path / "acceptance.bin"
+    path.write_bytes(data)
+    image = path if kind == "path" else bytearray(data)
+    config = _campaign(image, [FaultSpec(at_cycle=3, kind="cell", key="core.x2")])
+    clone = CampaignConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+    assert Kernel(clone.system).run() == Kernel(config.system).run()
+
+
 def test_fault_spec_validation():
     with pytest.raises(ConfigError):
         FaultSpec(at_cycle=-1, kind="cell", key="core.x1").validate()
