@@ -20,10 +20,14 @@ returns them as a tuple ``(rd_write, target, mem, halt)``:
 
 The pipeline (:mod:`tmrv32.pipeline`) commits them: the register write goes
 through its writeback latch.
+
+The semantics of the register-register, immediate and branch operations are
+written once, as Python expressions in ``_ALU_RR``, ``_ALU_IMM`` and
+``_BRANCH_TAKEN``. Their handlers call them, compiled once per operation, and the
+pipeline's translator inlines them into its translated blocks.
 """
 
 import functools
-import operator
 from dataclasses import dataclass, field
 
 from .errors import IllegalInstruction
@@ -377,49 +381,57 @@ def _rems(a, b):
     return -r if a < 0 else r
 
 
-# The handlers mask every result to 32 bits, which also turns a comparison's
-# bool into 0 or 1.
+# The semantics of every register-register, immediate and branch operation,
+# written once as a Python expression over the operands {a} and {b}: {a} is a
+# source register's value and {b} the second one's, or the sign-extended
+# immediate. Register values are 32-bit unsigned, so
+# ``(({a} ^ 0x80000000) - 0x80000000)`` reads one as signed. The handlers call
+# each as a function (``_function``), and the pipeline's translator inlines it
+# into its blocks. A result is masked to 32 bits where it is used, which also
+# turns a comparison's bool into 0 or 1.
 _ALU_RR = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "xor": operator.xor,
-    "or": operator.or_,
-    "and": operator.and_,
-    "sll": lambda a, b: a << (b & 31),
-    "srl": lambda a, b: a >> (b & 31),
-    "sra": lambda a, b: s32(a) >> (b & 31),
-    "slt": lambda a, b: s32(a) < s32(b),
-    "sltu": operator.lt,
-    "mul": operator.mul,
-    "mulh": lambda a, b: (s32(a) * s32(b)) >> 32,
-    "mulhu": lambda a, b: (a * b) >> 32,
-    "mulhsu": lambda a, b: (s32(a) * b) >> 32,
-    "div": lambda a, b: _divs(s32(a), s32(b)),
-    "divu": lambda a, b: M32 if b == 0 else a // b,
-    "rem": lambda a, b: _rems(s32(a), s32(b)),
-    "remu": lambda a, b: a if b == 0 else a % b,
+    "add": "{a} + {b}",
+    "sub": "{a} - {b}",
+    "xor": "{a} ^ {b}",
+    "or": "{a} | {b}",
+    "and": "{a} & {b}",
+    "sll": "{a} << ({b} & 31)",
+    "srl": "{a} >> ({b} & 31)",
+    "sra": "(({a} ^ 0x80000000) - 0x80000000) >> ({b} & 31)",
+    "slt": "({a} ^ 0x80000000) < ({b} ^ 0x80000000)",
+    "sltu": "{a} < {b}",
+    "mul": "{a} * {b}",
+    "mulh": "((({a} ^ 0x80000000) - 0x80000000) * (({b} ^ 0x80000000) - 0x80000000)) >> 32",
+    "mulhu": "({a} * {b}) >> 32",
+    "mulhsu": "((({a} ^ 0x80000000) - 0x80000000) * {b}) >> 32",
+    "div": "_divs(s32({a}), s32({b}))",
+    "divu": "0xFFFFFFFF if {b} == 0 else {a} // {b}",
+    "rem": "_rems(s32({a}), s32({b}))",
+    "remu": "{a} if {b} == 0 else {a} % {b}",
 }
 
 _ALU_IMM = {
-    "addi": operator.add,
-    "xori": lambda a, imm: a ^ (imm & M32),
-    "ori": lambda a, imm: a | (imm & M32),
-    "andi": lambda a, imm: a & imm & M32,
-    "slti": lambda a, imm: s32(a) < imm,
-    "sltiu": lambda a, imm: a < (imm & M32),
-    "slli": operator.lshift,
-    "srli": operator.rshift,
-    "srai": lambda a, imm: s32(a) >> imm,
+    "addi": "{a} + {b}",
+    "xori": "{a} ^ ({b} & 0xFFFFFFFF)",
+    "ori": "{a} | ({b} & 0xFFFFFFFF)",
+    "andi": "{a} & {b} & 0xFFFFFFFF",
+    "slti": "(({a} ^ 0x80000000) - 0x80000000) < {b}",
+    "sltiu": "{a} < ({b} & 0xFFFFFFFF)",
+    "slli": "{a} << {b}",
+    "srli": "{a} >> {b}",
+    "srai": "(({a} ^ 0x80000000) - 0x80000000) >> {b}",
 }
 
 _BRANCH_TAKEN = {
-    "beq": operator.eq,
-    "bne": operator.ne,
-    "blt": lambda a, b: s32(a) < s32(b),
-    "bge": lambda a, b: s32(a) >= s32(b),
-    "bltu": operator.lt,
-    "bgeu": operator.ge,
+    "beq": "{a} == {b}",
+    "bne": "{a} != {b}",
+    "blt": "({a} ^ 0x80000000) < ({b} ^ 0x80000000)",
+    "bge": "({a} ^ 0x80000000) >= ({b} ^ 0x80000000)",
+    "bltu": "{a} < {b}",
+    "bgeu": "{a} >= {b}",
 }
+
+_EXPRESSION_NAMES = {"s32": s32, "_divs": _divs, "_rems": _rems}  # what they call
 
 LOAD_WIDTH = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}
 STORE_WIDTH = {"sb": 1, "sh": 2, "sw": 4}
@@ -438,13 +450,23 @@ def _counter_csr_read(arch, csr):
 _NO_EFFECT = (None, None, None, None)
 
 
+@functools.cache
+def _function(op):
+    """The expression of ``op`` in the tables above as a function ``_<op>(a, b)``,
+    compiled with this file as its code filename (so profiles count it here)."""
+    expr = (_ALU_RR.get(op) or _ALU_IMM.get(op) or _BRANCH_TAKEN[op]).format(a="a", b="b")
+    names = dict(_EXPRESSION_NAMES)
+    exec(compile(f"def _{op}(a, b):\n    return {expr}\n", __file__, "exec"), names)
+    return names[f"_{op}"]
+
+
 def _bind(ins):
     """The handler of ``ins``: ``run(arch, pc)`` returns its effect tuple (see the
     module docstring). Source registers are read through their voters, and x0
     reads as zero."""
     op, rd, rs1, rs2, imm, length = ins.mnemonic, ins.rd, ins.rs1, ins.rs2, ins.imm, ins.length
     if op in _ALU_RR:
-        f = _ALU_RR[op]
+        f = _function(op)
 
         def run(arch, pc):
             regs = arch.regs
@@ -453,13 +475,13 @@ def _bind(ins):
             return (rd, f(a, b) & M32), None, None, None
 
     elif op in _ALU_IMM:
-        f = _ALU_IMM[op]
+        f = _function(op)
 
         def run(arch, pc):
             return (rd, f(arch.regs[rs1].value if rs1 else 0, imm) & M32), None, None, None
 
     elif op in _BRANCH_TAKEN:
-        taken = _BRANCH_TAKEN[op]
+        taken = _function(op)
 
         def run(arch, pc):
             regs = arch.regs

@@ -65,8 +65,9 @@ pipeline raises, and then the kernel stands at the cycle that raised. A span sto
 ``step_cycle`` simulates the cycle a span stops at and stays the oracle: a span
 must leave exactly the state and the event stream that single-stepping leaves.
 
-One kernel instance is one single-threaded simulation; instances share nothing, so
-campaigns may run many in parallel.
+One kernel instance is one single-threaded simulation; instances share nothing
+but the content-checked translation cache of :mod:`tmrv32.pipeline`, so campaigns
+may run many in parallel.
 """
 
 import dataclasses
@@ -132,16 +133,17 @@ class SystemConfig:
         image = self.image
         if not (image is None or isinstance(image, (bytes, bytearray, str, os.PathLike))):
             raise ConfigError(f"image must be bytes, a path or None, got {image!r}")
-        if not isinstance(self.image_base, int) or self.image_base < 0:
+        if type(self.image_base) is not int or self.image_base < 0:
             raise ConfigError(f"image_base must be an integer >= 0, got {self.image_base!r}")
         entry = self.entry_pc
-        if not (entry is None or isinstance(entry, int) and 0 <= entry <= 0xFFFFFFFF):
+        if not (entry is None or type(entry) is int and 0 <= entry <= 0xFFFFFFFF):
             raise ConfigError(f"entry_pc must be None or an integer in 0..2^32-1, got {entry!r}")
-        if not isinstance(self.freq_mhz, (int, float)) or self.freq_mhz <= 0:
+        freq = self.freq_mhz
+        if not isinstance(freq, (int, float)) or isinstance(freq, bool) or freq <= 0:
             raise ConfigError(f"freq_mhz must be a positive number, got {self.freq_mhz!r}")
-        if not isinstance(self.scrub_divider, int) or self.scrub_divider < 1:
+        if type(self.scrub_divider) is not int or self.scrub_divider < 1:
             raise ConfigError(f"scrub_divider must be an integer >= 1, got {self.scrub_divider!r}")
-        if not isinstance(self.max_cycles, int) or self.max_cycles < 1:
+        if type(self.max_cycles) is not int or self.max_cycles < 1:
             raise ConfigError(f"max_cycles must be an integer >= 1, got {self.max_cycles!r}")
         for name in ("scrub_enabled", "record_events"):
             if not isinstance(getattr(self, name), bool):
@@ -316,7 +318,7 @@ class Kernel:
             if kind not in ("uart-rx", "gpio-in"):
                 raise ConfigError(f"unknown stimulus event kind {kind!r}")
             arity = 2 if kind == "uart-rx" else 3
-            if len(values) != arity or not all(isinstance(v, int) for v in values):
+            if len(values) != arity or not all(type(v) is int for v in values):
                 raise ConfigError(f"stimulus event {list(event)!r}: {kind} takes {arity} integers")
             if values[0] < 0:  # it would never land
                 raise ConfigError(f"stimulus event {list(event)!r}: cycle {values[0]} is before 0")

@@ -27,11 +27,54 @@ fetch-stall cycles + branch bubbles + fill cycles.
 :meth:`Pipeline.advance` runs a whole span of cycles in one call, with the latch
 values, the pc, the idle cause and the counters in locals; ``Kernel.step_cycle``
 calls it with a one-cycle span and ``Kernel._fast_forward`` with a quiet span.
+
+Translated blocks: in a span longer than one cycle, with no ``retire`` callback
+and no SRAM row dirty when it starts (the rule of the direct bank-0 fetch),
+``advance`` runs hot straight-line code as translated blocks. A block runs the
+cycles of the instructions from the pc in the fetch latch through the first branch
+or jump. It is a Python function compiled once, with each operation inlined from
+the expression tables in :mod:`tmrv32.isa` and the registers in locals, and it
+leaves exactly what the per-cycle loop would: the registers, both latches (a
+pending write to x0 included), the pc, the idle cause, the counters,
+``arch.retired``, the SRAM, ``arch.cycle``, ``uart.cycle`` and
+``bus.last_store_row``. A block never raises. It ends before any instruction the
+per-cycle loop must run itself, and leaves that instruction in the fetch latch:
+a load or store whose address is not an aligned SRAM address, a store into the
+block's own rows, CSR reads, ``ecall``/``ebreak``, ``fence`` and illegal
+encodings. It also ends before a cycle whose fetch could fault. The per-cycle
+loop, unchanged, runs everything else; it tries a block after each cycle with X
+idle and after each block. ``step_cycle``'s one-cycle spans never run a block, so
+single-stepping stays the oracle.
+
+Blocks are compiled with this file as their code filename into one cache for the
+whole process, keyed by pc, once a kernel has entered that pc ``_HOT_ENTRIES``
+times. At every entry a block checks the SRAM words it was made from (and the SRAM
+size, the fetch latch and the pc), so the cache is a pure memo of SRAM contents,
+like ``decode``'s: loading an image, resuming a checkpoint or scrubbing a row needs
+no invalidation.
 """
 
 from .errors import IllegalInstruction
-from .isa import M32, decode, extend_load
+from .isa import (
+    _ALU_IMM,
+    _ALU_RR,
+    _BRANCH_TAKEN,
+    _EXPRESSION_NAMES,
+    LOAD_WIDTH,
+    M32,
+    STORE_WIDTH,
+    decode,
+    extend_load,
+)
 from .tmr import Domain, TmrCell
+
+# A pc is translated once a kernel has entered it this many times without a block.
+_HOT_ENTRIES = 16
+_MAX_BLOCK = 64  # instructions in one block at most
+
+# pc -> the translated block last made there, shared by every kernel of the process.
+# A block checks the SRAM words it was made from at every entry, so it is a pure memo.
+_blocks = {}
 
 
 class Pipeline:
@@ -47,6 +90,7 @@ class Pipeline:
         self.fill_cycles = 0
         self.dmem_cycles = 0  # cycles with an active data access (power activity mix)
         self._idle_cause = "fill"  # what an X-idle cycle is charged to
+        self._entries = {}  # pc -> entries since its last translation (see _HOT_ENTRIES)
 
     def cells(self):
         yield self.fl_valid
@@ -82,7 +126,8 @@ class Pipeline:
         An aligned fetch inside SRAM reads bank 0 directly if no SRAM row is dirty when
         the call starts: only an upset makes a row dirty, and none lands during a call,
         so no such read would vote. Every other fetch goes through
-        ``bus.fetch_window``, with its faults and discrepancy events.
+        ``bus.fetch_window``, with its faults and discrepancy events. Under the same
+        rule, hot code runs as translated blocks (see the module docstring).
         """
         fl_valid, fl_pc, fl_raw = self.fl_valid.value, self.fl_pc.value, self.fl_raw.value
         wl_valid, wl_rd, wl_value = self.wl_valid.value, self.wl_rd.value, self.wl_value.value
@@ -94,9 +139,40 @@ class Pipeline:
         sram = bus.sram
         bank = sram.banks[0]
         direct_end = 0 if sram.dirty else sram.rows * 4  # SRAM starts at address 0
+        # translated blocks (see the module docstring)
+        probe = blocks = retire is None and stop - c > 1 and direct_end
+        if blocks:
+            bank1, bank2 = sram.banks[1], sram.banks[2]
+            entries = self._entries
         halt = None
         try:
             while c < stop:
+                if probe and fl_valid:  # the fetch latch may hold the start of a block
+                    probe = False
+                    block = _blocks.get(fl_pc)
+                    done = block is not None and block(
+                        stop - c, direct_end, fl_raw, next_pc, regs, bank, bank1, bank2,
+                        wl_valid, wl_rd, wl_value,
+                    )
+                    if done:
+                        (n, ran, s, b, fl_valid, fl_pc, fl_raw, next_pc, idle,
+                         wl_valid, wl_rd, wl_value) = done
+                        c += n
+                        arch.retired += ran
+                        stalls += s
+                        dmem += s
+                        bubbles += b
+                        arch.cycle = uart.cycle = c - 1
+                        bus.last_store_row = None
+                        probe = True
+                        continue
+                    if done is False:  # no block made from this code yet
+                        n = entries[fl_pc] = entries.get(fl_pc, 0) + 1
+                        if n >= _HOT_ENTRIES:
+                            entries[fl_pc] = 0
+                            _blocks[fl_pc] = _translate(fl_pc, bank, direct_end)
+                            probe = True
+                            continue
                 arch.cycle = uart.cycle = c
                 bus.last_store_row = None
 
@@ -124,12 +200,14 @@ class Pipeline:
                     arch.retired += 1
                     if retire is not None:
                         retire(c, fl_pc, ins)
-                elif idle == "stall":
-                    stalls += 1
-                elif idle == "branch":
-                    bubbles += 1
                 else:
-                    fills += 1
+                    probe = blocks  # after an idle X, try the next instruction
+                    if idle == "stall":
+                        stalls += 1
+                    elif idle == "branch":
+                        bubbles += 1
+                    else:
+                        fills += 1
 
                 if rd_write is None:
                     wl_valid = wl_rd = wl_value = 0
@@ -169,3 +247,204 @@ class Pipeline:
             self.fetch_stalls, self.branch_bubbles = stalls, bubbles
             self.fill_cycles, self.dmem_cycles = fills, dmem
         return c, halt
+
+
+# ---------------------------------------------------------------------------
+# translated blocks
+# ---------------------------------------------------------------------------
+
+_TRANSFERS = {*_BRANCH_TAKEN, "jal", "jalr"}
+_TRANSLATED = {*_ALU_RR, *_ALU_IMM, *LOAD_WIDTH, *STORE_WIDTH, "lui", "auipc", *_TRANSFERS}
+_LOADED = {  # a load's value from a clean SRAM byte address ``a``
+    "lw": "b0[a >> 2]",
+    "lhu": "(b0[a >> 2] >> ((a & 2) << 3)) & 0xFFFF",
+    "lh": "((((b0[a >> 2] >> ((a & 2) << 3)) & 0xFFFF) ^ 0x8000) - 0x8000) & 0xFFFFFFFF",
+    "lbu": "(b0[a >> 2] >> ((a & 3) << 3)) & 0xFF",
+    "lb": "((((b0[a >> 2] >> ((a & 3) << 3)) & 0xFF) ^ 0x80) - 0x80) & 0xFFFFFFFF",
+}
+
+
+def _safe(pc, end):
+    """Whether a fetch at ``pc`` cannot fault: ``pc`` is even and its 32-bit window
+    lies inside SRAM."""
+    return not pc & 1 and pc + (pc & 2) < end
+
+
+def _window(bank, pc):
+    """The encoding a fetch at ``pc`` latches, read from a clean ``bank``."""
+    raw = bank[pc >> 2] >> ((pc & 2) << 3)
+    if raw & 3 != 3:
+        return raw & 0xFFFF
+    return raw | (bank[(pc >> 2) + 1] & 0xFFFF) << 16 if pc & 2 else raw
+
+
+def _translate(pc0, bank, end):
+    """Compile the block at ``pc0`` from the words of ``bank``, in a kernel with
+    ``end`` bytes of SRAM and no row dirty, and return it (see the module docstring)."""
+    body = []  # (pc, raw, decoded) from pc0 through the first branch or jump
+    pc = pc0
+    while _safe(pc, end) and len(body) < _MAX_BLOCK:
+        raw = _window(bank, pc)
+        try:
+            ins = decode(raw)
+        except IllegalInstruction:
+            break
+        op = ins.mnemonic
+        nxt = (pc + ins.length) & M32
+        # every cycle but a jump's fetches the next instruction
+        if op not in _TRANSLATED or op not in ("jal", "jalr") and not _safe(nxt, end):
+            break
+        body.append((pc, raw, ins))
+        if op in _TRANSFERS:
+            break
+        pc = nxt
+    if body:
+        stop_pc = body[-1][0] + body[-1][2].length
+    else:  # the rows of the one instruction, if any, that ended it
+        stop_pc = pc0 + (4 if _window(bank, pc0) & 3 == 3 else 2) if _safe(pc0, end) else pc0
+    rows = range(pc0 >> 2, (stop_pc + 3) >> 2) if stop_pc > pc0 else range(0)
+
+    lines = []
+    emit = lines.append
+    val = {}  # register -> its value as X reads it: a local's name or an int
+    committed = {}  # register -> the value the block committed to it
+    loads = set()  # registers read before the block writes them
+    pending = None  # the writeback latch, (rd, value), or None when empty
+    cycles = stalls = 0
+
+    def read(r):
+        if r == 0:
+            return 0
+        if r not in val:
+            loads.add(r)
+            val[r] = f"x{r}"
+        return val[r]
+
+    def store(pad, commit):
+        for r, v in sorted(commit.items()):
+            emit(f"{pad}regs[{r}].value = {v}")
+
+    def leave(pad, state, commit, fl, next_pc, idle):
+        """Store the registers in ``commit`` and return ``state`` = (cycles, retired,
+        stalls, bubbles, writeback latch) with the fetch latch ``fl``, (pc, raw) or
+        None for an empty one."""
+        store(pad, commit)
+        n, ran, s, b, latch = state
+        fl = "1, %s, %s" % fl if fl else "0, 0, 0"
+        latch = "1, %d, %s" % latch if latch else "0, 0, 0"
+        emit(f"{pad}return ({n}, {ran}, {s}, {b}, {fl}, {next_pc}, {idle!r}, {latch})")
+
+    def fetch(pad, p, state, commit, miss=None, miss_commit=None):
+        """Leave with the instruction at ``p`` (an int or a local's name) fetched;
+        where that fetch is not known to be safe, leave with ``miss`` instead and the
+        fetch latch empty."""
+        if isinstance(p, int):
+            if not _safe(p, end):
+                return leave(pad, miss, miss_commit, None, p, "branch")
+            inner = pad
+            word = f"b0[{p >> 2}]" + (" >> 16" if p & 2 else "")
+            wide = f"f | (b0[{(p >> 2) + 1}] & 0xFFFF) << 16" if p & 2 else "f"
+        else:
+            emit(f"{pad}if {p} + ({p} & 2) < {end}:")
+            inner = pad + "    "
+            word = f"b0[{p} >> 2] >> (({p} & 2) << 3)"
+            wide = f"(f | (b0[({p} >> 2) + 1] & 0xFFFF) << 16 if {p} & 2 else f)"
+        store(inner, commit)
+        emit(f"{inner}f = {word}")
+        emit(f"{inner}if f & 3 == 3:")
+        leave(inner + "    ", state, {}, (p, wide), f"{p} + 4", "fill")
+        leave(inner, state, {}, (p, "f & 0xFFFF"), f"{p} + 2", "fill")
+        if inner != pad:
+            leave(pad, miss, miss_commit, None, p, "branch")
+
+    def expression(table, op, a, b):
+        code = table[op].format(a=a, b=f"({b})" if isinstance(b, int) else b)
+        if isinstance(a, int) and isinstance(b, int):
+            return eval(f"({code}) & 0xFFFFFFFF", dict(_EXPRESSION_NAMES))
+        return code
+
+    for j, (pc, raw, ins) in enumerate(body):
+        op, rd = ins.mnemonic, ins.rd
+        emit(f"    # {pc:#x}: {ins}")
+        stay = (cycles, j, stalls, 0, pending), dict(committed)  # an exit before it
+        if pending is not None and pending[0]:  # W commits the latch
+            committed[pending[0]] = pending[1]
+        pending = None
+        if op in LOAD_WIDTH or op in STORE_WIDTH:
+            width = LOAD_WIDTH.get(op) or STORE_WIDTH[op]
+            emit(f"    a = ({read(ins.rs1)} + {ins.imm}) & 0xFFFFFFFF")
+            unsafe = f"a & {width - 1} or a >= {end}" if width > 1 else f"a >= {end}"
+            if op in STORE_WIDTH:  # nor one into the block's own rows
+                unsafe += f" or {rows.start << 2} <= a < {rows.stop << 2}"
+            emit(f"    if {unsafe}:")
+            if j:
+                leave("        ", *stay, (pc, raw), (pc + ins.length) & M32, "fill")
+            else:
+                emit("        return None")
+            if op in LOAD_WIDTH:  # the stall cycle after it commits it
+                emit(f"    v{j} = {_LOADED[op]}")
+                if rd:
+                    val[rd] = committed[rd] = f"v{j}"
+            elif width == 4:
+                emit(f"    b0[a >> 2] = b1[a >> 2] = b2[a >> 2] = {read(ins.rs2)}")
+            else:
+                mask = (1 << 8 * width) - 1
+                emit("    r = a >> 2")
+                emit("    s = (a & 3) << 3")
+                emit(f"    b0[r] = b1[r] = b2[r] = (b0[r] & ~({mask} << s)) | "
+                     f"(({read(ins.rs2)} & {mask}) << s)")
+            cycles += 2
+            stalls += 1
+        elif op in _BRANCH_TAKEN:
+            cycles += 1
+            emit(f"    if {expression(_BRANCH_TAKEN, op, read(ins.rs1), read(ins.rs2))}:")
+            taken, fall = (cycles + 1, j + 1, stalls, 1, None), (cycles, j + 1, stalls, 0, None)
+            fetch("        ", (pc + ins.imm) & M32, taken, committed, fall, committed)
+            fetch("    ", (pc + ins.length) & M32, fall, committed)
+        elif op in ("jal", "jalr"):
+            cycles += 1
+            link = (pc + ins.length) & M32
+            if op == "jal":
+                target = (pc + ins.imm) & M32
+            else:
+                emit(f"    t = ({read(ins.rs1)} + {ins.imm}) & 0xFFFFFFFE")
+                target = "t"
+            fetch("    ", target, (cycles + 1, j + 1, stalls, 1, None),
+                  {**committed, rd: link} if rd else committed,  # the bubble commits the link
+                  (cycles, j + 1, stalls, 0, (rd, link)), committed)
+        else:  # a register-register or immediate operation, lui or auipc
+            if op in _ALU_RR:
+                v = expression(_ALU_RR, op, read(ins.rs1), read(ins.rs2))
+            elif op in _ALU_IMM:
+                v = expression(_ALU_IMM, op, read(ins.rs1), ins.imm)
+            else:
+                v = (ins.imm + (pc if op == "auipc" else 0)) & M32
+            if not isinstance(v, int):
+                emit(f"    v{j} = ({v}) & 0xFFFFFFFF")
+                v = f"v{j}"
+            if rd:
+                val[rd] = v
+            pending = (rd, v)
+            cycles += 1
+    if body and body[-1][2].mnemonic not in _TRANSFERS:
+        fetch("    ", stop_pc, (cycles, len(body), stalls, 0, pending), committed)
+    elif body:
+        cycles += 1  # the bubble
+
+    name = f"block_{pc0:x}"  # profiles tell functions apart by file, line and name
+    head = [f"def {name}(budget, end, raw, npc, regs, b0, b1, b2, wv, wr, wx):"]
+    words = "".join(f" or b0[{r}] != {bank[r]}" for r in rows)
+    head.append(f"    if end != {end}{words}:")
+    head.append("        return False")
+    if body:
+        raw0, length0 = body[0][1], body[0][2].length
+        head.append(f"    if budget < {cycles} or raw != {raw0} or npc != {pc0 + length0}:")
+        head.append("        return None")
+        head.append("    if wv and wr:")
+        head.append("        regs[wr].value = wx")
+        head += [f"    x{r} = regs[{r}].value" for r in sorted(loads)]
+    else:
+        lines.append("    return None")
+    names = dict(_EXPRESSION_NAMES)
+    exec(compile("\n".join(head + lines) + "\n", __file__, "exec"), names)
+    return names[name]

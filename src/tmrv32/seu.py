@@ -117,7 +117,7 @@ class FaultSpec:
     count: int = 1
 
     def validate(self):
-        if not isinstance(self.at_cycle, int) or self.at_cycle < 0:
+        if type(self.at_cycle) is not int or self.at_cycle < 0:
             raise ConfigError(f"at_cycle must be a non-negative integer, got {self.at_cycle!r}")
         if self.kind not in ("cell", "sram", "random"):
             raise ConfigError(f"unknown fault kind {self.kind!r}")
@@ -127,16 +127,16 @@ class FaultSpec:
             raise ConfigError(f"random fault domain must be one of {sorted(_DOMAIN_BY_NAME)}")
         if self.kind == "cell" and not isinstance(self.key, str):
             raise ConfigError(f"cell fault key must be an element id, got {self.key!r}")
-        if self.kind == "sram" and not isinstance(self.key, int):
+        if self.kind == "sram" and type(self.key) is not int:
             raise ConfigError(f"sram fault key must be a row number, got {self.key!r}")
         if self.phase not in (MID_CYCLE, EDGE_ALIGNED):
             raise ConfigError(f"unknown fault phase {self.phase!r}")
-        if not isinstance(self.count, int) or not 1 <= self.count <= 3:
+        if type(self.count) is not int or not 1 <= self.count <= 3:
             raise ConfigError("count must be 1..3 (flips within one instance group)")
         replica = self.replica
-        if not (replica is None or isinstance(replica, int) and 0 <= replica <= 2):
+        if not (replica is None or type(replica) is int and 0 <= replica <= 2):
             raise ConfigError(f"replica must be None or 0..2, got {replica!r}")
-        if not (self.bit is None or isinstance(self.bit, int)):
+        if not (self.bit is None or type(self.bit) is int):
             raise ConfigError(f"bit must be None or an integer, got {self.bit!r}")
 
 
@@ -166,17 +166,19 @@ class CampaignConfig:
             for name, rate in self.rates.items():
                 if name not in _DOMAIN_BY_NAME:
                     raise ConfigError(f"unknown rate domain {name!r}")
-                if not isinstance(rate, (int, float)) or rate < 0:
+                if not isinstance(rate, (int, float)) or isinstance(rate, bool) or rate < 0:
                     raise ConfigError(f"rates must be non-negative numbers, got {name}: {rate!r}")
         cycles = self.run_cycles
-        if not (cycles is None or isinstance(cycles, int) and cycles >= 0):
+        if not (cycles is None or type(cycles) is int and cycles >= 0):
             raise ConfigError(f"run_cycles must be a non-negative integer, got {cycles!r}")
         fraction = self.edge_aligned_fraction
-        if not isinstance(fraction, (int, float)) or not 0.0 <= fraction <= 1.0:
+        if not isinstance(fraction, (int, float)) or isinstance(fraction, bool) or not (
+            0.0 <= fraction <= 1.0
+        ):
             raise ConfigError(f"edge_aligned_fraction must be within [0, 1], got {fraction!r}")
         if not isinstance(self.golden_compare, bool):
             raise ConfigError(f"golden_compare must be true or false, got {self.golden_compare!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for spec in self.faults:
             spec.validate()

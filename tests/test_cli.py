@@ -296,6 +296,34 @@ def test_campaign_random_fault_with_a_non_string_key_is_a_config_error(tmp_path,
     _assert_config_errors(tmp_path, capsys, cases)
 
 
+_EBREAK_SYSTEM = {"image_hex": "73001000"}
+_SRAM_FAULT = {"at_cycle": 0, "kind": "sram", "key": 0}
+_BOOLEAN_CASES = [  # (config, the field the error names)
+    ({"faults": [{"at_cycle": True, "kind": "sram", "key": True, "replica": True,
+                  "bit": False}]}, "at_cycle"),
+    ({"faults": [dict(_SRAM_FAULT, key=True)]}, "key"),
+    ({"faults": [dict(_SRAM_FAULT, replica=True)]}, "replica"),
+    ({"faults": [dict(_SRAM_FAULT, bit=False)]}, "bit"),
+    ({"faults": [dict(_SRAM_FAULT, count=True)]}, "count"),
+    ({"system": dict(_EBREAK_SYSTEM, max_cycles=True)}, "max_cycles"),
+    ({"system": dict(_EBREAK_SYSTEM, scrub_divider=True)}, "scrub_divider"),
+    ({"system": dict(_EBREAK_SYSTEM, image_base=False)}, "image_base"),
+    ({"system": dict(_EBREAK_SYSTEM, entry_pc=False)}, "entry_pc"),
+    ({"system": dict(_EBREAK_SYSTEM, freq_mhz=True)}, "freq_mhz"),
+    ({"system": dict(_EBREAK_SYSTEM, stimulus=[["uart-rx", True, 5]])}, "stimulus"),
+    ({"system": dict(_EBREAK_SYSTEM, stimulus=[["gpio-in", 5, 3, True]])}, "stimulus"),
+    ({"run_cycles": True}, "run_cycles"),
+    ({"seed": False}, "seed"),
+    ({"edge_aligned_fraction": True}, "edge_aligned_fraction"),
+    ({"mode": "accumulate", "run_cycles": 100, "rates": {"core": True}}, "rates"),
+]
+
+
+@pytest.mark.parametrize("config, field", _BOOLEAN_CASES, ids=[f for _, f in _BOOLEAN_CASES])
+def test_campaign_json_true_or_false_is_not_a_number(tmp_path, capsys, config, field):
+    _assert_config_errors(tmp_path, capsys, [({"system": _EBREAK_SYSTEM, **config}, field)])
+
+
 def test_run_rejects_an_entry_pc_past_32_bits(tmp_path, capsys):
     image = tmp_path / "ebreak.bin"
     image.write_bytes(E.ebreak().to_bytes(4, "little"))

@@ -19,6 +19,7 @@ from conftest import (
 )
 
 from tmrv32 import encode as E
+from tmrv32 import pipeline
 from tmrv32.errors import (
     AlignmentFault,
     BusFault,
@@ -644,6 +645,79 @@ def _csr_loop():
     return p.assemble()
 
 
+def _looped_random(seed, passes=40):
+    """A ``gen_random_program`` body, compressed encodings on, run ``passes`` times by
+    a counted loop in x30 (the body's forward branches and jumps stay inside it)."""
+    rng = np.random.default_rng(seed)
+    body = gen_random_program(rng, n=int(rng.integers(12, 40)), compressed=True)[:-4]
+    head = E.addi(30, 0, passes).to_bytes(4, "little")
+    back = E.bne(30, 0, -(len(body) + 4)).to_bytes(4, "little")
+    tail = E.addi(30, 30, -1).to_bytes(4, "little") + back + E.ebreak().to_bytes(4, "little")
+    return head + body + tail
+
+
+def _patching_loop(own):
+    """A 48-pass loop that rewrites one of its instructions each pass, toggling it
+    between ``addi x7, x7, 1`` and ``addi x7, x7, 3``. The store comes before it in
+    the same block (``own``) or in the block before, which a branch ends."""
+    one, three = E.addi(7, 7, 1), E.addi(7, 7, 3)
+
+    def build(site):
+        p = E.Program()
+        p.emit(E.addi(20, 0, 48), E.lui(28, SCRATCH_BASE >> 12), E.addi(21, 0, site))
+        p.emit(E.li32(22, three), E.li32(23, one ^ three))
+        p.label("loop")
+        p.emit(E.sw(22, 21, 0), E.xor(22, 22, 23))
+        if not own:
+            p.branch(E.beq, 0, 0, "next")
+        p.label("next")
+        p.emit(E.add(9, 9, 20))  # the fetch latch check sees a change to a block's head
+        p.label("site")
+        p.emit(one, E.add(8, 8, 7), E.sw(8, 28, 0), E.addi(20, 20, -1))
+        p.branch(E.bne, 20, 0, "loop")
+        p.emit(E.ebreak())
+        return p
+
+    return build(build(0).labels["site"]).assemble()
+
+
+def _mmio_loop():
+    """A loop that writes UART TX and reads GPIO IN between SRAM work in its blocks."""
+    p = E.Program()
+    p.emit(E.addi(20, 0, 48), E.lui(28, SCRATCH_BASE >> 12))
+    p.emit(E.lui(10, 0x10001), E.lui(11, 0x10000))  # UART and GPIO blocks
+    p.label("loop")
+    p.emit(E.add(7, 7, 20), E.andi(6, 7, 0x7F))
+    p.emit(E.sw(6, 10, 0))  # UART TX
+    p.emit(E.add(8, 8, 6))
+    p.emit(E.lw(5, 11, 8))  # GPIO IN
+    p.emit(E.add(8, 8, 5), E.sw(8, 28, 0), E.addi(20, 20, -1))
+    p.branch(E.bne, 20, 0, "loop")
+    p.emit(E.ebreak())
+    return p.assemble()
+
+
+def _jalr_loop():
+    """A loop that calls a subroutine through ``jalr`` and returns through it; the
+    last call's target is outside SRAM, and its fetch raises."""
+
+    def build(sub):
+        p = E.Program()
+        p.emit(E.addi(20, 0, 48), E.addi(3, 0, sub))
+        p.label("loop")
+        p.emit(E.addi(20, 20, -1))
+        p.branch(E.bne, 20, 0, "call")
+        p.emit(E.lui(3, 0x20000))
+        p.label("call")
+        p.emit(E.add(7, 7, 20), E.jalr(1, 3, 0))
+        p.branch(E.beq, 0, 0, "loop")
+        p.label("sub")
+        p.emit(E.add(8, 8, 7), E.jalr(0, 1, 0))
+        return p
+
+    return build(build(0).labels["sub"]).assemble()
+
+
 # name -> (image, max_cycles, what a clean run raises)
 QUIET_PROGRAMS = {
     "acceptance": (lambda: acceptance_program().assemble(), 3000, None),
@@ -661,6 +735,15 @@ QUIET_PROGRAMS = {
     "alignment-fault": (lambda: _loop_then(E.lw(4, 28, 2)), 3000, AlignmentFault),
     "illegal": (lambda: _loop_then(0x0000, 0x0000), 3000, IllegalInstruction),
     "timeout": (_spin_program, 700, SimTimeout),
+    # hot loops, which run as translated blocks where no sink is kept
+    **{
+        f"looped-random-{seed}": (lambda seed=seed: _looped_random(seed), 20000, None)
+        for seed in range(3)
+    },
+    "patch-own-block": (lambda: _patching_loop(own=True), 3000, None),
+    "patch-next-block": (lambda: _patching_loop(own=False), 3000, None),
+    "mmio-in-block": (_mmio_loop, 3000, None),
+    "jalr-leaves-sram": (_jalr_loop, 3000, BusFault),
 }
 
 QUIET_STIMULUS = (
@@ -774,6 +857,79 @@ def test_a_fault_free_running_core_rarely_single_steps():
         assert _fast_outcome(kernel, end) is None
         assert kernel.cycle == (length if end is None else end)
         assert len(steps) < kernel.cycle // 100
+
+
+def _site_loop(step, passes=48):
+    """A loop whose second instruction, at the returned pc, is ``addi x7, x7, step``;
+    it stores to 0xF0, inside even a 64-row SRAM."""
+    p = E.Program()
+    p.emit(E.addi(20, 0, passes), E.addi(28, 0, 0xF0))
+    p.label("loop")
+    p.emit(E.add(9, 9, 20))
+    p.label("site")
+    p.emit(E.addi(7, 7, step), E.add(8, 8, 7), E.sw(8, 28, 0), E.addi(20, 20, -1))
+    p.branch(E.bne, 20, 0, "loop")
+    p.emit(E.ebreak())
+    return p.assemble(), p.labels["site"]
+
+
+def _made_for(kernel, pc):
+    """Whether the cached block at ``pc`` was made from ``kernel``'s code: its entry
+    check passes the SRAM words, and it declines to run with no cycles to spare."""
+    sram = kernel.sram
+    block = pipeline._blocks.get(pc)
+    args = (0, sram.rows * 4, 0, 0, None, sram.banks[0], None, None, 0, 0, 0)
+    return block is not None and block(*args) is None
+
+
+def test_blocks_are_checked_against_each_kernels_code(monkeypatch):
+    # The translation cache is shared by every kernel of the process and keyed
+    # by pc; two images that differ at the loop's pc take turns in it.
+    monkeypatch.setattr(pipeline, "_blocks", {})
+    (one, site), (three, _) = _site_loop(1), _site_loop(3)
+    for image in (one, three, one, three):
+        plain, fast = make_kernel(image), make_kernel(image)
+        assert _fast_outcome(fast, None) == _stepped_outcome(plain, None) is None
+        _assert_same_run(plain, fast)
+        assert _made_for(fast, site - 4)
+    assert fast.arch.regs[7].value == 3 * 48
+
+
+def test_a_code_row_scrubbed_back_to_a_changed_word_is_retranslated(monkeypatch):
+    # A same-bit double upset of bit 21 turns ``addi x7, x7, 1`` into
+    # ``addi x7, x7, 3`` after the loop's blocks were made; the scrubber writes
+    # the changed voted word back to all replicas.
+    monkeypatch.setattr(pipeline, "_blocks", {})
+    image, site = _site_loop(1, passes=200)
+    config = SystemConfig(image=image)
+    plain, fast = _toy_kernel(64, config), _toy_kernel(64, config)
+    for kernel in (plain, fast):
+        for replica in (0, 1):
+            kernel.schedule_flip(300, "sram", site // 4, replica, 21)
+    assert _fast_outcome(fast, None) == _stepped_outcome(plain, None) is None
+    _assert_same_run(plain, fast)
+    assert fast.sram.banks[2][site // 4] == E.addi(7, 7, 3)
+    assert 200 < fast.arch.regs[7].value < 3 * 200
+    assert _made_for(fast, site - 4)
+
+
+class _NoBlocks(dict):
+    def get(self, pc, default=None):
+        raise AssertionError(f"a block was looked up at {pc:#x}")
+
+
+def test_step_cycle_never_runs_a_block(monkeypatch):
+    image, _ = _site_loop(1)
+    make_kernel(image).run()  # makes the loop's blocks
+    monkeypatch.setattr(pipeline, "_blocks", _NoBlocks())
+    with pytest.raises(AssertionError, match="a block was looked up"):
+        make_kernel(image).run()
+    plain, stepped = make_kernel(image), make_kernel(image, record_events=True)
+    for kernel in (plain, stepped):
+        while kernel.halted is None:
+            kernel.step_cycle()
+    stepped.run_cycles(500)  # a kept sink keeps every span per cycle too
+    assert plain.result().halt == "ebreak"
 
 
 def test_a_flip_before_the_current_cycle_is_a_config_error():
