@@ -24,7 +24,7 @@ through its writeback latch.
 The semantics of the register-register, immediate and branch operations are
 written once, as Python expressions in ``_ALU_RR``, ``_ALU_IMM`` and
 ``_BRANCH_TAKEN``. Their handlers call them, compiled once per operation, and the
-pipeline's translator inlines them into its translated blocks.
+pipeline's translator inlines them into its translated regions.
 """
 
 import functools
@@ -387,7 +387,7 @@ def _rems(a, b):
 # immediate. Register values are 32-bit unsigned, so
 # ``(({a} ^ 0x80000000) - 0x80000000)`` reads one as signed. The handlers call
 # each as a function (``_function``), and the pipeline's translator inlines it
-# into its blocks. A result is masked to 32 bits where it is used, which also
+# into its regions. A result is masked to 32 bits where it is used, which also
 # turns a comparison's bool into 0 or 1.
 _ALU_RR = {
     "add": "{a} + {b}",

@@ -28,30 +28,43 @@ fetch-stall cycles + branch bubbles + fill cycles.
 values, the pc, the idle cause and the counters in locals; ``Kernel.step_cycle``
 calls it with a one-cycle span and ``Kernel._fast_forward`` with a quiet span.
 
-Translated blocks: in a span longer than one cycle, with no ``retire`` callback
+Translated regions: in a span longer than one cycle, with no ``retire`` callback
 and no SRAM row dirty when it starts (the rule of the direct bank-0 fetch),
-``advance`` runs hot straight-line code as translated blocks. A block runs the
-cycles of the instructions from the pc in the fetch latch through the first branch
-or jump. It is a Python function compiled once, with each operation inlined from
-the expression tables in :mod:`tmrv32.isa` and the registers in locals, and it
-leaves exactly what the per-cycle loop would: the registers, both latches (a
-pending write to x0 included), the pc, the idle cause, the counters,
-``arch.retired``, the SRAM, ``arch.cycle``, ``uart.cycle`` and
-``bus.last_store_row``. A block never raises. It ends before any instruction the
-per-cycle loop must run itself, and leaves that instruction in the fetch latch:
-a load or store whose address is not an aligned SRAM address, a store into the
-block's own rows, CSR reads, ``ecall``/``ebreak``, ``fence`` and illegal
-encodings. It also ends before a cycle whose fetch could fault. The per-cycle
-loop, unchanged, runs everything else; it tries a block after each cycle with X
-idle and after each block. ``step_cycle``'s one-cycle spans never run a block, so
-single-stepping stays the oracle.
+``advance`` runs hot code as translated regions. A region is a set of basic
+blocks, each the instructions from one pc through the first branch or jump. It
+starts with the block at the pc in the fetch latch and takes in the blocks at its
+blocks' branch targets, fall-throughs and ``jal`` targets, up to ``_MAX_BLOCK``
+instructions in all. It is one Python function compiled once, with each operation
+inlined from the expression tables in :mod:`tmrv32.isa`. It loads the registers it
+touches into locals once and runs its blocks in a loop, dispatched on a block
+index by a binary ``if`` tree. An internal edge, from one of its blocks to
+another, follows a branch or ``jal``, which leaves the writeback latch empty, so
+the edge only moves the values the block committed into the register locals.
+Before each block the region checks the cycles left in the span; if the block's
+longest path does not fit, it leaves with that block's first instruction in the
+fetch latch and idle cause ``fill``, or returns None if it has run no cycle.
 
-Blocks are compiled with this file as their code filename into one cache for the
-whole process, keyed by pc, once a kernel has entered that pc ``_HOT_ENTRIES``
-times. At every entry a block checks the SRAM words it was made from (and the SRAM
-size, the fetch latch and the pc), so the cache is a pure memo of SRAM contents,
-like ``decode``'s: loading an image, resuming a checkpoint or scrubbing a row needs
-no invalidation.
+A region leaves exactly what the per-cycle loop would: the registers, both latches
+(a pending write to x0 included), the pc, the idle cause, the counters,
+``arch.retired``, the SRAM, ``arch.cycle``, ``uart.cycle`` and
+``bus.last_store_row``. Every exit goes through one epilogue, which stores the
+registers. A region never raises. It leaves before any instruction the per-cycle
+loop must run itself, with that instruction in the fetch latch: a load or store
+whose address is not an aligned SRAM address, a store into the region's rows, CSR
+reads, ``ecall``/``ebreak``, ``fence`` and illegal encodings. It also leaves before
+a cycle whose fetch could fault, and at a ``jalr`` or a transfer out of the region,
+with the target fetched. The per-cycle loop, unchanged, runs everything else; it
+tries a region after each cycle with X idle and after each region.
+``step_cycle``'s one-cycle spans never run a region, so single-stepping stays the
+oracle.
+
+Regions are compiled with this file as their code filename, as ``block_<pc>``
+functions, into one cache for the whole process, ``_blocks``, keyed by pc, once a
+kernel has entered that pc ``_HOT_ENTRIES`` times. At every entry a region compares
+the SRAM rows it spans, as one slice, with a copy made with it (and checks the
+SRAM size, the fetch latch and the pc). Since a store into those rows ends it, the
+cache is a pure memo of SRAM contents, like ``decode``'s: loading an image,
+resuming a checkpoint or scrubbing a row needs no invalidation.
 """
 
 from .errors import IllegalInstruction
@@ -68,12 +81,12 @@ from .isa import (
 )
 from .tmr import Domain, TmrCell
 
-# A pc is translated once a kernel has entered it this many times without a block.
+# A pc is translated once a kernel has entered it this many times without a region.
 _HOT_ENTRIES = 16
-_MAX_BLOCK = 64  # instructions in one block at most
+_MAX_BLOCK = 256  # instructions in one region at most
 
-# pc -> the translated block last made there, shared by every kernel of the process.
-# A block checks the SRAM words it was made from at every entry, so it is a pure memo.
+# pc -> the translated region last made there, shared by every kernel of the process.
+# A region checks the SRAM words it was made from at every entry, so it is a pure memo.
 _blocks = {}
 
 
@@ -127,7 +140,7 @@ class Pipeline:
         the call starts: only an upset makes a row dirty, and none lands during a call,
         so no such read would vote. Every other fetch goes through
         ``bus.fetch_window``, with its faults and discrepancy events. Under the same
-        rule, hot code runs as translated blocks (see the module docstring).
+        rule, hot code runs as translated regions (see the module docstring).
         """
         fl_valid, fl_pc, fl_raw = self.fl_valid.value, self.fl_pc.value, self.fl_raw.value
         wl_valid, wl_rd, wl_value = self.wl_valid.value, self.wl_rd.value, self.wl_value.value
@@ -139,7 +152,7 @@ class Pipeline:
         sram = bus.sram
         bank = sram.banks[0]
         direct_end = 0 if sram.dirty else sram.rows * 4  # SRAM starts at address 0
-        # translated blocks (see the module docstring)
+        # translated regions (see the module docstring)
         probe = blocks = retire is None and stop - c > 1 and direct_end
         if blocks:
             bank1, bank2 = sram.banks[1], sram.banks[2]
@@ -147,7 +160,7 @@ class Pipeline:
         halt = None
         try:
             while c < stop:
-                if probe and fl_valid:  # the fetch latch may hold the start of a block
+                if probe and fl_valid:  # the fetch latch may hold the start of a region
                     probe = False
                     block = _blocks.get(fl_pc)
                     done = block is not None and block(
@@ -166,7 +179,7 @@ class Pipeline:
                         bus.last_store_row = None
                         probe = True
                         continue
-                    if done is False:  # no block made from this code yet
+                    if done is False:  # no region made from this code yet
                         n = entries[fl_pc] = entries.get(fl_pc, 0) + 1
                         if n >= _HOT_ENTRIES:
                             entries[fl_pc] = 0
@@ -250,7 +263,7 @@ class Pipeline:
 
 
 # ---------------------------------------------------------------------------
-# translated blocks
+# translated regions
 # ---------------------------------------------------------------------------
 
 _TRANSFERS = {*_BRANCH_TAKEN, "jal", "jalr"}
@@ -278,11 +291,10 @@ def _window(bank, pc):
     return raw | (bank[(pc >> 2) + 1] & 0xFFFF) << 16 if pc & 2 else raw
 
 
-def _translate(pc0, bank, end):
-    """Compile the block at ``pc0`` from the words of ``bank``, in a kernel with
-    ``end`` bytes of SRAM and no row dirty, and return it (see the module docstring)."""
-    body = []  # (pc, raw, decoded) from pc0 through the first branch or jump
-    pc = pc0
+def _body(pc, bank, end):
+    """The basic block at ``pc``: (pc, raw, decoded) for each instruction from ``pc``
+    through the first branch or jump, ending before one a block cannot run."""
+    body = []
     while _safe(pc, end) and len(body) < _MAX_BLOCK:
         raw = _window(bank, pc)
         try:
@@ -298,46 +310,70 @@ def _translate(pc0, bank, end):
         if op in _TRANSFERS:
             break
         pc = nxt
-    if body:
-        stop_pc = body[-1][0] + body[-1][2].length
-    else:  # the rows of the one instruction, if any, that ended it
-        stop_pc = pc0 + (4 if _window(bank, pc0) & 3 == 3 else 2) if _safe(pc0, end) else pc0
-    rows = range(pc0 >> 2, (stop_pc + 3) >> 2) if stop_pc > pc0 else range(0)
+    return body
 
-    lines = []
-    emit = lines.append
-    val = {}  # register -> its value as X reads it: a local's name or an int
-    committed = {}  # register -> the value the block committed to it
-    loads = set()  # registers read before the block writes them
-    pending = None  # the writeback latch, (rd, value), or None when empty
-    cycles = stalls = 0
+
+def _translate(pc0, bank, end):
+    """Compile the region at ``pc0`` from the words of ``bank``, in a kernel with
+    ``end`` bytes of SRAM and no row dirty, and return it (see the module docstring)."""
+    region = {}  # block start -> its body, in the order found
+    todo, size = [pc0], 0
+    for pc in todo:  # grows by the branch and ``jal`` targets of each block taken
+        body = pc not in region and _body(pc, bank, end)
+        if body and size + len(body) <= _MAX_BLOCK:
+            region[pc], size = body, size + len(body)
+            last, _, ins = body[-1]
+            if ins.mnemonic in _BRANCH_TAKEN:
+                todo += [(last + ins.imm) & M32, (last + ins.length) & M32]
+            elif ins.mnemonic == "jal":
+                todo.append((last + ins.imm) & M32)
+    lo = hi = pc0 >> 2  # the rows the region was made from
+    if region:
+        lo = min(region) >> 2
+        hi = (max(b[-1][0] + b[-1][2].length for b in region.values()) + 3) >> 2
+    elif _safe(pc0, end):  # the rows of the one instruction that ended it
+        hi = (pc0 + (4 if _window(bank, pc0) & 3 == 3 else 2) + 3) >> 2
+    index = {pc: k for k, pc in enumerate(region)}
+
+    touched = set()  # registers the region reads or commits, loaded at entry
+    written = set()  # registers it commits, stored at exit
 
     def read(r):
         if r == 0:
             return 0
-        if r not in val:
-            loads.add(r)
-            val[r] = f"x{r}"
-        return val[r]
+        touched.add(r)
+        return val.get(r, f"x{r}")
 
-    def store(pad, commit):
+    def move(pad, state, commit):
+        """Move ``commit`` into the register locals and count ``state`` = (cycles,
+        stalls, bubbles, writeback latch) of the block so far."""
         for r, v in sorted(commit.items()):
-            emit(f"{pad}regs[{r}].value = {v}")
+            emit(f"{pad}x{r} = {v}")
+        touched.update(commit)
+        written.update(commit)
+        for local, n in zip(("left -", "stalls +", "bubbles +"), state):
+            if n:
+                emit(f"{pad}{local}= {n}")
 
     def leave(pad, state, commit, fl, next_pc, idle):
-        """Store the registers in ``commit`` and return ``state`` = (cycles, retired,
-        stalls, bubbles, writeback latch) with the fetch latch ``fl``, (pc, raw) or
-        None for an empty one."""
-        store(pad, commit)
-        n, ran, s, b, latch = state
+        """Leave through the epilogue with the fetch latch ``fl``, (pc, raw) or None
+        for an empty one."""
+        move(pad, state, commit)
         fl = "1, %s, %s" % fl if fl else "0, 0, 0"
-        latch = "1, %d, %s" % latch if latch else "0, 0, 0"
-        emit(f"{pad}return ({n}, {ran}, {s}, {b}, {fl}, {next_pc}, {idle!r}, {latch})")
+        latch = "1, %d, %s" % state[3] if state[3] else "0, 0, 0"
+        emit(f"{pad}out = ({fl}, {next_pc}, {idle!r}, {latch})")
+        emit(f"{pad}break")
 
     def fetch(pad, p, state, commit, miss=None, miss_commit=None):
-        """Leave with the instruction at ``p`` (an int or a local's name) fetched;
+        """Go on to the region's block at ``p`` (an int or a local's name) if the
+        writeback latch is empty, or leave with the instruction at ``p`` fetched;
         where that fetch is not known to be safe, leave with ``miss`` instead and the
         fetch latch empty."""
+        if state[3] is None and p in index:  # an internal edge
+            move(pad, state, commit)
+            emit(f"{pad}k = {index[p]}")
+            emit(f"{pad}continue")
+            return
         if isinstance(p, int):
             if not _safe(p, end):
                 return leave(pad, miss, miss_commit, None, p, "branch")
@@ -349,11 +385,12 @@ def _translate(pc0, bank, end):
             inner = pad + "    "
             word = f"b0[{p} >> 2] >> (({p} & 2) << 3)"
             wide = f"(f | (b0[({p} >> 2) + 1] & 0xFFFF) << 16 if {p} & 2 else f)"
-        store(inner, commit)
+        move(inner, state, commit)
         emit(f"{inner}f = {word}")
         emit(f"{inner}if f & 3 == 3:")
-        leave(inner + "    ", state, {}, (p, wide), f"{p} + 4", "fill")
-        leave(inner, state, {}, (p, "f & 0xFFFF"), f"{p} + 2", "fill")
+        latch = (0, 0, 0, state[3])
+        leave(inner + "    ", latch, {}, (p, wide), f"{p} + 4", "fill")
+        leave(inner, latch, {}, (p, "f & 0xFFFF"), f"{p} + 2", "fill")
         if inner != pad:
             leave(pad, miss, miss_commit, None, p, "branch")
 
@@ -363,88 +400,118 @@ def _translate(pc0, bank, end):
             return eval(f"({code}) & 0xFFFFFFFF", dict(_EXPRESSION_NAMES))
         return code
 
-    for j, (pc, raw, ins) in enumerate(body):
-        op, rd = ins.mnemonic, ins.rd
-        emit(f"    # {pc:#x}: {ins}")
-        stay = (cycles, j, stalls, 0, pending), dict(committed)  # an exit before it
-        if pending is not None and pending[0]:  # W commits the latch
-            committed[pending[0]] = pending[1]
-        pending = None
-        if op in LOAD_WIDTH or op in STORE_WIDTH:
-            width = LOAD_WIDTH.get(op) or STORE_WIDTH[op]
-            emit(f"    a = ({read(ins.rs1)} + {ins.imm}) & 0xFFFFFFFF")
-            unsafe = f"a & {width - 1} or a >= {end}" if width > 1 else f"a >= {end}"
-            if op in STORE_WIDTH:  # nor one into the block's own rows
-                unsafe += f" or {rows.start << 2} <= a < {rows.stop << 2}"
-            emit(f"    if {unsafe}:")
-            if j:
-                leave("        ", *stay, (pc, raw), (pc + ins.length) & M32, "fill")
-            else:
-                emit("        return None")
-            if op in LOAD_WIDTH:  # the stall cycle after it commits it
-                emit(f"    v{j} = {_LOADED[op]}")
+    compiled = []  # per block: (start, raw, next pc, longest path in cycles, its lines)
+    for start, body in region.items():
+        lines = []
+        emit = lines.append
+        val = {}  # register -> its value as X reads it: a local's name or an int
+        committed = {}  # register -> the value the block committed to it
+        pending = None  # the writeback latch, (rd, value), or None when empty
+        cycles = stalls = 0
+        for j, (pc, raw, ins) in enumerate(body):
+            op, rd = ins.mnemonic, ins.rd
+            emit(f"# {pc:#x}: {ins}")
+            stay = (cycles, stalls, 0, pending), dict(committed)  # an exit before it
+            if pending is not None and pending[0]:  # W commits the latch
+                committed[pending[0]] = pending[1]
+            pending = None
+            if op in LOAD_WIDTH or op in STORE_WIDTH:
+                width = LOAD_WIDTH.get(op) or STORE_WIDTH[op]
+                emit(f"a = ({read(ins.rs1)} + {ins.imm}) & 0xFFFFFFFF")
+                unsafe = f"a & {width - 1} or a >= {end}" if width > 1 else f"a >= {end}"
+                if op in STORE_WIDTH:  # nor one into the region's rows
+                    unsafe += f" or {lo << 2} <= a < {hi << 2}"
+                emit(f"if {unsafe}:")
+                leave("    ", *stay, (pc, raw), (pc + ins.length) & M32, "fill")
+                if op in LOAD_WIDTH:  # the stall cycle after it commits it
+                    emit(f"v{j} = {_LOADED[op]}")
+                    if rd:
+                        val[rd] = committed[rd] = f"v{j}"
+                elif width == 4:
+                    emit(f"b0[a >> 2] = b1[a >> 2] = b2[a >> 2] = {read(ins.rs2)}")
+                else:
+                    mask = (1 << 8 * width) - 1
+                    emit("r = a >> 2")
+                    emit("s = (a & 3) << 3")
+                    emit(f"b0[r] = b1[r] = b2[r] = (b0[r] & ~({mask} << s)) | "
+                         f"(({read(ins.rs2)} & {mask}) << s)")
+                cycles += 2
+                stalls += 1
+            elif op in _BRANCH_TAKEN:
+                cycles += 1
+                move("", (), committed)  # both ways commit the same registers
+                emit(f"if {expression(_BRANCH_TAKEN, op, read(ins.rs1), read(ins.rs2))}:")
+                taken, fall = (cycles + 1, stalls, 1, None), (cycles, stalls, 0, None)
+                fetch("    ", (pc + ins.imm) & M32, taken, {}, fall, {})
+                fetch("", (pc + ins.length) & M32, fall, {})
+            elif op in ("jal", "jalr"):
+                cycles += 1
+                link = (pc + ins.length) & M32
+                if op == "jal":
+                    target = (pc + ins.imm) & M32
+                else:
+                    emit(f"t = ({read(ins.rs1)} + {ins.imm}) & 0xFFFFFFFE")
+                    target = "t"
+                fetch("", target, (cycles + 1, stalls, 1, None),
+                      {**committed, rd: link} if rd else committed,  # the bubble commits the link
+                      (cycles, stalls, 0, (rd, link)), committed)
+            else:  # a register-register or immediate operation, lui or auipc
+                if op in _ALU_RR:
+                    v = expression(_ALU_RR, op, read(ins.rs1), read(ins.rs2))
+                elif op in _ALU_IMM:
+                    v = expression(_ALU_IMM, op, read(ins.rs1), ins.imm)
+                else:
+                    v = (ins.imm + (pc if op == "auipc" else 0)) & M32
+                if not isinstance(v, int):
+                    emit(f"v{j} = ({v}) & 0xFFFFFFFF")
+                    v = f"v{j}"
                 if rd:
-                    val[rd] = committed[rd] = f"v{j}"
-            elif width == 4:
-                emit(f"    b0[a >> 2] = b1[a >> 2] = b2[a >> 2] = {read(ins.rs2)}")
-            else:
-                mask = (1 << 8 * width) - 1
-                emit("    r = a >> 2")
-                emit("    s = (a & 3) << 3")
-                emit(f"    b0[r] = b1[r] = b2[r] = (b0[r] & ~({mask} << s)) | "
-                     f"(({read(ins.rs2)} & {mask}) << s)")
-            cycles += 2
-            stalls += 1
-        elif op in _BRANCH_TAKEN:
-            cycles += 1
-            emit(f"    if {expression(_BRANCH_TAKEN, op, read(ins.rs1), read(ins.rs2))}:")
-            taken, fall = (cycles + 1, j + 1, stalls, 1, None), (cycles, j + 1, stalls, 0, None)
-            fetch("        ", (pc + ins.imm) & M32, taken, committed, fall, committed)
-            fetch("    ", (pc + ins.length) & M32, fall, committed)
-        elif op in ("jal", "jalr"):
-            cycles += 1
-            link = (pc + ins.length) & M32
-            if op == "jal":
-                target = (pc + ins.imm) & M32
-            else:
-                emit(f"    t = ({read(ins.rs1)} + {ins.imm}) & 0xFFFFFFFE")
-                target = "t"
-            fetch("    ", target, (cycles + 1, j + 1, stalls, 1, None),
-                  {**committed, rd: link} if rd else committed,  # the bubble commits the link
-                  (cycles, j + 1, stalls, 0, (rd, link)), committed)
-        else:  # a register-register or immediate operation, lui or auipc
-            if op in _ALU_RR:
-                v = expression(_ALU_RR, op, read(ins.rs1), read(ins.rs2))
-            elif op in _ALU_IMM:
-                v = expression(_ALU_IMM, op, read(ins.rs1), ins.imm)
-            else:
-                v = (ins.imm + (pc if op == "auipc" else 0)) & M32
-            if not isinstance(v, int):
-                emit(f"    v{j} = ({v}) & 0xFFFFFFFF")
-                v = f"v{j}"
-            if rd:
-                val[rd] = v
-            pending = (rd, v)
-            cycles += 1
-    if body and body[-1][2].mnemonic not in _TRANSFERS:
-        fetch("    ", stop_pc, (cycles, len(body), stalls, 0, pending), committed)
-    elif body:
-        cycles += 1  # the bubble
+                    val[rd] = v
+                pending = (rd, v)
+                cycles += 1
+        if op not in _TRANSFERS:
+            fetch("", (pc + ins.length) & M32, (cycles, stalls, 0, pending), committed)
+        else:
+            cycles += 1  # the bubble
+        compiled.append((start, body[0][1], start + body[0][2].length, cycles, lines))
+
+    def dispatch(pad, a, b):  # the blocks a .. b - 1, by a binary tree on k
+        if b - a == 1:  # the block leaves with its entry state unless its longest path fits
+            start, raw, npc, cycles, lines = compiled[a]
+            yield f"{pad}if left < {cycles}:"
+            yield f"{pad}    out = (1, {start}, {raw}, {npc}, 'fill', 0, 0, 0)"
+            yield f"{pad}    break"
+            yield from (pad + line for line in lines)
+        else:
+            m = (a + b) // 2
+            yield f"{pad}if k < {m}:"
+            yield from dispatch(pad + "    ", a, m)
+            yield f"{pad}else:"
+            yield from dispatch(pad + "    ", m, b)
 
     name = f"block_{pc0:x}"  # profiles tell functions apart by file, line and name
-    head = [f"def {name}(budget, end, raw, npc, regs, b0, b1, b2, wv, wr, wx):"]
-    words = "".join(f" or b0[{r}] != {bank[r]}" for r in rows)
-    head.append(f"    if end != {end}{words}:")
-    head.append("        return False")
-    if body:
-        raw0, length0 = body[0][1], body[0][2].length
-        head.append(f"    if budget < {cycles} or raw != {raw0} or npc != {pc0 + length0}:")
-        head.append("        return None")
-        head.append("    if wv and wr:")
-        head.append("        regs[wr].value = wx")
-        head += [f"    x{r} = regs[{r}].value" for r in sorted(loads)]
+    code = [f"def {name}(budget, end, raw, npc, regs, b0, b1, b2, wv, wr, wx):",
+            f"    if end != {end} or b0[{lo}:{hi}] != words:",
+            "        return False"]
+    if region:
+        _, raw, npc, _, _ = compiled[0]
+        code += [
+            f"    if raw != {raw} or npc != {npc}:",
+            "        return None",
+            "    if wv and wr:",
+            "        regs[wr].value = wx",
+            *(f"    x{r} = regs[{r}].value" for r in sorted(touched)),
+            "    left, stalls, bubbles, k = budget, 0, 0, 0",
+            "    while True:",
+            *dispatch("        ", 0, len(region)),
+            "    n = budget - left",
+            "    if not n:",
+            "        return None",
+            *(f"    regs[{r}].value = x{r}" for r in sorted(written)),
+            "    return (n, n - stalls - bubbles, stalls, bubbles, *out)",
+        ]
     else:
-        lines.append("    return None")
-    names = dict(_EXPRESSION_NAMES)
-    exec(compile("\n".join(head + lines) + "\n", __file__, "exec"), names)
+        code.append("    return None")
+    names = dict(_EXPRESSION_NAMES, words=bank[lo:hi])
+    exec(compile("\n".join(code) + "\n", __file__, "exec"), names)
     return names[name]

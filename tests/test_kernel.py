@@ -656,10 +656,11 @@ def _looped_random(seed, passes=40):
     return head + body + tail
 
 
-def _patching_loop(own):
+def _patching_loop(gap):
     """A 48-pass loop that rewrites one of its instructions each pass, toggling it
-    between ``addi x7, x7, 1`` and ``addi x7, x7, 3``. The store comes before it in
-    the same block (``own``) or in the block before, which a branch ends."""
+    between ``addi x7, x7, 1`` and ``addi x7, x7, 3``. The store comes ``gap``
+    blocks before it, each ended by a branch: in the same block (0), in the block
+    before (1), or further up (2)."""
     one, three = E.addi(7, 7, 1), E.addi(7, 7, 3)
 
     def build(site):
@@ -668,9 +669,11 @@ def _patching_loop(own):
         p.emit(E.li32(22, three), E.li32(23, one ^ three))
         p.label("loop")
         p.emit(E.sw(22, 21, 0), E.xor(22, 22, 23))
-        if not own:
-            p.branch(E.beq, 0, 0, "next")
-        p.label("next")
+        for i in range(gap):
+            if i:
+                p.emit(E.add(10, 10, 20))
+            p.branch(E.beq, 0, 0, f"next-{i}")
+            p.label(f"next-{i}")
         p.emit(E.add(9, 9, 20))  # the fetch latch check sees a change to a block's head
         p.label("site")
         p.emit(one, E.add(8, 8, 7), E.sw(8, 28, 0), E.addi(20, 20, -1))
@@ -679,6 +682,31 @@ def _patching_loop(own):
         return p
 
     return build(build(0).labels["site"]).assemble()
+
+
+def _nested_loops():
+    """A 24-pass outer loop around a 6-pass inner loop, with an if-then diamond
+    taken on alternate passes, a ``jal`` over a block that never runs, and sub-word
+    stores into the scratch word it reads back."""
+    p = E.Program()
+    p.emit(E.addi(20, 0, 24), E.lui(28, SCRATCH_BASE >> 12))
+    p.label("outer")
+    p.emit(E.addi(21, 0, 6))
+    p.label("inner")
+    p.emit(E.add(7, 7, 21), E.xor(8, 8, 7), E.addi(21, 21, -1))
+    p.branch(E.bne, 21, 0, "inner")
+    p.emit(E.andi(5, 20, 1))
+    p.branch(E.beq, 5, 0, "join")
+    p.emit(E.addi(9, 9, 3), E.slli(9, 9, 1))  # odd passes only
+    p.label("join")
+    p.emit(E.sb(7, 28, 1), E.sh(8, 28, 2))
+    p.jump("over", rd=1)
+    p.emit(E.addi(9, 9, 100))
+    p.label("over")
+    p.emit(E.lw(6, 28, 0), E.add(9, 9, 6), E.add(9, 9, 1), E.addi(20, 20, -1))
+    p.branch(E.bne, 20, 0, "outer")
+    p.emit(E.ebreak())
+    return p.assemble()
 
 
 def _mmio_loop():
@@ -735,13 +763,15 @@ QUIET_PROGRAMS = {
     "alignment-fault": (lambda: _loop_then(E.lw(4, 28, 2)), 3000, AlignmentFault),
     "illegal": (lambda: _loop_then(0x0000, 0x0000), 3000, IllegalInstruction),
     "timeout": (_spin_program, 700, SimTimeout),
-    # hot loops, which run as translated blocks where no sink is kept
+    # hot loops, which run as translated regions where no sink is kept
     **{
         f"looped-random-{seed}": (lambda seed=seed: _looped_random(seed), 20000, None)
         for seed in range(3)
     },
-    "patch-own-block": (lambda: _patching_loop(own=True), 3000, None),
-    "patch-next-block": (lambda: _patching_loop(own=False), 3000, None),
+    "patch-own-block": (lambda: _patching_loop(0), 3000, None),
+    "patch-next-block": (lambda: _patching_loop(1), 3000, None),
+    "patch-far-block": (lambda: _patching_loop(2), 3000, None),
+    "nested-loops": (_nested_loops, 3000, None),
     "mmio-in-block": (_mmio_loop, 3000, None),
     "jalr-leaves-sram": (_jalr_loop, 3000, BusFault),
 }
@@ -873,13 +903,21 @@ def _site_loop(step, passes=48):
     return p.assemble(), p.labels["site"]
 
 
-def _made_for(kernel, pc):
-    """Whether the cached block at ``pc`` was made from ``kernel``'s code: its entry
-    check passes the SRAM words, and it declines to run with no cycles to spare."""
+def _made_for(kernel, site):
+    """Whether some cached block was made from ``kernel``'s code and covers ``site``:
+    its entry check passes the SRAM words, but not with the word at ``site`` changed,
+    and it declines to run with no cycles to spare."""
     sram = kernel.sram
-    block = pipeline._blocks.get(pc)
-    args = (0, sram.rows * 4, 0, 0, None, sram.banks[0], None, None, 0, 0, 0)
-    return block is not None and block(*args) is None
+    changed = sram.banks[0][:]
+    changed[site // 4] ^= 1
+
+    def check(block, bank):
+        return block(0, sram.rows * 4, 0, 0, None, bank, None, None, 0, 0, 0)
+
+    return any(
+        check(block, sram.banks[0]) is None and check(block, changed) is False
+        for block in pipeline._blocks.values()
+    )
 
 
 def test_blocks_are_checked_against_each_kernels_code(monkeypatch):
@@ -891,7 +929,7 @@ def test_blocks_are_checked_against_each_kernels_code(monkeypatch):
         plain, fast = make_kernel(image), make_kernel(image)
         assert _fast_outcome(fast, None) == _stepped_outcome(plain, None) is None
         _assert_same_run(plain, fast)
-        assert _made_for(fast, site - 4)
+        assert _made_for(fast, site)
     assert fast.arch.regs[7].value == 3 * 48
 
 
@@ -910,7 +948,36 @@ def test_a_code_row_scrubbed_back_to_a_changed_word_is_retranslated(monkeypatch)
     _assert_same_run(plain, fast)
     assert fast.sram.banks[2][site // 4] == E.addi(7, 7, 3)
     assert 200 < fast.arch.regs[7].value < 3 * 200
-    assert _made_for(fast, site - 4)
+    assert _made_for(fast, site)
+
+
+def test_a_region_stops_at_every_span_end(monkeypatch):
+    # With the cache warm, spans of every length over two outer passes, from a
+    # cycle whose fetch latch holds the region's first instruction, stop it at each
+    # of its block entries in turn, or before it starts (None) where its first
+    # block does not fit.
+    monkeypatch.setattr(pipeline, "_blocks", {})
+    image = _nested_loops()
+    make_kernel(image).run()  # makes the loop's region
+    ((pc, region),) = pipeline._blocks.items()
+    calls = []
+
+    def counted(*args):
+        calls.append(region(*args))
+        return calls[-1]
+
+    pipeline._blocks[pc] = counted
+    plain = make_kernel(image)
+    while plain.cycle < 300 or plain.pipeline.fl_pc.value != pc:
+        plain.step_cycle()
+    start = plain.checkpoint()
+    for n in range(1, 100):
+        plain.step_cycle()
+        fast = make_kernel(image)
+        fast.resume(start)
+        fast.run_cycles(n)
+        _assert_same_run(plain, fast)
+    assert None in calls and sum(map(bool, calls)) > 90
 
 
 class _NoBlocks(dict):
