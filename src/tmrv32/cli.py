@@ -10,6 +10,7 @@ All outputs are plain data: JSON for summaries and machine-readable records
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -203,6 +204,9 @@ def _cmd_power(args):
         calibration = _read_input(args.calibration, json.loads)
     model = PowerModel(calibration)
     scenario = canonical_scenario(args.scenario)
+    for flag, value in (("--freq", args.freq), ("--fmin", args.fmin), ("--fmax", args.fmax)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value!r}")
     if args.freq is not None:
         freqs = [args.freq]
     else:

@@ -7,9 +7,9 @@ encoding raises :class:`~tmrv32.errors.IllegalInstruction` and the simulation ha
 with a diagnostic. ECALL and EBREAK halt the simulation cleanly (EBREAK is the
 conventional "program finished" signal for bare-metal test images).
 
-:func:`decode` binds every instruction to a handler for its operation and
-operands, and :func:`execute` runs it. The handler computes the effects and
-returns them as a tuple ``(rd_write, target, mem, halt)``:
+:func:`decode` binds every instruction to a handler, ``ins.run(arch, pc)``, for its
+operation and operands. The pipeline calls it (:func:`execute` is kept for callers
+outside it), and it returns the effects as a tuple ``(rd_write, target, mem, halt)``:
 
 * ``rd_write``: ``(rd, value)`` destined for the register file, or None;
 * ``target``: the next pc of a control transfer (a taken branch or any jump), or

@@ -139,8 +139,8 @@ class SystemConfig:
         if not (entry is None or type(entry) is int and 0 <= entry <= 0xFFFFFFFF):
             raise ConfigError(f"entry_pc must be None or an integer in 0..2^32-1, got {entry!r}")
         freq = self.freq_mhz
-        if not isinstance(freq, (int, float)) or isinstance(freq, bool) or freq <= 0:
-            raise ConfigError(f"freq_mhz must be a positive number, got {self.freq_mhz!r}")
+        if not isinstance(freq, (int, float)) or isinstance(freq, bool) or not 0 < freq < math.inf:
+            raise ConfigError(f"freq_mhz must be a finite number > 0, got {self.freq_mhz!r}")
         if type(self.scrub_divider) is not int or self.scrub_divider < 1:
             raise ConfigError(f"scrub_divider must be an integer >= 1, got {self.scrub_divider!r}")
         if type(self.max_cycles) is not int or self.max_cycles < 1:

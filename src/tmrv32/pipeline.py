@@ -40,31 +40,33 @@ touches into locals once and runs its blocks in a loop, dispatched on a block
 index by a binary ``if`` tree. An internal edge, from one of its blocks to
 another, follows a branch or ``jal``, which leaves the writeback latch empty, so
 the edge only moves the values the block committed into the register locals.
-Before each block the region checks the cycles left in the span; if the block's
-longest path does not fit, it leaves with that block's first instruction in the
-fetch latch and idle cause ``fill``, or returns None if it has run no cycle.
 
-A region leaves exactly what the per-cycle loop would: the registers, both latches
-(a pending write to x0 included), the pc, the idle cause, the counters,
-``arch.retired``, the SRAM, ``arch.cycle``, ``uart.cycle`` and
-``bus.last_store_row``. Every exit goes through one epilogue, which stores the
-registers. A region never raises. It leaves before any instruction the per-cycle
-loop must run itself, with that instruction in the fetch latch: a load or store
-whose address is not an aligned SRAM address, a store into the region's rows, CSR
-reads, ``ecall``/``ebreak``, ``fence`` and illegal encodings. It also leaves before
-a cycle whose fetch could fault, and at a ``jalr`` or a transfer out of the region,
-with the target fetched. The per-cycle loop, unchanged, runs everything else; it
-tries a region after each cycle with X idle and after each region.
-``step_cycle``'s one-cycle spans never run a region, so single-stepping stays the
-oracle.
+A region never raises and never fetches. It leaves exactly what the per-cycle loop
+would: the registers, both latches (a pending write to x0 included), the pc, the
+idle cause, the counters, ``arch.retired``, the SRAM, ``arch.cycle``, ``uart.cycle``
+and ``bus.last_store_row``. Each exit stores the registers in one epilogue and is a
 
-Regions are compiled with this file as their code filename, as ``block_<pc>``
-functions, into one cache for the whole process, ``_blocks``, keyed by pc, once a
-kernel has entered that pc ``_HOT_ENTRIES`` times. At every entry a region compares
-the SRAM rows it spans, as one slice, with a copy made with it (and checks the
-SRAM size, the fetch latch and the pc). Since a store into those rows ends it, the
-cache is a pure memo of SRAM contents, like ``decode``'s: loading an image,
-resuming a checkpoint or scrubbing a row needs no invalidation.
+* stay exit, with an instruction of the region in the fetch latch and idle cause
+  ``fill``: before a block whose longest path does not fit in the span (None if no
+  cycle has run), and before a load or store not to an aligned SRAM address or a
+  store into the region's rows;
+* fall-through exit, the same with the next instruction: after a block no branch or
+  jump ends (CSR reads, ``ecall``/``ebreak``, ``fence``, illegal encodings and
+  fetches that could fault end one), or a branch not taken to no internal edge;
+* transfer exit, before the bubble of a taken branch, ``jal`` or ``jalr`` to a pc
+  outside the region: fetch latch empty, pc at the target, idle cause ``branch``.
+
+The per-cycle loop, unchanged, runs the rest and makes every fetch at run time. It
+tries a region after each cycle with X idle and after each region, but never in
+``step_cycle``'s one-cycle spans, so single-stepping stays the oracle.
+
+Regions are compiled as ``block_<pc>`` functions, with this file as their code
+filename, into one process-wide cache, ``_blocks``, keyed by pc, once a kernel has
+entered that pc ``_HOT_ENTRIES`` times. At every entry a region compares its SRAM
+rows, through the window after each block, as one slice, with a copy made with it
+(and checks the SRAM size, the fetch latch and the pc). A store into those rows
+ends it, so the cache is a pure memo of SRAM contents, like ``decode``'s: loading
+an image, resuming a checkpoint or scrubbing a row needs no invalidation.
 """
 
 from .errors import IllegalInstruction
@@ -85,8 +87,8 @@ from .tmr import Domain, TmrCell
 _HOT_ENTRIES = 16
 _MAX_BLOCK = 256  # instructions in one region at most
 
-# pc -> the translated region last made there, shared by every kernel of the process.
-# A region checks the SRAM words it was made from at every entry, so it is a pure memo.
+# pc -> the region last made there, or None where none can start, for every kernel of
+# the process. A region checks its SRAM words at every entry, so this is a pure memo.
 _blocks = {}
 
 
@@ -138,9 +140,9 @@ class Pipeline:
 
         An aligned fetch inside SRAM reads bank 0 directly if no SRAM row is dirty when
         the call starts: only an upset makes a row dirty, and none lands during a call,
-        so no such read would vote. Every other fetch goes through
-        ``bus.fetch_window``, with its faults and discrepancy events. Under the same
-        rule, hot code runs as translated regions (see the module docstring).
+        so no such read would vote. Every other fetch goes through ``bus.fetch_window``,
+        with its faults and discrepancy events. Under the same rule, hot code runs as
+        translated regions, which never fetch (see the module docstring).
         """
         fl_valid, fl_pc, fl_raw = self.fl_valid.value, self.fl_pc.value, self.fl_raw.value
         wl_valid, wl_rd, wl_value = self.wl_valid.value, self.wl_rd.value, self.wl_value.value
@@ -277,14 +279,11 @@ _LOADED = {  # a load's value from a clean SRAM byte address ``a``
 }
 
 
-def _safe(pc, end):
-    """Whether a fetch at ``pc`` cannot fault: ``pc`` is even and its 32-bit window
-    lies inside SRAM."""
-    return not pc & 1 and pc + (pc & 2) < end
-
-
-def _window(bank, pc):
-    """The encoding a fetch at ``pc`` latches, read from a clean ``bank``."""
+def _window(bank, pc, end):
+    """The encoding a fetch at ``pc`` latches from a clean ``bank`` of ``end`` bytes, or
+    None if that fetch could fault: ``pc`` is odd or its 32-bit window leaves SRAM."""
+    if pc & 1 or pc + (pc & 2) >= end:
+        return None
     raw = bank[pc >> 2] >> ((pc & 2) << 3)
     if raw & 3 != 3:
         return raw & 0xFFFF
@@ -295,8 +294,7 @@ def _body(pc, bank, end):
     """The basic block at ``pc``: (pc, raw, decoded) for each instruction from ``pc``
     through the first branch or jump, ending before one a block cannot run."""
     body = []
-    while _safe(pc, end) and len(body) < _MAX_BLOCK:
-        raw = _window(bank, pc)
+    while len(body) < _MAX_BLOCK and (raw := _window(bank, pc, end)) is not None:
         try:
             ins = decode(raw)
         except IllegalInstruction:
@@ -304,7 +302,7 @@ def _body(pc, bank, end):
         op = ins.mnemonic
         nxt = (pc + ins.length) & M32
         # every cycle but a jump's fetches the next instruction
-        if op not in _TRANSLATED or op not in ("jal", "jalr") and not _safe(nxt, end):
+        if op not in _TRANSLATED or op not in ("jal", "jalr") and _window(bank, nxt, end) is None:
             break
         body.append((pc, raw, ins))
         if op in _TRANSFERS:
@@ -314,8 +312,8 @@ def _body(pc, bank, end):
 
 
 def _translate(pc0, bank, end):
-    """Compile the region at ``pc0`` from the words of ``bank``, in a kernel with
-    ``end`` bytes of SRAM and no row dirty, and return it (see the module docstring)."""
+    """Compile the region at ``pc0`` from a clean ``bank`` of ``end`` bytes of SRAM and
+    return it, or None if no block can start there (see the module docstring)."""
     region = {}  # block start -> its body, in the order found
     todo, size = [pc0], 0
     for pc in todo:  # grows by the branch and ``jal`` targets of each block taken
@@ -327,12 +325,10 @@ def _translate(pc0, bank, end):
                 todo += [(last + ins.imm) & M32, (last + ins.length) & M32]
             elif ins.mnemonic == "jal":
                 todo.append((last + ins.imm) & M32)
-    lo = hi = pc0 >> 2  # the rows the region was made from
-    if region:
-        lo = min(region) >> 2
-        hi = (max(b[-1][0] + b[-1][2].length for b in region.values()) + 3) >> 2
-    elif _safe(pc0, end):  # the rows of the one instruction that ended it
-        hi = (pc0 + (4 if _window(bank, pc0) & 3 == 3 else 2) + 3) >> 2
+    if not region:
+        return None
+    lo = min(region) >> 2  # the rows it was made from, through the window after each block
+    hi = (max(b[-1][0] + b[-1][2].length for b in region.values()) + 7) >> 2
     index = {pc: k for k, pc in enumerate(region)}
 
     touched = set()  # registers the region reads or commits, loaded at entry
@@ -364,35 +360,19 @@ def _translate(pc0, bank, end):
         emit(f"{pad}out = ({fl}, {next_pc}, {idle!r}, {latch})")
         emit(f"{pad}break")
 
-    def fetch(pad, p, state, commit, miss=None, miss_commit=None):
-        """Go on to the region's block at ``p`` (an int or a local's name) if the
-        writeback latch is empty, or leave with the instruction at ``p`` fetched;
-        where that fetch is not known to be safe, leave with ``miss`` instead and the
-        fetch latch empty."""
-        if state[3] is None and p in index:  # an internal edge
+    def goto(pad, p, state, commit, transfer=None):
+        """Go on to the block at ``p`` if the writeback latch is empty (an internal
+        edge), else leave: before the bubble in ``transfer`` = (state, commit) with the
+        fetch latch empty, or if none with the instruction at ``p`` (a fall-through)."""
+        if state[3] is None and p in index:
             move(pad, state, commit)
             emit(f"{pad}k = {index[p]}")
             emit(f"{pad}continue")
-            return
-        if isinstance(p, int):
-            if not _safe(p, end):
-                return leave(pad, miss, miss_commit, None, p, "branch")
-            inner = pad
-            word = f"b0[{p >> 2}]" + (" >> 16" if p & 2 else "")
-            wide = f"f | (b0[{(p >> 2) + 1}] & 0xFFFF) << 16" if p & 2 else "f"
+        elif transfer:
+            leave(pad, *transfer, None, p, "branch")
         else:
-            emit(f"{pad}if {p} + ({p} & 2) < {end}:")
-            inner = pad + "    "
-            word = f"b0[{p} >> 2] >> (({p} & 2) << 3)"
-            wide = f"(f | (b0[({p} >> 2) + 1] & 0xFFFF) << 16 if {p} & 2 else f)"
-        move(inner, state, commit)
-        emit(f"{inner}f = {word}")
-        emit(f"{inner}if f & 3 == 3:")
-        latch = (0, 0, 0, state[3])
-        leave(inner + "    ", latch, {}, (p, wide), f"{p} + 4", "fill")
-        leave(inner, latch, {}, (p, "f & 0xFFFF"), f"{p} + 2", "fill")
-        if inner != pad:
-            leave(pad, miss, miss_commit, None, p, "branch")
+            raw = _window(bank, p, end)
+            leave(pad, state, commit, (p, raw), (p + (4 if raw & 3 == 3 else 2)) & M32, "fill")
 
     def expression(table, op, a, b):
         code = table[op].format(a=a, b=f"({b})" if isinstance(b, int) else b)
@@ -400,10 +380,11 @@ def _translate(pc0, bank, end):
             return eval(f"({code}) & 0xFFFFFFFF", dict(_EXPRESSION_NAMES))
         return code
 
-    compiled = []  # per block: (start, raw, next pc, longest path in cycles, its lines)
+    compiled = []  # per block: its lines
     for start, body in region.items():
-        lines = []
+        lines = [None]  # the budget check, once the block's longest path is known
         emit = lines.append
+        leave("    ", (0, 0, 0, None), {}, body[0][:2], (start + body[0][2].length) & M32, "fill")
         val = {}  # register -> its value as X reads it: a local's name or an int
         committed = {}  # register -> the value the block committed to it
         pending = None  # the writeback latch, (rd, value), or None when empty
@@ -441,9 +422,9 @@ def _translate(pc0, bank, end):
                 cycles += 1
                 move("", (), committed)  # both ways commit the same registers
                 emit(f"if {expression(_BRANCH_TAKEN, op, read(ins.rs1), read(ins.rs2))}:")
-                taken, fall = (cycles + 1, stalls, 1, None), (cycles, stalls, 0, None)
-                fetch("    ", (pc + ins.imm) & M32, taken, {}, fall, {})
-                fetch("", (pc + ins.length) & M32, fall, {})
+                fall = (cycles, stalls, 0, None)
+                goto("    ", (pc + ins.imm) & M32, (cycles + 1, stalls, 1, None), {}, (fall, {}))
+                goto("", (pc + ins.length) & M32, fall, {})
             elif op in ("jal", "jalr"):
                 cycles += 1
                 link = (pc + ins.length) & M32
@@ -452,9 +433,9 @@ def _translate(pc0, bank, end):
                 else:
                     emit(f"t = ({read(ins.rs1)} + {ins.imm}) & 0xFFFFFFFE")
                     target = "t"
-                fetch("", target, (cycles + 1, stalls, 1, None),
-                      {**committed, rd: link} if rd else committed,  # the bubble commits the link
-                      (cycles, stalls, 0, (rd, link)), committed)
+                goto("", target, (cycles + 1, stalls, 1, None),
+                     {**committed, rd: link} if rd else committed,  # the bubble commits the link
+                     ((cycles, stalls, 0, (rd, link)), committed))
             else:  # a register-register or immediate operation, lui or auipc
                 if op in _ALU_RR:
                     v = expression(_ALU_RR, op, read(ins.rs1), read(ins.rs2))
@@ -470,18 +451,15 @@ def _translate(pc0, bank, end):
                 pending = (rd, v)
                 cycles += 1
         if op not in _TRANSFERS:
-            fetch("", (pc + ins.length) & M32, (cycles, stalls, 0, pending), committed)
+            goto("", (pc + ins.length) & M32, (cycles, stalls, 0, pending), committed)
         else:
             cycles += 1  # the bubble
-        compiled.append((start, body[0][1], start + body[0][2].length, cycles, lines))
+        lines[0] = f"if left < {cycles}:"  # a stay exit unless the longest path fits
+        compiled.append(lines)
 
     def dispatch(pad, a, b):  # the blocks a .. b - 1, by a binary tree on k
-        if b - a == 1:  # the block leaves with its entry state unless its longest path fits
-            start, raw, npc, cycles, lines = compiled[a]
-            yield f"{pad}if left < {cycles}:"
-            yield f"{pad}    out = (1, {start}, {raw}, {npc}, 'fill', 0, 0, 0)"
-            yield f"{pad}    break"
-            yield from (pad + line for line in lines)
+        if b - a == 1:
+            yield from (pad + line for line in compiled[a])
         else:
             m = (a + b) // 2
             yield f"{pad}if k < {m}:"
@@ -490,28 +468,25 @@ def _translate(pc0, bank, end):
             yield from dispatch(pad + "    ", m, b)
 
     name = f"block_{pc0:x}"  # profiles tell functions apart by file, line and name
-    code = [f"def {name}(budget, end, raw, npc, regs, b0, b1, b2, wv, wr, wx):",
-            f"    if end != {end} or b0[{lo}:{hi}] != words:",
-            "        return False"]
-    if region:
-        _, raw, npc, _, _ = compiled[0]
-        code += [
-            f"    if raw != {raw} or npc != {npc}:",
-            "        return None",
-            "    if wv and wr:",
-            "        regs[wr].value = wx",
-            *(f"    x{r} = regs[{r}].value" for r in sorted(touched)),
-            "    left, stalls, bubbles, k = budget, 0, 0, 0",
-            "    while True:",
-            *dispatch("        ", 0, len(region)),
-            "    n = budget - left",
-            "    if not n:",
-            "        return None",
-            *(f"    regs[{r}].value = x{r}" for r in sorted(written)),
-            "    return (n, n - stalls - bubbles, stalls, bubbles, *out)",
-        ]
-    else:
-        code.append("    return None")
+    _, raw, ins = region[pc0][0]
+    code = [
+        f"def {name}(budget, end, raw, npc, regs, b0, b1, b2, wv, wr, wx):",
+        f"    if end != {end} or b0[{lo}:{hi}] != words:",
+        "        return False",
+        f"    if raw != {raw} or npc != {(pc0 + ins.length) & M32}:",
+        "        return None",
+        "    if wv and wr:",
+        "        regs[wr].value = wx",
+        *(f"    x{r} = regs[{r}].value" for r in sorted(touched)),
+        "    left, stalls, bubbles, k = budget, 0, 0, 0",
+        "    while True:",
+        *dispatch("        ", 0, len(region)),
+        "    n = budget - left",
+        "    if not n:",
+        "        return None",
+        *(f"    regs[{r}].value = x{r}" for r in sorted(written)),
+        "    return (n, n - stalls - bubbles, stalls, bubbles, *out)",
+    ]
     names = dict(_EXPRESSION_NAMES, words=bank[lo:hi])
     exec(compile("\n".join(code) + "\n", __file__, "exec"), names)
     return names[name]

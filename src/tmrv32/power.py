@@ -24,6 +24,7 @@ all others at the ``register`` rate.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -80,8 +81,8 @@ class PowerModel:
 
     def estimate_power(self, freq_mhz, scenario, scrub_enabled=True):
         """Linear power estimate at ``freq_mhz`` for one activity class."""
-        if freq_mhz < 0:
-            raise ConfigError("frequency must be non-negative")
+        if not 0 <= freq_mhz < math.inf:
+            raise ConfigError(f"frequency must be a finite number >= 0, got {freq_mhz!r}")
         scenario = canonical_scenario(scenario)
         s = self.slopes[scenario]
         sram_mw = s["sram"] * freq_mhz

@@ -156,9 +156,9 @@ class CampaignConfig:
     def validate(self):
         if self.mode not in ("isolated", "accumulate"):
             raise ConfigError(f"unknown campaign mode {self.mode!r}")
+        if not (self.rates is None or isinstance(self.rates, dict)):
+            raise ConfigError(f"rates must be null or an object of domain rates, got {self.rates!r}")
         if self.rates:
-            if not isinstance(self.rates, dict):
-                raise ConfigError(f"rates must map domain names to rates, got {self.rates!r}")
             if self.mode != "accumulate":
                 raise ConfigError("rate-model campaigns require accumulate mode")
             if self.run_cycles is None:
@@ -166,8 +166,8 @@ class CampaignConfig:
             for name, rate in self.rates.items():
                 if name not in _DOMAIN_BY_NAME:
                     raise ConfigError(f"unknown rate domain {name!r}")
-                if not isinstance(rate, (int, float)) or isinstance(rate, bool) or rate < 0:
-                    raise ConfigError(f"rates must be non-negative numbers, got {name}: {rate!r}")
+                if not isinstance(rate, (int, float)) or isinstance(rate, bool) or not 0 <= rate <= 1:
+                    raise ConfigError(f"rates must be numbers in [0, 1], got {name}: {rate!r}")
         cycles = self.run_cycles
         if not (cycles is None or type(cycles) is int and cycles >= 0):
             raise ConfigError(f"run_cycles must be a non-negative integer, got {cycles!r}")

@@ -1,6 +1,7 @@
 """CLI: subcommand behavior, file outputs, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -322,6 +323,49 @@ _BOOLEAN_CASES = [  # (config, the field the error names)
 @pytest.mark.parametrize("config, field", _BOOLEAN_CASES, ids=[f for _, f in _BOOLEAN_CASES])
 def test_campaign_json_true_or_false_is_not_a_number(tmp_path, capsys, config, field):
     _assert_config_errors(tmp_path, capsys, [({"system": _EBREAK_SYSTEM, **config}, field)])
+
+
+_RATE_MODEL = {"system": _EBREAK_SYSTEM, "mode": "accumulate", "run_cycles": 100}
+_NON_FINITE_CASES = [  # (id, config, the field the error names)
+    ("rate-nan", dict(_RATE_MODEL, rates={"core": math.nan}), "rates"),
+    ("rate-infinity", dict(_RATE_MODEL, rates={"core": math.inf}), "rates"),
+    ("rate-1e300", dict(_RATE_MODEL, rates={"core": 1e300}), "rates"),
+    ("rates-0", dict(_RATE_MODEL, rates=0), "rates"),
+    ("rates-false", dict(_RATE_MODEL, rates=False), "rates"),
+    ("rates-array", dict(_RATE_MODEL, rates=[]), "rates"),
+    ("rates-string", dict(_RATE_MODEL, rates=""), "rates"),
+    ("freq-nan", {"system": dict(_EBREAK_SYSTEM, freq_mhz=math.nan)}, "freq_mhz"),
+    ("freq-infinity", {"system": dict(_EBREAK_SYSTEM, freq_mhz=math.inf)}, "freq_mhz"),
+]
+
+
+@pytest.mark.parametrize("config, field", [c[1:] for c in _NON_FINITE_CASES],
+                         ids=[c[0] for c in _NON_FINITE_CASES])
+def test_campaign_non_finite_number_or_non_object_rates_is_a_config_error(
+    tmp_path, capsys, config, field
+):
+    _assert_config_errors(tmp_path, capsys, [(config, field)])
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["run", "IMAGE", "--freq", "nan"], "freq_mhz"),
+        (["run", "IMAGE", "--freq", "inf"], "freq_mhz"),
+        (["power", "--freq", "nan"], "--freq"),
+        (["power", "--fmin", "nan"], "--fmin"),
+        (["power", "--fmax", "inf"], "--fmax"),
+    ],
+    ids=["run-freq-nan", "run-freq-inf", "power-freq-nan", "power-fmin-nan", "power-fmax-inf"],
+)
+def test_non_finite_frequency_flag_is_a_config_error(tmp_path, capsys, argv, field):
+    image = tmp_path / "ebreak.bin"
+    image.write_bytes(E.ebreak().to_bytes(4, "little"))
+    assert main([str(image) if a == "IMAGE" else a for a in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error:") and field in line
+    assert captured.out == ""
 
 
 def test_run_rejects_an_entry_pc_past_32_bits(tmp_path, capsys):

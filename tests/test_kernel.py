@@ -709,6 +709,20 @@ def _nested_loops():
     return p.assemble()
 
 
+def _long_body(passes=40):
+    """A counted loop whose straight-line body is longer than ``pipeline._MAX_BLOCK``."""
+    p = E.Program()
+    p.emit(E.addi(20, 0, passes), E.addi(5, 0, 1))
+    p.label("loop")
+    for i in range(pipeline._MAX_BLOCK + 8):
+        rd, rs = 6 + i % 4, 6 + (i + 1) % 4
+        p.emit((E.add(rd, rd, rs), E.xor(rd, rd, 5), E.addi(rd, rs, i))[i % 3])
+    p.emit(E.addi(20, 20, -1))
+    p.branch(E.bne, 20, 0, "loop")
+    p.emit(E.ebreak())
+    return p.assemble()
+
+
 def _mmio_loop():
     """A loop that writes UART TX and reads GPIO IN between SRAM work in its blocks."""
     p = E.Program()
@@ -772,6 +786,8 @@ QUIET_PROGRAMS = {
     "patch-next-block": (lambda: _patching_loop(1), 3000, None),
     "patch-far-block": (lambda: _patching_loop(2), 3000, None),
     "nested-loops": (_nested_loops, 3000, None),
+    # a block ends at the size cap, and the back edge leaves the second region
+    "long-body": (_long_body, 12000, None),
     "mmio-in-block": (_mmio_loop, 3000, None),
     "jalr-leaves-sram": (_jalr_loop, 3000, BusFault),
 }
@@ -889,9 +905,9 @@ def test_a_fault_free_running_core_rarely_single_steps():
         assert len(steps) < kernel.cycle // 100
 
 
-def _site_loop(step, passes=48):
-    """A loop whose second instruction, at the returned pc, is ``addi x7, x7, step``;
-    it stores to 0xF0, inside even a 64-row SRAM."""
+def _site_loop(step, passes=48, tail=E.ebreak()):
+    """A loop, then ``tail``. The loop's second instruction, at the returned pc, is
+    ``addi x7, x7, step``; it stores to 0xF0, inside even a 64-row SRAM."""
     p = E.Program()
     p.emit(E.addi(20, 0, passes), E.addi(28, 0, 0xF0))
     p.label("loop")
@@ -899,7 +915,7 @@ def _site_loop(step, passes=48):
     p.label("site")
     p.emit(E.addi(7, 7, step), E.add(8, 8, 7), E.sw(8, 28, 0), E.addi(20, 20, -1))
     p.branch(E.bne, 20, 0, "loop")
-    p.emit(E.ebreak())
+    p.emit(tail)
     return p.assemble(), p.labels["site"]
 
 
@@ -917,19 +933,24 @@ def _made_for(kernel, site):
     return any(
         check(block, sram.banks[0]) is None and check(block, changed) is False
         for block in pipeline._blocks.values()
+        if block is not None  # a pc where no block can start
     )
 
 
 def test_blocks_are_checked_against_each_kernels_code(monkeypatch):
     # The translation cache is shared by every kernel of the process and keyed
-    # by pc; two images that differ at the loop's pc take turns in it.
+    # by pc; two images that differ at the loop's pc take turns in it, and so do
+    # two that differ only in the instruction after the loop's exit branch, which
+    # the region latches when it leaves.
     monkeypatch.setattr(pipeline, "_blocks", {})
     (one, site), (three, _) = _site_loop(1), _site_loop(3)
-    for image in (one, three, one, three):
+    ecall, _ = _site_loop(1, tail=E.ecall())
+    for image in (one, ecall, one, ecall, one, three, one, three):
         plain, fast = make_kernel(image), make_kernel(image)
         assert _fast_outcome(fast, None) == _stepped_outcome(plain, None) is None
         _assert_same_run(plain, fast)
         assert _made_for(fast, site)
+        assert fast.result().halt == ("ecall" if image is ecall else "ebreak")
     assert fast.arch.regs[7].value == 3 * 48
 
 

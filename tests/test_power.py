@@ -1,5 +1,7 @@
 """Power model: calibration closure, linearity, scrub adder, energy blending."""
 
+import math
+
 import pytest
 
 from tmrv32.errors import ConfigError
@@ -118,6 +120,12 @@ def test_negative_frequency_rejected(model):
         model.estimate_power(-1.0, "mixed")
     with pytest.raises(ConfigError):
         model.estimate_energy({"register": 10}, 0.0)
+
+
+@pytest.mark.parametrize("freq", [math.nan, math.inf])
+def test_non_finite_frequency_rejected(model, freq):
+    with pytest.raises(ConfigError, match="finite"):
+        model.estimate_power(freq, "mixed")
 
 
 def test_quoted_reference_constants_are_available(model):

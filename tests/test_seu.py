@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -295,6 +296,17 @@ def test_config_errors_reported_before_run():
                 run_campaign(config)
         with pytest.raises(ConfigError):
             resolve_faults(config, Kernel(system), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "rates", [{"core": math.nan}, {"sram": math.inf}, {"periph": 1e300}, {"core": -0.1}, 0, []],
+    ids=["nan", "infinity", "1e300", "negative", "zero", "array"],
+)
+def test_rates_that_cannot_be_drawn_are_config_errors(rates):
+    system = SystemConfig(image=alu_block_program(10).assemble())
+    config = CampaignConfig(system=system, rates=rates, mode="accumulate", run_cycles=100)
+    with pytest.raises(ConfigError, match="rates"):
+        run_campaign(config)
 
 
 def test_campaign_config_file_round_trip():
