@@ -15,16 +15,16 @@ outside it), and it returns the effects as a tuple ``(rd_write, target, mem, hal
 * ``target``: the next pc of a control transfer (a taken branch or any jump), or
   None to fall through;
 * ``mem``: ``(addr, width, data)`` for a store, ``(addr, width, None)`` for a load
-  (whose data completes ``rd`` through :func:`extend_load`), or None;
+  (``ins.load`` gives its result from the word that holds the access), or None;
 * ``halt``: ``"ebreak"`` or ``"ecall"``, or None.
 
 The pipeline (:mod:`tmrv32.pipeline`) commits them: the register write goes
 through its writeback latch.
 
-The semantics of the register-register, immediate and branch operations are
-written once, as Python expressions in ``_ALU_RR``, ``_ALU_IMM`` and
-``_BRANCH_TAKEN``. Their handlers call them, compiled once per operation, and the
-pipeline's translator inlines them into its translated regions.
+The semantics of the register-register, immediate, branch and load operations are
+written once, as Python expressions in ``_ALU_RR``, ``_ALU_IMM``, ``_BRANCH_TAKEN``
+and ``_LOAD``. The handlers and ``ins.load`` call them, compiled once per operation,
+and the pipeline's translator inlines them into its translated regions.
 """
 
 import functools
@@ -61,7 +61,8 @@ class Instruction:
 
     ``mnemonic`` is the 32-bit semantic operation; compressed encodings are expanded,
     with the original compressed name kept in ``cname`` and ``length`` = 2. ``run``
-    is the handler :func:`execute` calls, bound to this instruction's operands.
+    is the handler :func:`execute` calls, bound to this instruction's operands, and
+    a load's ``load(word, addr)`` its result from the word that holds the access.
     """
 
     mnemonic: str
@@ -74,9 +75,11 @@ class Instruction:
     length: int = 4
     cname: str | None = None
     run: object = field(init=False, repr=False, compare=False)
+    load: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "run", _bind(self))
+        object.__setattr__(self, "load", self.mnemonic in _LOAD and _function(self.mnemonic))
 
     def __str__(self):
         name = self.cname or self.mnemonic
@@ -431,6 +434,15 @@ _BRANCH_TAKEN = {
     "bgeu": "{a} >= {b}",
 }
 
+# A load's result from the word that holds the access ({a}) and its byte address ({b}).
+_LOAD = {
+    "lw": "{a}",
+    "lhu": "({a} >> (({b} & 2) << 3)) & 0xFFFF",
+    "lh": "(((({a} >> (({b} & 2) << 3)) & 0xFFFF) ^ 0x8000) - 0x8000) & 0xFFFFFFFF",
+    "lbu": "({a} >> (({b} & 3) << 3)) & 0xFF",
+    "lb": "(((({a} >> (({b} & 3) << 3)) & 0xFF) ^ 0x80) - 0x80) & 0xFFFFFFFF",
+}
+
 _EXPRESSION_NAMES = {"s32": s32, "_divs": _divs, "_rems": _rems}  # what they call
 
 LOAD_WIDTH = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}
@@ -454,7 +466,7 @@ _NO_EFFECT = (None, None, None, None)
 def _function(op):
     """The expression of ``op`` in the tables above as a function ``_<op>(a, b)``,
     compiled with this file as its code filename (so profiles count it here)."""
-    expr = (_ALU_RR.get(op) or _ALU_IMM.get(op) or _BRANCH_TAKEN[op]).format(a="a", b="b")
+    expr = {**_ALU_RR, **_ALU_IMM, **_BRANCH_TAKEN, **_LOAD}[op].format(a="a", b="b")
     names = dict(_EXPRESSION_NAMES)
     exec(compile(f"def _{op}(a, b):\n    return {expr}\n", __file__, "exec"), names)
     return names[f"_{op}"]
@@ -556,16 +568,6 @@ def execute(arch, ins, pc):
 
     Returns ``(rd_write, target, mem, halt)`` (see the module docstring); the
     caller commits the register write and the next pc, and services any memory
-    access (completing loads via :func:`extend_load`).
+    access (completing loads through ``ins.load``).
     """
     return ins.run(arch, pc)
-
-
-def extend_load(ins, data):
-    """Sign/zero-extend raw memory data per the load's width and signedness."""
-    op = ins.mnemonic
-    if op == "lb":
-        return sext(data, 8) & M32
-    if op == "lh":
-        return sext(data, 16) & M32
-    return data

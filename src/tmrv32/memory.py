@@ -202,7 +202,7 @@ class SystemBus:
         return word
 
     def read(self, addr, width):
-        """Data read; returns the raw unsigned value of ``width`` bytes."""
+        """Data read; returns the 32-bit word that holds the ``width`` bytes at ``addr``."""
         if addr % width:
             raise AlignmentFault(addr, width)
         if SRAM_BASE <= addr < SRAM_BASE + self.sram.rows * 4:
@@ -210,10 +210,7 @@ class SystemBus:
             word, mismatch = self.sram.read_voted(row)
             if mismatch:
                 self.events.append((Domain.SRAM, row))
-            if width == 4:
-                return word
-            shift = 8 * (addr & 3)
-            return (word >> shift) & ((1 << (8 * width)) - 1)
+            return word
         device, offset = self._device_at(addr)
         if device is None:
             raise BusFault(addr, "read from unmapped address")

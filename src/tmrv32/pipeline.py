@@ -34,10 +34,10 @@ and no SRAM row dirty when it starts (the rule of the direct bank-0 fetch),
 blocks, each the instructions from one pc through the first branch or jump. It
 starts with the block at the pc in the fetch latch and takes in the blocks at its
 blocks' branch targets, fall-throughs and ``jal`` targets, up to ``_MAX_BLOCK``
-instructions in all. It is one Python function compiled once, with each operation
-inlined from the expression tables in :mod:`tmrv32.isa`. It loads the registers it
-touches into locals once and runs its blocks in a loop, dispatched on a block
-index by a binary ``if`` tree. An internal edge, from one of its blocks to
+instructions in all. It is one Python function compiled once, with each operation,
+loads too, inlined from the expression tables in :mod:`tmrv32.isa`. It loads the
+registers it touches into locals once and runs its blocks in a loop, dispatched on a
+block index by a binary ``if`` tree. An internal edge, from one of its blocks to
 another, follows a branch or ``jal``, which leaves the writeback latch empty, so
 the edge only moves the values the block committed into the register locals.
 
@@ -75,11 +75,11 @@ from .isa import (
     _ALU_RR,
     _BRANCH_TAKEN,
     _EXPRESSION_NAMES,
+    _LOAD,
     LOAD_WIDTH,
     M32,
     STORE_WIDTH,
     decode,
-    extend_load,
 )
 from .tmr import Domain, TmrCell
 
@@ -209,7 +209,7 @@ class Pipeline:
                         dmem_busy = True
                         dmem += 1
                         if data is None:
-                            rd_write = (ins.rd, extend_load(ins, bus.read(addr, width)))
+                            rd_write = (ins.rd, ins.load(bus.read(addr, width), addr))
                         else:
                             bus.write(addr, data, width)
                     arch.retired += 1
@@ -270,13 +270,6 @@ class Pipeline:
 
 _TRANSFERS = {*_BRANCH_TAKEN, "jal", "jalr"}
 _TRANSLATED = {*_ALU_RR, *_ALU_IMM, *LOAD_WIDTH, *STORE_WIDTH, "lui", "auipc", *_TRANSFERS}
-_LOADED = {  # a load's value from a clean SRAM byte address ``a``
-    "lw": "b0[a >> 2]",
-    "lhu": "(b0[a >> 2] >> ((a & 2) << 3)) & 0xFFFF",
-    "lh": "((((b0[a >> 2] >> ((a & 2) << 3)) & 0xFFFF) ^ 0x8000) - 0x8000) & 0xFFFFFFFF",
-    "lbu": "(b0[a >> 2] >> ((a & 3) << 3)) & 0xFF",
-    "lb": "((((b0[a >> 2] >> ((a & 3) << 3)) & 0xFF) ^ 0x80) - 0x80) & 0xFFFFFFFF",
-}
 
 
 def _window(bank, pc, end):
@@ -405,7 +398,7 @@ def _translate(pc0, bank, end):
                 emit(f"if {unsafe}:")
                 leave("    ", *stay, (pc, raw), (pc + ins.length) & M32, "fill")
                 if op in LOAD_WIDTH:  # the stall cycle after it commits it
-                    emit(f"v{j} = {_LOADED[op]}")
+                    emit(f"v{j} = {expression(_LOAD, op, 'b0[a >> 2]', 'a')}")
                     if rd:
                         val[rd] = committed[rd] = f"v{j}"
                 elif width == 4:

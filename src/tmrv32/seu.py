@@ -232,13 +232,13 @@ class ResolvedFault:
 
 def resolve_faults(config, registry_kernel, rng):
     """Pin down every random choice and check every target; deterministic given the seed."""
+    config.validate()  # before any draw
     resolved = []
     domain_cells = {dom: registry_kernel.cells_in_domain(dom) for dom in Domain}
     specs = list(config.faults)
     if config.rates:
         specs += _poisson_specs(config, rng)
     for index, spec in enumerate(specs):
-        spec.validate()
         kind, key, replica, bit, phase = spec.kind, spec.key, spec.replica, spec.bit, spec.phase
         if kind == "random":  # draw the target; replica and bit are drawn below
             if key == "sram":

@@ -70,7 +70,7 @@ def test_halfword_access():
     bus.write(0x300, 0xBEEF, 2)
     bus.write(0x302, 0xCAFE, 2)
     assert bus.read(0x300, 4) == 0xCAFEBEEF
-    assert bus.read(0x302, 2) == 0xCAFE
+    assert bus.read(0x302, 2) == 0xCAFEBEEF  # the word; the core selects the lanes
 
 
 def test_scrub_port_raw_and_writeback():
@@ -133,6 +133,16 @@ def test_fetch_outside_sram_faults():
         bus.fetch_window(0x1000_0000)
     with pytest.raises(AlignmentFault):
         bus.fetch_window(0x101)
+
+
+def test_32_bit_fetch_from_the_last_half_word_of_sram_faults():
+    sram = SramArray()
+    bus = SystemBus(sram)
+    bus.write(0x7FFC, 0x0013 << 16, 4)  # the low half of ``addi x0, x0, 0`` at 0x7FFE
+    with pytest.raises(BusFault, match="32-bit instruction fetch past end of SRAM"):
+        bus.fetch_window(0x7FFE)
+    bus.write(0x7FFC, 0x0001 << 16, 4)  # ``c.nop`` there is fetched
+    assert bus.fetch_window(0x7FFE) == 0x0001
 
 
 def test_single_upset_transparency_random():

@@ -307,6 +307,8 @@ def test_rates_that_cannot_be_drawn_are_config_errors(rates):
     config = CampaignConfig(system=system, rates=rates, mode="accumulate", run_cycles=100)
     with pytest.raises(ConfigError, match="rates"):
         run_campaign(config)
+    with pytest.raises(ConfigError, match="rates"):
+        resolve_faults(config, Kernel(system), np.random.default_rng(0))
 
 
 def test_campaign_config_file_round_trip():
