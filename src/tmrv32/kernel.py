@@ -29,7 +29,9 @@ nothing in a cycle without one:
   scrubber write-back);
 * ``Repair(cycle, target)``: a dirty cell or SRAM row became clean again, by
   edge refresh, a write, a scrub write-back or a flip that toggled a bit back;
-* ``Retire(cycle, pc, raw)`` and ``Halt(cycle, cause)``.
+* ``Retire(cycle, pc, raw)``, only with ``SystemConfig.record_events`` (campaign
+  runs keep a sink without it, and translated regions run only without it);
+* ``Halt(cycle, cause)``.
 
 A target is a cell's element id (a string) or an SRAM row (an integer). Records
 are in cycle order, and the flips and repairs of one target are in the order they
@@ -76,7 +78,7 @@ import json
 import math
 import os
 import struct
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -298,7 +300,7 @@ class Kernel:
 
         self._pending_increments = {}
         self._edge_queue = []  # (kind, key, replica, bit) landing at the next edge
-        self._fault_schedule = {}  # cycle -> [(phase, kind, key, replica, bit)], cycle order
+        self._fault_schedule = deque()  # (cycle, [(phase, kind, key, replica, bit)]), cycle order
 
         if config.image is not None:
             segments, entry = load_image(config.image, config.image_base)
@@ -329,11 +331,11 @@ class Kernel:
         self._schedule_gpio_inputs()
 
     def _schedule_gpio_inputs(self):
-        schedule = {}  # cycle -> [(pin, level)], cycle order
+        schedule = {}  # cycle -> [(pin, level)]; earlier inputs are in gpio_inputs
         for event in self.config.stimulus:
-            if event[0] == "gpio-in":
+            if event[0] == "gpio-in" and event[1] >= self.cycle:
                 schedule.setdefault(event[1], []).append((event[2], event[3]))
-        self._gpio_schedule = dict(sorted(schedule.items()))
+        self._gpio_schedule = deque(sorted(schedule.items()))  # (cycle, [(pin, level)]), in order
 
     def _all_cells(self):
         yield from self.arch.cells()
@@ -354,12 +356,19 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def schedule_flip(self, cycle, kind, key, replica, bit, phase=MID_CYCLE):
-        """Queue one bit flip: ``kind`` is "cell" (key = element id) or "sram" (key = row)."""
+        """Queue one bit flip: ``kind`` is "cell" (key = element id) or "sram" (key = row).
+        A flip due before the last scheduled cycle costs a rebuild of the schedule."""
         self._check_flip(self.cycle, cycle, phase, kind, key, replica, bit)
-        schedule = self._fault_schedule
-        if schedule and cycle < next(reversed(schedule)):  # keep the cycle order
-            schedule = self._fault_schedule = dict(sorted({cycle: [], **schedule}.items()))
-        schedule.setdefault(cycle, []).append((phase, kind, key, replica, bit))
+        schedule, flip = self._fault_schedule, (phase, kind, key, replica, bit)
+        last = schedule[-1][0] if schedule else -1
+        if cycle < last:  # keep the cycle order
+            due = dict(schedule)
+            due.setdefault(cycle, []).append(flip)
+            self._fault_schedule = deque(sorted(due.items()))
+            return
+        if cycle > last:
+            schedule.append((cycle, []))
+        schedule[-1][1].append(flip)
 
     def _check_flip(self, now, cycle, phase, kind, key, replica, bit):
         """ConfigError unless the flip is one that can land when scheduled at cycle ``now``."""
@@ -419,6 +428,7 @@ class Kernel:
     def step_cycle(self):
         """Simulate one clock cycle in the fixed phase order."""
         c = self.cycle
+        config = self.config
 
         # phase 1: clock edge
         if self.dirty:
@@ -434,8 +444,9 @@ class Kernel:
             events.clear()
         self.bus.last_store_row = None
         self.arch.cycle = c
-        if self._gpio_schedule:
-            for pin, level in self._gpio_schedule.pop(c, ()):
+        gpio = self._gpio_schedule
+        if gpio and gpio[0][0] == c:
+            for pin, level in gpio.popleft()[1]:
                 self.gpio.set_input(pin, level)
         uart = self.uart
         uart.cycle = c
@@ -443,7 +454,7 @@ class Kernel:
             uart.tick(c)
         halt = None
         if self.halted is None:  # the core stops at a halt; the scrubber never does
-            retire = self._log_retire if self.sink is not None else None
+            retire = self._log_retire if config.record_events and self.sink is not None else None
             halt = self.pipeline.advance(self.arch, self.bus, uart, c, c + 1, retire)[1]
             if self.sram.repaired:  # stores took rows out of the dirty set
                 self._log_sram_repairs(c)
@@ -453,8 +464,9 @@ class Kernel:
             self._edge_queue.clear()
 
         # phase 2: fault application
-        if self._fault_schedule:
-            for phase, kind, key, replica, bit in self._fault_schedule.pop(c, ()):
+        schedule = self._fault_schedule
+        if schedule and schedule[0][0] == c:
+            for phase, kind, key, replica, bit in schedule.popleft()[1]:
                 if phase == EDGE_ALIGNED:
                     self._edge_queue.append((kind, key, replica, bit))
                 else:
@@ -468,7 +480,6 @@ class Kernel:
 
         # phase 4: scrubber
         written = None
-        config = self.config
         if config.scrub_enabled and c % config.scrub_divider == 0:
             written = self.scrubber.step(self.sram, self.bus.last_store_row)
             if written is not None:
@@ -557,10 +568,9 @@ class Kernel:
         """The first cycle from ``self.cycle`` on, and before ``end``, with a scheduled flip,
         a GPIO input or a UART RX byte that can land; ``end`` if there is none."""
         c = self.cycle
-        stop = min(  # both schedules are in cycle order
-            next((k for k in self._fault_schedule if k >= c), end),
-            next((k for k in self._gpio_schedule if k >= c), end),
-            end,
+        schedule, gpio = self._fault_schedule, self._gpio_schedule
+        stop = min(  # both schedules are in cycle order, from cycle c on
+            schedule[0][0] if schedule else end, gpio[0][0] if gpio else end, end
         )
         uart = self.uart
         # a held byte blocks the next one until a running core reads it
@@ -590,7 +600,7 @@ class Kernel:
                 c = stop
             elif c < stop:
                 sink = self.sink
-                retire = self._log_retire if sink is not None else None
+                retire = self._log_retire if config.record_events and sink is not None else None
                 c, halt = self.pipeline.advance(self.arch, self.bus, self.uart, c, stop, retire)
                 if halt is not None:
                     self.halted = halt
@@ -668,7 +678,7 @@ class Kernel:
             "event_totals": dict(self.event_totals),
             "edge_queue": tuple(self._edge_queue),
             "fault_schedule": tuple(
-                (cycle, *e) for cycle, due in sorted(schedule.items()) for e in due
+                (cycle, *e) for cycle, due in schedule for e in due
             ) if schedule else (),
             "record_events": self.config.record_events,
         }
@@ -761,7 +771,7 @@ class Kernel:
         self._pending_increments = dict(misc["pending_increments"])
         self.event_totals = dict(misc["event_totals"])
         self._edge_queue = list(misc["edge_queue"])
-        self._fault_schedule = schedule
+        self._fault_schedule = deque(schedule.items())
         self._schedule_gpio_inputs()
         record_events = misc["record_events"]
         if record_events != self.config.record_events:

@@ -34,7 +34,9 @@ cycle a faulted run is golden's run, so it is not simulated again. Campaigns run
 in one of two modes. ``accumulate`` injects every fault into one run, for
 upset-accumulation experiments: golden runs to the first injection cycle, the
 faulted run resumes from golden's checkpoint there and runs on with every fault
-scheduled, and golden runs to its end only for ``golden_compare``. ``isolated``
+scheduled, and golden runs to its end only for ``golden_compare``. The run schedules
+its faults in cycle order (faults of one cycle in fault order), so no flip reorders
+the kernel's schedule; its records stay in fault order. ``isolated``
 classifies each fault on its own against golden. Its records are those of one
 run from reset per fault, but it does not simulate that way:
 
@@ -84,7 +86,9 @@ lines.
 import dataclasses
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -363,13 +367,17 @@ def _requal_cycle(changes, landing, end):
     """The first cycle >= ``landing`` and < ``end`` at whose end the target was clean.
 
     ``changes`` are the target's (cycle, clean afterwards) from its flips and
-    repairs; the target is clean before the first.
+    repairs, in cycle order; the target is clean before the first. The changes up
+    to the landing cycle only give the state there, so the walk starts after them.
     """
-    clean, since = True, landing  # the state at the end of cycles since .. next change - 1
-    for cycle, now_clean in changes:
+    i = bisect_right(changes, landing, key=itemgetter(0))
+    # the state at the end of cycles since .. next change - 1
+    clean, since = changes[i - 1][1] if i else True, landing
+    for j in range(i, len(changes)):
+        cycle, now_clean = changes[j]
         if clean and since < cycle:
             return since
-        clean, since = now_clean, max(cycle, landing)
+        clean, since = now_clean, cycle
     return since if clean and since < end else None
 
 
@@ -391,7 +399,7 @@ class _Fork:
         self.kernel = kernel
         self.faults = faults
         kernel.sink = []
-        for fault in faults:
+        for fault in sorted(faults, key=attrgetter("at_cycle")):  # cycle order: no rebuilds
             _schedule(kernel, fault)
         self.gap = 1  # cycles to step after a failed comparison; doubles each time
 

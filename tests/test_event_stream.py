@@ -228,6 +228,45 @@ def test_a_faulted_scrub_soak_run_fast_forwards(monkeypatch):
     assert count.steps < 2000
 
 
+def test_an_accumulate_run_schedules_its_flips_in_cycle_order(monkeypatch):
+    # Poisson arrivals are drawn per domain, so in fault order the sram and periph
+    # upsets come before the last core one; the run schedules them sorted by cycle,
+    # so that no flip costs a rebuild of the kernel's schedule.
+    cycles = []
+    schedule_flip = Kernel.schedule_flip
+
+    def spying_schedule_flip(kernel, cycle, *args, **kw):
+        cycles.append(cycle)
+        schedule_flip(kernel, cycle, *args, **kw)
+
+    monkeypatch.setattr(Kernel, "schedule_flip", spying_schedule_flip)
+    config = dataclasses.replace(_scrub_soak(0).configs[0], seed=1)
+    report = run_campaign(config)
+    assert len(cycles) == sum(r["count"] for r in report.records) > 30
+    assert cycles == sorted(cycles)
+    assert [r["index"] for r in report.records] == list(range(len(report.records)))
+
+
+def test_faults_listed_out_of_cycle_order_match_reference():
+    image = acceptance_program().assemble()
+    faults = [
+        _cell(150, "core.x6", 1, 2),
+        _cell(40, "core.x5", 2, 7), _cell(40, "core.x5", 2, 7),  # a toggle back: Flip, Repair
+        _row(90, 700, 0, 4),
+        _cell(40, "periph.gpio_out", 0, 1),  # the same cycle, another domain
+        _row(40, 13, 1, 3),
+        _cell(12, "core.x7", 0, 4, phase=EDGE_ALIGNED),
+        _cell(90, "sram.scrub_row_ptr", 2, 0, count=2),
+        _row(12, 700, 2, 9),
+    ]
+    rates = {"core": 0.004, "sram": 0.004, "periph": 0.002}
+    config = _accumulate(image, faults, rates=rates, run_cycles=2500, seed=7,
+                         edge_aligned_fraction=0.5)
+    records = _records(assert_accumulate_matches(config))
+    assert len(records) > len(faults) + 10
+    assert [r["correction_latency_cycles"] for r in records[1:3]] == [0, 0]
+
+
 def test_repeated_flips_of_one_target():
     image = acceptance_program().assemble()
     faults = [

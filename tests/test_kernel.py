@@ -1181,6 +1181,51 @@ def test_restore_takes_a_fault_schedule_in_any_order():
     assert kernel.snapshot() == straight.snapshot()
 
 
+def _schedule_around_200(kernel):
+    kernel.schedule_flip(260, "cell", "core.x7", 0, 3)
+    kernel.schedule_flip(120, "sram", 9, 1, 4)
+    kernel.schedule_flip(220, "cell", "periph.gpio_out", 2, 1)
+    kernel.schedule_flip(220, "cell", "core.x8", 1, 5, phase=EDGE_ALIGNED)
+
+
+def test_resumed_schedules_hold_nothing_before_the_resume_cycle():
+    gpio = (("gpio-in", 30, 3, 1), ("gpio-in", 150, 3, 0), ("gpio-in", 250, 4, 1))
+    config = SystemConfig(image=acceptance_program().assemble(), stimulus=gpio)
+    straight, source = Kernel(config), Kernel(config)
+    for kernel in (straight, source):
+        _schedule_around_200(kernel)
+    straight.run_cycles(500)
+    source.run_cycles(200)
+    resumed, restored = Kernel(config), Kernel(config)
+    resumed.resume(source.checkpoint())
+    restored.restore(source.snapshot())
+    for kernel in (resumed, restored):
+        assert [cycle for cycle, _ in kernel._gpio_schedule] == [250]
+        assert [cycle for cycle, _ in kernel._fault_schedule] == [220, 260]
+        kernel.run_cycles(300)
+        assert kernel.gpio.input_levels == straight.gpio.input_levels
+        assert kernel.result() == straight.result()
+        assert kernel.snapshot() == straight.snapshot()
+
+
+def test_flips_scheduled_out_of_cycle_order_build_the_same_schedule():
+    calls = [
+        (220, "cell", "core.x9", 0, 2), (240, "sram", 9, 1, 4), (240, "cell", "core.x8", 2, 0),
+        (240, "cell", "core.x8", 2, 0), (260, "cell", "core.x7", 0, 3),
+    ]
+    ascending, descending = make_kernel(acceptance_program()), make_kernel(acceptance_program())
+    for call in calls:
+        ascending.schedule_flip(*call)
+    for cycle in sorted({call[0] for call in calls}, reverse=True):
+        for call in calls:
+            if call[0] == cycle:
+                descending.schedule_flip(*call)
+    fault_schedule = ascending._misc_state()["fault_schedule"]
+    assert fault_schedule == descending._misc_state()["fault_schedule"]
+    assert [e[0] for e in fault_schedule] == [220, 240, 240, 240, 260]
+    assert fault_schedule[1:4] == tuple((240, MID_CYCLE, *call[1:]) for call in calls[1:4])
+
+
 def test_snapshot_keeps_scheduled_flips():
     config = SystemConfig(image=acceptance_program().assemble())
     straight = Kernel(config)
@@ -1243,7 +1288,7 @@ def test_snapshot_version_1_still_reads():
     blob = kernel.snapshot()
     assert struct.unpack_from("<H", blob, 8) == (2,)
     old = Kernel.from_snapshot(_as_version_1(blob))
-    assert old._fault_schedule == {} and old.sink is None
+    assert not old._fault_schedule and old.sink is None
     assert old.snapshot() == blob
     old.run()
     kernel.run()

@@ -16,6 +16,7 @@ from tmrv32.kernel import EDGE_ALIGNED, MID_CYCLE, Kernel, SystemConfig
 from tmrv32.seu import (
     CampaignConfig,
     FaultSpec,
+    _requal_cycle,
     counter_crosscheck,
     resolve_faults,
     run_campaign,
@@ -397,3 +398,29 @@ def test_fault_resolution_is_pinned():
     assert len(lines) == 446
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "da0910818e03fb8e084a892ec06e24ab7569b2b1cc795cd1ff4f59ae9a11d869"
+
+
+def _linear_requal_cycle(changes, landing, end):
+    """The requalification rule as a walk over the whole change list: the oracle."""
+    clean, since = True, landing  # the state at the end of cycles since .. next change - 1
+    for cycle, now_clean in changes:
+        if clean and since < cycle:
+            return since
+        clean, since = now_clean, max(cycle, landing)
+    return since if clean and since < end else None
+
+
+def test_requal_cycle_starts_at_the_landing_like_a_walk_from_the_first_change():
+    rng = np.random.default_rng(21)
+    for _ in range(4000):
+        n = int(rng.integers(0, 12))
+        # cycles in stream order, often several changes in one cycle
+        cycles = sorted(int(c) for c in rng.integers(0, 40, n))
+        changes = [(c, bool(rng.integers(2))) for c in cycles]
+        landing = int(rng.integers(0, 45))
+        end = int(rng.integers(landing, 50))
+        for given in (changes, tuple(changes)):
+            assert _requal_cycle(given, landing, end) == _linear_requal_cycle(
+                changes, landing, end
+            ), (changes, landing, end)
+    assert _requal_cycle((), 5, 6) == 5 and _requal_cycle((), 5, 5) is None
