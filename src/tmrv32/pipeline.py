@@ -49,7 +49,8 @@ and ``bus.last_store_row``. Each exit stores the registers in one epilogue and i
 * stay exit, with an instruction of the region in the fetch latch and idle cause
   ``fill``: before a block whose longest path does not fit in the span (None if no
   cycle has run), and before a load or store not to an aligned SRAM address or a
-  store into the region's rows;
+  store into the region's rows. ``advance`` never calls a region with a span its
+  first block does not fit (the region's ``need``): that span runs per cycle;
 * fall-through exit, the same with the next instruction: after a block no branch or
   jump ends (CSR reads, ``ecall``/``ebreak``, ``fence``, illegal encodings and
   fetches that could fault end one), or a branch not taken to no internal edge;
@@ -61,12 +62,16 @@ tries a region after each cycle with X idle and after each region, but never in
 ``step_cycle``'s one-cycle spans, so single-stepping stays the oracle.
 
 Regions are compiled as ``block_<pc>`` functions, with this file as their code
-filename, into one process-wide cache, ``_blocks``, keyed by pc, once a kernel has
-entered that pc ``_HOT_ENTRIES`` times. At every entry a region compares its SRAM
-rows, through the window after each block, as one slice, with a copy made with it
-(and checks the SRAM size, the fetch latch and the pc). A store into those rows
-ends it, so the cache is a pure memo of SRAM contents, like ``decode``'s: loading
-an image, resuming a checkpoint or scrubbing a row needs no invalidation.
+filename, into one process-wide cache, ``_blocks``, keyed by pc, once that pc has
+been entered ``_HOT_ENTRIES`` times with no region made from the code there. That
+count, ``_entries``, is per process too: how hot code is belongs to the code, so a
+short loop that many kernels run gets a region though no one kernel runs it often
+enough (a span too short for a cached region does not count). At every entry a
+region compares its SRAM rows, through the window after each block, as one slice,
+with a copy made with it (and checks the SRAM size, the fetch latch and the pc). A
+store into those rows ends it, so the cache is a pure memo of SRAM contents, like
+``decode``'s: loading an image, resuming a checkpoint or scrubbing a row needs no
+invalidation.
 """
 
 from .errors import IllegalInstruction
@@ -83,13 +88,16 @@ from .isa import (
 )
 from .tmr import Domain, TmrCell
 
-# A pc is translated once a kernel has entered it this many times without a region.
+# A pc is translated once the kernels of the process have entered it this many times
+# without a region.
 _HOT_ENTRIES = 16
 _MAX_BLOCK = 256  # instructions in one region at most
 
 # pc -> the region last made there, or None where none can start, for every kernel of
 # the process. A region checks its SRAM words at every entry, so this is a pure memo.
 _blocks = {}
+# pc -> entries since its last translation, counted over every kernel of the process
+_entries = {}
 
 
 class Pipeline:
@@ -105,7 +113,6 @@ class Pipeline:
         self.fill_cycles = 0
         self.dmem_cycles = 0  # cycles with an active data access (power activity mix)
         self._idle_cause = "fill"  # what an X-idle cycle is charged to
-        self._entries = {}  # pc -> entries since its last translation (see _HOT_ENTRIES)
 
     def cells(self):
         yield self.fl_valid
@@ -158,17 +165,21 @@ class Pipeline:
         probe = blocks = retire is None and stop - c > 1 and direct_end
         if blocks:
             bank1, bank2 = sram.banks[1], sram.banks[2]
-            entries = self._entries
         halt = None
         try:
             while c < stop:
                 if probe and fl_valid:  # the fetch latch may hold the start of a region
                     probe = False
                     block = _blocks.get(fl_pc)
-                    done = block is not None and block(
-                        stop - c, direct_end, fl_raw, next_pc, regs, bank, bank1, bank2,
-                        wl_valid, wl_rd, wl_value,
-                    )
+                    if block is None:
+                        done = False
+                    elif stop - c < block.need:  # its first block cannot run: not counted
+                        done = None
+                    else:
+                        done = block(
+                            stop - c, direct_end, fl_raw, next_pc, regs, bank, bank1, bank2,
+                            wl_valid, wl_rd, wl_value,
+                        )
                     if done:
                         (n, ran, s, b, fl_valid, fl_pc, fl_raw, next_pc, idle,
                          wl_valid, wl_rd, wl_value) = done
@@ -182,9 +193,9 @@ class Pipeline:
                         probe = True
                         continue
                     if done is False:  # no region made from this code yet
-                        n = entries[fl_pc] = entries.get(fl_pc, 0) + 1
+                        n = _entries[fl_pc] = _entries.get(fl_pc, 0) + 1
                         if n >= _HOT_ENTRIES:
-                            entries[fl_pc] = 0
+                            _entries[fl_pc] = 0
                             _blocks[fl_pc] = _translate(fl_pc, bank, direct_end)
                             probe = True
                             continue
@@ -448,6 +459,8 @@ def _translate(pc0, bank, end):
         else:
             cycles += 1  # the bubble
         lines[0] = f"if left < {cycles}:"  # a stay exit unless the longest path fits
+        if not compiled:
+            need = cycles
         compiled.append(lines)
 
     def dispatch(pad, a, b):  # the blocks a .. b - 1, by a binary tree on k
@@ -482,4 +495,6 @@ def _translate(pc0, bank, end):
     ]
     names = dict(_EXPRESSION_NAMES, words=bank[lo:hi])
     exec(compile("\n".join(code) + "\n", __file__, "exec"), names)
-    return names[name]
+    block = names[name]
+    block.need = need  # advance calls it only with a span of at least this many cycles
+    return block

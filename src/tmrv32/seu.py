@@ -32,13 +32,14 @@ Every faulted run starts from a checkpoint of the fault-free golden run
 (``Kernel.checkpoint``, resumed with ``Kernel.resume``): up to its first injection
 cycle a faulted run is golden's run, so it is not simulated again. Campaigns run
 in one of two modes. ``accumulate`` injects every fault into one run, for
-upset-accumulation experiments: golden runs to the first injection cycle, the
-faulted run resumes from golden's checkpoint there and runs on with every fault
-scheduled, and golden runs to its end only for ``golden_compare``. The run schedules
-its faults in cycle order (faults of one cycle in fault order), so no flip reorders
-the kernel's schedule; its records stay in fault order. ``isolated``
-classifies each fault on its own against golden. Its records are those of one
-run from reset per fault, but it does not simulate that way:
+upset-accumulation experiments: golden runs to the first injection cycle and takes
+its checkpoint there, runs on to its end only for ``golden_compare``, and then
+golden's kernel resumes that checkpoint and runs the faulted run with every fault
+scheduled, so the campaign builds one kernel. The run schedules its faults in cycle
+order (faults of one cycle in fault order), so no flip reorders the kernel's
+schedule; its records stay in fault order. ``isolated`` classifies each fault on
+its own against golden. Its records are those of one run from reset per fault, but
+it does not simulate that way:
 
 * Golden runs once. At each distinct injection cycle, golden's checkpoint is
   resumed by every fault of that cycle, into a fork. The checkpoint is dropped
@@ -289,7 +290,8 @@ def _schedule(kernel, fault):
         )
 
 
-def _record(fault, outcome, diverged, kernel):
+def _record(fault, outcome, diverged, counters, totals):
+    """One fault's record; ``counters`` and ``totals`` are its run's, built once per run."""
     detected, latency, uncorrectable = outcome
     return {
         "index": fault.index,
@@ -305,8 +307,8 @@ def _record(fault, outcome, diverged, kernel):
         "correction_latency_cycles": latency,
         "uncorrectable": uncorrectable,
         "diverged": diverged,
-        "counters": list(kernel.counters.values()),
-        "event_totals": _totals_dict(kernel),
+        "counters": list(counters),
+        "event_totals": dict(totals),
     }
 
 
@@ -384,7 +386,10 @@ def _requal_cycle(changes, landing, end):
 def _records(kernel, faults, stream):
     """The record of each fault, from the run's final state and its event stream."""
     outcomes = _classify(stream, faults, kernel.cycle)
-    return [_record(fault, outcome, None, kernel) for fault, outcome in zip(faults, outcomes)]
+    counters, totals = kernel.counters.values(), _totals_dict(kernel)
+    return [
+        _record(fault, outcome, None, counters, totals) for fault, outcome in zip(faults, outcomes)
+    ]
 
 
 # Forks alive at once, at most. Past that the oldest runs on to its end unchecked,
@@ -546,18 +551,18 @@ def run_campaign(config):
         summary = _summarize(records, config)
     else:
         golden._advance(min((f.at_cycle for f in resolved), default=math.inf), length)
-        kernel = Kernel(config.system)
-        kernel.resume(golden.checkpoint())
+        checkpoint = golden.checkpoint()
         golden_sig = None
         if config.golden_compare:
             golden._advance(end=length)
             golden_sig = golden.architectural_signature()
-        run = _Fork(kernel, resolved)
-        kernel._advance(end=length)
+        golden.resume(checkpoint)  # golden's kernel runs the faulted run
+        run = _Fork(golden, resolved)
+        golden._advance(end=length)
         records = run.records()
         summary = _summarize(records, config)
         if golden_sig is not None:
-            summary["run_diverged"] = kernel.architectural_signature() != golden_sig
+            summary["run_diverged"] = golden.architectural_signature() != golden_sig
     return CampaignReport(config=config, golden=golden_sig, records=records, summary=summary)
 
 

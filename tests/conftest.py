@@ -11,9 +11,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 from reference_rv32 import RefCpu  # noqa: E402
 
 from tmrv32 import encode as E  # noqa: E402
+from tmrv32 import pipeline  # noqa: E402
 from tmrv32.kernel import Kernel, SystemConfig  # noqa: E402
 
 SCRATCH_BASE = 0x4000  # data area used by generated and canned programs
+
+
+@pytest.fixture(autouse=True)
+def _fresh_hotness_counts(monkeypatch):
+    """Every test counts entries toward translation from zero: the counts are shared by
+    every kernel of the process, so without this a test that starts from an empty
+    ``pipeline._blocks`` would make its regions where earlier tests left off."""
+    monkeypatch.setattr(pipeline, "_entries", {})
 
 
 def make_kernel(image, **overrides):

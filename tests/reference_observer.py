@@ -109,7 +109,9 @@ def observed_run(system, length, faults):
 
 def observed_record(fault, monitor, log, diverged, kernel):
     classified = (detected(log, fault), monitor.latency(), monitor.vote_changed)
-    return seu._record(fault, classified, diverged, kernel)
+    return seu._record(
+        fault, classified, diverged, kernel.counters.values(), seu._totals_dict(kernel)
+    )
 
 
 def _golden_signature(config):

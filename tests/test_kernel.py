@@ -995,6 +995,23 @@ def test_blocks_are_checked_against_each_kernels_code(monkeypatch):
     assert fast.arch.regs[7].value == 3 * 48
 
 
+def test_kernels_make_a_region_from_their_entries_together(monkeypatch):
+    # The acceptance program's loop makes 10 passes, fewer than _HOT_ENTRIES, so no
+    # one kernel enters its head often enough; the second kernel's entries, added
+    # to the first's, do.
+    monkeypatch.setattr(pipeline, "_blocks", {})
+    program = acceptance_program()
+    image, site = program.assemble(), program.labels["loop"]
+    assert 10 < pipeline._HOT_ENTRIES <= 2 * 10
+    first = make_kernel(image)
+    first.run()
+    assert not _made_for(first, site)
+    plain, fast = make_kernel(image), make_kernel(image)
+    assert _fast_outcome(fast, None) == _stepped_outcome(plain, None) is None
+    _assert_same_run(plain, fast)  # snapshot bytes (registers and SRAM too) and RunResult
+    assert _made_for(fast, site)
+
+
 def test_a_code_row_scrubbed_back_to_a_changed_word_is_retranslated(monkeypatch):
     # A same-bit double upset of bit 21 turns ``addi x7, x7, 1`` into
     # ``addi x7, x7, 3`` after the loop's blocks were made; the scrubber writes
@@ -1016,18 +1033,19 @@ def test_a_code_row_scrubbed_back_to_a_changed_word_is_retranslated(monkeypatch)
 def test_a_region_stops_at_every_span_end(monkeypatch):
     # With the cache warm, spans of every length over two outer passes, from a
     # cycle whose fetch latch holds the region's first instruction, stop it at each
-    # of its block entries in turn, or before it starts (None) where its first
-    # block does not fit.
+    # of its block entries in turn. A span its first block does not fit never calls
+    # it, so every call runs cycles.
     monkeypatch.setattr(pipeline, "_blocks", {})
     image = _nested_loops()
     make_kernel(image).run()  # makes the loop's region
     ((pc, region),) = pipeline._blocks.items()
-    calls = []
+    calls = []  # (budget, what the region returned)
 
-    def counted(*args):
-        calls.append(region(*args))
-        return calls[-1]
+    def counted(budget, *args):
+        calls.append((budget, region(budget, *args)))
+        return calls[-1][1]
 
+    counted.need = region.need
     pipeline._blocks[pc] = counted
     plain = make_kernel(image)
     while plain.cycle < 300 or plain.pipeline.fl_pc.value != pc:
@@ -1039,7 +1057,59 @@ def test_a_region_stops_at_every_span_end(monkeypatch):
         fast.resume(start)
         fast.run_cycles(n)
         _assert_same_run(plain, fast)
-    assert None in calls and sum(map(bool, calls)) > 90
+    assert all(budget >= region.need and done for budget, done in calls)
+    assert len(calls) > 90
+
+    # the need is exact: one cycle less, and the region at the start runs none
+    def call(budget):
+        kernel = make_kernel(image)
+        kernel.resume(start)
+        p, arch = kernel.pipeline, kernel.arch
+        return region(
+            budget, kernel.sram.rows * 4, p.fl_raw.value, arch.pc.value, arch.regs,
+            *kernel.sram.banks, p.wl_valid.value, p.wl_rd.value, p.wl_value.value,
+        )
+
+    assert call(region.need - 1) is None and call(region.need)
+
+
+class _CheckedBlocks(dict):
+    """A translation cache whose regions log each call's budget and their need."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def __setitem__(self, pc, region):
+        checked = region
+        if region is not None:
+
+            def checked(budget, *args, region=region):
+                self.calls.append((budget, region.need))
+                return region(budget, *args)
+
+            checked.need = region.need
+        super().__setitem__(pc, checked)
+
+
+@pytest.mark.parametrize("program", sorted(QUIET_PROGRAMS))
+def test_no_region_is_called_with_a_span_its_first_block_does_not_fit(monkeypatch, program):
+    # Runs chopped into spans of 1 to 12 cycles, with the cache warm from a whole run.
+    image, max_cycles, raises = QUIET_PROGRAMS[program]
+    config = SystemConfig(image=image(), max_cycles=max_cycles)
+    blocks = _CheckedBlocks()
+    monkeypatch.setattr(pipeline, "_blocks", blocks)
+    outcome = _fast_outcome(Kernel(config), None)
+    assert (outcome and outcome[0]) == raises
+    rng = np.random.default_rng(len(program))
+    plain, fast = Kernel(config), Kernel(config)
+    for n in rng.integers(1, 13, size=max_cycles):
+        outcome = _fast_outcome(fast, int(n))
+        assert _stepped_outcome(plain, plain.cycle + int(n)) == outcome
+        if outcome or fast.halted is not None:
+            break
+    _assert_same_run(plain, fast)
+    assert all(budget >= need for budget, need in blocks.calls)
 
 
 def test_loads_in_a_region_match_the_reference_model(monkeypatch):
