@@ -82,6 +82,7 @@ import struct
 from collections import deque, namedtuple
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import ConfigError, SimTimeout
@@ -301,7 +302,7 @@ class Kernel:
 
         self._pending_increments = {}
         self._edge_queue = []  # (kind, key, replica, bit) landing at the next edge
-        self._fault_schedule = deque()  # (cycle, [(phase, kind, key, replica, bit)]), cycle order
+        self._fault_schedule = deque()  # (cycle, phase, kind, key, replica, bit), cycle order
 
         if config.image is not None:
             segments, entry = load_image(config.image, config.image_base)
@@ -332,11 +333,12 @@ class Kernel:
         self._schedule_gpio_inputs()
 
     def _schedule_gpio_inputs(self):
-        schedule = {}  # cycle -> [(pin, level)]; earlier inputs are in gpio_inputs
-        for event in self.config.stimulus:
-            if event[0] == "gpio-in" and event[1] >= self.cycle:
-                schedule.setdefault(event[1], []).append((event[2], event[3]))
-        self._gpio_schedule = deque(sorted(schedule.items()))  # (cycle, [(pin, level)]), in order
+        # the config's gpio-in events still to come, in cycle order; earlier inputs are
+        # in gpio_inputs
+        self._gpio_schedule = deque(sorted(
+            (e for e in self.config.stimulus if e[0] == "gpio-in" and e[1] >= self.cycle),
+            key=itemgetter(1),
+        ))
 
     def _all_cells(self):
         yield from self.arch.cells()
@@ -360,16 +362,10 @@ class Kernel:
         """Queue one bit flip: ``kind`` is "cell" (key = element id) or "sram" (key = row).
         A flip due before the last scheduled cycle costs a rebuild of the schedule."""
         self._check_flip(self.cycle, cycle, phase, kind, key, replica, bit)
-        schedule, flip = self._fault_schedule, (phase, kind, key, replica, bit)
-        last = schedule[-1][0] if schedule else -1
-        if cycle < last:  # keep the cycle order
-            due = dict(schedule)
-            due.setdefault(cycle, []).append(flip)
-            self._fault_schedule = deque(sorted(due.items()))
-            return
-        if cycle > last:
-            schedule.append((cycle, []))
-        schedule[-1][1].append(flip)
+        schedule = self._fault_schedule
+        schedule.append((cycle, phase, kind, key, replica, bit))
+        if len(schedule) > 1 and cycle < schedule[-2][0]:  # keep the cycle order
+            self._fault_schedule = deque(sorted(schedule, key=itemgetter(0)))
 
     def _check_flip(self, now, cycle, phase, kind, key, replica, bit):
         """ConfigError unless the flip is one that can land when scheduled at cycle ``now``."""
@@ -446,9 +442,9 @@ class Kernel:
         self.bus.last_store_row = None
         self.arch.cycle = c
         gpio = self._gpio_schedule
-        if gpio and gpio[0][0] == c:
-            for pin, level in gpio.popleft()[1]:
-                self.gpio.set_input(pin, level)
+        while gpio and gpio[0][1] == c:
+            _, _, pin, level = gpio.popleft()
+            self.gpio.set_input(pin, level)
         uart = self.uart
         uart.cycle = c
         if uart.rx_cursor < len(uart.rx_pending):  # an RX byte is still to be delivered
@@ -466,12 +462,12 @@ class Kernel:
 
         # phase 2: fault application
         schedule = self._fault_schedule
-        if schedule and schedule[0][0] == c:
-            for phase, kind, key, replica, bit in schedule.popleft()[1]:
-                if phase == EDGE_ALIGNED:
-                    self._edge_queue.append((kind, key, replica, bit))
-                else:
-                    self._do_flip(kind, key, replica, bit)
+        while schedule and schedule[0][0] == c:
+            _, phase, kind, key, replica, bit = schedule.popleft()
+            if phase == EDGE_ALIGNED:
+                self._edge_queue.append((kind, key, replica, bit))
+            else:
+                self._do_flip(kind, key, replica, bit)
 
         # phase 3: voting
         if self.dirty:
@@ -571,7 +567,7 @@ class Kernel:
         c = self.cycle
         schedule, gpio = self._fault_schedule, self._gpio_schedule
         stop = min(  # both schedules are in cycle order, from cycle c on
-            schedule[0][0] if schedule else end, gpio[0][0] if gpio else end, end
+            schedule[0][0] if schedule else end, gpio[0][1] if gpio else end, end
         )
         uart = self.uart
         # a held byte blocks the next one until a running core reads it
@@ -661,7 +657,6 @@ class Kernel:
         ints, strings, None, tuples, and two dicts keyed by :class:`Domain`."""
         p = self.pipeline
         uart = self.uart
-        schedule = self._fault_schedule
         return {
             "halted": self.halted,
             "idle_cause": p._idle_cause,
@@ -678,9 +673,7 @@ class Kernel:
             "pending_increments": dict(self._pending_increments),
             "event_totals": dict(self.event_totals),
             "edge_queue": tuple(self._edge_queue),
-            "fault_schedule": tuple(
-                (cycle, *e) for cycle, due in schedule for e in due
-            ) if schedule else (),
+            "fault_schedule": tuple(self._fault_schedule),
             "record_events": self.config.record_events,
         }
 
@@ -740,9 +733,6 @@ class Kernel:
         starts empty if ``record_events`` is set, and is None otherwise.
         """
         cycle, values, upsets, banks, misc = checkpoint
-        schedule = {}  # cycle order, as listed; built first: a bad entry raises before any change
-        for cycle_due, *e in misc["fault_schedule"]:
-            schedule.setdefault(cycle_due, []).append(tuple(e))
         for cell in self.dirty:
             cell.refresh()  # drop the replicas, so that assigning the value keeps it clean
         self.dirty.clear()
@@ -772,7 +762,7 @@ class Kernel:
         self._pending_increments = dict(misc["pending_increments"])
         self.event_totals = dict(misc["event_totals"])
         self._edge_queue = list(misc["edge_queue"])
-        self._fault_schedule = deque(schedule.items())
+        self._fault_schedule = deque(misc["fault_schedule"])  # in cycle order, as listed
         self._schedule_gpio_inputs()
         record_events = misc["record_events"]
         if record_events != self.config.record_events:

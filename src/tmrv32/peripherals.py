@@ -11,6 +11,9 @@ in :mod:`tmrv32.memory`. A device names the offset in its block when it raises
 ``BusFault``; ``SystemBus`` reports the full bus address instead.
 """
 
+from bisect import insort
+from operator import itemgetter
+
 from .errors import BusFault
 from .tmr import Domain, TmrCell
 
@@ -95,9 +98,9 @@ class UartModel:
         self.cycle = 0  # kept current by the kernel
 
     def queue_rx(self, cycle, byte):
-        """Host-side stimulus: make a byte available for reading at ``cycle``."""
-        self.rx_pending.append((cycle, byte & 0xFF))
-        self.rx_pending.sort(key=lambda e: e[0])
+        """Host-side stimulus: make a byte available for reading at ``cycle``, after
+        any byte queued before it for the same cycle."""
+        insort(self.rx_pending, (cycle, byte & 0xFF), key=itemgetter(0))
 
     def tick(self, cycle):
         """Advance host-side delivery; called once per simulated cycle."""

@@ -28,18 +28,18 @@ fetch-stall cycles + branch bubbles + fill cycles.
 values, the pc, the idle cause and the counters in locals; ``Kernel.step_cycle``
 calls it with a one-cycle span and ``Kernel._fast_forward`` with a quiet span.
 
-Translated regions: in a span longer than one cycle, with no ``retire`` callback
-and no SRAM row dirty when it starts (the rule of the direct bank-0 fetch),
-``advance`` runs hot code as translated regions. A region is a set of basic
-blocks, each the instructions from one pc through the first branch or jump. It
-starts with the block at the pc in the fetch latch and takes in the blocks at its
-blocks' branch targets, fall-throughs and ``jal`` targets, up to ``_MAX_BLOCK``
-instructions in all. It is one Python function compiled once, with each operation,
-loads too, inlined from the expression tables in :mod:`tmrv32.isa`. It loads the
-registers it touches into locals once and runs its blocks in a loop, dispatched on a
-block index by a binary ``if`` tree. An internal edge, from one of its blocks to
-another, follows a branch or ``jal``, which leaves the writeback latch empty, so
-the edge only moves the values the block committed into the register locals.
+Translated regions: in a span with no ``retire`` callback and no SRAM row dirty when
+it starts (the rule of the direct bank-0 fetch), ``advance`` runs hot code as
+translated regions. A region is a set of basic blocks, each the instructions from
+one pc through the first branch or jump. It starts with the block at the pc in the
+fetch latch and takes in the blocks at its blocks' branch targets, fall-throughs and
+``jal`` targets, up to ``_MAX_BLOCK`` instructions in all. It is one Python function
+compiled once, with each operation, loads too, inlined from the expression tables in
+:mod:`tmrv32.isa`. It loads the registers it touches into locals once and runs its
+blocks in a loop, dispatched on a block index by a binary ``if`` tree. An internal
+edge, from one of its blocks to another, follows a branch or ``jal``, which leaves
+the writeback latch empty, so the edge only moves the values the block committed
+into the register locals.
 
 A region never raises and never fetches. It leaves exactly what the per-cycle loop
 would: the registers, both latches (a pending write to x0 included), the pc, the
@@ -57,9 +57,13 @@ and ``bus.last_store_row``. Each exit stores the registers in one epilogue and i
 * transfer exit, before the bubble of a taken branch, ``jal`` or ``jalr`` to a pc
   outside the region: fetch latch empty, pc at the target, idle cause ``branch``.
 
-The per-cycle loop, unchanged, runs the rest and makes every fetch at run time. It
-tries a region after each cycle with X idle and after each region, but never in
-``step_cycle``'s one-cycle spans, so single-stepping stays the oracle.
+The per-cycle loop, unchanged, runs the rest and makes every fetch at run time. A
+region starts only at the fetch that follows a cycle with X idle (a fill, a stall or
+a bubble), never at a span's first cycle or where a region returned. So every call
+starts in one state: the fetch latch holds what F has just read at its pc from clean
+SRAM, the pc is that instruction's successor, and the writeback latch is empty. A
+one-cycle span holds no such fetch, so ``step_cycle`` never enters a region and
+single-stepping stays the oracle.
 
 Regions are compiled as ``block_<pc>`` functions, with this file as their code
 filename, into one process-wide cache, ``_blocks``, keyed by pc, once that pc has
@@ -67,11 +71,11 @@ been entered ``_HOT_ENTRIES`` times with no region made from the code there. Tha
 count, ``_entries``, is per process too: how hot code is belongs to the code, so a
 short loop that many kernels run gets a region though no one kernel runs it often
 enough (a span too short for a cached region does not count). At every entry a
-region compares its SRAM rows, through the window after each block, as one slice,
-with a copy made with it (and checks the SRAM size, the fetch latch and the pc). A
-store into those rows ends it, so the cache is a pure memo of SRAM contents, like
-``decode``'s: loading an image, resuming a checkpoint or scrubbing a row needs no
-invalidation.
+region checks the SRAM size and compares its SRAM rows, through the window after
+each block, as one slice, with a copy made with it; the latched instruction is read
+from those rows. A store into them ends it, so the cache is a pure memo of SRAM
+contents, like ``decode``'s: loading an image, resuming a checkpoint or scrubbing a
+row needs no invalidation.
 """
 
 from .errors import IllegalInstruction
@@ -148,8 +152,10 @@ class Pipeline:
         An aligned fetch inside SRAM reads bank 0 directly if no SRAM row is dirty when
         the call starts: only an upset makes a row dirty, and none lands during a call,
         so no such read would vote. Every other fetch goes through ``bus.fetch_window``,
-        with its faults and discrepancy events. Under the same rule, hot code runs as
-        translated regions, which never fetch (see the module docstring).
+        with its faults and discrepancy events. Under the same rule, and with no
+        ``retire``, hot code runs as translated regions, which never fetch. One is
+        looked up only on the fetch after a cycle with X idle, and right after it is
+        made (see the module docstring).
         """
         fl_valid, fl_pc, fl_raw = self.fl_valid.value, self.fl_pc.value, self.fl_raw.value
         wl_valid, wl_rd, wl_value = self.wl_valid.value, self.wl_rd.value, self.wl_value.value
@@ -161,14 +167,12 @@ class Pipeline:
         sram = bus.sram
         bank = sram.banks[0]
         direct_end = 0 if sram.dirty else sram.rows * 4  # SRAM starts at address 0
-        # translated regions (see the module docstring)
-        probe = blocks = retire is None and stop - c > 1 and direct_end
-        if blocks:
-            bank1, bank2 = sram.banks[1], sram.banks[2]
+        blocks = retire is None and direct_end  # translated regions (see the module docstring)
+        probe = False  # set by a cycle with X idle: its fetch may start a region
         halt = None
         try:
             while c < stop:
-                if probe and fl_valid:  # the fetch latch may hold the start of a region
+                if probe:
                     probe = False
                     block = _blocks.get(fl_pc)
                     if block is None:
@@ -176,10 +180,7 @@ class Pipeline:
                     elif stop - c < block.need:  # its first block cannot run: not counted
                         done = None
                     else:
-                        done = block(
-                            stop - c, direct_end, fl_raw, next_pc, regs, bank, bank1, bank2,
-                            wl_valid, wl_rd, wl_value,
-                        )
+                        done = block(stop - c, direct_end, regs, *sram.banks)
                     if done:
                         (n, ran, s, b, fl_valid, fl_pc, fl_raw, next_pc, idle,
                          wl_valid, wl_rd, wl_value) = done
@@ -190,7 +191,6 @@ class Pipeline:
                         bubbles += b
                         arch.cycle = uart.cycle = c - 1
                         bus.last_store_row = None
-                        probe = True
                         continue
                     if done is False:  # no region made from this code yet
                         n = _entries[fl_pc] = _entries.get(fl_pc, 0) + 1
@@ -227,7 +227,7 @@ class Pipeline:
                     if retire is not None:
                         retire(c, fl_pc, ins)
                 else:
-                    probe = blocks  # after an idle X, try the next instruction
+                    probe = blocks  # F fetches on this cycle: try a region there
                     if idle == "stall":
                         stalls += 1
                     elif idle == "branch":
@@ -474,15 +474,10 @@ def _translate(pc0, bank, end):
             yield from dispatch(pad + "    ", m, b)
 
     name = f"block_{pc0:x}"  # profiles tell functions apart by file, line and name
-    _, raw, ins = region[pc0][0]
     code = [
-        f"def {name}(budget, end, raw, npc, regs, b0, b1, b2, wv, wr, wx):",
+        f"def {name}(budget, end, regs, b0, b1, b2):",
         f"    if end != {end} or b0[{lo}:{hi}] != words:",
         "        return False",
-        f"    if raw != {raw} or npc != {(pc0 + ins.length) & M32}:",
-        "        return None",
-        "    if wv and wr:",
-        "        regs[wr].value = wx",
         *(f"    x{r} = regs[{r}].value" for r in sorted(touched)),
         "    left, stalls, bubbles, k = budget, 0, 0, 0",
         "    while True:",
