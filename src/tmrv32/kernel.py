@@ -87,16 +87,7 @@ from pathlib import Path
 
 from .errors import ConfigError, SimTimeout
 from .isa import ArchState
-from .memory import (
-    GPIO_BASE,
-    PERIPH_BLOCK_SIZE,
-    SEU_COUNTER_BASE,
-    SRAM_BASE,
-    SRAM_SIZE,
-    UART_BASE,
-    SramArray,
-    SystemBus,
-)
+from .memory import SramArray, SystemBus
 from .peripherals import GPIO_PINS, GpioBank, SeuCounterBank, UartModel, aggregate_discrepancies
 from .pipeline import Pipeline
 from .scrubber import PHASE_READ, Scrubber
@@ -279,14 +270,11 @@ class Kernel:
         self.sram = SramArray()
         self.scrubber = Scrubber(self.sram.rows)
         self.gpio = GpioBank()
-        self.uart = UartModel()
+        self.uart = UartModel(self.arch)
         self.counters = SeuCounterBank()
 
         self.events = []  # (domain, element_key) for the current cycle
-        self.bus = SystemBus(self.sram, events=self.events)
-        self.bus.add_device(GPIO_BASE, PERIPH_BLOCK_SIZE, self.gpio)
-        self.bus.add_device(UART_BASE, PERIPH_BLOCK_SIZE, self.uart)
-        self.bus.add_device(SEU_COUNTER_BASE, PERIPH_BLOCK_SIZE, self.counters)
+        self.bus = SystemBus(self.sram, (self.gpio, self.uart, self.counters), self.events)
 
         self.registry = {}
         for cell in self._all_cells():
@@ -307,12 +295,11 @@ class Kernel:
         if config.image is not None:
             segments, entry = load_image(config.image, config.image_base)
             for addr, payload in segments:
-                offset = addr - SRAM_BASE
-                if offset < 0 or offset + len(payload) > SRAM_SIZE:
+                if addr < 0 or addr + len(payload) > self.bus.end:
                     raise ConfigError(
                         f"segment at 0x{addr:08x} ({len(payload)} bytes) outside SRAM"
                     )
-                self.sram.load_bytes(offset, payload)
+                self.sram.load_bytes(addr, payload)
             self.arch.pc.write(config.entry_pc if config.entry_pc is not None else entry)
         elif config.entry_pc is not None:
             self.arch.pc.write(config.entry_pc)
@@ -446,13 +433,12 @@ class Kernel:
             _, _, pin, level = gpio.popleft()
             self.gpio.set_input(pin, level)
         uart = self.uart
-        uart.cycle = c
         if uart.rx_cursor < len(uart.rx_pending):  # an RX byte is still to be delivered
             uart.tick(c)
         halt = None
         if self.halted is None:  # the core stops at a halt; the scrubber never does
             retire = self._log_retire if config.record_events and self.sink is not None else None
-            halt = self.pipeline.advance(self.arch, self.bus, uart, c, c + 1, retire)[1]
+            halt = self.pipeline.advance(self.arch, self.bus, c, c + 1, retire)[1]
             if self.sram.repaired:  # stores took rows out of the dirty set
                 self._log_sram_repairs(c)
         if self._edge_queue:
@@ -598,7 +584,7 @@ class Kernel:
             elif c < stop:
                 sink = self.sink
                 retire = self._log_retire if config.record_events and sink is not None else None
-                c, halt = self.pipeline.advance(self.arch, self.bus, self.uart, c, stop, retire)
+                c, halt = self.pipeline.advance(self.arch, self.bus, c, stop, retire)
                 if halt is not None:
                     self.halted = halt
                     if sink is not None:
@@ -611,7 +597,7 @@ class Kernel:
                 c = scrubber.skip_clean(self.sram, start, c, config.scrub_divider)
             self.cycle = c
         if c > start:
-            self.arch.cycle = self.uart.cycle = c - 1
+            self.arch.cycle = c - 1
 
     def result(self):
         p = self.pipeline

@@ -7,7 +7,8 @@ a voted write-back. Both "ports" are sequential accesses within one simulated cy
 with a fixed order (core first, then scrubber), which makes write-conflict detection
 deterministic.
 
-Memory map (invented for this simulator, conventional bare-metal layout):
+Memory map (invented for this simulator, conventional bare-metal layout). ``SystemBus``
+holds it, as its SRAM bound and its table of peripheral blocks:
 
   0x0000_0000 .. 0x0000_7FFF   SRAM (code + data, no enforced partition)
   0x1000_0000 .. 0x1000_0FFF   GPIO block   (DIR @ +0x0, OUT @ +0x4, IN @ +0x8)
@@ -15,7 +16,8 @@ Memory map (invented for this simulator, conventional bare-metal layout):
   0x1000_2000 .. 0x1000_2FFF   SEU counters (core @ +0x0, sram @ +0x4, periph @ +0x8),
                                read-only from the core
 
-Peripheral registers are word-granular: only aligned 4-byte accesses are accepted.
+Every other address is unmapped. Peripheral registers are word-granular: only
+aligned 4-byte accesses are accepted.
 """
 
 from array import array
@@ -23,14 +25,13 @@ from array import array
 from .errors import AlignmentFault, BusFault
 from .tmr import Domain, vote3
 
-SRAM_BASE = 0x0000_0000
 SRAM_SIZE = 0x8000
 SRAM_ROWS = SRAM_SIZE // 4
 
 GPIO_BASE = 0x1000_0000
-UART_BASE = 0x1000_1000
-SEU_COUNTER_BASE = 0x1000_2000
 PERIPH_BLOCK_SIZE = 0x1000
+UART_BASE = GPIO_BASE + PERIPH_BLOCK_SIZE
+SEU_COUNTER_BASE = GPIO_BASE + 2 * PERIPH_BLOCK_SIZE
 
 M32 = 0xFFFFFFFF
 
@@ -152,28 +153,32 @@ class SramArray:
             )
 
 class SystemBus:
-    """Routes core-side accesses to SRAM and the peripheral blocks.
+    """Routes core-side accesses to SRAM and the peripheral blocks: the memory map.
 
+    SRAM spans addresses 0 .. ``end - 1``. ``devices`` are the 4 kB blocks from
+    ``GPIO_BASE`` on, in address order; every other address is unmapped.
     Discrepancy events observed on reads are appended to ``events`` as
     ``(domain, element_key)`` tuples; the kernel drains them once per cycle.
     ``last_store_row`` records the SRAM row written by the core in the current
     cycle (the scrubber's write-conflict input); the kernel clears it each cycle.
     """
 
-    def __init__(self, sram, events=None):
+    def __init__(self, sram, devices=(), events=None):
         self.sram = sram
-        self.devices = []  # (base, size, device) triples
+        self.end = sram.rows * 4
+        self.devices = tuple(devices)
         self.events = events if events is not None else []
         self.last_store_row = None
 
-    def add_device(self, base, size, device):
-        self.devices.append((base, size, device))
-
-    def _device_at(self, addr):
-        for base, size, device in self.devices:
-            if base <= addr < base + size:
-                return device, addr - base
-        return None, 0
+    def _device(self, addr, width, access):
+        """The device whose block holds ``addr`` and the offset in it. ``access`` is
+        "read from" or "write to", for the message of an unmapped address."""
+        index, offset = divmod(addr - GPIO_BASE, PERIPH_BLOCK_SIZE)
+        if not 0 <= index < len(self.devices):
+            raise BusFault(addr, f"{access} unmapped address")
+        if width != 4:
+            raise BusFault(addr, "peripheral registers require word access")
+        return self.devices[index], offset
 
     def fetch_window(self, addr):
         """Instruction fetch: a 32-bit window at ``addr`` (reads 1-2 SRAM rows).
@@ -183,9 +188,9 @@ class SystemBus:
         """
         if addr & 1:
             raise AlignmentFault(addr, 2)
-        if not SRAM_BASE <= addr < SRAM_BASE + self.sram.rows * 4:
+        if not 0 <= addr < self.end:
             raise BusFault(addr, "instruction fetch outside SRAM")
-        row = (addr - SRAM_BASE) >> 2
+        row = addr >> 2
         word, mismatch = self.sram.read_voted(row)
         if mismatch:
             self.events.append((Domain.SRAM, row))
@@ -205,17 +210,13 @@ class SystemBus:
         """Data read; returns the 32-bit word that holds the ``width`` bytes at ``addr``."""
         if addr % width:
             raise AlignmentFault(addr, width)
-        if SRAM_BASE <= addr < SRAM_BASE + self.sram.rows * 4:
-            row = (addr - SRAM_BASE) >> 2
+        if 0 <= addr < self.end:
+            row = addr >> 2
             word, mismatch = self.sram.read_voted(row)
             if mismatch:
                 self.events.append((Domain.SRAM, row))
             return word
-        device, offset = self._device_at(addr)
-        if device is None:
-            raise BusFault(addr, "read from unmapped address")
-        if width != 4:
-            raise BusFault(addr, "peripheral registers require word access")
+        device, offset = self._device(addr, width, "read from")
         try:
             return device.read(offset)
         except BusFault as exc:  # a device names the offset in its block
@@ -225,8 +226,8 @@ class SystemBus:
         """Data write; sub-word SRAM stores update only the enabled bytes."""
         if addr % width:
             raise AlignmentFault(addr, width)
-        if SRAM_BASE <= addr < SRAM_BASE + self.sram.rows * 4:
-            row = (addr - SRAM_BASE) >> 2
+        if 0 <= addr < self.end:
+            row = addr >> 2
             if width == 4:
                 self.sram.write_masked(row, value & M32, M32)
             else:
@@ -235,11 +236,7 @@ class SystemBus:
                 self.sram.write_masked(row, (value << shift) & M32, mask)
             self.last_store_row = row
             return
-        device, offset = self._device_at(addr)
-        if device is None:
-            raise BusFault(addr, "write to unmapped address")
-        if width != 4:
-            raise BusFault(addr, "peripheral registers require word access")
+        device, offset = self._device(addr, width, "write to")
         try:
             device.write(offset, value & M32)
         except BusFault as exc:

@@ -4,7 +4,8 @@ All peripheral storage registers are TMR cells, so injected upsets are masked an
 repaired under the same 1-2 cycle contract as the core's sequential elements. Host
 interaction is deterministic: GPIO input levels and UART receive bytes come from
 cycle-stamped stimulus events supplied up front, and UART transmit bytes are captured
-with their cycle of occurrence.
+with their cycle of occurrence, read from the clock the UART is given: the kernel's
+``arch.cycle``, the cycle it is simulating.
 
 Register offsets within each block are defined here; the block base addresses are
 in :mod:`tmrv32.memory`. A device names the offset in its block when it raises
@@ -82,20 +83,20 @@ class GpioBank:
 class UartModel:
     """Byte-level UART: no baud timing, in-order delivery, no loss.
 
-    TX: a write to the TX register captures (cycle, byte) on the host sink.
+    TX: a write to the TX register captures (``clock.cycle``, byte) on the host sink.
     RX: host bytes become readable in stimulus order; the byte at the head of the
     queue sits in a TMR-protected holding register until software reads it. A read
     with nothing available returns the empty marker (bit 31 set).
     """
 
-    def __init__(self):
+    def __init__(self, clock):
+        self.clock = clock
         self.tx_data = TmrCell("periph.uart_tx_data", Domain.PERIPHERALS, 8, 0)
         self.rx_data = TmrCell("periph.uart_rx_data", Domain.PERIPHERALS, 8, 0)
         self.rx_valid = TmrCell("periph.uart_rx_valid", Domain.PERIPHERALS, 1, 0)
         self.tx_log = []  # (cycle, byte) in transmission order
         self.rx_pending = []  # (cycle, byte), sorted; consumed as cycles pass
         self.rx_cursor = 0
-        self.cycle = 0  # kept current by the kernel
 
     def queue_rx(self, cycle, byte):
         """Host-side stimulus: make a byte available for reading at ``cycle``, after
@@ -104,7 +105,6 @@ class UartModel:
 
     def tick(self, cycle):
         """Advance host-side delivery; called once per simulated cycle."""
-        self.cycle = cycle
         if not self.rx_valid.value and self.rx_cursor < len(self.rx_pending):
             due_cycle, byte = self.rx_pending[self.rx_cursor]
             if due_cycle <= cycle:
@@ -132,7 +132,7 @@ class UartModel:
         if offset == UART_REG_TX:
             byte = value & 0xFF
             self.tx_data.write(byte)
-            self.tx_log.append((self.cycle, byte))
+            self.tx_log.append((self.clock.cycle, byte))
         else:
             raise BusFault(offset, "UART register not writable")
 

@@ -43,8 +43,8 @@ into the register locals.
 
 A region never raises and never fetches. It leaves exactly what the per-cycle loop
 would: the registers, both latches (a pending write to x0 included), the pc, the
-idle cause, the counters, ``arch.retired``, the SRAM, ``arch.cycle``, ``uart.cycle``
-and ``bus.last_store_row``. Each exit stores the registers in one epilogue and is a
+idle cause, the counters, ``arch.retired``, the SRAM, ``arch.cycle`` and
+``bus.last_store_row``. Each exit stores the registers in one epilogue and is a
 
 * stay exit, with an instruction of the region in the fetch latch and idle cause
   ``fill``: before a block whose longest path does not fit in the span (None if no
@@ -126,7 +126,7 @@ class Pipeline:
         yield self.wl_rd
         yield self.wl_value
 
-    def advance(self, arch, bus, uart, c, stop, retire=None):
+    def advance(self, arch, bus, c, stop, retire=None):
         """Simulate the cycles ``c`` .. ``stop - 1``, each a clock edge plus the cycle it
         opens, and return ``(next cycle, halt)``. The span ends early after a cycle
         whose instruction halts the machine; ``halt`` is then its reason string, else
@@ -137,9 +137,8 @@ class Pipeline:
         The six latch values, ``arch.pc``, the idle cause and the four counters live
         in locals during the span, and a ``finally`` stores them back, so a cycle that
         raises leaves them as of the raise. Stored every cycle are the committed
-        register (``ins.run`` reads the registers), ``arch.cycle``, ``arch.retired``
-        and ``uart.cycle`` (CSR reads and UART TX stamps read them), and
-        ``bus.last_store_row = None``.
+        register (``ins.run`` reads the registers), ``arch.cycle`` and ``arch.retired``
+        (CSR reads and UART TX stamps read them), and ``bus.last_store_row = None``.
 
         Cells are stored by assigning ``value``, not through :meth:`TmrCell.write`.
         That is exact because every cell is clean here, from both of the kernel's
@@ -166,7 +165,7 @@ class Pipeline:
         regs = arch.regs
         sram = bus.sram
         bank = sram.banks[0]
-        direct_end = 0 if sram.dirty else sram.rows * 4  # SRAM starts at address 0
+        direct_end = 0 if sram.dirty else bus.end
         blocks = retire is None and direct_end  # translated regions (see the module docstring)
         probe = False  # set by a cycle with X idle: its fetch may start a region
         halt = None
@@ -189,7 +188,7 @@ class Pipeline:
                         stalls += s
                         dmem += s
                         bubbles += b
-                        arch.cycle = uart.cycle = c - 1
+                        arch.cycle = c - 1
                         bus.last_store_row = None
                         continue
                     if done is False:  # no region made from this code yet
@@ -199,7 +198,7 @@ class Pipeline:
                             _blocks[fl_pc] = _translate(fl_pc, bank, direct_end)
                             probe = True
                             continue
-                arch.cycle = uart.cycle = c
+                arch.cycle = c
                 bus.last_store_row = None
 
                 # W: commit the writeback latch to the register file (x0 discards it).

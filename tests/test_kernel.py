@@ -42,7 +42,7 @@ from tmrv32.kernel import (
     load_image,
     parse_stimulus,
 )
-from tmrv32.memory import SramArray
+from tmrv32.memory import SramArray, SystemBus
 from tmrv32.peripherals import GPIO_REG_IN
 from tmrv32.scrubber import Scrubber
 from tmrv32.tmr import Domain
@@ -389,7 +389,8 @@ def test_scrub_disabled_means_no_scan():
 def _toy_kernel(rows, config):
     """A kernel whose SRAM and scrubber have ``rows`` rows (image loaded at 0)."""
     kernel = Kernel(dataclasses.replace(config, image=None))
-    kernel.sram = kernel.bus.sram = SramArray(rows)
+    kernel.sram = SramArray(rows)
+    kernel.bus = SystemBus(kernel.sram, kernel.bus.devices, kernel.events)
     kernel.scrubber = Scrubber(rows)
     kernel.registry.update((cell.element_id, cell) for cell in kernel.scrubber.cells())
     kernel.sram.load_bytes(0, config.image)
@@ -456,7 +457,7 @@ def _assert_same_run(plain, fast):
     assert fast.snapshot() == plain.snapshot()
     assert fast.result() == plain.result()
     assert fast.sink == plain.sink
-    assert (fast.arch.cycle, fast.uart.cycle) == (plain.arch.cycle, plain.uart.cycle)
+    assert fast.arch.cycle == plain.arch.cycle  # the clock UART TX stamps read
 
 
 FAST_FORWARD_CASES = {
@@ -1136,12 +1137,21 @@ def test_no_region_is_called_with_a_span_its_first_block_does_not_fit(monkeypatc
     assert all(budget >= need for budget, need, _ in blocks.calls)
 
 
-def test_loads_in_a_region_match_the_reference_model(monkeypatch):
+# The hot loops of QUIET_PROGRAMS the reference model can run: "loop" touches GPIO.
+REFERENCE_REGION_PROGRAMS = [
+    *(f"looped-random-{seed}" for seed in range(3)),
+    "patch-own-block", "patch-next-block", "patch-far-block",
+    "nested-loops", "long-body", "load-lanes",
+]
+
+
+@pytest.mark.parametrize("program", REFERENCE_REGION_PROGRAMS)
+def test_loads_in_a_region_match_the_reference_model(monkeypatch, program):
     # The per-cycle loop and regions take a load's result from one rule
     # (isa._LOAD), so only the independent model checks that rule where loads run
     # in a region.
     monkeypatch.setattr(pipeline, "_blocks", {})
-    image = _load_lanes()
+    image = QUIET_PROGRAMS[program][0]()
     assert run_kernel(image) == run_reference(image)
     assert any(pipeline._blocks.values())  # the loop ran as a region
 

@@ -13,7 +13,8 @@ from tmrv32.memory import (
     SramArray,
     SystemBus,
 )
-from tmrv32.peripherals import SeuCounterBank
+from tmrv32.isa import ArchState
+from tmrv32.peripherals import GpioBank, SeuCounterBank, UartModel
 from tmrv32.tmr import Domain
 
 
@@ -39,10 +40,10 @@ def test_single_replica_flip_is_masked_and_reported():
 
 
 def test_seu_counter_addresses():
-    bus = SystemBus(SramArray())
     bank = SeuCounterBank()
     bank.apply_increments({Domain.SRAM: 7})
-    bus.add_device(SEU_COUNTER_BASE, 0x1000, bank)
+    bus = SystemBus(SramArray(), (GpioBank(), UartModel(ArchState()), bank))
+    assert SEU_COUNTER_BASE == 0x1000_2000
     assert bus.read(0x1000_2004, 4) == 7  # domain index 1
     assert bus.read(0x1000_2000, 4) == 0
     with pytest.raises(BusFault):

@@ -6,6 +6,7 @@ from conftest import make_kernel, uart_hello_program
 
 from tmrv32 import encode as E
 from tmrv32.errors import BusFault
+from tmrv32.isa import ArchState
 from tmrv32.peripherals import (
     GPIO_REG_DIR,
     GPIO_REG_IN,
@@ -70,17 +71,18 @@ def test_gpio_unmapped_offset_faults():
 
 
 def test_uart_tx_stream_in_order():
-    uart = UartModel()
-    uart.cycle = 10
+    clock = ArchState()
+    uart = UartModel(clock)
+    clock.cycle = 10
     uart.write(UART_REG_TX, 0x4F)
-    uart.cycle = 11
+    clock.cycle = 11
     uart.write(UART_REG_TX, 0x4B)
     assert uart.tx_bytes() == b"OK"
     assert uart.tx_log == [(10, 0x4F), (11, 0x4B)]
 
 
 def test_uart_rx_queue_and_status():
-    uart = UartModel()
+    uart = UartModel(ArchState())
     assert uart.read(UART_REG_STATUS) == UART_STATUS_TX_READY
     assert uart.read(UART_REG_RX) == UART_RX_EMPTY
     uart.queue_rx(5, 0x42)
@@ -93,7 +95,7 @@ def test_uart_rx_queue_and_status():
 
 
 def test_uart_loopback_256_values():
-    uart = UartModel()
+    uart = UartModel(ArchState())
     for i in range(256):
         uart.queue_rx(i, i)
     got = []
@@ -162,25 +164,35 @@ def test_counter_offsets_and_readonly():
         bank.write(0x0, 9)
 
 
-def _peripheral_access_program(addr, store):
+def _peripheral_access_program(addr, encoder):
+    """Base x1 and a signed 12-bit offset to ``addr``; loads write x2, stores store it."""
+    low = ((addr & 0xFFF) ^ 0x800) - 0x800
     p = E.Program()
-    p.emit(E.lui(1, addr >> 12))
-    p.emit(E.sw(0, 1, addr & 0xFFF) if store else E.lw(2, 1, addr & 0xFFF))
+    p.emit(E.lui(1, (addr - low) >> 12))
+    p.emit(encoder(2, 1, low))
     p.emit(E.ebreak())
     return p
 
 
 PERIPHERAL_FAULTS = [
-    (0x1000000C, False, "unmapped GPIO register"),
-    (0x10002000, True, "SEU counters are read-only"),
-    (0x10001004, True, "UART register not writable"),
+    pytest.param(0x1000000C, E.lw, "unmapped GPIO register", id="gpio-load"),
+    pytest.param(0x10002000, E.sw, "SEU counters are read-only", id="counter-store"),
+    pytest.param(0x10001004, E.sw, "UART register not writable", id="uart-store"),
+    # the map's edges: the gap below GPIO_BASE is not the counter block
+    pytest.param(0x0FFFFFFC, E.lw, "read from unmapped address", id="below-gpio-load"),
+    pytest.param(0x00008000, E.lw, "read from unmapped address", id="past-sram-load"),
+    pytest.param(0x10002FFC, E.lw, "unmapped SEU counter register", id="counter-block-end-load"),
+    pytest.param(0x10003000, E.sw, "write to unmapped address", id="past-counters-store"),
+    pytest.param(0x10000008, E.lh, "peripheral registers require word access", id="gpio-lh"),
+    pytest.param(0x10001000, E.sb, "peripheral registers require word access", id="uart-sb"),
+    # an unmapped address faults before the width check
+    pytest.param(0x10004002, E.lh, "read from unmapped address", id="unmapped-lh"),
 ]
 
 
-@pytest.mark.parametrize("addr, store, detail", PERIPHERAL_FAULTS,
-                         ids=["gpio-load", "counter-store", "uart-store"])
-def test_peripheral_bus_fault_names_the_bus_address(addr, store, detail):
-    kernel = make_kernel(_peripheral_access_program(addr, store))
+@pytest.mark.parametrize("addr, encoder, detail", PERIPHERAL_FAULTS)
+def test_peripheral_bus_fault_names_the_bus_address(addr, encoder, detail):
+    kernel = make_kernel(_peripheral_access_program(addr, encoder))
     with pytest.raises(BusFault) as info:
         kernel.run()
     assert type(info.value) is BusFault

@@ -240,12 +240,11 @@ def test_every_cell_is_clean_when_the_pipeline_advances_under_upsets():
             cells = list(kernel.registry.values())
             advance = kernel.pipeline.advance
 
-            def checked_advance(arch, bus, uart, c, stop, retire=None, advance=advance,
-                                cells=cells):
+            def checked_advance(arch, bus, c, stop, retire=None, advance=advance, cells=cells):
                 nonlocal covered
                 covered += stop - c
                 assert not [c.element_id for c in cells if c.discrepancy]
-                return advance(arch, bus, uart, c, stop, retire)
+                return advance(arch, bus, c, stop, retire)
 
             kernel.pipeline.advance = checked_advance
             while kernel.halted is None and kernel.cycle < 400:
