@@ -68,9 +68,9 @@ pipeline raises, and then the kernel stands at the cycle that raised. A span sto
 must leave exactly the state and the event stream that single-stepping leaves.
 
 One kernel instance is one single-threaded simulation; instances share nothing
-but the content-checked translation cache of :mod:`tmrv32.pipeline` and its
-hotness counts, so campaigns may run many in parallel. A count lost to a race
-between threads only delays a translation: it costs speed, never a result.
+but :mod:`tmrv32.pipeline`'s translation cache, whose regions check the SRAM size
+and words they are given, and its hotness counts, so campaigns may run many in
+parallel. A count lost to a race between threads delays a translation, never a result.
 """
 
 import dataclasses

@@ -47,15 +47,19 @@ idle cause, the counters, ``arch.retired``, the SRAM, ``arch.cycle`` and
 ``bus.last_store_row``. Each exit stores the registers in one epilogue and is a
 
 * stay exit, with an instruction of the region in the fetch latch and idle cause
-  ``fill``: before a block whose longest path does not fit in the span (None if no
-  cycle has run), and before a load or store not to an aligned SRAM address or a
-  store into the region's rows. ``advance`` never calls a region with a span its
-  first block does not fit (the region's ``need``): that span runs per cycle;
+  ``fill``: before a block whose longest path does not fit in the span, and before a
+  load or store not to an aligned SRAM address or a store into the region's rows;
 * fall-through exit, the same with the next instruction: after a block no branch or
   jump ends (CSR reads, ``ecall``/``ebreak``, ``fence``, illegal encodings and
   fetches that could fault end one), or a branch not taken to no internal edge;
 * transfer exit, before the bubble of a taken branch, ``jal`` or ``jalr`` to a pc
   outside the region: fetch latch empty, pc at the target, idle cause ``branch``.
+
+A region alone decides whether it runs: ``advance`` calls it as ``block(budget,
+regs, b0, b1, b2)``. It returns None (not now) if the budget is below its need, the
+longest path of its first block, checked before any SRAM read, or if it stays
+before any cycle; False (not this code) if the bank's row count or words differ
+from those it was made from; else the state it ran to.
 
 The per-cycle loop, unchanged, runs the rest and makes every fetch at run time. A
 region starts only at the fetch that follows a cycle with X idle (a fill, a stall or
@@ -70,12 +74,12 @@ filename, into one process-wide cache, ``_blocks``, keyed by pc, once that pc ha
 been entered ``_HOT_ENTRIES`` times with no region made from the code there. That
 count, ``_entries``, is per process too: how hot code is belongs to the code, so a
 short loop that many kernels run gets a region though no one kernel runs it often
-enough (a span too short for a cached region does not count). At every entry a
-region checks the SRAM size and compares its SRAM rows, through the window after
-each block, as one slice, with a copy made with it; the latched instruction is read
-from those rows. A store into them ends it, so the cache is a pure memo of SRAM
-contents, like ``decode``'s: loading an image, resuming a checkpoint or scrubbing a
-row needs no invalidation.
+enough. Where no block can start, the region has no blocks and checks the window at
+its pc, so such a pc is translated once per code. A region compares its SRAM rows,
+through the window after each block, as one slice, with a copy made with it; the
+latched instruction is read from those rows. A store into them ends it, so the
+cache is a pure memo of SRAM contents, like ``decode``'s: loading an image,
+resuming a checkpoint or scrubbing a row needs no invalidation.
 """
 
 from .errors import IllegalInstruction
@@ -97,8 +101,7 @@ from .tmr import Domain, TmrCell
 _HOT_ENTRIES = 16
 _MAX_BLOCK = 256  # instructions in one region at most
 
-# pc -> the region last made there, or None where none can start, for every kernel of
-# the process. A region checks its SRAM words at every entry, so this is a pure memo.
+# pc -> the region last made there, for every kernel of the process: a pure memo
 _blocks = {}
 # pc -> entries since its last translation, counted over every kernel of the process
 _entries = {}
@@ -152,9 +155,9 @@ class Pipeline:
         the call starts: only an upset makes a row dirty, and none lands during a call,
         so no such read would vote. Every other fetch goes through ``bus.fetch_window``,
         with its faults and discrepancy events. Under the same rule, and with no
-        ``retire``, hot code runs as translated regions, which never fetch. One is
-        looked up only on the fetch after a cycle with X idle, and right after it is
-        made (see the module docstring).
+        ``retire``, hot code runs as translated regions, which never fetch. On the
+        fetch after a cycle with X idle, or once made, the region at that pc is called;
+        it alone checks its need, the SRAM size and its words (see the module docstring).
         """
         fl_valid, fl_pc, fl_raw = self.fl_valid.value, self.fl_pc.value, self.fl_raw.value
         wl_valid, wl_rd, wl_value = self.wl_valid.value, self.wl_rd.value, self.wl_value.value
@@ -174,12 +177,7 @@ class Pipeline:
                 if probe:
                     probe = False
                     block = _blocks.get(fl_pc)
-                    if block is None:
-                        done = False
-                    elif stop - c < block.need:  # its first block cannot run: not counted
-                        done = None
-                    else:
-                        done = block(stop - c, direct_end, regs, *sram.banks)
+                    done = block(stop - c, regs, *sram.banks) if block else False
                     if done:
                         (n, ran, s, b, fl_valid, fl_pc, fl_raw, next_pc, idle,
                          wl_valid, wl_rd, wl_value) = done
@@ -189,13 +187,12 @@ class Pipeline:
                         dmem += s
                         bubbles += b
                         arch.cycle = c - 1
-                        bus.last_store_row = None
                         continue
                     if done is False:  # no region made from this code yet
                         n = _entries[fl_pc] = _entries.get(fl_pc, 0) + 1
                         if n >= _HOT_ENTRIES:
                             _entries[fl_pc] = 0
-                            _blocks[fl_pc] = _translate(fl_pc, bank, direct_end)
+                            _blocks[fl_pc] = _translate(fl_pc, bank)
                             probe = True
                             continue
                 arch.cycle = c
@@ -282,10 +279,10 @@ _TRANSFERS = {*_BRANCH_TAKEN, "jal", "jalr"}
 _TRANSLATED = {*_ALU_RR, *_ALU_IMM, *LOAD_WIDTH, *STORE_WIDTH, "lui", "auipc", *_TRANSFERS}
 
 
-def _window(bank, pc, end):
-    """The encoding a fetch at ``pc`` latches from a clean ``bank`` of ``end`` bytes, or
-    None if that fetch could fault: ``pc`` is odd or its 32-bit window leaves SRAM."""
-    if pc & 1 or pc + (pc & 2) >= end:
+def _window(bank, pc):
+    """The encoding a fetch at ``pc`` latches from a clean SRAM ``bank``, or None if
+    that fetch could fault: ``pc`` is odd or its 32-bit window leaves SRAM."""
+    if pc & 1 or pc + (pc & 2) >= 4 * len(bank):
         return None
     raw = bank[pc >> 2] >> ((pc & 2) << 3)
     if raw & 3 != 3:
@@ -293,11 +290,11 @@ def _window(bank, pc, end):
     return raw | (bank[(pc >> 2) + 1] & 0xFFFF) << 16 if pc & 2 else raw
 
 
-def _body(pc, bank, end):
+def _body(pc, bank):
     """The basic block at ``pc``: (pc, raw, decoded) for each instruction from ``pc``
     through the first branch or jump, ending before one a block cannot run."""
     body = []
-    while len(body) < _MAX_BLOCK and (raw := _window(bank, pc, end)) is not None:
+    while len(body) < _MAX_BLOCK and (raw := _window(bank, pc)) is not None:
         try:
             ins = decode(raw)
         except IllegalInstruction:
@@ -305,7 +302,7 @@ def _body(pc, bank, end):
         op = ins.mnemonic
         nxt = (pc + ins.length) & M32
         # every cycle but a jump's fetches the next instruction
-        if op not in _TRANSLATED or op not in ("jal", "jalr") and _window(bank, nxt, end) is None:
+        if op not in _TRANSLATED or op not in ("jal", "jalr") and _window(bank, nxt) is None:
             break
         body.append((pc, raw, ins))
         if op in _TRANSFERS:
@@ -314,13 +311,14 @@ def _body(pc, bank, end):
     return body
 
 
-def _translate(pc0, bank, end):
-    """Compile the region at ``pc0`` from a clean ``bank`` of ``end`` bytes of SRAM and
-    return it, or None if no block can start there (see the module docstring)."""
+def _translate(pc0, bank):
+    """Compile the region at ``pc0`` from a clean SRAM ``bank`` and return it; where no
+    block can start, one with no blocks (see the module docstring)."""
+    end = 4 * len(bank)
     region = {}  # block start -> its body, in the order found
     todo, size = [pc0], 0
     for pc in todo:  # grows by the branch and ``jal`` targets of each block taken
-        body = pc not in region and _body(pc, bank, end)
+        body = pc not in region and _body(pc, bank)
         if body and size + len(body) <= _MAX_BLOCK:
             region[pc], size = body, size + len(body)
             last, _, ins = body[-1]
@@ -328,10 +326,8 @@ def _translate(pc0, bank, end):
                 todo += [(last + ins.imm) & M32, (last + ins.length) & M32]
             elif ins.mnemonic == "jal":
                 todo.append((last + ins.imm) & M32)
-    if not region:
-        return None
-    lo = min(region) >> 2  # the rows it was made from, through the window after each block
-    hi = (max(b[-1][0] + b[-1][2].length for b in region.values()) + 7) >> 2
+    lo = min(region, default=pc0) >> 2  # its rows: the windows at pc0 and after each block
+    hi = (max((b[-1][0] + b[-1][2].length for b in region.values()), default=pc0) + 7) >> 2
     index = {pc: k for k, pc in enumerate(region)}
 
     touched = set()  # registers the region reads or commits, loaded at entry
@@ -374,7 +370,7 @@ def _translate(pc0, bank, end):
         elif transfer:
             leave(pad, *transfer, None, p, "branch")
         else:
-            raw = _window(bank, p, end)
+            raw = _window(bank, p)
             leave(pad, state, commit, (p, raw), (p + (4 if raw & 3 == 3 else 2)) & M32, "fill")
 
     def expression(table, op, a, b):
@@ -384,6 +380,7 @@ def _translate(pc0, bank, end):
         return code
 
     compiled = []  # per block: its lines
+    need = 0  # the longest path of the first block, if any
     for start, body in region.items():
         lines = [None]  # the budget check, once the block's longest path is known
         emit = lines.append
@@ -465,6 +462,8 @@ def _translate(pc0, bank, end):
     def dispatch(pad, a, b):  # the blocks a .. b - 1, by a binary tree on k
         if b - a == 1:
             yield from (pad + line for line in compiled[a])
+        elif a == b:  # no block can start at pc0: leave before any cycle
+            yield pad + "break"
         else:
             m = (a + b) // 2
             yield f"{pad}if k < {m}:"
@@ -474,8 +473,10 @@ def _translate(pc0, bank, end):
 
     name = f"block_{pc0:x}"  # profiles tell functions apart by file, line and name
     code = [
-        f"def {name}(budget, end, regs, b0, b1, b2):",
-        f"    if end != {end} or b0[{lo}:{hi}] != words:",
+        f"def {name}(budget, regs, b0, b1, b2):",
+        f"    if budget < {need}:",
+        "        return None",
+        f"    if len(b0) != {len(bank)} or b0[{lo}:{hi}] != words:",
         "        return False",
         *(f"    x{r} = regs[{r}].value" for r in sorted(touched)),
         "    left, stalls, bubbles, k = budget, 0, 0, 0",
@@ -489,6 +490,4 @@ def _translate(pc0, bank, end):
     ]
     names = dict(_EXPRESSION_NAMES, words=bank[lo:hi])
     exec(compile("\n".join(code) + "\n", __file__, "exec"), names)
-    block = names[name]
-    block.need = need  # advance calls it only with a span of at least this many cycles
-    return block
+    return names[name]

@@ -1,5 +1,6 @@
 """Kernel: reset state, determinism, snapshot round-trips, image loading, timing."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -45,7 +46,7 @@ from tmrv32.kernel import (
 from tmrv32.memory import SramArray, SystemBus
 from tmrv32.peripherals import GPIO_REG_IN
 from tmrv32.scrubber import Scrubber
-from tmrv32.tmr import Domain
+from tmrv32.tmr import Domain, TmrCell
 
 
 def test_reset_state():
@@ -972,21 +973,30 @@ def _site_loop(step, passes=48, tail=E.ebreak()):
     return p.assemble(), p.labels["site"]
 
 
+# A budget at least any region's need: a first block's longest path
+_ANY_NEED = 2 * pipeline._MAX_BLOCK + 1
+
+
+def _call(region, budget, regs, bank):
+    """What ``region`` returns when called with ``budget``, copies of ``regs`` and three
+    copies of ``bank``, which it may change."""
+    return region(budget, [TmrCell("x", Domain.CORE, 32, r.value) for r in regs],
+                  bank[:], bank[:], bank[:])
+
+
 def _made_for(kernel, site):
-    """Whether some cached block was made from ``kernel``'s code and covers ``site``:
-    its entry check passes the SRAM words, but not with the word at ``site`` changed,
-    and it declines to run with no cycles to spare."""
-    sram = kernel.sram
-    changed = sram.banks[0][:]
+    """Whether some cached region was made from ``kernel``'s code and covers ``site``:
+    it has a first block, so it declines a budget of 0 even with the word at ``site``
+    changed, and given its need, its entry check passes the SRAM words, but not with
+    that word changed."""
+    regs, bank = kernel.arch.regs, kernel.sram.banks[0]
+    changed = bank[:]
     changed[site // 4] ^= 1
-
-    def check(block, bank):
-        return block(0, sram.rows * 4, kernel.arch.regs, bank, None, None)
-
     return any(
-        check(block, sram.banks[0]) is None and check(block, changed) is False
-        for block in pipeline._blocks.values()
-        if block is not None  # a pc where no block can start
+        _call(region, 0, regs, changed) is None
+        and _call(region, _ANY_NEED, regs, bank) is not False
+        and _call(region, _ANY_NEED, regs, changed) is False
+        for region in pipeline._blocks.values()
     )
 
 
@@ -1042,31 +1052,97 @@ def test_a_code_row_scrubbed_back_to_a_changed_word_is_retranslated(monkeypatch)
     assert _made_for(fast, site)
 
 
-def test_a_region_stops_at_every_span_end(monkeypatch):
-    # With the cache warm, spans of every length over two outer passes stop the
-    # region at each of its block entries in turn. They start at a cycle with X idle
-    # and the region's first instruction to be fetched (``pending``), or one cycle
-    # later with it latched (``start``), where no region starts: a region is entered
-    # only at the fetch after an idle X. A span its first block does not fit never
-    # calls it, so every call runs cycles.
+def test_one_cache_serves_kernels_of_two_sram_sizes(monkeypatch):
+    # A 64-row kernel and a full one run the same image in turn. The words they hold
+    # are the same, so only a region's size check tells them apart: a region made for
+    # one size declines the other's banks as changed code, and each kernel gets its
+    # own regions.
+    monkeypatch.setattr(pipeline, "_blocks", {})
+    image, site = _site_loop(1)
+    config = SystemConfig(image=image)
+    for make in (lambda: _toy_kernel(64, config), lambda: Kernel(config)) * 2:
+        plain, fast = make(), make()
+        assert _fast_outcome(fast, None) == _stepped_outcome(plain, None) is None
+        _assert_same_run(plain, fast)
+        assert _made_for(fast, site)
+    toy, full = _toy_kernel(64, config), Kernel(config)
+    for region in pipeline._blocks.values():
+        declined = [
+            _call(region, _ANY_NEED, kernel.arch.regs, kernel.sram.banks[0]) is False
+            for kernel in (toy, full)
+        ]
+        assert sorted(declined) == [False, True]
+
+
+def test_a_pc_where_no_block_can_start_is_translated_once_per_code(monkeypatch):
+    # The loop head of ``_csr_loop`` is a CSR read, fetched after the back edge's
+    # bubble on each of its 40 passes. Its region has no blocks and declines every
+    # call while the word is unchanged, so three kernels translate it once. A store
+    # that patches it to another CSR read makes it translated again.
+    monkeypatch.setattr(pipeline, "_blocks", {})
+    translated = collections.Counter()
+    translate = pipeline._translate
+
+    def counted(pc, bank):
+        translated[pc] += 1
+        return translate(pc, bank)
+
+    monkeypatch.setattr(pipeline, "_translate", counted)
+    image, head = _csr_loop(), 8
+    assert int.from_bytes(image[head:head + 4], "little") == E.csrrs(5, CSR_CYCLE)
+    for patch in (None, None, None, E.csrrs(5, CSR_INSTRET)):
+        plain, fast = make_kernel(image), make_kernel(image)
+        if patch is not None:
+            for kernel in (plain, fast):
+                kernel.bus.write(head, patch, 4)
+        assert _fast_outcome(fast, None) == _stepped_outcome(plain, None) is None
+        _assert_same_run(plain, fast)
+        if patch is None:
+            assert translated[head] == 1
+            assert set(translated.values()) == {1}  # no pc twice while its code is the same
+    assert translated[head] == 2
+
+
+def _nested_region(monkeypatch):
+    """The region of ``_nested_loops``, made by a run from an empty cache, its pc, and
+    checkpoints at a cycle past 300 with X idle and its first instruction to be fetched
+    (``pending``), and one cycle later with it latched (``start``)."""
     monkeypatch.setattr(pipeline, "_blocks", {})
     image = _nested_loops()
     make_kernel(image).run()  # makes the loop's region
     ((pc, region),) = pipeline._blocks.items()
-
-    def counted(budget, *args):
-        calls.append((n, budget, region(budget, *args)))
-        return calls[-1][2]
-
-    counted.need = region.need
-    pipeline._blocks[pc] = counted
     plain = make_kernel(image)
     while plain.cycle < 300 or plain.pipeline.fl_valid.value or plain.arch.pc.value != pc:
         plain.step_cycle()
     pending = plain.checkpoint()
     plain.step_cycle()
     assert plain.pipeline.fl_pc.value == pc
-    start = plain.checkpoint()
+    return image, pc, region, pending, plain.checkpoint()
+
+
+def _call_at(image, checkpoint, region, budget, banks=lambda banks: banks):
+    """Call ``region`` with ``budget`` in a kernel resumed from ``checkpoint``, with
+    ``banks`` of that kernel's SRAM banks."""
+    kernel = make_kernel(image)
+    kernel.resume(checkpoint)
+    return region(budget, kernel.arch.regs, *banks(kernel.sram.banks))
+
+
+def test_a_region_stops_at_every_span_end(monkeypatch):
+    # With the cache warm, spans of every length over two outer passes stop the
+    # region at each of its block entries in turn. They start at ``pending`` or at
+    # ``start``, where no region starts: a region is entered only at the fetch after
+    # an idle X. A call with a span its first block does not fit returns None at once,
+    # and every other call runs cycles.
+    image, pc, region, pending, start = _nested_region(monkeypatch)
+    # the need: the smallest budget that runs from the start
+    need = next(b for b in range(1, _ANY_NEED) if _call_at(image, start, region, b))
+
+    def counted(budget, *args):
+        calls.append((n, budget, region(budget, *args)))
+        return calls[-1][2]
+
+    pipeline._blocks[pc] = counted
     runs = {}
     for name, origin in (("pending", pending), ("start", start)):
         calls = runs[name] = []  # (span, budget, what the region returned)
@@ -1078,43 +1154,58 @@ def test_a_region_stops_at_every_span_end(monkeypatch):
             fast.resume(origin)
             fast.run_cycles(n)
             _assert_same_run(plain, fast)
-        assert all(budget >= region.need and done for _, budget, done in calls)
-    assert len(runs["pending"]) > 90
+        assert all(done if budget >= need else done is None for _, budget, done in calls)
+    assert sum(budget >= need for _, budget, _ in runs["pending"]) > 90
     assert all(budget < n for n, budget, _ in runs["start"])  # never the span's first cycle
 
-    # the need is exact: one cycle less, and the region at the start runs none
-    def call(budget):
-        kernel = make_kernel(image)
-        kernel.resume(start)
-        return region(budget, kernel.sram.rows * 4, kernel.arch.regs, *kernel.sram.banks)
 
-    assert call(region.need - 1) is None and call(region.need)
+def test_a_region_checks_its_need_before_its_code(monkeypatch):
+    # A budget one below the need returns None without a look at the banks, so a bank
+    # of another SRAM size or a changed word makes no difference; at the need, the
+    # region runs, and declines either bank as code it was not made from.
+    image, _, region, _, start = _nested_region(monkeypatch)
+    need = next(b for b in range(1, _ANY_NEED) if _call_at(image, start, region, b))
+
+    def short(banks):
+        return [bank[:64] for bank in banks]
+
+    def changed(banks):
+        banks[0][2] ^= 1  # in the loop's rows
+        return banks
+
+    for banks in (short, changed):
+        assert _call_at(image, start, region, need - 1, banks) is None
+        assert _call_at(image, start, region, need, banks) is False
+    assert isinstance(_call_at(image, start, region, need), tuple)
 
 
 class _CheckedBlocks(dict):
-    """A translation cache whose regions log each call's budget, their need and
-    whether the call stayed: it found the code it was made from but ran no cycle."""
+    """A translation cache whose regions check that a call that does not run changes
+    no register and no SRAM word, and log each call's budget, what it returned and
+    whether it stayed: it would run no cycle with a budget at least its need."""
 
     def __init__(self):
         super().__init__()
         self.calls = []
 
     def __setitem__(self, pc, region):
-        checked = region
-        if region is not None:
+        def checked(budget, regs, *banks):
+            before = [r.value for r in regs], [bank[:] for bank in banks]
+            stayed = _call(region, _ANY_NEED, regs, banks[0]) is None
+            done = region(budget, regs, *banks)
+            if not done:
+                assert ([r.value for r in regs], [bank[:] for bank in banks]) == before
+            self.calls.append((budget, done, stayed))
+            return done
 
-            def checked(budget, *args, region=region):
-                done = region(budget, *args)
-                self.calls.append((budget, region.need, done is None))
-                return done
-
-            checked.need = region.need
         super().__setitem__(pc, checked)
 
 
 @pytest.mark.parametrize("program", sorted(QUIET_PROGRAMS))
 def test_no_region_is_called_with_a_span_its_first_block_does_not_fit(monkeypatch, program):
-    # Runs chopped into spans of 1 to 12 cycles, with the cache warm from a whole run.
+    # A region called with such a span declines it: it returns None and changes
+    # nothing (``_CheckedBlocks`` checks every call). Runs chopped into spans of 1 to
+    # 12 cycles, with the cache warm from a whole run, make most such calls.
     image, max_cycles, raises = QUIET_PROGRAMS[program]
     config = SystemConfig(image=image(), max_cycles=max_cycles)
     blocks = _CheckedBlocks()
@@ -1134,7 +1225,6 @@ def test_no_region_is_called_with_a_span_its_first_block_does_not_fit(monkeypatc
         if outcome or fast.halted is not None:
             break
     _assert_same_run(plain, fast)
-    assert all(budget >= need for budget, need, _ in blocks.calls)
 
 
 # The hot loops of QUIET_PROGRAMS the reference model can run: "loop" touches GPIO.
@@ -1150,10 +1240,11 @@ def test_loads_in_a_region_match_the_reference_model(monkeypatch, program):
     # The per-cycle loop and regions take a load's result from one rule
     # (isa._LOAD), so only the independent model checks that rule where loads run
     # in a region.
-    monkeypatch.setattr(pipeline, "_blocks", {})
+    blocks = _CheckedBlocks()
+    monkeypatch.setattr(pipeline, "_blocks", blocks)
     image = QUIET_PROGRAMS[program][0]()
     assert run_kernel(image) == run_reference(image)
-    assert any(pipeline._blocks.values())  # the loop ran as a region
+    assert any(done for _, done, _ in blocks.calls)  # the loop ran as a region
 
 
 class _NoBlocks(dict):
