@@ -18,9 +18,9 @@ A mid-cycle flip is therefore discrepant for exactly one voting phase and is cle
 again in the following cycle (latency 1); an edge-aligned flip lands one edge later
 and is clean two cycles after its scheduled cycle (latency 2).
 
-Event stream: ``Kernel.sink`` is None or a list, and it is the one way to observe
-a run. When it is a list, the kernel appends one typed record per event, and
-nothing in a cycle without one:
+Event stream: ``Kernel.sink`` is a list, the one way to observe a run. Every
+kernel keeps it: the kernel appends one typed record per event, and nothing in a
+cycle without one:
 
 * ``Flip(cycle, target, replica, bit, vote_changed)``: an upset landed;
 * ``Discrepancy(cycle, domain, element, source)``: a voter saw replicas disagree,
@@ -29,15 +29,17 @@ nothing in a cycle without one:
   scrubber write-back);
 * ``Repair(cycle, target)``: a dirty cell or SRAM row became clean again, by
   edge refresh, a write, a scrub write-back or a flip that toggled a bit back;
-* ``Retire(cycle, pc, raw)``, only with ``SystemConfig.record_events`` (campaign
-  runs keep a sink without it, and translated regions run only without it);
+* ``Retire(cycle, pc, raw)``, only with ``SystemConfig.record_events``; translated
+  regions log no retirements, so a kernel with the flag runs every cycle through
+  the per-cycle loop;
 * ``Halt(cycle, cause)``.
 
 A target is a cell's element id (a string) or an SRAM row (an integer). Records
 are in cycle order, and the flips and repairs of one target are in the order they
 happened, so the state of every target at the end of every cycle can be replayed
-from the stream. ``SystemConfig.record_events`` starts a kernel with an empty
-sink; the stream is run metadata, not machine state, and snapshots do not carry it.
+from the stream. A kernel starts with an empty stream, also when it resumes a
+checkpoint or restores a snapshot: the stream is run metadata, not machine state,
+and snapshots do not carry it.
 
 ``Kernel._advance`` is the one run loop. It holds the rule for when a run ends
 (the program's halt, with SimTimeout at ``max_cycles``, or a fixed end cycle),
@@ -122,7 +124,7 @@ class SystemConfig:
     scrub_divider: int = 1
     max_cycles: int = 1_000_000
     stimulus: tuple = ()  # (("uart-rx", cycle, byte) | ("gpio-in", cycle, pin, level), ...)
-    record_events: bool = False  # start the kernel with an event sink (see Kernel.sink)
+    record_events: bool = False  # add Retire records to the event stream (see Kernel.sink)
 
     def __post_init__(self):
         image = self.image
@@ -284,7 +286,7 @@ class Kernel:
         cfg = config.to_dict(include_image=False)
         self._config_json = json.dumps(cfg, sort_keys=True).encode()
 
-        self.sink = [] if config.record_events else None  # the event stream, if kept
+        self.sink = []  # the event stream
         self.sram.repaired = []  # drained into the sink every cycle
         self.event_totals = {Domain.CORE: 0, Domain.SRAM: 0, Domain.PERIPHERALS: 0}
 
@@ -400,10 +402,9 @@ class Kernel:
             before = self.sram.read_voted(key)[0]
             self.sram.flip(key, replica, bit)
             after, dirty = self.sram.read_voted(key)
-        if self.sink is not None:
-            self.sink.append(Flip(self.cycle, key, replica, bit, after != before))
-            if not dirty:  # the flip toggled the last differing bit back
-                self.sink.append(Repair(self.cycle, key))
+        self.sink.append(Flip(self.cycle, key, replica, bit, after != before))
+        if not dirty:  # the flip toggled the last differing bit back
+            self.sink.append(Repair(self.cycle, key))
 
     # ------------------------------------------------------------------
     # the cycle loop
@@ -418,7 +419,7 @@ class Kernel:
         if self.dirty:
             repaired = [cell.element_id for cell in self.dirty if cell.refresh()]
             self.dirty.clear()
-            if repaired and self.sink is not None:
+            if repaired:
                 self.sink.extend(Repair(c, key) for key in sorted(repaired))
         if self._pending_increments:
             self.counters.apply_increments(self._pending_increments)
@@ -437,7 +438,7 @@ class Kernel:
             uart.tick(c)
         halt = None
         if self.halted is None:  # the core stops at a halt; the scrubber never does
-            retire = self._log_retire if config.record_events and self.sink is not None else None
+            retire = self._log_retire if config.record_events else None
             halt = self.pipeline.advance(self.arch, self.bus, c, c + 1, retire)[1]
             if self.sram.repaired:  # stores took rows out of the dirty set
                 self._log_sram_repairs(c)
@@ -474,15 +475,13 @@ class Kernel:
             self._pending_increments = increments
             for domain, n in increments.items():
                 self.event_totals[domain] += n
-            if self.sink is not None:
-                self._log_votes(c, written)
+            self._log_votes(c, written)
             if self.sram.repaired:  # the scrubber wrote a dirty row back
                 self._log_sram_repairs(c)
 
         if halt is not None:
             self.halted = halt
-            if self.sink is not None:
-                self.sink.append(Halt(c, halt))
+            self.sink.append(Halt(c, halt))
         self.cycle = c + 1
 
     def _log_votes(self, c, written):
@@ -509,8 +508,7 @@ class Kernel:
 
     def _log_sram_repairs(self, c):
         rows = self.sram.repaired
-        if self.sink is not None:
-            self.sink.extend(Repair(c, row) for row in rows)
+        self.sink.extend(Repair(c, row) for row in rows)
         rows.clear()
 
     def run(self):
@@ -582,13 +580,11 @@ class Kernel:
             if not running:  # only the scrubber moves; skip_clean bounds the span
                 c = stop
             elif c < stop:
-                sink = self.sink
-                retire = self._log_retire if config.record_events and sink is not None else None
+                retire = self._log_retire if config.record_events else None
                 c, halt = self.pipeline.advance(self.arch, self.bus, c, stop, retire)
                 if halt is not None:
                     self.halted = halt
-                    if sink is not None:
-                        sink.append(Halt(c - 1, halt))
+                    self.sink.append(Halt(c - 1, halt))
         except BaseException:
             c = self.arch.cycle  # the cycle that raised
             raise
@@ -715,8 +711,8 @@ class Kernel:
         """Overwrite this kernel's state with a :meth:`checkpoint` of a kernel of the same
         configuration. Nothing is checked, not even values against cell widths: every
         cell takes its value, only the upset cells get three replicas, and they make up
-        the dirty set. The checkpoint stays as it was, for any number of resumes. The sink
-        starts empty if ``record_events`` is set, and is None otherwise.
+        the dirty set. The checkpoint stays as it was, for any number of resumes. The event
+        stream starts empty; ``record_events`` is taken from the checkpoint.
         """
         cycle, values, upsets, banks, misc = checkpoint
         for cell in self.dirty:
@@ -753,7 +749,7 @@ class Kernel:
         record_events = misc["record_events"]
         if record_events != self.config.record_events:
             self.config = dataclasses.replace(self.config, record_events=record_events)
-        self.sink = [] if record_events else None
+        self.sink = []
 
     def matches(self, other):
         """True iff ``other``'s :meth:`checkpoint` equals this kernel's but for the three

@@ -13,8 +13,8 @@ is repaired when the scrubber writes it back or the core overwrites it. SRAM
 correction latency is counted inclusively, from the injection cycle through the
 repair cycle, so the analytic single-upset worst case is rows + 1 scrub steps.
 
-Every faulted run keeps the kernel's event stream (``Kernel.sink``), and each
-fault is classified from it in one pass after the run, with no per-cycle probe:
+Every run keeps its kernel's event stream (``Kernel.sink``), and each fault is
+classified from its run's stream in one pass after the run, with no per-cycle probe:
 
 * ``detected``: some discrepancy on the fault's (domain, element) at or after its
   injection cycle;
@@ -59,8 +59,8 @@ it does not simulate that way:
   counters feed back only when the core reads the SEU counter block, which is
   why a match keeps golden's count of those reads.
 * A fault due at or after the cycle where golden's run ends never lands. It is
-  recorded from golden's final state with an empty event stream, as a fork that
-  matched golden there, so no kernel is forked or run for it.
+  recorded from golden's final state and stream, which holds no upset, as a fork
+  that matched golden there, so no kernel is forked or run for it.
 * Each fault has one result: the record and final state of a run that ran out,
   the record of a run that matched golden, or the exception its run raised (the
   simulated core crashed or hung). Once no fork is left, the results are settled
@@ -70,9 +70,9 @@ it does not simulate that way:
   exception met is raised, as when the runs go one after another; otherwise every
   result becomes its record.
 
-Both modes build records through one path, ``_records``, from a run's final
-state and its event stream: the accumulate run is a ``_Fork`` with every fault,
-each isolated fork a ``_Fork`` with one fault.
+Both modes build records through one path, ``_records``, from a kernel's final
+state and its own event stream: the accumulate run's kernel, each isolated fork's
+kernel (a ``_Fork`` with one fault), and golden's for faults that never land.
 
 Before any simulation, ``resolve_faults`` turns every spec into one target,
 replica, bit and phase, drawing from the campaign seed what the spec leaves open.
@@ -383,9 +383,9 @@ def _requal_cycle(changes, landing, end):
     return since if clean and since < end else None
 
 
-def _records(kernel, faults, stream):
-    """The record of each fault, from the run's final state and its event stream."""
-    outcomes = _classify(stream, faults, kernel.cycle)
+def _records(kernel, faults):
+    """The record of each fault, from the kernel's final state and its event stream."""
+    outcomes = _classify(kernel.sink, faults, kernel.cycle)
     counters, totals = kernel.counters.values(), _totals_dict(kernel)
     return [
         _record(fault, outcome, None, counters, totals) for fault, outcome in zip(faults, outcomes)
@@ -398,18 +398,13 @@ _MAX_LIVE_FORKS = 32
 
 
 class _Fork:
-    """A faulted run resumed from golden's checkpoint: one fault's fork, or the accumulate run."""
+    """One fault's faulted run, resumed from golden's checkpoint."""
 
-    def __init__(self, kernel, faults):
+    def __init__(self, kernel, fault):
         self.kernel = kernel
-        self.faults = faults
-        kernel.sink = []
-        for fault in sorted(faults, key=attrgetter("at_cycle")):  # cycle order: no rebuilds
-            _schedule(kernel, fault)
+        self.fault = fault
+        _schedule(kernel, fault)
         self.gap = 1  # cycles to step after a failed comparison; doubles each time
-
-    def records(self):
-        return _records(self.kernel, self.faults, self.kernel.sink)
 
 
 class _ForkedCampaign:
@@ -460,7 +455,7 @@ class _ForkedCampaign:
                 self._step(self.live.pop(), math.inf)
             # a fault due at or after golden's end never lands: its run is golden's
             leftover = [fault for cycle in cycles for fault in due[cycle]]
-            for record in _records(golden, leftover, ()):
+            for record in _records(golden, leftover):
                 results[record["index"]] = (record, None, golden.counters.reads)
 
             golden_sig = None
@@ -507,14 +502,13 @@ class _ForkedCampaign:
     def _fork(self, checkpoint, fault):
         kernel = self.pool.pop() if self.pool else Kernel(self.golden.config)
         kernel.resume(checkpoint)
-        return _Fork(kernel, [fault])
+        return _Fork(kernel, fault)
 
     def _step(self, fork, steps):
         """Step ``fork`` ``steps`` cycles (``math.inf``: to its end), then on until its
         upset is resolved, and keep it live. Once its run is over or has raised, write
         its result instead and return its kernel to the pool."""
-        kernel, length = fork.kernel, self.length
-        (fault,) = fork.faults
+        kernel, fault, length = fork.kernel, fork.fault, self.length
         try:
             over = kernel._advance(kernel.cycle + steps, length)
             while not (over or kernel.settled()):
@@ -526,14 +520,15 @@ class _ForkedCampaign:
                 self.live.append(fork)
                 return
             sig = kernel.architectural_signature() if self.golden_compare else None
-            self.results[fault.index] = (*fork.records(), sig, None)
+            self.results[fault.index] = (*_records(kernel, [fault]), sig, None)
         self.pool.append(kernel)
 
     def _compare(self, fork):
         golden = self.golden
-        if fork.kernel.matches(golden):
-            self.results[fork.faults[0].index] = (*fork.records(), None, golden.counters.reads)
-            self.pool.append(fork.kernel)
+        kernel, fault = fork.kernel, fork.fault
+        if kernel.matches(golden):
+            self.results[fault.index] = (*_records(kernel, [fault]), None, golden.counters.reads)
+            self.pool.append(kernel)
         else:
             steps, fork.gap = fork.gap, 2 * fork.gap
             self._step(fork, steps)
@@ -557,9 +552,10 @@ def run_campaign(config):
             golden._advance(end=length)
             golden_sig = golden.architectural_signature()
         golden.resume(checkpoint)  # golden's kernel runs the faulted run
-        run = _Fork(golden, resolved)
+        for fault in sorted(resolved, key=attrgetter("at_cycle")):  # cycle order: no rebuilds
+            _schedule(golden, fault)
         golden._advance(end=length)
-        records = run.records()
+        records = _records(golden, resolved)
         summary = _summarize(records, config)
         if golden_sig is not None:
             summary["run_diverged"] = golden.architectural_signature() != golden_sig

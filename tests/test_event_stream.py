@@ -106,12 +106,20 @@ def test_stream_of_a_cell_flip_and_its_refresh():
 
 
 def test_no_sink_by_default():
-    kernel = Kernel(SystemConfig(image=store_program()))
-    kernel.schedule_flip(3, "sram", 40, 0, 0)  # repaired by the scrubber
-    kernel.schedule_flip(30, "sram", WORD_ROW, 0, 0)  # repaired by a store
-    kernel.run_cycles(100)
-    assert kernel.sink is None and not kernel.sram.dirty
-    assert kernel.sram.repaired == []  # drained even without a sink
+    # Every run keeps its stream; what the default omits is the Retire records.
+    kernels = []
+    for record_events in (True, False):
+        kernel = Kernel(SystemConfig(image=store_program(), record_events=record_events))
+        kernel.schedule_flip(3, "sram", 40, 0, 0)  # repaired by the scrubber
+        kernel.schedule_flip(30, "sram", WORD_ROW, 0, 0)  # repaired by a store
+        kernel.run_cycles(100)
+        assert not kernel.sram.dirty
+        assert kernel.sram.repaired == []  # drained into the stream
+        kernels.append(kernel)
+    recorded, default = kernels
+    assert default.sink == [r for r in recorded.sink if type(r) is not Retire]
+    assert {r.target for r in default.sink if type(r) is Repair} == {40, WORD_ROW}
+    assert not any(type(r) is Retire for r in default.sink)
 
 
 def test_a_toggle_back_is_a_repair_in_the_same_cycle():
@@ -396,18 +404,17 @@ def test_crash_without_golden_compare_raises_like_the_reference():
 
 
 def test_the_faulted_run_starts_at_the_first_injection_cycle(monkeypatch):
-    faulted_cycles = []
-    step = Kernel.step_cycle
+    resumed_at = []
+    resume = Kernel.resume
 
-    def recording_step(kernel):
-        if kernel.sink is not None:  # only the faulted run keeps a sink here
-            faulted_cycles.append(kernel.cycle)
-        step(kernel)
+    def recording_resume(kernel, checkpoint):
+        resume(kernel, checkpoint)
+        resumed_at.append(kernel.cycle)
 
-    monkeypatch.setattr(Kernel, "step_cycle", recording_step)
+    monkeypatch.setattr(Kernel, "resume", recording_resume)
     faults = [_cell(120, "core.x6", 0, 1), _row(90, 700, 1, 4)]
     run_campaign(_accumulate(acceptance_program().assemble(), faults, run_cycles=600))
-    assert faulted_cycles and min(faulted_cycles) == 90
+    assert resumed_at == [90]  # one faulted run, from golden's state at its first flip
 
 
 def test_random_accumulate_campaigns_match_reference():
