@@ -10,7 +10,9 @@ timing flavors and the scrubber's conflict rule well defined:
    this cycle are queued for the next edge;
 3. voting: every discrepant cell contributes one event for this cycle;
 4. scrubber: one FSM step (subject to the cadence divider), including its
-   write-conflict check against the row the core stored to this cycle;
+   write-conflict check against the row the core stored to this cycle; on a cycle
+   without a step, a store into the row awaiting write-back is voted into the word
+   it will write;
 5. counter aggregation: this cycle's events, deduplicated per element, become the
    per-domain increments that land at the next edge.
 
@@ -89,7 +91,7 @@ from pathlib import Path
 
 from .errors import ConfigError, SimTimeout
 from .isa import ArchState
-from .memory import SramArray, SystemBus
+from .memory import SRAM_SIZE, SramArray, SystemBus
 from .peripherals import GPIO_PINS, GpioBank, SeuCounterBank, UartModel, aggregate_discrepancies
 from .pipeline import Pipeline
 from .scrubber import PHASE_READ, Scrubber
@@ -217,6 +219,8 @@ def _load_elf32(blob):
         raise ConfigError(f"unsupported ELF machine {e_machine} (need RISC-V)")
     if e_phentsize != 32:
         raise ConfigError("unexpected ELF program header size")
+    if e_phoff + 32 * e_phnum > len(blob):
+        raise ConfigError("ELF program headers extend past end of file")
     segments = []
     for i in range(e_phnum):
         (p_type, p_offset, _vaddr, p_paddr, p_filesz, p_memsz, _pflags, _align) = (
@@ -224,6 +228,11 @@ def _load_elf32(blob):
         )
         if p_type != 1 or p_memsz == 0:  # PT_LOAD only
             continue
+        if not p_filesz <= p_memsz <= SRAM_SIZE:  # checked before the zero-fill allocates
+            raise ConfigError(
+                f"ELF segment at 0x{p_paddr:08x}: {p_memsz} bytes in memory, {p_filesz} in the "
+                f"file (need file <= memory <= {SRAM_SIZE} bytes of SRAM)"
+            )
         payload = blob[p_offset : p_offset + p_filesz]
         if len(payload) != p_filesz:
             raise ConfigError("ELF segment data extends past end of file")
@@ -275,8 +284,7 @@ class Kernel:
         self.uart = UartModel(self.arch)
         self.counters = SeuCounterBank()
 
-        self.events = []  # (domain, element_key) for the current cycle
-        self.bus = SystemBus(self.sram, (self.gpio, self.uart, self.counters), self.events)
+        self.bus = SystemBus(self.sram, (self.gpio, self.uart, self.counters))
 
         self.registry = {}
         for cell in self._all_cells():
@@ -287,7 +295,6 @@ class Kernel:
         self._config_json = json.dumps(cfg, sort_keys=True).encode()
 
         self.sink = []  # the event stream
-        self.sram.repaired = []  # drained into the sink every cycle
         self.event_totals = {Domain.CORE: 0, Domain.SRAM: 0, Domain.PERIPHERALS: 0}
 
         self._pending_increments = {}
@@ -414,20 +421,24 @@ class Kernel:
         """Simulate one clock cycle in the fixed phase order."""
         c = self.cycle
         config = self.config
+        sram, bus = self.sram, self.bus
+        # A cycle makes at most one core store (phase 1) and one scrub write-back (phase
+        # 4), and nothing else in those phases changes the exact ``sram.dirty``: where
+        # it shrank across one of them, that access repaired its row.
 
         # phase 1: clock edge
         if self.dirty:
-            repaired = [cell.element_id for cell in self.dirty if cell.refresh()]
+            refreshed = [cell.element_id for cell in self.dirty if cell.refresh()]
             self.dirty.clear()
-            if repaired:
-                self.sink.extend(Repair(c, key) for key in sorted(repaired))
+            if refreshed:
+                self.sink.extend(Repair(c, key) for key in sorted(refreshed))
         if self._pending_increments:
             self.counters.apply_increments(self._pending_increments)
             self._pending_increments = {}
-        events = self.events
+        events = bus.events
         if events:
             events.clear()
-        self.bus.last_store_row = None
+        bus.last_store_row = None
         self.arch.cycle = c
         gpio = self._gpio_schedule
         while gpio and gpio[0][1] == c:
@@ -439,9 +450,10 @@ class Kernel:
         halt = None
         if self.halted is None:  # the core stops at a halt; the scrubber never does
             retire = self._log_retire if config.record_events else None
-            halt = self.pipeline.advance(self.arch, self.bus, c, c + 1, retire)[1]
-            if self.sram.repaired:  # stores took rows out of the dirty set
-                self._log_sram_repairs(c)
+            rows = len(sram.dirty)
+            halt = self.pipeline.advance(self.arch, bus, c, c + 1, retire)[1]
+            if len(sram.dirty) < rows:
+                self.sink.append(Repair(c, bus.last_store_row))
         if self._edge_queue:
             for kind, key, replica, bit in self._edge_queue:
                 self._do_flip(kind, key, replica, bit)
@@ -463,11 +475,15 @@ class Kernel:
                     events.append((cell.domain, cell.element_id))
 
         # phase 4: scrubber
-        written = None
+        written = cleaned = None
         if config.scrub_enabled and c % config.scrub_divider == 0:
-            written = self.scrubber.step(self.sram, self.bus.last_store_row)
+            rows = len(sram.dirty)
+            written = self.scrubber.step(sram, bus.last_store_row)
             if written is not None:
                 events.append((Domain.SRAM, written))
+                cleaned = len(sram.dirty) < rows
+        elif config.scrub_enabled and bus.last_store_row is not None:
+            self.scrubber.merge_store(sram, bus.last_store_row)
 
         # phase 5: counter aggregation (lands at the next edge)
         if events:
@@ -475,16 +491,16 @@ class Kernel:
             self._pending_increments = increments
             for domain, n in increments.items():
                 self.event_totals[domain] += n
-            self._log_votes(c, written)
-            if self.sram.repaired:  # the scrubber wrote a dirty row back
-                self._log_sram_repairs(c)
+            self._log_votes(c, events, written)
+            if cleaned:  # the write-back repaired a dirty row
+                self.sink.append(Repair(c, written))
 
         if halt is not None:
             self.halted = halt
             self.sink.append(Halt(c, halt))
         self.cycle = c + 1
 
-    def _log_votes(self, c, written):
+    def _log_votes(self, c, events, written):
         """Append this cycle's discrepancy records (and the cell repairs phase 4 made).
 
         No record repeats: the core port makes one access per cycle (a fetch
@@ -492,7 +508,7 @@ class Kernel:
         scrubber's write-back, if any, is the last event.
         """
         sink = self.sink
-        events = self.events[:-1] if written is not None else self.events
+        events = events[:-1] if written is not None else events
         cells = []
         for domain, key in events:
             if type(key) is str:
@@ -505,11 +521,6 @@ class Kernel:
                 sink.append(Repair(c, key))
         if written is not None:
             sink.append(Discrepancy(c, Domain.SRAM, written, "scrub"))
-
-    def _log_sram_repairs(self, c):
-        rows = self.sram.repaired
-        self.sink.extend(Repair(c, row) for row in rows)
-        rows.clear()
 
     def run(self):
         """Run until the program halts; raise SimTimeout if it never does."""
@@ -727,7 +738,6 @@ class Kernel:
                 cells[index].set_replicas(*replicas)
                 self.dirty.add(cells[index])
         self.sram.restore_banks(banks)
-        self.sram.repaired.clear()
         self.cycle = cycle
         self.halted = misc["halted"]
         p = self.pipeline

@@ -41,8 +41,8 @@ class SramArray:
 
     ``dirty`` is the set of rows whose replicas disagree. Every port keeps it exact,
     so clean rows are read without voting and bulk images cost a copy, not a vote.
-    When ``repaired`` is a list, the core and scrubber ports append each row they
-    take out of ``dirty`` to it, in order; its owner drains it.
+    The array reports nothing else: a port that repairs a row only takes it out of
+    ``dirty``, so an owner that needs repairs compares its size around an access.
     """
 
     def __init__(self, rows=SRAM_ROWS):
@@ -51,12 +51,6 @@ class SramArray:
         self.rows = rows
         self.banks = [array("I", [0]) * rows for _ in range(3)]
         self.dirty = set()
-        self.repaired = None
-
-    def _mark_clean(self, row):
-        self.dirty.discard(row)
-        if self.repaired is not None:
-            self.repaired.append(row)
 
     def _vote_row(self, row):
         b0, b1, b2 = self.banks
@@ -73,15 +67,14 @@ class SramArray:
         b0, b1, b2 = self.banks
         if mask == M32:
             b0[row] = b1[row] = b2[row] = value
-            if row in self.dirty:
-                self._mark_clean(row)
+            self.dirty.discard(row)
         else:
             value &= mask
             inv = ~mask & M32
             for bank in self.banks:
                 bank[row] = (bank[row] & inv) | value
             if row in self.dirty and b0[row] == b1[row] == b2[row]:
-                self._mark_clean(row)
+                self.dirty.discard(row)
 
     def scrub_read(self, row):
         """Scrubber port read: the three raw replica words, unvoted."""
@@ -93,11 +86,7 @@ class SramArray:
         """Scrubber port write-back: set all replicas of a row to the voted word."""
         if not 0 <= row < self.rows:
             raise ValueError(f"row {row} out of range 0..{self.rows - 1}")
-        self.banks[0][row] = word
-        self.banks[1][row] = word
-        self.banks[2][row] = word
-        if row in self.dirty:
-            self._mark_clean(row)
+        self.write_masked(row, word, M32)
 
     def flip(self, row, replica, bit):
         """Invert one bit of one replica bank (an injected upset)."""
@@ -157,17 +146,17 @@ class SystemBus:
 
     SRAM spans addresses 0 .. ``end - 1``. ``devices`` are the 4 kB blocks from
     ``GPIO_BASE`` on, in address order; every other address is unmapped.
-    Discrepancy events observed on reads are appended to ``events`` as
-    ``(domain, element_key)`` tuples; the kernel drains them once per cycle.
+    The bus owns ``events``: each discrepancy a read observes is appended to it as a
+    ``(domain, element_key)`` tuple, and the kernel reads and clears it once per cycle.
     ``last_store_row`` records the SRAM row written by the core in the current
     cycle (the scrubber's write-conflict input); the kernel clears it each cycle.
     """
 
-    def __init__(self, sram, devices=(), events=None):
+    def __init__(self, sram, devices=()):
         self.sram = sram
         self.end = sram.rows * 4
         self.devices = tuple(devices)
-        self.events = events if events is not None else []
+        self.events = []
         self.last_store_row = None
 
     def _device(self, addr, width, access):

@@ -59,6 +59,12 @@ def canonical_scenario(name):
     return name
 
 
+def _positive(value, field):
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < math.inf:
+        raise ConfigError(f"power calibration: {field} must be a finite number > 0, got {value!r}")
+    return value
+
+
 def load_default_calibration():
     with resources.files("tmrv32.data").joinpath("power_calibration.json").open() as f:
         return json.load(f)
@@ -72,7 +78,13 @@ class PowerModel:
         try:
             self.leakage_mw = cal["leakage_mw"]
             self.scrub_adder_mw_per_mhz = cal["scrub_adder_uw_per_mhz"] / 1000.0
-            f0 = cal["calibration_freq_mhz"]
+            f0 = _positive(cal["calibration_freq_mhz"], "calibration_freq_mhz")
+            for table in ("scenarios_scrub_off_mw", "scenarios_scrub_on_mw"):
+                rows = cal[table]
+                if not (isinstance(rows, dict) and all(isinstance(r, dict) for r in rows.values())):
+                    raise ConfigError(f"power calibration: {table} must be an object of objects")
+                for scenario, row in rows.items():
+                    _positive(row["total"], f"{table}.{scenario}.total")
             for scenario, row in cal["scenarios_scrub_off_mw"].items():
                 deflate = 1.0 - self.leakage_mw / row["total"]
                 self.slopes[scenario] = {d: row[d] * deflate / f0 for d in _DOMAINS}

@@ -5,7 +5,9 @@ raw replicas of the current row and, when they all match, simply advances. On a
 mismatch it majority-votes the three words and writes the result back during the next
 step, then advances — unless the core wrote the same row in the write-back cycle, in
 which case the write is skipped (the core's fresh data supersedes the stale vote) and
-the scan moves on.
+the scan moves on. With a divider, cycles without a step lie between the read and the
+write-back; a core store into the pending row on one of them is voted into the pending
+word again (:meth:`Scrubber.merge_store`), so the write-back keeps the stored data.
 
 The scrubber's own state (row pointer, phase flag, pending word) is TMR-protected
 like every other sequential element, so a single upset in the scrubber cannot derail
@@ -57,6 +59,12 @@ class Scrubber:
             sram.scrub_read(row)  # raises: an upset pointer past the last row
         self.row_ptr.write((row + 1) % self.rows)
         return None
+
+    def merge_store(self, sram, row):
+        """The core stored into ``row`` on a cycle without a scrub step: if the row
+        waits for its write-back, vote it again so the write-back keeps the store."""
+        if row == self.row_ptr.value and self.phase.value == PHASE_WRITEBACK:
+            self.pending_word.write(vote3(*sram.scrub_read(row)))
 
     def skip_clean(self, sram, start, end, divider=1):
         """Fast-forward the scrub cycles ``start .. end - 1`` over clean rows.

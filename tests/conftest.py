@@ -1,5 +1,6 @@
 """Shared helpers: canned programs, random program generation, differential runners."""
 
+import struct
 import sys
 from pathlib import Path
 
@@ -49,6 +50,26 @@ def run_reference(image, max_steps=100_000):
 # ---------------------------------------------------------------------------
 # canned programs
 # ---------------------------------------------------------------------------
+
+
+def mini_elf(segments, entry):
+    """Hand-built ELF32 (little-endian, RISC-V) with the given (paddr, data, memsz) segments."""
+    ehsize, phentsize = 52, 32
+    phoff = ehsize
+    header = b"\x7fELF" + bytes([1, 1, 1, 0]) + bytes(8)
+    header += struct.pack(
+        "<HHIIIIIHHHHHH",
+        2, 243, 1, entry, phoff, 0, 0, ehsize, phentsize, len(segments), 0, 0, 0,
+    )
+    data_off = phoff + phentsize * len(segments)
+    phdrs = b""
+    payload = b""
+    for paddr, data, memsz in segments:
+        phdrs += struct.pack(
+            "<IIIIIIII", 1, data_off + len(payload), paddr, paddr, len(data), memsz, 5, 4
+        )
+        payload += data
+    return header + phdrs + payload
 
 
 def alu_block_program(n=10):

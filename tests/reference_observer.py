@@ -100,7 +100,7 @@ def observed_run(system, length, faults):
                 raise SimTimeout(kernel.config.max_cycles)
         kernel.step_cycle()
         cycle = kernel.cycle - 1
-        for domain, element in sorted(set(kernel.events), key=repr):
+        for domain, element in sorted(set(kernel.bus.events), key=repr):
             log.append((cycle, int(domain), element))
         for monitor in monitors:
             monitor.on_cycle(kernel)

@@ -5,10 +5,11 @@ import math
 
 import pytest
 
-from conftest import acceptance_program, alu_block_program, uart_hello_program
+from conftest import acceptance_program, alu_block_program, mini_elf, uart_hello_program
 
 from tmrv32 import encode as E
 from tmrv32.cli import EXIT_CONFIG, EXIT_OK, EXIT_SIM_FAULT, EXIT_STRICT, EXIT_TIMEOUT, main
+from tmrv32.power import load_default_calibration
 
 
 @pytest.fixture
@@ -392,6 +393,15 @@ def _write(tmp_path, name, data):
     return str(path)
 
 
+_TRUNCATED_ELF = mini_elf([(0x0, bytes(4), 4)], entry=0)[:60]  # its program header is cut off
+
+
+def _calibration(tmp_path, **fields):
+    """A calibration file: the default one with ``fields`` replaced."""
+    cal = dict(load_default_calibration(), **fields)
+    return _write(tmp_path, "p.json", json.dumps(cal).encode())
+
+
 @pytest.mark.parametrize(
     "argv, names_file",
     [
@@ -409,10 +419,27 @@ def _write(tmp_path, name, data):
         (lambda tmp, image: ["campaign", _write(tmp, "c.json", b'[{"version": 1}]')], False),
         (lambda tmp, image: ["power", "--calibration", _write(tmp, "p.json", b"{}"), "--freq", "5"],
          False),
+        (lambda tmp, image: ["run", _write(tmp, "t.elf", _TRUNCATED_ELF)], False),
+        (lambda tmp, image: ["campaign", _write(tmp, "c.json", json.dumps(
+            {"version": 1, "system": {"image": _write(tmp, "t.elf", _TRUNCATED_ELF)}}).encode())],
+         False),
+        (lambda tmp, image: ["run", _write(tmp, "m.elf", mini_elf([(0x0, bytes(8), 4)], 0))],
+         False),
+        (lambda tmp, image: ["run", _write(tmp, "b.elf", mini_elf([(0x0, b"", 0x10000)], 0))],
+         False),
+        (lambda tmp, image: ["power", "--freq", "10", "--calibration",
+                             _calibration(tmp, calibration_freq_mhz=0)], False),
+        (lambda tmp, image: ["power", "--freq", "10", "--calibration", _calibration(
+            tmp, scenarios_scrub_off_mw={"mixed": {"core": 1, "sram": 1, "periph": 1, "total": 0}})],
+         False),
+        (lambda tmp, image: ["power", "--freq", "10", "--calibration",
+                             _calibration(tmp, scenarios_scrub_off_mw=[])], False),
     ],
     ids=["campaign-dir", "run-dir", "campaign-non-utf8", "stimulus-non-utf8",
          "calibration-non-utf8", "campaign-bad-json", "calibration-bad-json", "campaign-list",
-         "calibration-empty"],
+         "calibration-empty", "run-elf-truncated-headers", "campaign-elf-truncated-headers",
+         "run-elf-memsz-below-filesz", "run-elf-memsz-past-sram", "calibration-freq-0",
+         "calibration-total-0", "calibration-table-array"],
 )
 def test_unreadable_or_non_object_input_is_a_config_error(
     tmp_path, image_path, capsys, argv, names_file

@@ -17,6 +17,7 @@ from conftest import (
     alu_block_program,
     gen_random_program,
     make_kernel,
+    mini_elf,
     run_kernel,
     run_reference,
     uart_hello_program,
@@ -204,28 +205,8 @@ def test_raw_image_round_trip():
     assert entry == 0x40
 
 
-def _mini_elf(segments, entry):
-    """Hand-built ELF32 (little-endian, RISC-V) with the given (paddr, data) segments."""
-    ehsize, phentsize = 52, 32
-    phoff = ehsize
-    header = b"\x7fELF" + bytes([1, 1, 1, 0]) + bytes(8)
-    header += struct.pack(
-        "<HHIIIIIHHHHHH",
-        2, 243, 1, entry, phoff, 0, 0, ehsize, phentsize, len(segments), 0, 0, 0,
-    )
-    data_off = phoff + phentsize * len(segments)
-    phdrs = b""
-    payload = b""
-    for paddr, data, memsz in segments:
-        phdrs += struct.pack(
-            "<IIIIIIII", 1, data_off + len(payload), paddr, paddr, len(data), memsz, 5, 4
-        )
-        payload += data
-    return header + phdrs + payload
-
-
 def test_elf_with_two_load_segments():
-    blob = _mini_elf(
+    blob = mini_elf(
         [(0x0, E.ebreak().to_bytes(4, "little"), 4), (0x4000, b"\xbe\xba\xfe\xca", 4)],
         entry=0x0,
     )
@@ -238,7 +219,7 @@ def test_elf_with_two_load_segments():
 
 
 def test_elf_bss_zero_fill():
-    blob = _mini_elf([(0x100, b"\xaa\xbb", 8)], entry=0x100)
+    blob = mini_elf([(0x100, b"\xaa\xbb", 8)], entry=0x100)
     segments, _ = load_image(blob)
     assert segments[0][1] == b"\xaa\xbb\x00\x00\x00\x00\x00\x00"
 
@@ -246,11 +227,23 @@ def test_elf_bss_zero_fill():
 def test_elf_errors():
     with pytest.raises(ConfigError):
         load_image(b"\x7fELF" + bytes(60))  # wrong class/endianness
-    blob = _mini_elf([(0x0, b"\x00\x00\x00\x00", 4)], entry=0)
+    blob = mini_elf([(0x0, b"\x00\x00\x00\x00", 4)], entry=0)
     wrong_machine = bytearray(blob)
     wrong_machine[18] = 62  # x86-64
     with pytest.raises(ConfigError):
         load_image(bytes(wrong_machine))
+    with pytest.raises(ConfigError, match="program headers extend past end of file"):
+        load_image(blob[:52 + 16])  # the header table is cut off
+    with pytest.raises(ConfigError, match="program headers extend past end of file"):
+        load_image(blob[:30] + b"\xff\xff" + blob[32:])  # e_phoff 0xffff0034
+    with pytest.raises(ConfigError, match="4 bytes in memory, 8 in the file"):
+        load_image(mini_elf([(0x0, bytes(8), 4)], entry=0))
+    # refused before the zero-fill: a p_memsz of up to 4 GiB allocates nothing
+    for memsz in (0x8004, 0x10000):
+        with pytest.raises(ConfigError, match=f"{memsz} bytes in memory"):
+            load_image(mini_elf([(0x0, b"", memsz)], entry=0))
+    with pytest.raises(ConfigError, match="outside SRAM"):
+        Kernel(SystemConfig(image=mini_elf([(0x4, b"", 0x8000)], entry=0)))
 
 
 def test_oversize_image_rejected():
@@ -261,7 +254,7 @@ def test_oversize_image_rejected():
 
 
 def test_segment_outside_sram_rejected():
-    blob = _mini_elf([(0x9000, b"\x00\x00\x00\x00", 4)], entry=0)
+    blob = mini_elf([(0x9000, b"\x00\x00\x00\x00", 4)], entry=0)
     with pytest.raises(ConfigError):
         Kernel(SystemConfig(image=blob))
 
@@ -392,7 +385,7 @@ def _toy_kernel(rows, config):
     """A kernel whose SRAM and scrubber have ``rows`` rows (image loaded at 0)."""
     kernel = Kernel(dataclasses.replace(config, image=None))
     kernel.sram = SramArray(rows)
-    kernel.bus = SystemBus(kernel.sram, kernel.bus.devices, kernel.events)
+    kernel.bus = SystemBus(kernel.sram, kernel.bus.devices)
     kernel.scrubber = Scrubber(rows)
     kernel.registry.update((cell.element_id, cell) for cell in kernel.scrubber.cells())
     kernel.sram.load_bytes(0, config.image)

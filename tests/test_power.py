@@ -5,7 +5,7 @@ import math
 import pytest
 
 from tmrv32.errors import ConfigError
-from tmrv32.power import PowerModel, canonical_scenario, power_table
+from tmrv32.power import PowerModel, canonical_scenario, load_default_calibration, power_table
 
 # measured silicon table at 50 MHz (mW): scenario -> (scrub on, scrub off)
 MEASURED_TOTALS = {
@@ -132,3 +132,35 @@ def test_quoted_reference_constants_are_available(model):
     assert model.calibration["quoted_scrub_adder_uw_per_mhz"] == 88.0
     # the calibrated adder comes from the table delta, not the quoted figure
     assert model.scrub_adder_mw_per_mhz * 1000 == pytest.approx(102.8)
+
+
+def _calibration(**fields):
+    """The default calibration with ``fields`` replaced; ``off`` and ``on`` replace the
+    ``mixed`` rows of the scrub-off and scrub-on tables."""
+    cal = load_default_calibration()
+    for key, table in (("off", "scenarios_scrub_off_mw"), ("on", "scenarios_scrub_on_mw")):
+        if key in fields:
+            cal[table] = dict(cal[table], mixed=fields.pop(key))
+    return dict(cal, **fields)
+
+
+BAD_CALIBRATIONS = [
+    ("freq-0", _calibration(calibration_freq_mhz=0), "calibration_freq_mhz"),
+    ("freq-negative", _calibration(calibration_freq_mhz=-50.0), "calibration_freq_mhz"),
+    ("freq-nan", _calibration(calibration_freq_mhz=math.nan), "calibration_freq_mhz"),
+    ("freq-string", _calibration(calibration_freq_mhz="50"), "calibration_freq_mhz"),
+    ("off-total-0", _calibration(off={"core": 1, "sram": 1, "periph": 1, "total": 0}),
+     "scenarios_scrub_off_mw.mixed.total"),
+    ("on-total-infinity", _calibration(on={"core": 1, "sram": 1, "periph": 1, "total": math.inf}),
+     "scenarios_scrub_on_mw.mixed.total"),
+    ("off-table-array", _calibration(scenarios_scrub_off_mw=[]), "scenarios_scrub_off_mw"),
+    ("on-row-number", _calibration(on=20.08), "scenarios_scrub_on_mw"),
+]
+
+
+@pytest.mark.parametrize("calibration, field", [c[1:] for c in BAD_CALIBRATIONS],
+                         ids=[c[0] for c in BAD_CALIBRATIONS])
+def test_malformed_calibration_is_a_config_error_naming_the_field(calibration, field):
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.")) as info:
+        PowerModel(calibration)
+    assert str(info.value).startswith("power calibration:")

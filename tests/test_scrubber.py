@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from tmrv32 import encode as E
+from tmrv32.kernel import Discrepancy, Kernel, SystemConfig
 from tmrv32.memory import SramArray
 from tmrv32.scrubber import PHASE_READ, PHASE_WRITEBACK, Scrubber, worst_case_correction_cycles
 from tmrv32.seu import scrub_latency_samples
@@ -59,6 +61,55 @@ def test_conflict_skip_keeps_core_data():
     assert sram.scrub_read(1) == (0xBBBB, 0xBBBB, 0xBBBB)  # core value everywhere
     assert scrub.row_ptr.value == 2  # scan moved on
     assert scrub.phase.value == PHASE_READ
+
+
+def test_a_store_merged_before_the_writeback_is_kept():
+    # a slowed scrubber: the core stores into the pending row on a cycle without a step
+    sram = SramArray(4)
+    sram.write_masked(1, 0xAAAA, 0xFFFFFFFF)
+    sram.flip(1, 2, 0)
+    sram.flip(1, 0, 20)
+    scrub = Scrubber(4)
+    scrub.step(sram, None)  # row 0 clean
+    scrub.step(sram, None)  # row 1 mismatch -> write-back pending
+    scrub.merge_store(sram, 2)  # another row: the pending word stays
+    assert scrub.pending_word.value == 0xAAAA
+    sram.write_masked(1, 0xCC00, 0xFF00)  # a byte store; bit 20 of replica 0 stays upset
+    scrub.merge_store(sram, 1)
+    assert scrub.pending_word.value == 0xCCAA
+    assert scrub.step(sram, None) == 1
+    assert sram.scrub_read(1) == (0xCCAA, 0xCCAA, 0xCCAA)
+    assert not sram.dirty
+
+
+def _store_between_spins(passes):
+    """``passes`` turns of a countdown loop, one ``sw`` of 0x5A5 to row 50, 100 more
+    turns, then ``lw x4`` from row 50 and ``ebreak``."""
+    p = E.Program()
+    p.emit(E.addi(2, 0, 0x5A5), E.addi(3, 0, passes))
+    p.label("first")
+    p.emit(E.addi(3, 3, -1))
+    p.branch(E.bne, 3, 0, "first")
+    p.emit(E.sw(2, 0, 200), E.addi(3, 0, 100))
+    p.label("second")
+    p.emit(E.addi(3, 3, -1))
+    p.branch(E.bne, 3, 0, "second")
+    p.emit(E.lw(4, 0, 200), E.ebreak())
+    return p.assemble()
+
+
+# (scrub_divider, passes): the store lands between the read of row 50 and its
+# write-back, on a cycle without a scrub step
+@pytest.mark.parametrize("divider, passes", [(2, 33), (3, 50), (4, 67), (8, 133), (8, 135)])
+def test_a_slowed_scrubber_keeps_a_store_made_before_its_writeback(divider, passes):
+    kernel = Kernel(SystemConfig(image=_store_between_spins(passes), scrub_divider=divider))
+    kernel.schedule_flip(0, "sram", 50, 1, 3)  # one upset, which TMR masks
+    kernel.run()
+    assert [(r.element, r.source) for r in kernel.sink if type(r) is Discrepancy] == [
+        (50, "scrub")  # the write-back; the load reads a clean row
+    ]
+    assert kernel.arch.reg_values()[4] == 0x5A5
+    assert kernel.sram.scrub_read(50) == (0x5A5, 0x5A5, 0x5A5)
 
 
 def test_writeback_proceeds_when_core_writes_other_row():
