@@ -48,7 +48,7 @@ and snapshots do not carry it.
 and ``run``, ``run_cycles`` and the campaign engine all call it.
 
 Fast-forward: ``_advance`` hands every quiet span to ``_fast_forward``, which
-skips the upset and stimulus bookkeeping of its cycles. A span starts only if
+skips the upset bookkeeping of its cycles. A span starts only if
 
 * no cell is dirty, no counter increment is pending and the edge queue is empty;
 * while the core runs, also no SRAM row is dirty and the scrubber (if enabled) is
@@ -59,11 +59,13 @@ aggregation have nothing to do and every due scrub step is a clean read. A
 running core's span is one ``Pipeline.advance`` call, the call ``step_cycle``
 makes for its one cycle; on a halted core only the scrubber moves. One
 ``Scrubber.skip_clean`` call catches the scan up at the end, also when the
-pipeline raises, and then the kernel stands at the cycle that raised. A span stops
+pipeline raises, and then the kernel stands at the cycle that raised. The GPIO bank
+and the UART catch up there too, as ``step_cycle`` ticks them in phase 1: flips land
+only in ``step_cycle``, so in between only a device read, which catches up itself,
+sees their stimulus. A span stops
 
 * at the end of the run or the call;
-* at the next cycle with a scheduled flip, a GPIO input or a UART RX byte that
-  can land (``_next_due``);
+* at the next cycle with a scheduled flip (the fault schedule's head);
 * at the halt, recorded with its ``Halt`` record;
 * on a halted core, at the cycle whose scrub step would read a dirty row or write
   back (honouring ``scrub_divider``).
@@ -83,6 +85,7 @@ import json
 import math
 import os
 import struct
+from bisect import bisect_left
 from collections import deque, namedtuple
 from dataclasses import dataclass
 from itertools import chain
@@ -246,7 +249,8 @@ def parse_stimulus(text):
     """Parse a cycle-stamped stimulus file into config events.
 
     Lines are ``<cycle> uart-rx <byte>`` or ``<cycle> gpio-in <pin> <0|1>``;
-    ``#`` starts a comment. Bytes and pins accept decimal or 0x-prefixed hex.
+    ``#`` starts a comment. Bytes and pins accept decimal or 0x-prefixed hex. Values
+    are checked, as in a config, by :class:`Kernel`.
     """
     events = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -257,9 +261,9 @@ def parse_stimulus(text):
         try:
             cycle = int(parts[0], 0)
             if parts[1] == "uart-rx" and len(parts) == 3:
-                events.append(("uart-rx", cycle, int(parts[2], 0) & 0xFF))
+                events.append(("uart-rx", cycle, int(parts[2], 0)))
             elif parts[1] == "gpio-in" and len(parts) == 4:
-                events.append(("gpio-in", cycle, int(parts[2], 0), int(parts[3], 0) & 1))
+                events.append(("gpio-in", cycle, int(parts[2], 0), int(parts[3], 0)))
             else:
                 raise ValueError
         except (ValueError, IndexError):
@@ -280,7 +284,7 @@ class Kernel:
         self.pipeline = Pipeline()
         self.sram = SramArray()
         self.scrubber = Scrubber(self.sram.rows)
-        self.gpio = GpioBank()
+        self.gpio = GpioBank(self.arch)
         self.uart = UartModel(self.arch)
         self.counters = SeuCounterBank()
 
@@ -323,18 +327,15 @@ class Kernel:
             if values[0] < 0:  # it would never land
                 raise ConfigError(f"stimulus event {list(event)!r}: cycle {values[0]} is before 0")
             if kind == "uart-rx":
+                if not 0 <= values[1] <= 0xFF:
+                    raise ConfigError(f"stimulus event {list(event)!r}: byte is not in 0..255")
                 self.uart.queue_rx(*values)
             elif not 0 <= values[1] < GPIO_PINS:
                 raise ConfigError(f"no such GPIO pin {values[1]} (0..{GPIO_PINS - 1})")
-        self._schedule_gpio_inputs()
-
-    def _schedule_gpio_inputs(self):
-        # the config's gpio-in events still to come, in cycle order; earlier inputs are
-        # in gpio_inputs
-        self._gpio_schedule = deque(sorted(
-            (e for e in self.config.stimulus if e[0] == "gpio-in" and e[1] >= self.cycle),
-            key=itemgetter(1),
-        ))
+            elif values[2] not in (0, 1):
+                raise ConfigError(f"stimulus event {list(event)!r}: level is not 0 or 1")
+            else:
+                self.gpio.queue_input(*values)
 
     def _all_cells(self):
         yield from self.arch.cells()
@@ -440,13 +441,9 @@ class Kernel:
             events.clear()
         bus.last_store_row = None
         self.arch.cycle = c
-        gpio = self._gpio_schedule
-        while gpio and gpio[0][1] == c:
-            _, _, pin, level = gpio.popleft()
-            self.gpio.set_input(pin, level)
-        uart = self.uart
-        if uart.rx_cursor < len(uart.rx_pending):  # an RX byte is still to be delivered
-            uart.tick(c)
+        if config.stimulus:
+            self.gpio.tick(c)
+            self.uart.tick(c)
         halt = None
         if self.halted is None:  # the core stops at a halt; the scrubber never does
             retire = self._log_retire if config.record_events else None
@@ -556,25 +553,9 @@ class Kernel:
             raise SimTimeout(budget)
         return self.halted is not None
 
-    def _next_due(self, end):
-        """The first cycle from ``self.cycle`` on, and before ``end``, with a scheduled flip,
-        a GPIO input or a UART RX byte that can land; ``end`` if there is none."""
-        c = self.cycle
-        schedule, gpio = self._fault_schedule, self._gpio_schedule
-        stop = min(  # both schedules are in cycle order, from cycle c on
-            schedule[0][0] if schedule else end, gpio[0][1] if gpio else end, end
-        )
-        uart = self.uart
-        # a held byte blocks the next one until a running core reads it
-        if uart.rx_cursor < len(uart.rx_pending) and (
-            self.halted is None or not uart.rx_valid.value
-        ):
-            stop = min(stop, max(c, uart.rx_pending[uart.rx_cursor][0]))
-        return stop
-
     def _fast_forward(self, end):
         """Run a quiet span up to the next cycle that needs ``step_cycle`` or ``end``,
-        skipping the upset and stimulus bookkeeping (see the module docstring)."""
+        skipping the upset bookkeeping (see the module docstring)."""
         if self.dirty or self._pending_increments or self._edge_queue:
             return
         config = self.config
@@ -586,7 +567,7 @@ class Kernel:
         )):
             return
         c = start = self.cycle
-        stop = self._next_due(end)
+        stop = min(self._fault_schedule[0][0], end) if self._fault_schedule else end
         try:
             if not running:  # only the scrubber moves; skip_clean bounds the span
                 c = stop
@@ -597,7 +578,9 @@ class Kernel:
                     self.halted = halt
                     self.sink.append(Halt(c - 1, halt))
         except BaseException:
-            c = self.arch.cycle  # the cycle that raised
+            c = self.arch.cycle  # the cycle that raised, whose phase 1 ticks the devices
+            self.gpio.tick(c)
+            self.uart.tick(c)
             raise
         finally:
             if scrub:
@@ -605,6 +588,8 @@ class Kernel:
             self.cycle = c
         if c > start:
             self.arch.cycle = c - 1
+            self.gpio.tick(c - 1)
+            self.uart.tick(c - 1)
 
     def result(self):
         p = self.pipeline
@@ -755,7 +740,8 @@ class Kernel:
         self.event_totals = dict(misc["event_totals"])
         self._edge_queue = list(misc["edge_queue"])
         self._fault_schedule = deque(misc["fault_schedule"])  # in cycle order, as listed
-        self._schedule_gpio_inputs()
+        self.gpio.cursor = bisect_left(self.gpio.inputs, cycle, key=itemgetter(0))
+        self.uart.last_read = -1  # no read before this cycle holds a byte back
         record_events = misc["record_events"]
         if record_events != self.config.record_events:
             self.config = dataclasses.replace(self.config, record_events=record_events)

@@ -4,8 +4,12 @@ All peripheral storage registers are TMR cells, so injected upsets are masked an
 repaired under the same 1-2 cycle contract as the core's sequential elements. Host
 interaction is deterministic: GPIO input levels and UART receive bytes come from
 cycle-stamped stimulus events supplied up front, and UART transmit bytes are captured
-with their cycle of occurrence, read from the clock the UART is given: the kernel's
+with their cycle of occurrence, read from the clock each device is given: the kernel's
 ``arch.cycle``, the cycle it is simulating.
+
+Each device delivers its own stimulus, lazily: ``tick(cycle)`` leaves it as ticking
+once per cycle up to ``cycle`` would, and every read first catches up to the clock's
+cycle.
 
 Register offsets within each block are defined here; the block base addresses are
 in :mod:`tmrv32.memory`. A device names the offset in its block when it raises
@@ -43,12 +47,26 @@ class GpioBank:
     The upper 5 bits of each 32-bit register are unused and read as zero.
     """
 
-    def __init__(self):
+    def __init__(self, clock):
+        self.clock = clock
         self.direction = TmrCell("periph.gpio_dir", Domain.PERIPHERALS, GPIO_PINS, 0)
         self.out = TmrCell("periph.gpio_out", Domain.PERIPHERALS, GPIO_PINS, 0)
         self.input_levels = 0  # host-side stimulus, not a storage element
+        self.inputs = []  # (cycle, pin, level), sorted; those before cursor are driven
+        self.cursor = 0
+
+    def queue_input(self, cycle, pin, level):
+        """Host-side stimulus: drive a pin at ``cycle``, after inputs queued before."""
+        insort(self.inputs, (cycle, pin, level), key=itemgetter(0))
+
+    def tick(self, cycle):
+        """Drive every input due by ``cycle``, in order."""
+        while self.cursor < len(self.inputs) and self.inputs[self.cursor][0] <= cycle:
+            self.set_input(*self.inputs[self.cursor][1:])
+            self.cursor += 1
 
     def read(self, offset):
+        self.tick(self.clock.cycle)
         if offset == GPIO_REG_DIR:
             return self.direction.value
         if offset == GPIO_REG_OUT:
@@ -97,26 +115,30 @@ class UartModel:
         self.tx_log = []  # (cycle, byte) in transmission order
         self.rx_pending = []  # (cycle, byte), sorted; consumed as cycles pass
         self.rx_cursor = 0
+        self.last_read = -1  # the cycle of the read that last emptied the register
 
     def queue_rx(self, cycle, byte):
         """Host-side stimulus: make a byte available for reading at ``cycle``, after
         any byte queued before it for the same cycle."""
-        insort(self.rx_pending, (cycle, byte & 0xFF), key=itemgetter(0))
+        insort(self.rx_pending, (cycle, byte), key=itemgetter(0))
 
     def tick(self, cycle):
-        """Advance host-side delivery; called once per simulated cycle."""
-        if not self.rx_valid.value and self.rx_cursor < len(self.rx_pending):
+        """Deliver the next byte if it is due by ``cycle``, the holding register is
+        empty and the read that emptied it came before ``cycle``."""
+        if self.rx_cursor < len(self.rx_pending) and not self.rx_valid.value:
             due_cycle, byte = self.rx_pending[self.rx_cursor]
-            if due_cycle <= cycle:
+            if due_cycle <= cycle and self.last_read < cycle:
                 self.rx_data.write(byte)
                 self.rx_valid.write(1)
                 self.rx_cursor += 1
 
     def read(self, offset):
+        self.tick(self.clock.cycle)
         if offset == UART_REG_RX:
             if self.rx_valid.value:
                 byte = self.rx_data.value
                 self.rx_valid.write(0)
+                self.last_read = self.clock.cycle
                 return byte
             return UART_RX_EMPTY
         if offset == UART_REG_STATUS:

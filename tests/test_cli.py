@@ -279,6 +279,10 @@ def test_campaign_wrong_typed_value_is_a_config_error(tmp_path, capsys):
          "rates"),
         ({"system": {"stimulus": [["gpio-in", 5]]}}, "stimulus"),
         ({"system": {"stimulus": [["uart-rx", "x", 5]]}}, "stimulus"),
+        ({"system": {"stimulus": [["gpio-in", 30, 5, 2]]}}, "stimulus"),
+        ({"system": {"stimulus": [["gpio-in", 30, 5, -1]]}}, "stimulus"),
+        ({"system": {"stimulus": [["uart-rx", 5, -1]]}}, "stimulus"),
+        ({"system": {"stimulus": [["uart-rx", 5, 256]]}}, "stimulus"),
         ({"system": {"freq_mhz": "fast"}}, "freq_mhz"),
         ({"system": {"scrub_enabled": "no"}}, "scrub_enabled"),
         ({"system": {"record_events": "no"}}, "record_events"),
@@ -411,6 +415,10 @@ def _calibration(tmp_path, **fields):
          True),
         (lambda tmp, image: ["run", image, "--stimulus", _write(tmp, "s.txt", b"5 uart-rx \xff")],
          True),
+        (lambda tmp, image: ["run", image, "--stimulus", _write(tmp, "s.txt", b"5 gpio-in 3 2")],
+         False),
+        (lambda tmp, image: ["run", image, "--stimulus", _write(tmp, "s.txt", b"5 uart-rx 0x100")],
+         False),
         (lambda tmp, image: ["power", "--calibration", _write(tmp, "p.json", b'{"\xff": 1}')],
          True),
         (lambda tmp, image: ["campaign", _write(tmp, "c.json", b"{not json")], True),
@@ -436,6 +444,7 @@ def _calibration(tmp_path, **fields):
                              _calibration(tmp, scenarios_scrub_off_mw=[])], False),
     ],
     ids=["campaign-dir", "run-dir", "campaign-non-utf8", "stimulus-non-utf8",
+         "stimulus-level-2", "stimulus-byte-256",
          "calibration-non-utf8", "campaign-bad-json", "calibration-bad-json", "campaign-list",
          "calibration-empty", "run-elf-truncated-headers", "campaign-elf-truncated-headers",
          "run-elf-memsz-below-filesz", "run-elf-memsz-past-sram", "calibration-freq-0",

@@ -318,6 +318,25 @@ def test_stimulus_gpio_pin_out_of_range_is_a_config_error():
     assert (kernel.gpio.read(GPIO_REG_IN) >> 26) & 1
 
 
+@pytest.mark.parametrize("event, what", [
+    (("gpio-in", 30, 5, 2), "level is not 0 or 1"),
+    (("gpio-in", 30, 5, -1), "level is not 0 or 1"),
+    (("uart-rx", 5, 256), "byte is not in 0..255"),
+    (("uart-rx", 5, -1), "byte is not in 0..255"),
+])
+def test_a_stimulus_level_or_byte_out_of_range_is_a_config_error(event, what):
+    # a stimulus file and a config give the same event, and the same error
+    line = " ".join(map(str, (event[1], event[0], *event[2:])))
+    assert parse_stimulus(line) == (event,)
+    for stimulus in (parse_stimulus(line), (event,)):
+        with pytest.raises(ConfigError) as info:
+            Kernel(SystemConfig(stimulus=stimulus))
+        assert str(info.value) == f"stimulus event {list(event)!r}: {what}"
+    for event in (("gpio-in", 30, 5, 0), ("gpio-in", 30, 5, 1), ("uart-rx", 5, 0),
+                  ("uart-rx", 5, 255)):  # the limits
+        Kernel(SystemConfig(stimulus=(event,)))
+
+
 def test_stimulus_before_cycle_0_is_a_config_error():
     # a GPIO input would never land, and a UART byte would land at cycle 0
     for event in (("gpio-in", -5, 3, 1), ("uart-rx", -5, 0x41)):
@@ -853,6 +872,7 @@ QUIET_STIMULUS = (
 QUIET_SETTINGS = {
     "sink": (dict(record_events=True), False),
     "no-sink": (dict(), False),
+    "stimulus-no-sink": (dict(stimulus=QUIET_STIMULUS), False),  # regions run here
     "flips": (dict(record_events=True), True),
     "flips-no-sink": (dict(), True),
     "flips-scrub-off": (dict(scrub_enabled=False, record_events=True), True),
@@ -951,6 +971,99 @@ def test_a_fault_free_running_core_rarely_single_steps():
         assert _fast_outcome(kernel, end) is None
         assert kernel.cycle == (length if end is None else end)
         assert len(steps) < kernel.cycle // 100
+
+
+def _counted_loop(passes):
+    """A loop that touches no device, three cycles a pass, then ``ebreak``."""
+    p = E.Program()
+    p.emit(E.addi(5, 0, passes))
+    p.label("loop")
+    p.emit(E.addi(5, 5, -1))
+    p.branch(E.bne, 5, 0, "loop")
+    p.emit(E.ebreak())
+    return p.assemble()
+
+
+def _count_steps(kernel):
+    """Make ``kernel`` count its ``step_cycle`` calls into the returned list."""
+    steps = []
+    step = kernel.step_cycle
+
+    def counted_step():
+        steps.append(kernel.cycle)
+        step()
+
+    kernel.step_cycle = counted_step
+    return steps
+
+
+def test_a_held_uart_byte_does_not_make_a_running_core_single_step():
+    # The core never reads the UART, so the byte due at cycle 10 stays held and the
+    # one due at 11 never lands; no span has to stop for either.
+    config = SystemConfig(
+        image=_counted_loop(2000), stimulus=(("uart-rx", 10, 0x41), ("uart-rx", 11, 0x42))
+    )
+    plain, fast = Kernel(config), Kernel(config)
+    steps = _count_steps(fast)
+    assert _fast_outcome(fast, None) == _stepped_outcome(plain, None) is None
+    assert fast.cycle > 6000 and len(steps) <= 4
+    _assert_same_run(plain, fast)
+    assert fast.uart.rx_cursor == 1 and fast.uart.rx_valid.value == 1
+
+
+def test_short_spans_over_uart_reads_match_single_steps_at_every_boundary():
+    # Some span ends on the cycle of a read that empties the holding register while
+    # the next byte is due; that byte must not land before the next cycle.
+    stimulus = (("uart-rx", 5, 0x41), ("uart-rx", 6, 0x42), ("uart-rx", 6, 0x43),
+                ("gpio-in", 7, 2, 1), ("uart-rx", 60, 0x44), ("uart-rx", 61, 0x45))
+    config = SystemConfig(image=_loop_then(E.ebreak(), passes=12), stimulus=stimulus)
+    plain, fast = Kernel(config), Kernel(config)
+    rng = np.random.default_rng(0)
+    while fast.halted is None:
+        fast.run_cycles(int(rng.integers(1, 4)))
+        _stepped_outcome(plain, fast.cycle)
+        _assert_same_run(plain, fast)
+    assert fast.uart.tx_bytes() == b"ABCDE"
+
+
+def test_a_halted_core_runs_past_due_stimulus_in_one_span():
+    stimulus = (("gpio-in", 100, 3, 1), ("uart-rx", 150, 0x41), ("uart-rx", 150, 0x42),
+                ("gpio-in", 150, 4, 1), ("gpio-in", 900, 3, 0), ("uart-rx", 2000, 0x43))
+    config = SystemConfig(image=E.ebreak().to_bytes(4, "little"), stimulus=stimulus)
+    plain, fast = Kernel(config), Kernel(config)
+    for kernel in (plain, fast):
+        kernel.run()
+    assert fast.cycle < 100
+    spans = []
+    fast_forward = fast._fast_forward
+    fast._fast_forward = lambda end: (spans.append(fast.cycle), fast_forward(end))
+    steps = _count_steps(fast)
+    fast.run_cycles(5000)
+    _stepped_outcome(plain, fast.cycle)
+    assert len(spans) == 1 and steps == []
+    _assert_same_run(plain, fast)
+    assert fast.gpio.input_levels == 1 << 4 and fast.uart.rx_cursor == 1
+
+
+@pytest.mark.parametrize("due", [0, 1, 5])
+def test_a_span_that_raises_where_stimulus_is_due_matches_single_steps(due):
+    # The load after the loop faults at cycle r; a GPIO input and two UART bytes
+    # are due ``due`` cycles before it, inside the span that raises.
+    image = _counted_loop(30)[:-4] + b"".join(
+        ins.to_bytes(4, "little") for ins in (E.lui(3, 0x20000), E.lw(4, 3, 0))
+    )
+    raised = Kernel(SystemConfig(image=image))
+    assert _stepped_outcome(raised, None)[0] is BusFault
+    r = raised.cycle - due
+    stimulus = (("gpio-in", r, 6, 1), ("uart-rx", r, 0x41), ("uart-rx", r, 0x42))
+    config = SystemConfig(image=image, stimulus=stimulus)
+    plain, fast = Kernel(config), Kernel(config)
+    steps = _count_steps(fast)
+    outcome = _fast_outcome(fast, None)
+    assert outcome == _stepped_outcome(plain, None) and outcome[0] is BusFault
+    assert steps == []  # the raise came from a span
+    _assert_same_run(plain, fast)
+    assert fast.gpio.input_levels == 1 << 6 and fast.uart.rx_data.value == 0x41
 
 
 def _site_loop(step, passes=48, tail=E.ebreak()):
@@ -1419,7 +1532,7 @@ def test_resumed_schedules_hold_nothing_before_the_resume_cycle():
     resumed.resume(source.checkpoint())
     restored.restore(source.snapshot())
     for kernel in (resumed, restored):
-        assert [e[1] for e in kernel._gpio_schedule] == [250]
+        assert kernel.gpio.inputs[kernel.gpio.cursor :] == [(250, 4, 1)]
         assert [e[0] for e in kernel._fault_schedule] == [220, 220, 260]
         kernel.run_cycles(300)
         assert kernel.gpio.input_levels == straight.gpio.input_levels

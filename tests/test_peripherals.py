@@ -26,7 +26,7 @@ from tmrv32.tmr import Domain
 
 
 def test_gpio_output_pin_reads_driven_value():
-    gpio = GpioBank()
+    gpio = GpioBank(ArchState())
     gpio.write(GPIO_REG_DIR, 1 << 3)
     gpio.write(GPIO_REG_OUT, 1 << 3)
     assert (gpio.read(GPIO_REG_IN) >> 3) & 1 == 1
@@ -35,7 +35,7 @@ def test_gpio_output_pin_reads_driven_value():
 
 
 def test_gpio_input_pin_reflects_stimulus():
-    gpio = GpioBank()
+    gpio = GpioBank(ArchState())
     gpio.set_input(5, 1)
     assert (gpio.read(GPIO_REG_IN) >> 5) & 1 == 1
     assert gpio.read(GPIO_REG_IN) & (1 << 5)
@@ -44,26 +44,26 @@ def test_gpio_input_pin_reflects_stimulus():
 
 
 def test_gpio_direction_masks_input():
-    gpio = GpioBank()
+    gpio = GpioBank(ArchState())
     gpio.set_input(2, 1)
     gpio.write(GPIO_REG_DIR, 1 << 2)  # output now; stimulus no longer visible
     assert (gpio.read(GPIO_REG_IN) >> 2) & 1 == 0
 
 
 def test_gpio_pin_27_faults():
-    gpio = GpioBank()
+    gpio = GpioBank(ArchState())
     with pytest.raises(BusFault):
         gpio.set_input(27, 1)
 
 
 def test_gpio_unused_register_bits_read_zero():
-    gpio = GpioBank()
+    gpio = GpioBank(ArchState())
     gpio.write(GPIO_REG_OUT, 0xFFFFFFFF)
     assert gpio.read(GPIO_REG_OUT) == (1 << 27) - 1
 
 
 def test_gpio_unmapped_offset_faults():
-    gpio = GpioBank()
+    gpio = GpioBank(ArchState())
     with pytest.raises(BusFault):
         gpio.read(0x0C)
     with pytest.raises(BusFault):
@@ -92,6 +92,35 @@ def test_uart_rx_queue_and_status():
     assert uart.read(UART_REG_STATUS) & UART_STATUS_RX_AVAIL
     assert uart.read(UART_REG_RX) == 0x42
     assert uart.read(UART_REG_RX) == UART_RX_EMPTY
+
+
+def test_a_read_holds_the_next_byte_until_the_next_cycle():
+    clock = ArchState()
+    uart = UartModel(clock)
+    uart.queue_rx(3, 0x41)
+    uart.queue_rx(3, 0x42)
+    clock.cycle = 7
+    assert uart.read(UART_REG_RX) == 0x41  # the read catches up first
+    uart.tick(7)
+    assert uart.read(UART_REG_STATUS) == UART_STATUS_TX_READY  # emptied at cycle 7
+    uart.tick(8)
+    assert uart.read(UART_REG_STATUS) & UART_STATUS_RX_AVAIL
+    clock.cycle = 8
+    assert uart.read(UART_REG_RX) == 0x42
+    assert uart.read(UART_REG_RX) == UART_RX_EMPTY
+
+
+def test_gpio_tick_drives_every_due_input_in_listed_order():
+    clock = ArchState()
+    gpio = GpioBank(clock)
+    for cycle, pin, level in ((5, 3, 1), (9, 1, 1), (5, 3, 0), (4, 2, 1), (5, 4, 1)):
+        gpio.queue_input(cycle, pin, level)
+    gpio.tick(3)
+    assert gpio.input_levels == 0
+    gpio.tick(5)
+    assert gpio.input_levels == 1 << 2 | 1 << 4  # pin 3 went high, then low
+    clock.cycle = 9
+    assert gpio.read(GPIO_REG_IN) == 1 << 1 | 1 << 2 | 1 << 4  # the read catches up
 
 
 def test_uart_loopback_256_values():
