@@ -24,7 +24,7 @@ through its writeback latch.
 The semantics of the register-register, immediate, branch and load operations are
 written once, as Python expressions in ``_ALU_RR``, ``_ALU_IMM``, ``_BRANCH_TAKEN``
 and ``_LOAD``. The handlers and ``ins.load`` call them, compiled once per operation,
-and the pipeline's translator inlines them into its translated regions.
+and the translator (:mod:`tmrv32.regions`) inlines them into its regions.
 """
 
 import functools
@@ -389,8 +389,8 @@ def _rems(a, b):
 # source register's value and {b} the second one's, or the sign-extended
 # immediate. Register values are 32-bit unsigned, so
 # ``(({a} ^ 0x80000000) - 0x80000000)`` reads one as signed. The handlers call
-# each as a function (``_function``), and the pipeline's translator inlines it
-# into its regions. A result is masked to 32 bits where it is used, which also
+# each as a function (``_function``), and the translator (``regions.py``) inlines
+# it into its regions. A result is masked to 32 bits where it is used, which also
 # turns a comparison's bool into 0 or 1.
 _ALU_RR = {
     "add": "{a} + {b}",

@@ -24,7 +24,7 @@ from conftest import (
 )
 
 from tmrv32 import encode as E
-from tmrv32 import pipeline
+from tmrv32 import pipeline, regions
 from tmrv32.errors import (
     AlignmentFault,
     BusFault,
@@ -738,11 +738,11 @@ def _nested_loops():
 
 
 def _long_body(passes=40):
-    """A counted loop whose straight-line body is longer than ``pipeline._MAX_BLOCK``."""
+    """A counted loop whose straight-line body is longer than ``regions._MAX_BLOCK``."""
     p = E.Program()
     p.emit(E.addi(20, 0, passes), E.addi(5, 0, 1))
     p.label("loop")
-    for i in range(pipeline._MAX_BLOCK + 8):
+    for i in range(regions._MAX_BLOCK + 8):
         rd, rs = 6 + i % 4, 6 + (i + 1) % 4
         p.emit((E.add(rd, rd, rs), E.xor(rd, rd, 5), E.addi(rd, rs, i))[i % 3])
     p.emit(E.addi(20, 20, -1))
@@ -1081,7 +1081,7 @@ def _site_loop(step, passes=48, tail=E.ebreak()):
 
 
 # A budget at least any region's need: a first block's longest path
-_ANY_NEED = 2 * pipeline._MAX_BLOCK + 1
+_ANY_NEED = 2 * regions._MAX_BLOCK + 1
 
 
 def _call(region, budget, regs, bank):
@@ -1188,13 +1188,13 @@ def test_a_pc_where_no_block_can_start_is_translated_once_per_code(monkeypatch):
     # that patches it to another CSR read makes it translated again.
     monkeypatch.setattr(pipeline, "_blocks", {})
     translated = collections.Counter()
-    translate = pipeline._translate
+    translate = regions.translate
 
     def counted(pc, bank):
         translated[pc] += 1
         return translate(pc, bank)
 
-    monkeypatch.setattr(pipeline, "_translate", counted)
+    monkeypatch.setattr(regions, "translate", counted)
     image, head = _csr_loop(), 8
     assert int.from_bytes(image[head:head + 4], "little") == E.csrrs(5, CSR_CYCLE)
     for patch in (None, None, None, E.csrrs(5, CSR_INSTRET)):
