@@ -18,8 +18,9 @@ both latches (a pending write to x0 included), the pc, the idle cause, the count
 stores the registers in one epilogue and is a
 
 * stay exit, with an instruction of the region in the fetch latch and idle cause
-  ``fill``: before a block whose longest path does not fit in the span, and before a
-  load or store not to an aligned SRAM address or a store into the region's rows;
+  ``fill``: before a block whose longest path does not fit in the span, before a load
+  or store not to an aligned SRAM address or a store into the region's rows, and
+  before a branch not taken whose fall-through fetch could fault;
 * fall-through exit, the same with the next instruction: after a block no branch or
   jump ends (CSR reads, ``ecall``/``ebreak``, ``fence``, illegal encodings and
   fetches that could fault end one), or a branch not taken to no internal edge;
@@ -78,8 +79,8 @@ def _body(pc, bank):
             break
         op = ins.mnemonic
         nxt = (pc + ins.length) & M32
-        # every cycle but a jump's fetches the next instruction
-        if op not in _TRANSLATED or op not in ("jal", "jalr") and _window(bank, nxt) is None:
+        # every cycle but a transfer's fetches the next instruction
+        if op not in _TRANSLATED or op not in _TRANSFERS and _window(bank, nxt) is None:
             break
         body.append((pc, raw, ins))
         if op in _TRANSFERS:
@@ -196,12 +197,19 @@ def translate(pc0, bank):
                 cycles += 2
                 stalls += 1
             elif op in _BRANCH_TAKEN:
+                taken = expression(_BRANCH_TAKEN, op, read(ins.rs1), read(ins.rs2))
+                nxt = (pc + ins.length) & M32
+                faults = _window(bank, nxt) is None  # the fetch after it, if not taken
+                if faults:  # leave it to the per-cycle loop, which raises the fault
+                    emit(f"if not ({taken}):")
+                    leave("    ", *stay, (pc, raw), nxt, "fill")
                 cycles += 1
                 move("", (), committed)  # both ways commit the same registers
-                emit(f"if {expression(_BRANCH_TAKEN, op, read(ins.rs1), read(ins.rs2))}:")
+                emit(f"if {taken}:")
                 fall = (cycles, stalls, 0, None)
                 goto("    ", (pc + ins.imm) & M32, (cycles + 1, stalls, 1, None), {}, (fall, {}))
-                goto("", (pc + ins.length) & M32, fall, {})
+                if not faults:
+                    goto("", nxt, fall, {})
             elif op in ("jal", "jalr"):
                 cycles += 1
                 link = (pc + ins.length) & M32

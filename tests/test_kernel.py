@@ -1354,6 +1354,23 @@ def test_loads_in_a_region_match_the_reference_model(monkeypatch, program):
     assert any(done for _, done, _ in blocks.calls)  # the loop ran as a region
 
 
+def test_a_loop_closing_on_the_last_word_of_sram_takes_its_branch_in_its_region(monkeypatch):
+    # The fetch after the closing ``bne`` at 0x7FFC would fault, so the region leaves
+    # before that branch only when it is not taken; the per-cycle loop then runs it and
+    # raises. Every taken pass runs in the region, so one call runs most of the run.
+    blocks = _CheckedBlocks()
+    monkeypatch.setattr(pipeline, "_blocks", blocks)
+    image, max_cycles, raises = QUIET_PROGRAMS["sram-end"]
+    config = SystemConfig(image=image(), max_cycles=max_cycles)
+    plain, fast = Kernel(config), Kernel(config)
+    outcome = _fast_outcome(fast, None)
+    assert outcome == _stepped_outcome(plain, None)
+    assert outcome[0] is raises and "0x00008000" in outcome[1]
+    _assert_same_run(plain, fast)
+    assert len(blocks.calls) <= 2
+    assert sum(done[0] for _, done, _ in blocks.calls if done) > 450
+
+
 # Programs whose upset runs leave no span a region can run, with or without a stream:
 # the random programs halt after about 33 cycles with an upset every few cycles, and
 # load-lanes' first upset dirties an SRAM row the scrubber reaches only after the
