@@ -150,6 +150,28 @@ class SystemConfig:
         for name in ("scrub_enabled", "record_events"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        stimulus, sequence = self.stimulus, (list, tuple)
+        if not isinstance(stimulus, sequence) or not all(isinstance(e, sequence) for e in stimulus):
+            raise ConfigError(
+                f"stimulus must be a list or tuple of lists or tuples, got {stimulus!r}"
+            )
+        for event in stimulus:
+            kind, *values = event or (None,)
+            if kind not in ("uart-rx", "gpio-in"):
+                raise ConfigError(f"unknown stimulus event kind {kind!r}")
+            arity = 2 if kind == "uart-rx" else 3
+            if len(values) != arity or not all(type(v) is int for v in values):
+                raise ConfigError(f"stimulus event {list(event)!r}: {kind} takes {arity} integers")
+            if values[0] < 0:  # it would never land
+                raise ConfigError(f"stimulus event {list(event)!r}: cycle {values[0]} is before 0")
+            if kind == "uart-rx":
+                if not 0 <= values[1] <= 0xFF:
+                    raise ConfigError(f"stimulus event {list(event)!r}: byte is not in 0..255")
+            elif not 0 <= values[1] < GPIO_PINS:
+                raise ConfigError(f"no such GPIO pin {values[1]} (0..{GPIO_PINS - 1})")
+            elif values[2] not in (0, 1):
+                raise ConfigError(f"stimulus event {list(event)!r}: level is not 0 or 1")
+        self.stimulus = tuple(map(tuple, stimulus))  # JSON arrays become tuples
 
     def to_dict(self, include_image=True):
         d = {
@@ -177,7 +199,6 @@ class SystemConfig:
         try:
             if "image_hex" in d:
                 d["image"] = bytes.fromhex(d.pop("image_hex"))
-            d["stimulus"] = tuple(tuple(e) for e in d.get("stimulus", ()))
             return cls(**d)
         except (TypeError, ValueError) as exc:  # the message names an unknown field
             raise ConfigError(f"system config: {exc}") from None
@@ -250,7 +271,7 @@ def parse_stimulus(text):
 
     Lines are ``<cycle> uart-rx <byte>`` or ``<cycle> gpio-in <pin> <0|1>``;
     ``#`` starts a comment. Bytes and pins accept decimal or 0x-prefixed hex. Values
-    are checked, as in a config, by :class:`Kernel`.
+    are checked, as in a config, by :class:`SystemConfig`.
     """
     events = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -317,25 +338,8 @@ class Kernel:
         elif config.entry_pc is not None:
             self.arch.pc.write(config.entry_pc)
 
-        for event in config.stimulus:
-            kind, *values = event or (None,)
-            if kind not in ("uart-rx", "gpio-in"):
-                raise ConfigError(f"unknown stimulus event kind {kind!r}")
-            arity = 2 if kind == "uart-rx" else 3
-            if len(values) != arity or not all(type(v) is int for v in values):
-                raise ConfigError(f"stimulus event {list(event)!r}: {kind} takes {arity} integers")
-            if values[0] < 0:  # it would never land
-                raise ConfigError(f"stimulus event {list(event)!r}: cycle {values[0]} is before 0")
-            if kind == "uart-rx":
-                if not 0 <= values[1] <= 0xFF:
-                    raise ConfigError(f"stimulus event {list(event)!r}: byte is not in 0..255")
-                self.uart.queue_rx(*values)
-            elif not 0 <= values[1] < GPIO_PINS:
-                raise ConfigError(f"no such GPIO pin {values[1]} (0..{GPIO_PINS - 1})")
-            elif values[2] not in (0, 1):
-                raise ConfigError(f"stimulus event {list(event)!r}: level is not 0 or 1")
-            else:
-                self.gpio.queue_input(*values)
+        for kind, *values in config.stimulus:  # checked by SystemConfig
+            (self.uart.queue_rx if kind == "uart-rx" else self.gpio.queue_input)(*values)
 
     def _all_cells(self):
         yield from self.arch.cells()

@@ -79,7 +79,8 @@ def _body(pc, bank):
             break
         op = ins.mnemonic
         nxt = (pc + ins.length) & M32
-        # every cycle but a transfer's fetches the next instruction
+        # every cycle but a transfer's fetches the next instruction (a region leaves
+        # before a branch that would fall through to a fetch that could fault)
         if op not in _TRANSLATED or op not in _TRANSFERS and _window(bank, nxt) is None:
             break
         body.append((pc, raw, ins))

@@ -261,6 +261,8 @@ def test_campaign_malformed_config_is_a_config_error(tmp_path, capsys):
         ({"system": {}, "mode": "accumulate", "run_cycles": 100, "rates": {"disk": 0.1}},
          "rate domain 'disk'"),
         ({"system": {}, "version": 2}, "version"),
+        ({"system": {"stimulus": "gpio"}}, "stimulus must be a list or tuple"),
+        ({"system": {"stimulus": [5]}}, "stimulus must be a list or tuple"),
     ]
     _assert_config_errors(tmp_path, capsys, cases)
 

@@ -5,7 +5,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -312,7 +315,7 @@ def test_image_fields_take_their_whole_range(tmp_path):
 def test_stimulus_gpio_pin_out_of_range_is_a_config_error():
     for pin in (27, 40, -1):
         with pytest.raises(ConfigError, match="no such GPIO pin"):
-            Kernel(SystemConfig(stimulus=(("gpio-in", 5, pin, 1),)))
+            SystemConfig(stimulus=(("gpio-in", 5, pin, 1),))
     kernel = make_kernel(alu_block_program(), stimulus=(("gpio-in", 5, 26, 1),))  # the last pin
     kernel.run_cycles(10)
     assert (kernel.gpio.read(GPIO_REG_IN) >> 26) & 1
@@ -330,7 +333,7 @@ def test_a_stimulus_level_or_byte_out_of_range_is_a_config_error(event, what):
     assert parse_stimulus(line) == (event,)
     for stimulus in (parse_stimulus(line), (event,)):
         with pytest.raises(ConfigError) as info:
-            Kernel(SystemConfig(stimulus=stimulus))
+            SystemConfig(stimulus=stimulus)
         assert str(info.value) == f"stimulus event {list(event)!r}: {what}"
     for event in (("gpio-in", 30, 5, 0), ("gpio-in", 30, 5, 1), ("uart-rx", 5, 0),
                   ("uart-rx", 5, 255)):  # the limits
@@ -341,10 +344,29 @@ def test_stimulus_before_cycle_0_is_a_config_error():
     # a GPIO input would never land, and a UART byte would land at cycle 0
     for event in (("gpio-in", -5, 3, 1), ("uart-rx", -5, 0x41)):
         with pytest.raises(ConfigError, match=r"stimulus event \[.*-5.*\]: cycle -5 is before 0"):
-            Kernel(SystemConfig(stimulus=(event,)))
+            SystemConfig(stimulus=(event,))
     kernel = make_kernel(alu_block_program(), stimulus=(("gpio-in", 0, 3, 1),))  # cycle 0 lands
     kernel.run_cycles(1)
     assert (kernel.gpio.read(GPIO_REG_IN) >> 3) & 1
+
+
+@pytest.mark.parametrize("stimulus, message", [
+    ((5,), "stimulus must be a list or tuple of lists or tuples, got (5,)"),
+    ("gpio", "stimulus must be a list or tuple of lists or tuples, got 'gpio'"),
+    ((("gpio", 5, 3, 1),), "unknown stimulus event kind 'gpio'"),
+    (((),), "unknown stimulus event kind None"),
+    ((("uart-rx", 5),), "stimulus event ['uart-rx', 5]: uart-rx takes 2 integers"),
+    ((("gpio-in", 5, 3.0, 1),), "stimulus event ['gpio-in', 5, 3.0, 1]: gpio-in takes 3 integers"),
+])
+def test_a_malformed_stimulus_is_rejected_with_the_rest_of_the_config(stimulus, message):
+    with pytest.raises(ConfigError) as info:
+        SystemConfig(stimulus=stimulus)
+    assert str(info.value) == message
+
+
+def test_a_stimulus_of_lists_is_held_as_tuples():
+    config = SystemConfig(stimulus=[["uart-rx", 9, 1], ("gpio-in", 3, 2, 1)])
+    assert config.stimulus == (("uart-rx", 9, 1), ("gpio-in", 3, 2, 1))
 
 
 def test_many_uart_rx_events_queue_in_stable_cycle_order():
@@ -1208,6 +1230,39 @@ def test_a_pc_where_no_block_can_start_is_translated_once_per_code(monkeypatch):
             assert translated[head] == 1
             assert set(translated.values()) == {1}  # no pc twice while its code is the same
     assert translated[head] == 2
+
+
+def test_regions_are_compiled_as_block_functions_of_regions_py(monkeypatch):
+    # so a profile shows region time in the translator's file, one function per region
+    monkeypatch.setattr(pipeline, "_blocks", {})
+    make_kernel(_nested_loops()).run()
+    assert pipeline._blocks
+    for pc, region in pipeline._blocks.items():
+        assert os.path.basename(region.__code__.co_filename) == "regions.py"
+        assert region.__code__.co_name == f"block_{pc:x}"
+
+
+def test_the_translator_is_imported_at_the_first_translation():
+    # The acceptance program's loop makes 10 passes, fewer than _HOT_ENTRIES, so one
+    # run of it in a fresh process makes no region and compiles no translator; a
+    # second run makes its loop's region.
+    assert 10 < pipeline._HOT_ENTRIES <= 2 * 10
+    image = acceptance_program().assemble().hex()
+    code = (
+        "import sys\n"
+        "import tmrv32, tmrv32.seu, tmrv32.cli\n"
+        "from tmrv32 import pipeline\n"
+        "from tmrv32.kernel import Kernel, SystemConfig\n"
+        f"config = SystemConfig(image=bytes.fromhex({image!r}))\n"
+        "assert Kernel(config).run().halt == 'ebreak'\n"
+        "assert 'tmrv32.regions' not in sys.modules, 'imported with no region made'\n"
+        "assert Kernel(config).run().halt == 'ebreak'\n"
+        "assert pipeline._blocks and 'tmrv32.regions' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _nested_region(monkeypatch):
