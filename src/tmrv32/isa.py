@@ -29,11 +29,13 @@ and the translator (:mod:`tmrv32.regions`) inlines them into its regions.
 
 import functools
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import IllegalInstruction
 from .tmr import Domain, TmrCell
 
 M32 = 0xFFFFFFFF
+_REG_NAMES = tuple(f"core.x{i}" for i in range(32))  # the register cells' element ids
 
 # CSR numbers for the read-only counters exposed to software.
 CSR_CYCLE = 0xC00
@@ -345,7 +347,7 @@ class ArchState:
 
     def __init__(self):
         self.pc = TmrCell("core.pc", Domain.CORE, 32, 0)
-        self.regs = [TmrCell(f"core.x{i}", Domain.CORE, 32, 0) for i in range(32)]
+        self.regs = list(map(TmrCell, _REG_NAMES, repeat(Domain.CORE)))
         self.cycle = 0
         self.retired = 0  # instructions retired; the instret CSR reads it
 
@@ -353,11 +355,10 @@ class ArchState:
         return 0 if i == 0 else self.regs[i].value
 
     def cells(self):
-        yield self.pc
-        yield from self.regs
+        return (self.pc, *self.regs)
 
     def reg_values(self):
-        return [self.read_reg(i) for i in range(32)]
+        return [0] + [reg.value for reg in self.regs[1:]]
 
 
 # ---------------------------------------------------------------------------

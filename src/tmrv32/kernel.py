@@ -59,10 +59,10 @@ aggregation have nothing to do and every due scrub step is a clean read. A
 running core's span is one ``Pipeline.advance`` call, the call ``step_cycle``
 makes for its one cycle; on a halted core only the scrubber moves. One
 ``Scrubber.skip_clean`` call catches the scan up at the end, also when the
-pipeline raises, and then the kernel stands at the cycle that raised. The GPIO bank
-and the UART catch up there too, as ``step_cycle`` ticks them in phase 1: flips land
-only in ``step_cycle``, so in between only a device read, which catches up itself,
-sees their stimulus. A span stops
+pipeline raises, and then the kernel stands at the cycle that raised. With stimulus,
+the GPIO bank and the UART catch up there too, as ``step_cycle`` ticks them in phase 1:
+flips land only in ``step_cycle``, so in between only a device read, which catches up
+itself, sees their stimulus. A span stops
 
 * at the end of the run or the call;
 * at the next cycle with a scheduled flip (the fault schedule's head);
@@ -311,13 +311,9 @@ class Kernel:
 
         self.bus = SystemBus(self.sram, (self.gpio, self.uart, self.counters))
 
-        self.registry = {}
-        for cell in self._all_cells():
-            self.registry[cell.element_id] = cell
+        parts = (self.arch, self.pipeline, self.scrubber, self.gpio, self.uart, self.counters)
+        self.registry = {cell.element_id: cell for part in parts for cell in part.cells()}
         self.dirty = set()  # every cell whose replicas disagree, and maybe clean ones
-        # record_events, the one field resume may change, is not in this encoding
-        cfg = config.to_dict(include_image=False)
-        self._config_json = json.dumps(cfg, sort_keys=True).encode()
 
         self.sink = []  # the event stream
         self.event_totals = {Domain.CORE: 0, Domain.SRAM: 0, Domain.PERIPHERALS: 0}
@@ -340,14 +336,6 @@ class Kernel:
 
         for kind, *values in config.stimulus:  # checked by SystemConfig
             (self.uart.queue_rx if kind == "uart-rx" else self.gpio.queue_input)(*values)
-
-    def _all_cells(self):
-        yield from self.arch.cells()
-        yield from self.pipeline.cells()
-        yield from self.scrubber.cells()
-        yield from self.gpio.cells()
-        yield from self.uart.cells()
-        yield from self.counters.cells()
 
     def cells_in_domain(self, domain):
         return [c.element_id for c in self.registry.values() if c.domain == domain]
@@ -592,8 +580,9 @@ class Kernel:
             self.cycle = c
         if c > start:
             self.arch.cycle = c - 1
-            self.gpio.tick(c - 1)
-            self.uart.tick(c - 1)
+            if config.stimulus:
+                self.gpio.tick(c - 1)
+                self.uart.tick(c - 1)
 
     def result(self):
         p = self.pipeline
@@ -699,13 +688,14 @@ class Kernel:
         else:
             banks = (b0.tobytes(),) * 3
         values = [cell.value for cell in self.registry.values()]
-        upsets = ()
-        if self.dirty:
-            upsets = tuple(
-                (i, cell.replicas)
-                for i, cell in enumerate(self.registry.values()) if cell.discrepancy
-            )
-        return Checkpoint(self.cycle, values, upsets, banks, self._misc_state())
+        return Checkpoint(self.cycle, values, self._upsets(), banks, self._misc_state())
+
+    def _upsets(self):
+        """``(index, (r0, r1, r2))`` in index order for each cell whose replicas disagree."""
+        if not self.dirty:
+            return ()
+        cells = enumerate(self.registry.values())
+        return tuple((i, cell.replicas) for i, cell in cells if cell.discrepancy)
 
     def resume(self, checkpoint):
         """Overwrite this kernel's state with a :meth:`checkpoint` of a kernel of the same
@@ -713,6 +703,9 @@ class Kernel:
         cell takes its value, only the upset cells get three replicas, and they make up
         the dirty set. The checkpoint stays as it was, for any number of resumes. The event
         stream starts empty; ``record_events`` is taken from the checkpoint.
+
+        A clean checkpoint costs one pass over the cells and one copy of bank 0, which
+        the other banks then share (:meth:`SramArray.restore_banks`); a dirty one, three.
         """
         cycle, values, upsets, banks, misc = checkpoint
         for cell in self.dirty:
@@ -752,25 +745,37 @@ class Kernel:
         self.sink = []
 
     def matches(self, other):
-        """True iff ``other``'s :meth:`checkpoint` equals this kernel's but for the three
-        SEU counter cells (last in the registry) and the event totals. Two matching
+        """True iff ``other``'s :meth:`checkpoint` would equal this kernel's but for the
+        three SEU counter cells (last in the registry) and the event totals. Two matching
         kernels of one configuration run on identically, counters and event totals
         apart, until the core reads the SEU counter block.
 
-        The fields are compared cheapest first: the cycle, the values, the upsets, the
-        misc state and the banks."""
-        a, b = self.checkpoint(), other.checkpoint()
-        if a.cycle != b.cycle or a.values[:-3] != b.values[:-3]:
+        It reads both kernels' live state and builds no checkpoint, cheapest first: the
+        cycle, the values, the upsets, the dirty rows, the misc state and then only bank 0
+        while no row is dirty (each bank then equals it), else all three banks."""
+        if self.cycle != other.cycle:
             return False
-        counters = len(a.values) - 3
-        if a.upsets != b.upsets and (
-            [u for u in a.upsets if u[0] < counters] != [u for u in b.upsets if u[0] < counters]
+        values = [cell.value for cell in self.registry.values()]
+        if values[:-3] != [cell.value for cell in other.registry.values()][:-3]:
+            return False
+        counters = len(values) - 3
+        if (self.dirty or other.dirty) and (
+            [u for u in self._upsets() if u[0] < counters]
+            != [u for u in other._upsets() if u[0] < counters]
         ):
             return False
-        a.misc["event_totals"] = b.misc["event_totals"]  # both checkpoints are this call's own
-        if a.misc != b.misc:
+        mine, theirs = self.sram, other.sram
+        misc, other_misc = self._misc_state(), other._misc_state()
+        misc["event_totals"] = other_misc["event_totals"]
+        if mine.dirty != theirs.dirty or misc != other_misc:  # dirty is exact: banks differ
             return False
-        return a.banks == b.banks
+        banks = zip(mine.banks, theirs.banks) if mine.dirty else [(mine.banks[0], theirs.banks[0])]
+        return all(a.tobytes() == b.tobytes() for a, b in banks)
+
+    def _config_json(self):
+        """The configuration as a snapshot holds it; ``record_events``, the one field
+        resume may change, is not in it."""
+        return json.dumps(self.config.to_dict(include_image=False), sort_keys=True).encode()
 
     def snapshot(self):
         """:meth:`checkpoint` in the snapshot byte layout of docs/formats.md: each cell's
@@ -779,7 +784,7 @@ class Kernel:
         words = list(chain.from_iterable(zip(values, values, values)))
         for index, replicas in upsets:
             words[3 * index : 3 * index + 3] = replicas
-        cfg = self._config_json
+        cfg = self._config_json()
         blob = json.dumps(misc, sort_keys=True).encode()
         return b"".join((
             SNAPSHOT_MAGIC, struct.pack("<HQI", SNAPSHOT_VERSION, cycle, len(cfg)), cfg,
@@ -827,7 +832,7 @@ class Kernel:
         and leave the kernel as it was. The fault schedule may be listed in any order.
         """
         version, cycle, cfg, off = self._snapshot_header(data)
-        if cfg != self._config_json:
+        if cfg != self._config_json():
             raise ConfigError("snapshot was taken under a different configuration")
         cells = self.registry.values()
         rows = self.sram.rows

@@ -43,13 +43,18 @@ class SramArray:
     so clean rows are read without voting and bulk images cost a copy, not a vote.
     The array reports nothing else: a port that repairs a row only takes it out of
     ``dirty``, so an owner that needs repairs compares its size around an access.
+
+    The three ``banks`` may be one array, shared while no replica differs: :meth:`flip`
+    gives banks 1 and 2 copies of their own before it upsets one, and
+    :meth:`restore_banks` shares bank 0 again for equal replicas. Every other write
+    stores one word in all three.
     """
 
     def __init__(self, rows=SRAM_ROWS):
         if rows < 1:
             raise ValueError("SRAM needs at least one row")
         self.rows = rows
-        self.banks = [array("I", [0]) * rows for _ in range(3)]
+        self.banks = [array("I", [0]) * rows] * 3  # one array until a replica differs
         self.dirty = set()
 
     def _vote_row(self, row):
@@ -97,6 +102,8 @@ class SramArray:
         if not 0 <= bit < 32:
             raise ValueError(f"bit must be 0..31, got {bit}")
         b0, b1, b2 = self.banks
+        if b1 is b0:  # the banks are one array: give replicas 1 and 2 their own
+            self.banks[1:] = b1, b2 = b0[:], b0[:]
         self.banks[replica][row] ^= 1 << bit
         if b0[row] == b1[row] == b2[row]:
             self.dirty.discard(row)
@@ -129,17 +136,20 @@ class SramArray:
         return words.tobytes()
 
     def restore_banks(self, raw_banks):
-        """Set the three replica banks from raw bytes (checkpoint support); rebuilds ``dirty``."""
-        for bank, raw in zip(self.banks, raw_banks):
-            with memoryview(bank).cast("B") as view:
-                view[:] = raw
+        """Set the three replica banks from raw bytes (checkpoint support); rebuilds ``dirty``.
+        Three equal byte strings (a clean checkpoint holds one three times) are copied
+        once, into bank 0, which the other two banks then share."""
+        b0 = self.banks[0]
+        with memoryview(b0).cast("B") as view:
+            view[:] = raw_banks[0]
         self.dirty.clear()
         r0, r1, r2 = raw_banks
-        if not r0 == r1 == r2:
-            b0, b1, b2 = self.banks
-            self.dirty.update(
-                r for r in range(self.rows) if not b0[r] == b1[r] == b2[r]
-            )
+        if r0 == r1 == r2:
+            self.banks[1:] = b0, b0
+            return
+        self.banks[1:] = b1, b2 = array("I", r1), array("I", r2)
+        self.dirty.update(r for r in range(self.rows) if not b0[r] == b1[r] == b2[r])
+
 
 class SystemBus:
     """Routes core-side accesses to SRAM and the peripheral blocks: the memory map.

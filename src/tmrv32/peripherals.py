@@ -94,8 +94,7 @@ class GpioBank:
             self.input_levels &= ~(1 << pin)
 
     def cells(self):
-        yield self.direction
-        yield self.out
+        return self.direction, self.out
 
 
 class UartModel:
@@ -162,9 +161,7 @@ class UartModel:
         return bytes(b for _, b in self.tx_log)
 
     def cells(self):
-        yield self.tx_data
-        yield self.rx_data
-        yield self.rx_valid
+        return self.tx_data, self.rx_data, self.rx_valid
 
 
 class SeuCounterBank:
@@ -205,10 +202,10 @@ class SeuCounterBank:
             cell.write(min(cell.value + n, COUNTER_SATURATION))
 
     def values(self):
-        return tuple(c.value for c in self.counters)
+        return tuple([cell.value for cell in self.counters])
 
     def cells(self):
-        yield from self.counters
+        return tuple(self.counters)
 
 
 def aggregate_discrepancies(events_this_cycle):

@@ -92,12 +92,7 @@ class Pipeline:
         self._idle_cause = "fill"  # what an X-idle cycle is charged to
 
     def cells(self):
-        yield self.fl_valid
-        yield self.fl_pc
-        yield self.fl_raw
-        yield self.wl_valid
-        yield self.wl_rd
-        yield self.wl_value
+        return self.fl_valid, self.fl_pc, self.fl_raw, self.wl_valid, self.wl_rd, self.wl_value
 
     def advance(self, arch, bus, c, stop, retire=None):
         """Simulate the cycles ``c`` .. ``stop - 1``, each a clock edge plus the cycle it

@@ -30,9 +30,7 @@ class Scrubber:
         self.pending_word = TmrCell("sram.scrub_word", Domain.SRAM, 32, 0)
 
     def cells(self):
-        yield self.row_ptr
-        yield self.phase
-        yield self.pending_word
+        return self.row_ptr, self.phase, self.pending_word
 
     def step(self, sram, core_write_row=None):
         """One scrub cycle against ``sram``.

@@ -46,18 +46,22 @@ it does not simulate that way:
   once those forks have started, so one lives at a time.
 * A fork steps ahead of golden until its upset is resolved: no cell or SRAM row
   is dirty, no counter increment is pending and no flip is queued or scheduled
-  (so its target has re-equalized). When golden reaches the fork's cycle, the two
-  are compared with ``Kernel.matches``: their checkpoints, but for the three SEU
-  counter cells and the event totals. On a mismatch the fork steps on 1, 2, 4,
-  ... cycles and is compared again. A fork whose run ends first keeps its own
-  final state. (A scrubber write-back costs the scan one cycle, so a fork whose
-  SRAM upset the scrubber repaired never matches: its scan pointer stays one row
-  behind golden's.)
+  (so its target has re-equalized). An upset of one replica of one cell changes
+  no vote, and every read of a cell is voted, so until the core reads the SEU
+  counter block such a fork differs from golden only in that cell's replicas, the
+  counters and the event totals: resolved, it matches golden without a compare.
+  Any other fork is compared with ``Kernel.matches`` once golden reaches its
+  cycle: their live state, but for the three SEU counter cells and the event
+  totals. On a mismatch the fork steps on 1, 2, 4, ... cycles and is
+  compared again. A fork whose run ends first keeps its own final state. (A
+  scrubber write-back costs the scan one cycle, so a fork whose SRAM upset the
+  scrubber repaired never matches: its scan pointer stays one row behind golden's.)
 * A match ends the fork early. That is sound because from there on the fork
   runs as golden does, apart from its counters and event totals; those change
   only on a discrepancy, which golden never has, so the record is final. The
   counters feed back only when the core reads the SEU counter block, which is
-  why a match keeps golden's count of those reads.
+  why a match keeps golden's count of those reads, at the injection cycle for a
+  fork that is not compared: a read in its steps is golden's read too.
 * A fault due at or after the cycle where golden's run ends never lands. It is
   recorded from golden's final state and stream, which holds no upset, as a fork
   that matched golden there, so no kernel is forked or run for it.
@@ -100,6 +104,9 @@ from .scrubber import Scrubber
 from .tmr import DOMAIN_NAMES, Domain
 
 _DOMAIN_BY_NAME = {name: dom for dom, name in DOMAIN_NAMES.items()}
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# the largest mean numpy's Generator.poisson draws from
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 @dataclass
@@ -176,6 +183,12 @@ class CampaignConfig:
         cycles = self.run_cycles
         if not (cycles is None or type(cycles) is int and cycles >= 0):
             raise ConfigError(f"run_cycles must be a non-negative integer, got {cycles!r}")
+        if self.rates and cycles > _INT64_MAX:  # _poisson_specs draws cycles as int64
+            raise ConfigError(f"run_cycles of a rate model must be below 2^63, got {cycles}")
+        for name, rate in (self.rates or {}).items():
+            if rate * cycles > _POISSON_LAM_MAX:
+                raise ConfigError(f"rates: {name}: {rate!r} per cycle over {cycles} cycles "
+                                  f"is a Poisson mean above numpy's {_POISSON_LAM_MAX:.6g}")
         fraction = self.edge_aligned_fraction
         if not isinstance(fraction, (int, float)) or isinstance(fraction, bool) or not (
             0.0 <= fraction <= 1.0
@@ -235,11 +248,12 @@ class ResolvedFault:
     count: int
 
 
-def resolve_faults(config, registry_kernel, rng):
-    """Pin down every random choice and check every target; deterministic given the seed."""
+def resolve_faults(config, registry_kernel, rng=None):
+    """Pin down every random choice and check every target; deterministic given the seed.
+    ``rng`` defaults to a generator seeded with the campaign seed."""
     config.validate()  # before any draw
+    rng = np.random.default_rng(config.seed) if rng is None else rng
     resolved = []
-    domain_cells = {dom: registry_kernel.cells_in_domain(dom) for dom in Domain}
     specs = list(config.faults)
     if config.rates:
         specs += _poisson_specs(config, rng)
@@ -249,7 +263,7 @@ def resolve_faults(config, registry_kernel, rng):
             if key == "sram":
                 kind, key, phase = "sram", int(rng.integers(registry_kernel.sram.rows)), MID_CYCLE
             else:
-                cells = domain_cells[_DOMAIN_BY_NAME[key]]
+                cells = registry_kernel.cells_in_domain(_DOMAIN_BY_NAME[key])
                 kind, key = "cell", cells[int(rng.integers(len(cells)))]
             replica = bit = None
         domain, width = registry_kernel._flip_target(kind, key, phase)
@@ -506,40 +520,44 @@ class _ForkedCampaign:
 
     def _step(self, fork, steps):
         """Step ``fork`` ``steps`` cycles (``math.inf``: to its end), then on until its
-        upset is resolved, and keep it live. Once its run is over or has raised, write
-        its result instead and return its kernel to the pool."""
+        upset is resolved, and keep it live, or record it as a match if its upset
+        changed no vote. Once its run is over or has raised, write its result instead
+        and return its kernel to the pool."""
         kernel, fault, length = fork.kernel, fork.fault, self.length
         try:
-            over = kernel._advance(kernel.cycle + steps, length)
+            over = steps and kernel._advance(kernel.cycle + steps, length)
             while not (over or kernel.settled()):
                 over = kernel._advance(kernel.cycle + 1, length)
         except SimError as exc:
             self.results[fault.index] = exc
         else:
             if not over:
-                self.live.append(fork)
+                if fault.kind == "cell" and fault.count == 1:  # one replica: no vote changed
+                    self._matched(fork)
+                else:
+                    self.live.append(fork)
                 return
             sig = kernel.architectural_signature() if self.golden_compare else None
             self.results[fault.index] = (*_records(kernel, [fault]), sig, None)
         self.pool.append(kernel)
 
     def _compare(self, fork):
-        golden = self.golden
-        kernel, fault = fork.kernel, fork.fault
-        if kernel.matches(golden):
-            self.results[fault.index] = (*_records(kernel, [fault]), None, golden.counters.reads)
-            self.pool.append(kernel)
+        if fork.kernel.matches(self.golden):
+            self._matched(fork)
         else:
             steps, fork.gap = fork.gap, 2 * fork.gap
             self._step(fork, steps)
 
+    def _matched(self, fork):
+        kernel, fault = fork.kernel, fork.fault
+        self.results[fault.index] = (*_records(kernel, [fault]), None, self.golden.counters.reads)
+        self.pool.append(kernel)
+
 
 def run_campaign(config):
     """Execute a fault campaign; deterministic given the config (incl. seed)."""
-    config.validate()
-    rng = np.random.default_rng(config.seed)
     golden = Kernel(config.system)
-    resolved = resolve_faults(config, golden, rng)
+    resolved = resolve_faults(config, golden)  # validates the config first
     length = config.run_cycles
     if config.mode == "isolated":
         golden_sig, records = _ForkedCampaign(golden, length, config.golden_compare).run(resolved)

@@ -284,6 +284,28 @@ def test_counter_read_before_injection_allows_early_stop():
     assert summary["diverged"] == 0
 
 
+def test_counter_read_while_a_single_upset_resolves_matches_reference(monkeypatch):
+    # A single-replica cell upset is not compared with golden. Around the counter
+    # read, each one is: the read lands before, with or after the increment.
+    image = _counter_reading_program()
+    kernel = Kernel(SystemConfig(image=image))
+    while not kernel.counters.reads:
+        kernel.step_cycle()
+    read = kernel.cycle - 1
+    faults = [
+        FaultSpec(at_cycle=c, kind="cell", key=key, replica=c % 3, bit=1, phase=phase)
+        for c in range(read - 3, read + 2)
+        for key in ("core.x5", "periph.seu_count_core")
+        for phase in (MID_CYCLE, EDGE_ALIGNED)
+    ]
+    _, summary, _ = assert_matches_reference(_campaign(image, faults))
+    assert 0 < summary["diverged"] < len(faults)
+    compares = []
+    monkeypatch.setattr(Kernel, "matches", lambda *pair: compares.append(pair))
+    run_campaign(_campaign(image, faults))
+    assert compares == []
+
+
 # ---------------------------------------------------------------------------
 # crashes, hangs and their order
 # ---------------------------------------------------------------------------

@@ -355,6 +355,18 @@ def test_campaign_non_finite_number_or_non_object_rates_is_a_config_error(
 
 
 @pytest.mark.parametrize(
+    "config, field",
+    [(dict(_RATE_MODEL, run_cycles=2**64, rates={"sram": 1e-12}), "run_cycles"),
+     (dict(_RATE_MODEL, run_cycles=2**63 - 1, rates={"core": 1.0}), "rates")],
+    ids=["cycles-past-int64", "poisson-mean-too-large"],
+)
+def test_campaign_rate_model_the_generator_cannot_draw_is_a_config_error(
+    tmp_path, capsys, config, field
+):
+    _assert_config_errors(tmp_path, capsys, [(config, field)])
+
+
+@pytest.mark.parametrize(
     "argv, field",
     [
         (["run", "IMAGE", "--freq", "nan"], "freq_mhz"),

@@ -1653,16 +1653,56 @@ def test_snapshot_keeps_record_events():
     assert resumed.snapshot() == kernel.snapshot()
 
 
-def test_config_json_encoded_once_stays_valid_when_resume_flips_record_events():
+def test_snapshot_config_stays_valid_when_resume_flips_record_events():
     recording = make_kernel(acceptance_program(), record_events=True)
     recording.run_cycles(20)
     quiet = make_kernel(acceptance_program())
     quiet.resume(recording.checkpoint())
     assert quiet.config.record_events
+    blob = quiet.snapshot()
+    (cfg_len,) = struct.unpack_from("<I", blob, 18)
     fresh = json.dumps(quiet.config.to_dict(include_image=False), sort_keys=True).encode()
-    assert quiet._config_json == fresh
+    assert blob[22 : 22 + cfg_len] == fresh and blob == recording.snapshot()
     quiet.restore(recording.snapshot())
     assert quiet.snapshot() == recording.snapshot()
+    recording.restore(make_kernel(acceptance_program()).snapshot())  # and the flag back off
+    assert not recording.config.record_events
+
+
+def _upset_kernel(config, cycles, flips):
+    """A kernel run ``cycles`` cycles with ``flips``, (cycle, kind, key, replica, bit) each."""
+    kernel = Kernel(config)
+    for flip in flips:
+        kernel.schedule_flip(*flip)
+    kernel.run_cycles(cycles)
+    return kernel
+
+
+def test_resume_sets_banks_and_dirty_rows_as_restore_does():
+    # A clean checkpoint holds one bytes object three times and a dirty one three, so
+    # resume copies them differently; restore's banks are three slices of the bytes.
+    config = SystemConfig(image=acceptance_program().assemble())
+    clean = _upset_kernel(config, 40, [])
+    dirty = _upset_kernel(config, 40, [(30, "sram", 700, 2, 9), (39, "cell", "core.x6", 1, 4)])
+    assert not clean.sram.dirty and dirty.sram.dirty == {700} and dirty.dirty
+    for source, upsets in (
+        (clean, [(10, "sram", 800, 1, 1), (11, "sram", 801, 2, 3), (12, "cell", "core.x9", 2, 5)]),
+        (dirty, []),
+    ):
+        checkpoint, blob = source.checkpoint(), source.snapshot()
+        resumed, restored = (_upset_kernel(config, 13, upsets) for _ in range(2))
+        assert bool(resumed.sram.dirty) == bool(resumed.dirty) == bool(upsets)
+        resumed.resume(checkpoint)
+        restored.restore(blob)
+        banks = [bank.tobytes() for bank in source.sram.banks]
+        assert [bank.tobytes() for bank in resumed.sram.banks] == banks
+        assert [bank.tobytes() for bank in restored.sram.banks] == banks
+        assert resumed.sram.dirty == restored.sram.dirty == source.sram.dirty
+        assert resumed.snapshot() == restored.snapshot() == blob
+        for kernel in (source, resumed, restored):  # each upset lands in one replica
+            kernel.schedule_flip(kernel.cycle + 2, "sram", 701, 1, 3)
+            kernel.run_cycles(30)
+        assert resumed.snapshot() == restored.snapshot() == source.snapshot()
 
 
 def _misc_offset(blob):

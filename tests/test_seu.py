@@ -312,6 +312,25 @@ def test_rates_that_cannot_be_drawn_are_config_errors(rates):
         resolve_faults(config, Kernel(system), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "run_cycles, rates, field",
+    [(2**64, {"sram": 1e-12}, "run_cycles"), (2**63 - 1, {"core": 1.0}, "rates")],
+    ids=["cycles-past-int64", "poisson-mean-too-large"],
+)
+def test_a_rate_model_the_generator_cannot_draw_is_a_config_error(run_cycles, rates, field):
+    system = SystemConfig(image=alu_block_program(10).assemble())
+    config = CampaignConfig(system=system, rates=rates, mode="accumulate", run_cycles=run_cycles)
+    with pytest.raises(ConfigError, match=field):
+        config.validate()
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match=field):
+        resolve_faults(config, Kernel(system), rng)
+    assert rng.random() == np.random.default_rng(0).random()  # before any draw
+    # the largest run and rate it can draw from (only validated: far too long to run)
+    CampaignConfig(system=system, rates={"core": 0.5}, mode="accumulate",
+                   run_cycles=2**63 - 1).validate()
+
+
 def test_campaign_config_file_round_trip():
     config = _campaign(
         b"\x73\x00\x10\x00",
