@@ -285,8 +285,9 @@ def test_counter_read_before_injection_allows_early_stop():
 
 
 def test_counter_read_while_a_single_upset_resolves_matches_reference(monkeypatch):
-    # A single-replica cell upset is not compared with golden. Around the counter
-    # read, each one is: the read lands before, with or after the increment.
+    # A single-replica cell upset is recorded with no compare. Near the program's one
+    # SEU counter read, the read comes before, on or after the cycle where the
+    # upset's increment lands; each fault must still give the reference's record.
     image = _counter_reading_program()
     kernel = Kernel(SystemConfig(image=image))
     while not kernel.counters.reads:
