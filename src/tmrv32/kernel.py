@@ -687,15 +687,12 @@ class Kernel:
             banks = (b0.tobytes(), b1.tobytes(), b2.tobytes())
         else:
             banks = (b0.tobytes(),) * 3
-        values = [cell.value for cell in self.registry.values()]
-        return Checkpoint(self.cycle, values, self._upsets(), banks, self._misc_state())
-
-    def _upsets(self):
-        """``(index, (r0, r1, r2))`` in index order for each cell whose replicas disagree."""
-        if not self.dirty:
-            return ()
-        cells = enumerate(self.registry.values())
-        return tuple((i, cell.replicas) for i, cell in cells if cell.discrepancy)
+        cells = self.registry.values()
+        values = [cell.value for cell in cells]
+        upsets = ()
+        if self.dirty:
+            upsets = tuple((i, cell.replicas) for i, cell in enumerate(cells) if cell.discrepancy)
+        return Checkpoint(self.cycle, values, upsets, banks, self._misc_state())
 
     def resume(self, checkpoint):
         """Overwrite this kernel's state with a :meth:`checkpoint` of a kernel of the same
@@ -743,34 +740,6 @@ class Kernel:
         if record_events != self.config.record_events:
             self.config = dataclasses.replace(self.config, record_events=record_events)
         self.sink = []
-
-    def matches(self, other):
-        """True iff ``other``'s :meth:`checkpoint` would equal this kernel's but for the
-        three SEU counter cells (last in the registry) and the event totals. Two matching
-        kernels of one configuration run on identically, counters and event totals
-        apart, until the core reads the SEU counter block.
-
-        It reads both kernels' live state and builds no checkpoint, cheapest first: the
-        cycle, the values, the upsets, the dirty rows, the misc state and then only bank 0
-        while no row is dirty (each bank then equals it), else all three banks."""
-        if self.cycle != other.cycle:
-            return False
-        values = [cell.value for cell in self.registry.values()]
-        if values[:-3] != [cell.value for cell in other.registry.values()][:-3]:
-            return False
-        counters = len(values) - 3
-        if (self.dirty or other.dirty) and (
-            [u for u in self._upsets() if u[0] < counters]
-            != [u for u in other._upsets() if u[0] < counters]
-        ):
-            return False
-        mine, theirs = self.sram, other.sram
-        misc, other_misc = self._misc_state(), other._misc_state()
-        misc["event_totals"] = other_misc["event_totals"]
-        if mine.dirty != theirs.dirty or misc != other_misc:  # dirty is exact: banks differ
-            return False
-        banks = zip(mine.banks, theirs.banks) if mine.dirty else [(mine.banks[0], theirs.banks[0])]
-        return all(a.tobytes() == b.tobytes() for a, b in banks)
 
     def _config_json(self):
         """The configuration as a snapshot holds it; ``record_events``, the one field

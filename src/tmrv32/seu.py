@@ -41,42 +41,35 @@ schedule; its records stay in fault order. ``isolated`` classifies each fault on
 its own against golden. Its records are those of one run from reset per fault, but
 it does not simulate that way:
 
-* Golden runs once. At each distinct injection cycle, golden's checkpoint is
-  resumed by every fault of that cycle, into a fork. The checkpoint is dropped
-  once those forks have started, so one lives at a time.
-* A fork steps ahead of golden until its upset is resolved: no cell or SRAM row
-  is dirty, no counter increment is pending and no flip is queued or scheduled
-  (so its target has re-equalized). An upset of one replica of one cell changes
-  no vote, and every read of a cell is voted, so until the core reads the SEU
-  counter block such a fork differs from golden only in that cell's replicas, the
-  counters and the event totals: resolved, it matches golden without a compare.
-  Any other fork is compared with ``Kernel.matches`` once golden reaches its
-  cycle: their live state, but for the three SEU counter cells and the event
-  totals. On a mismatch the fork steps on 1, 2, 4, ... cycles and is
-  compared again. A fork whose run ends first keeps its own final state. (A
-  scrubber write-back costs the scan one cycle, so a fork whose SRAM upset the
-  scrubber repaired never matches: its scan pointer stays one row behind golden's.)
-* A match ends the fork early. That is sound because from there on the fork
-  runs as golden does, apart from its counters and event totals; those change
-  only on a discrepancy, which golden never has, so the record is final. The
-  counters feed back only when the core reads the SEU counter block, which is
-  why a match keeps golden's count of those reads, at the injection cycle for a
-  fork that is not compared: a read in its steps is golden's read too.
+* Golden runs once, stopping only at each distinct injection cycle and at its
+  end. At each stop, every fault of that cycle resumes golden's checkpoint in
+  turn, in the one fork kernel, and runs before the next fault starts.
+* A fork whose upset hits one replica of one cell steps until the upset is
+  resolved: no cell or SRAM row is dirty, no counter increment is pending and no
+  flip is queued or scheduled (so its target has re-equalized). Such an upset
+  changes no vote, and every read of a cell is voted, so from there on the fork
+  runs as golden does, apart from its counters and event totals; those change only
+  on a discrepancy, which golden never has, so its record is final and it is
+  recorded as a match. The counters feed back only when the core reads the SEU
+  counter block, which is why a match keeps golden's count of those reads at the
+  injection cycle: a read in the fork's steps is golden's read too.
+* Every other fork runs to its own end and keeps its own final state, even one
+  whose state equals golden's long before.
 * A fault due at or after the cycle where golden's run ends never lands. It is
   recorded from golden's final state and stream, which holds no upset, as a fork
   that matched golden there, so no kernel is forked or run for it.
 * Each fault has one result: the record and final state of a run that ran out,
   the record of a run that matched golden, or the exception its run raised (the
-  simulated core crashed or hung). Once no fork is left, the results are settled
-  in fault order, and golden runs on to its end if ``golden_compare`` or a match
-  needs it. A match after which golden read the SEU counters is run again from
-  reset there, and a match takes what golden raised, if golden raised. The first
-  exception met is raised, as when the runs go one after another; otherwise every
-  result becomes its record.
+  simulated core crashed or hung). Once every fork has run, the results are
+  settled in fault order, and golden runs on to its end if ``golden_compare`` or a
+  match needs it. A match after which golden read the SEU counters is run again
+  from reset there, and a match takes what golden raised, if golden raised. The
+  first exception met is raised, as when the runs go one after another; otherwise
+  every result becomes its record.
 
 Both modes build records through one path, ``_records``, from a kernel's final
-state and its own event stream: the accumulate run's kernel, each isolated fork's
-kernel (a ``_Fork`` with one fault), and golden's for faults that never land.
+state and its own event stream: the accumulate run's kernel, the fork kernel for
+each isolated fault, and golden's for faults that never land.
 
 Before any simulation, ``resolve_faults`` turns every spec into one target,
 replica, bit and phase, drawing from the campaign seed what the spec leaves open.
@@ -250,9 +243,14 @@ class ResolvedFault:
 
 def resolve_faults(config, registry_kernel, rng=None):
     """Pin down every random choice and check every target; deterministic given the seed.
-    ``rng`` defaults to a generator seeded with the campaign seed."""
+    ``rng`` defaults to a generator seeded with the campaign seed, built only if some
+    spec or the rate model leaves something to draw."""
     config.validate()  # before any draw
-    rng = np.random.default_rng(config.seed) if rng is None else rng
+    if rng is None and (config.rates or any(
+        spec.kind == "random" or spec.replica is None or spec.bit is None
+        for spec in config.faults
+    )):
+        rng = np.random.default_rng(config.seed)
     resolved = []
     specs = list(config.faults)
     if config.rates:
@@ -406,23 +404,9 @@ def _records(kernel, faults):
     ]
 
 
-# Forks alive at once, at most. Past that the oldest runs on to its end unchecked,
-# so memory stays bounded however many faults share an injection cycle.
-_MAX_LIVE_FORKS = 32
-
-
-class _Fork:
-    """One fault's faulted run, resumed from golden's checkpoint."""
-
-    def __init__(self, kernel, fault):
-        self.kernel = kernel
-        self.fault = fault
-        _schedule(kernel, fault)
-        self.gap = 1  # cycles to step after a failed comparison; doubles each time
-
-
 class _ForkedCampaign:
-    """The isolated-mode engine (see the module docstring): forks that stop on a golden match."""
+    """The isolated-mode engine (see the module docstring): one fork at a time, each
+    run to its end unless its upset changed no vote."""
 
     def __init__(self, golden, length, golden_compare):
         self.golden = golden
@@ -433,9 +417,7 @@ class _ForkedCampaign:
         # ran out, (record, None, golden's counter reads at the match) for one that
         # matched golden, or the exception its run raised
         self.results = {}
-        self.live = []  # forks ahead of golden, each waiting for golden to reach its cycle
-        self.pool = []  # kernels of finished forks, reused by later forks; with the
-        # live forks, never more than _MAX_LIVE_FORKS
+        self.kernel = None  # the fork kernel, resumed by every fork in turn
 
     def run(self, faults):
         """Return (golden signature or None, records in fault order).
@@ -450,23 +432,10 @@ class _ForkedCampaign:
             for fault in faults:
                 due.setdefault(fault.at_cycle, []).append(fault)
             cycles = sorted(due, reverse=True)
-            while cycles or self.live:
-                target = min([f.kernel.cycle for f in self.live] + cycles[-1:])
-                if self._golden_to(target):
-                    break
-                for fork in [f for f in self.live if f.kernel.cycle == golden.cycle]:
-                    self.live.remove(fork)
-                    self._compare(fork)
-                if cycles and cycles[-1] == golden.cycle:
-                    checkpoint = golden.checkpoint()
-                    for fault in due.pop(cycles.pop()):
-                        if len(self.live) >= _MAX_LIVE_FORKS:
-                            self._step(self.live.pop(0), math.inf)
-                        self._step(self._fork(checkpoint, fault), 0)
-
-            # Golden's run is over; whatever is left runs on by itself.
-            while self.live:
-                self._step(self.live.pop(), math.inf)
+            while cycles and not self._golden_to(cycles[-1]):
+                checkpoint = golden.checkpoint()
+                for fault in due[cycles.pop()]:
+                    self._fork(checkpoint, fault)
             # a fault due at or after golden's end never lands: its run is golden's
             leftover = [fault for cycle in cycles for fault in due[cycle]]
             for record in _records(golden, leftover):
@@ -486,7 +455,7 @@ class _ForkedCampaign:
                     if entry[2] != golden.counters.reads:
                         # golden reads the SEU counters after the match: rerun from reset
                         reset = reset or Kernel(golden.config).checkpoint()
-                        self._step(self._fork(reset, fault), math.inf)
+                        self._fork(reset, fault, to_end=True)
                         entry = results[fault.index]
                     elif self.golden_error is not None:
                         entry = self.golden_error
@@ -513,45 +482,32 @@ class _ForkedCampaign:
             self.golden_error = exc
             return True
 
-    def _fork(self, checkpoint, fault):
-        kernel = self.pool.pop() if self.pool else Kernel(self.golden.config)
-        kernel.resume(checkpoint)
-        return _Fork(kernel, fault)
+    def _fork(self, checkpoint, fault, to_end=False):
+        """Run ``fault`` from ``checkpoint`` in the fork kernel and write its result.
 
-    def _step(self, fork, steps):
-        """Step ``fork`` ``steps`` cycles (``math.inf``: to its end), then on until its
-        upset is resolved, and keep it live, or record it as a match if its upset
-        changed no vote. Once its run is over or has raised, write its result instead
-        and return its kernel to the pool."""
-        kernel, fault, length = fork.kernel, fork.fault, self.length
+        Unless ``to_end``, a single-replica cell upset steps until it is resolved and is
+        recorded there as a match. Every other run goes on to its end, or until it raises.
+        """
+        if self.kernel is None:
+            self.kernel = Kernel(self.golden.config)
+        kernel, length = self.kernel, self.length
+        kernel.resume(checkpoint)
+        _schedule(kernel, fault)
         try:
-            over = steps and kernel._advance(kernel.cycle + steps, length)
-            while not (over or kernel.settled()):
-                over = kernel._advance(kernel.cycle + 1, length)
+            if not to_end and fault.kind == "cell" and fault.count == 1:  # no vote changed
+                over = False
+                while not (over or kernel.settled()):
+                    over = kernel._advance(kernel.cycle + 1, length)
+                if not over:
+                    reads = self.golden.counters.reads
+                    self.results[fault.index] = (*_records(kernel, [fault]), None, reads)
+                    return
+            kernel._advance(end=length)
         except SimError as exc:
             self.results[fault.index] = exc
-        else:
-            if not over:
-                if fault.kind == "cell" and fault.count == 1:  # one replica: no vote changed
-                    self._matched(fork)
-                else:
-                    self.live.append(fork)
-                return
-            sig = kernel.architectural_signature() if self.golden_compare else None
-            self.results[fault.index] = (*_records(kernel, [fault]), sig, None)
-        self.pool.append(kernel)
-
-    def _compare(self, fork):
-        if fork.kernel.matches(self.golden):
-            self._matched(fork)
-        else:
-            steps, fork.gap = fork.gap, 2 * fork.gap
-            self._step(fork, steps)
-
-    def _matched(self, fork):
-        kernel, fault = fork.kernel, fork.fault
-        self.results[fault.index] = (*_records(kernel, [fault]), None, self.golden.counters.reads)
-        self.pool.append(kernel)
+            return
+        sig = kernel.architectural_signature() if self.golden_compare else None
+        self.results[fault.index] = (*_records(kernel, [fault]), sig, None)
 
 
 def run_campaign(config):

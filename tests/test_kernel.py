@@ -1872,150 +1872,3 @@ def _malformed_snapshots(blob):
         ("misc domain unknown", with_misc({**misc, "event_totals": {"7": 1}})),
     ]
     return cases
-
-
-def test_matches_ignores_only_the_counters_and_event_totals():
-    config = SystemConfig(image=acceptance_program().assemble())
-    golden = Kernel(config)
-    golden.run_cycles(40)
-    fork = Kernel.from_snapshot(golden.snapshot())
-    fork.schedule_flip(40, "cell", "core.x6", 0, 3)
-    fork.step_cycle()
-    golden.step_cycle()
-    assert not fork.matches(golden)  # the flipped cell is dirty
-    fork.step_cycle()
-    golden.step_cycle()
-    assert fork.counters.values() != golden.counters.values()
-    assert fork.matches(golden) and golden.matches(fork)
-    for mutate in (
-        lambda k: k.arch.regs[5].write(k.arch.regs[5].value ^ 1),
-        lambda k: k.scrubber.pending_word.write(7),
-        lambda k: k.sram.write_masked(4000, 1, 0xFFFFFFFF),
-        lambda k: k.sram.flip(4000, 1, 0),
-        lambda k: k.schedule_flip(500, "cell", "core.x1", 0, 0),
-        lambda k: setattr(k.pipeline, "fetch_stalls", k.pipeline.fetch_stalls + 1),
-        lambda k: k.uart.tx_log.append((41, 0x21)),
-    ):
-        other = Kernel.from_snapshot(fork.snapshot())
-        assert other.matches(golden)
-        mutate(other)
-        assert not other.matches(golden)
-    golden.step_cycle()
-    assert not fork.matches(golden)  # one cycle apart
-
-
-def test_matches_compares_the_cycle():
-    # halted with the scrubber off, nothing but the cycle count moves
-    golden = Kernel(SystemConfig(image=alu_block_program(10).assemble(), scrub_enabled=False))
-    golden.run()
-    later = Kernel.from_snapshot(golden.snapshot())
-    assert later.matches(golden)
-    later.run_cycles(1)
-    assert not later.matches(golden)
-
-
-def _matches_by_definition(a, b):
-    """``a.matches(b)`` as documented, from snapshot bytes: the two snapshots are equal
-    but for the last three cells' replica triples (the SEU counters) and the misc
-    ``event_totals``."""
-
-    def key(kernel):
-        blob = kernel.snapshot()
-        (cfg_len,) = struct.unpack_from("<I", blob, 18)
-        (cells,) = struct.unpack_from("<I", blob, 22 + cfg_len)
-        counters_at = 26 + cfg_len + 12 * (cells - 3)
-        misc_at = _misc_offset(blob)
-        misc = json.loads(blob[misc_at + 4 :])
-        misc["event_totals"] = None
-        return blob[:counters_at], blob[counters_at + 36 : misc_at], misc
-
-    return key(a) == key(b)
-
-
-def _random_divergence(rng, names):
-    """One seeded change to a kernel: (operation, arguments)."""
-    data_regs = [f"core.x{i}" for i in range(6, 28)]
-    counters = names[-3:]
-    delay = int(rng.choice([0, 0, 1, 2, 60]))  # 60: still scheduled when compared
-    kind = int(rng.integers(6))
-    if kind == 0:  # a single upset in any cell, counters included, either phase
-        key = str(rng.choice(counters)) if rng.random() < 0.25 else str(rng.choice(names))
-        phase = EDGE_ALIGNED if rng.random() < 0.5 else MID_CYCLE
-        return "flip", (key, int(rng.integers(3)), int(rng.integers(8)), phase, delay)
-    if kind == 1:  # a same-bit double upset in a cell whose value cannot crash the core
-        key = str(rng.choice([*counters, *data_regs, "periph.gpio_out", "sram.scrub_word"]))
-        phase = EDGE_ALIGNED if rng.random() < 0.5 else MID_CYCLE
-        return "double", (key, int(rng.integers(3)), int(rng.integers(8)), phase, delay)
-    rows = [8, 20, SCRATCH_BASE // 4, SCRATCH_BASE // 4 + 2, 4000, 4001]
-    if kind == 2:
-        return "sram", (int(rng.choice(rows)), int(rng.integers(3)), int(rng.integers(32)), delay)
-    if kind == 3:  # a direct register write, sometimes of the value it holds
-        return "reg", (int(rng.integers(6, 28)), int(rng.choice([0, 1, 1 << 20])))
-    if kind == 4:  # a direct SRAM store into data rows, sometimes of the word they hold
-        return "store", (int(rng.choice(rows[2:])), int(rng.choice([0, 1, 1 << 31])))
-    return "counter", (str(rng.choice(counters)), int(rng.integers(1, 4)))
-
-
-def _diverge(kernel, operation, args):
-    c = kernel.cycle
-    if operation in ("flip", "double"):
-        key, replica, bit, phase, delay = args
-        bit %= kernel.registry[key].width
-        replicas = (replica,) if operation == "flip" else (replica, (replica + 1) % 3)
-        for r in replicas:
-            kernel.schedule_flip(c + delay, "cell", key, r, bit, phase=phase)
-    elif operation == "sram":
-        row, replica, bit, delay = args
-        kernel.schedule_flip(c + delay, "sram", row, replica, bit)
-    elif operation == "reg":
-        reg = kernel.arch.regs[args[0]]
-        reg.write(reg.value ^ args[1])
-    elif operation == "store":
-        row, xor = args
-        kernel.sram.write_masked(row, kernel.sram.read_voted(row)[0] ^ xor, 0xFFFFFFFF)
-    else:  # a counter cell is written directly
-        cell = kernel.registry[args[0]]
-        cell.write(cell.value + args[1])
-
-
-def _in_random_replica(rng, change):
-    operation, args = change
-    if operation in ("flip", "double", "sram"):
-        args = (args[0], int(rng.integers(3)), *args[2:])
-    return operation, args
-
-
-def test_matches_agrees_with_its_definition_on_random_pairs():
-    config = SystemConfig(image=acceptance_program().assemble())
-    names = list(Kernel(config).registry)
-    rng = np.random.default_rng(808)
-    seen = dict(match=0, mismatch=0, match_with_other_bytes=0)
-    for _ in range(120):
-        golden = Kernel(config)
-        golden.run_cycles(int(rng.integers(0, 260)))
-        a, b = Kernel(config), Kernel(config)
-        checkpoint = golden.checkpoint()
-        a.resume(checkpoint)
-        b.resume(checkpoint)
-        changes_a = [_random_divergence(rng, names) for _ in range(int(rng.integers(3)))]
-        if rng.random() < 0.4:  # the same changes, each upset in a random replica
-            changes_b = [_in_random_replica(rng, change) for change in changes_a]
-        else:
-            changes_b = [_random_divergence(rng, names) for _ in range(int(rng.integers(3)))]
-        for kernel, changes in ((a, changes_a), (b, changes_b)):
-            for operation, args in changes:
-                _diverge(kernel, operation, args)
-        if rng.random() < 0.15:  # one cycle apart
-            b.step_cycle()
-        outcomes = set()
-        for _ in range(5):  # compared as they step on
-            expected = _matches_by_definition(a, b)
-            assert a.matches(b) == b.matches(a) == expected, (changes_a, changes_b, a.cycle)
-            outcomes.add(expected)
-            seen["match_with_other_bytes"] += expected and a.snapshot() != b.snapshot()
-            a.step_cycle()
-            b.step_cycle()
-        seen["match"] += True in outcomes
-        seen["mismatch"] += False in outcomes
-    # pairs that matched, pairs that did not, and matches of unequal snapshots
-    assert min(seen.values()) >= 10, seen

@@ -11,6 +11,7 @@ import pytest
 from conftest import acceptance_program, alu_block_program, make_kernel
 
 from tmrv32 import encode as E
+from tmrv32 import seu
 from tmrv32.errors import ConfigError
 from tmrv32.kernel import EDGE_ALIGNED, MID_CYCLE, Kernel, SystemConfig
 from tmrv32.seu import (
@@ -417,6 +418,26 @@ def test_fault_resolution_is_pinned():
     assert len(lines) == 446
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "da0910818e03fb8e084a892ec06e24ab7569b2b1cc795cd1ff4f59ae9a11d869"
+
+
+def test_a_campaign_with_nothing_to_draw_builds_no_generator(monkeypatch):
+    def no_generator(seed):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(seu.np.random, "default_rng", no_generator)
+    system = SystemConfig(image=acceptance_program().assemble())
+    faults = [
+        FaultSpec(at_cycle=20, kind="cell", key="core.x6", replica=1, bit=3),
+        FaultSpec(at_cycle=25, kind="cell", key="core.x6", replica=0, bit=9, count=2),
+        FaultSpec(at_cycle=30, kind="sram", key=5, replica=2, bit=7),
+    ]
+    for mode in ("isolated", "accumulate"):
+        report = run_campaign(CampaignConfig(system=system, faults=faults, mode=mode, seed=3))
+        assert len(report.records) == len(faults)
+    for left_open in ({"replica": None}, {"bit": None}):
+        spec = dataclasses.replace(faults[0], **left_open)
+        with pytest.raises(AssertionError, match="generator"):
+            run_campaign(CampaignConfig(system=system, faults=[spec]))
 
 
 def _linear_requal_cycle(changes, landing, end):
