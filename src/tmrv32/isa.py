@@ -276,18 +276,17 @@ def _decode16(raw):
                 (raw >> 5) & 3
             ]
             return ins(name[0], name[1], rd=rd, rs1=rd, rs2=rs2)
-        if f3 == 6 or f3 == 7:  # c.beqz / c.bnez
-            imm = sext(
-                (((raw >> 12) & 1) << 8)
-                | (((raw >> 10) & 3) << 3)
-                | (((raw >> 5) & 3) << 6)
-                | (((raw >> 3) & 3) << 1)
-                | (((raw >> 2) & 1) << 5),
-                9,
-            )
-            name = ("c.beqz", "beq") if f3 == 6 else ("c.bnez", "bne")
-            return ins(name[0], name[1], rs1=_creg(raw >> 7), rs2=0, imm=imm)
-        raise IllegalInstruction(raw)
+        # f3 is 6 or 7: c.beqz / c.bnez (quadrant 1 has no reserved funct3)
+        imm = sext(
+            (((raw >> 12) & 1) << 8)
+            | (((raw >> 10) & 3) << 3)
+            | (((raw >> 5) & 3) << 6)
+            | (((raw >> 3) & 3) << 1)
+            | (((raw >> 2) & 1) << 5),
+            9,
+        )
+        name = ("c.beqz", "beq") if f3 == 6 else ("c.bnez", "bne")
+        return ins(name[0], name[1], rs1=_creg(raw >> 7), rs2=0, imm=imm)
 
     # op == 2
     if f3 == 0:  # c.slli

@@ -4,8 +4,9 @@ Each simulated cycle runs a fixed phase order, which is what makes the two fault
 timing flavors and the scrubber's conflict rule well defined:
 
 1. clock edge: dirty cells latch their voted value through the feedback path;
-   counter increments computed last cycle land; the pipeline advances (latch
-   writes); any edge-aligned flips queued last cycle corrupt the freshly latched state;
+   the SEU counter block lands the increments it counted last cycle
+   (``SeuCounterBank.edge``); the pipeline advances (latch writes); any
+   edge-aligned flips queued last cycle corrupt the freshly latched state;
 2. fault application: mid-cycle flips due this cycle land; edge-aligned flips due
    this cycle are queued for the next edge;
 3. voting: every discrepant cell contributes one event for this cycle;
@@ -13,8 +14,10 @@ timing flavors and the scrubber's conflict rule well defined:
    write-conflict check against the row the core stored to this cycle; on a cycle
    without a step, a store into the row awaiting write-back is voted into the word
    it will write;
-5. counter aggregation: this cycle's events, deduplicated per element, become the
-   per-domain increments that land at the next edge.
+5. counter aggregation: the SEU counter block counts this cycle's events, each
+   element once, as per-domain increments that land at the next edge
+   (``SeuCounterBank.count``). An increment counted in a run's last cycle lands at
+   an edge the run never reaches.
 
 A mid-cycle flip is therefore discrepant for exactly one voting phase and is clean
 again in the following cycle (latency 1); an edge-aligned flip lands one edge later
@@ -95,7 +98,7 @@ from pathlib import Path
 from .errors import ConfigError, SimTimeout
 from .isa import ArchState
 from .memory import SRAM_SIZE, SramArray, SystemBus
-from .peripherals import GPIO_PINS, GpioBank, SeuCounterBank, UartModel, aggregate_discrepancies
+from .peripherals import GPIO_PINS, GpioBank, SeuCounterBank, UartModel
 from .pipeline import Pipeline
 from .scrubber import PHASE_READ, Scrubber
 from .tmr import Domain, vote3
@@ -174,6 +177,9 @@ class SystemConfig:
         self.stimulus = tuple(map(tuple, stimulus))  # JSON arrays become tuples
 
     def to_dict(self, include_image=True):
+        """The config as ``from_dict`` takes it. Without ``include_image`` it is the
+        config as a snapshot holds it: no image, and no ``record_events``, the one
+        field :meth:`Kernel.resume` may change."""
         d = {
             "image_base": self.image_base,
             "entry_pc": self.entry_pc,
@@ -184,6 +190,7 @@ class SystemConfig:
             "stimulus": [list(e) for e in self.stimulus],
         }
         if include_image:
+            d["record_events"] = self.record_events
             image = self.image
             if isinstance(image, (bytes, bytearray)):
                 d["image_hex"] = image.hex()
@@ -305,8 +312,9 @@ class Kernel:
         self.pipeline = Pipeline()
         self.sram = SramArray()
         self.scrubber = Scrubber(self.sram.rows)
-        self.gpio = GpioBank(self.arch)
-        self.uart = UartModel(self.arch)
+        stimulus = config.stimulus  # checked by SystemConfig
+        self.gpio = GpioBank(self.arch, [e[1:] for e in stimulus if e[0] == "gpio-in"])
+        self.uart = UartModel(self.arch, [e[1:] for e in stimulus if e[0] == "uart-rx"])
         self.counters = SeuCounterBank()
 
         self.bus = SystemBus(self.sram, (self.gpio, self.uart, self.counters))
@@ -316,9 +324,7 @@ class Kernel:
         self.dirty = set()  # every cell whose replicas disagree, and maybe clean ones
 
         self.sink = []  # the event stream
-        self.event_totals = {Domain.CORE: 0, Domain.SRAM: 0, Domain.PERIPHERALS: 0}
 
-        self._pending_increments = {}
         self._edge_queue = []  # (kind, key, replica, bit) landing at the next edge
         self._fault_schedule = deque()  # (cycle, phase, kind, key, replica, bit), cycle order
 
@@ -333,9 +339,6 @@ class Kernel:
             self.arch.pc.write(config.entry_pc if config.entry_pc is not None else entry)
         elif config.entry_pc is not None:
             self.arch.pc.write(config.entry_pc)
-
-        for kind, *values in config.stimulus:  # checked by SystemConfig
-            (self.uart.queue_rx if kind == "uart-rx" else self.gpio.queue_input)(*values)
 
     def cells_in_domain(self, domain):
         return [c.element_id for c in self.registry.values() if c.domain == domain]
@@ -387,7 +390,7 @@ class Kernel:
         """True iff no upset is outstanding: no dirty cell or SRAM row, no pending
         counter increment, and no flip queued for the next edge or scheduled."""
         return not (
-            self.dirty or self.sram.dirty or self._pending_increments or self._edge_queue
+            self.dirty or self.sram.dirty or self.counters.pending or self._edge_queue
             or self._fault_schedule
         )
 
@@ -425,9 +428,7 @@ class Kernel:
             self.dirty.clear()
             if refreshed:
                 self.sink.extend(Repair(c, key) for key in sorted(refreshed))
-        if self._pending_increments:
-            self.counters.apply_increments(self._pending_increments)
-            self._pending_increments = {}
+        self.counters.edge()
         events = bus.events
         if events:
             events.clear()
@@ -476,10 +477,7 @@ class Kernel:
 
         # phase 5: counter aggregation (lands at the next edge)
         if events:
-            increments = aggregate_discrepancies(events)
-            self._pending_increments = increments
-            for domain, n in increments.items():
-                self.event_totals[domain] += n
+            self.counters.count(events)
             self._log_votes(c, events, written)
             if cleaned:  # the write-back repaired a dirty row
                 self.sink.append(Repair(c, written))
@@ -548,7 +546,7 @@ class Kernel:
     def _fast_forward(self, end):
         """Run a quiet span up to the next cycle that needs ``step_cycle`` or ``end``,
         skipping the upset bookkeeping (see the module docstring)."""
-        if self.dirty or self._pending_increments or self._edge_queue:
+        if self.dirty or self.counters.pending or self._edge_queue:
             return
         config = self.config
         scrub = config.scrub_enabled
@@ -641,8 +639,8 @@ class Kernel:
             "uart_tx_log": tuple(uart.tx_log),
             "uart_rx_pending": tuple(uart.rx_pending),
             "uart_rx_cursor": uart.rx_cursor,
-            "pending_increments": dict(self._pending_increments),
-            "event_totals": dict(self.event_totals),
+            "pending_increments": dict(self.counters.pending),
+            "event_totals": dict(self.counters.totals),
             "edge_queue": tuple(self._edge_queue),
             "fault_schedule": tuple(self._fault_schedule),
             "record_events": self.config.record_events,
@@ -730,8 +728,8 @@ class Kernel:
         self.uart.tx_log = list(misc["uart_tx_log"])
         self.uart.rx_pending = list(misc["uart_rx_pending"])
         self.uart.rx_cursor = misc["uart_rx_cursor"]
-        self._pending_increments = dict(misc["pending_increments"])
-        self.event_totals = dict(misc["event_totals"])
+        self.counters.pending = dict(misc["pending_increments"])
+        self.counters.totals = dict(misc["event_totals"])
         self._edge_queue = list(misc["edge_queue"])
         self._fault_schedule = deque(misc["fault_schedule"])  # in cycle order, as listed
         self.gpio.cursor = bisect_left(self.gpio.inputs, cycle, key=itemgetter(0))
@@ -742,8 +740,7 @@ class Kernel:
         self.sink = []
 
     def _config_json(self):
-        """The configuration as a snapshot holds it; ``record_events``, the one field
-        resume may change, is not in it."""
+        """The configuration as a snapshot holds it (see :meth:`SystemConfig.to_dict`)."""
         return json.dumps(self.config.to_dict(include_image=False), sort_keys=True).encode()
 
     def snapshot(self):

@@ -3,20 +3,20 @@
 All peripheral storage registers are TMR cells, so injected upsets are masked and
 repaired under the same 1-2 cycle contract as the core's sequential elements. Host
 interaction is deterministic: GPIO input levels and UART receive bytes come from
-cycle-stamped stimulus events supplied up front, and UART transmit bytes are captured
-with their cycle of occurrence, read from the clock each device is given: the kernel's
-``arch.cycle``, the cycle it is simulating.
+cycle-stamped stimulus events given to each device when it is built, and UART
+transmit bytes are captured with their cycle of occurrence, read from the clock each
+device is given: the kernel's ``arch.cycle``, the cycle it is simulating.
 
 Each device delivers its own stimulus, lazily: ``tick(cycle)`` leaves it as ticking
 once per cycle up to ``cycle`` would, and every read first catches up to the clock's
-cycle.
+cycle. The SEU counter block keeps its own books in the same way: the kernel hands
+it each cycle's discrepancy events and tells it when a clock edge comes.
 
 Register offsets within each block are defined here; the block base addresses are
 in :mod:`tmrv32.memory`. A device names the offset in its block when it raises
 ``BusFault``; ``SystemBus`` reports the full bus address instead.
 """
 
-from bisect import insort
 from operator import itemgetter
 
 from .errors import BusFault
@@ -45,25 +45,28 @@ class GpioBank:
     Bit i of each register controls pin i (1 = output in DIR). Reading IN returns
     the driven value for output pins and the host-supplied level for input pins.
     The upper 5 bits of each 32-bit register are unused and read as zero.
+
+    ``inputs`` is the host-side stimulus, ``(cycle, pin, level)`` events (``SystemConfig``
+    checks the pins); events of one cycle drive their pins in the order given.
     """
 
-    def __init__(self, clock):
+    def __init__(self, clock, inputs=()):
         self.clock = clock
         self.direction = TmrCell("periph.gpio_dir", Domain.PERIPHERALS, GPIO_PINS, 0)
         self.out = TmrCell("periph.gpio_out", Domain.PERIPHERALS, GPIO_PINS, 0)
         self.input_levels = 0  # host-side stimulus, not a storage element
-        self.inputs = []  # (cycle, pin, level), sorted; those before cursor are driven
+        # sorted by cycle, stably; those before cursor are driven
+        self.inputs = sorted(inputs, key=itemgetter(0))
         self.cursor = 0
-
-    def queue_input(self, cycle, pin, level):
-        """Host-side stimulus: drive a pin at ``cycle``, after inputs queued before."""
-        insort(self.inputs, (cycle, pin, level), key=itemgetter(0))
 
     def tick(self, cycle):
         """Drive every input due by ``cycle``, in order."""
-        while self.cursor < len(self.inputs) and self.inputs[self.cursor][0] <= cycle:
-            self.set_input(*self.inputs[self.cursor][1:])
-            self.cursor += 1
+        inputs, i, levels = self.inputs, self.cursor, self.input_levels
+        while i < len(inputs) and inputs[i][0] <= cycle:
+            _, pin, level = inputs[i]
+            levels = levels | 1 << pin if level else levels & ~(1 << pin)
+            i += 1
+        self.cursor, self.input_levels = i, levels
 
     def read(self, offset):
         self.tick(self.clock.cycle)
@@ -84,15 +87,6 @@ class GpioBank:
         else:
             raise BusFault(offset, "GPIO register not writable")
 
-    def set_input(self, pin, level):
-        """Host-side stimulus: drive one input pin."""
-        if not 0 <= pin < GPIO_PINS:
-            raise BusFault(pin, f"no such GPIO pin (0..{GPIO_PINS - 1})")
-        if level:
-            self.input_levels |= 1 << pin
-        else:
-            self.input_levels &= ~(1 << pin)
-
     def cells(self):
         return self.direction, self.out
 
@@ -101,25 +95,22 @@ class UartModel:
     """Byte-level UART: no baud timing, in-order delivery, no loss.
 
     TX: a write to the TX register captures (``clock.cycle``, byte) on the host sink.
-    RX: host bytes become readable in stimulus order; the byte at the head of the
-    queue sits in a TMR-protected holding register until software reads it. A read
-    with nothing available returns the empty marker (bit 31 set).
+    RX: ``rx`` is the host-side stimulus, ``(cycle, byte)`` events; a byte becomes
+    readable at its cycle, after the bytes given before it for the same cycle. The
+    byte at the head of the queue sits in a TMR-protected holding register until
+    software reads it. A read with nothing available returns the empty marker (bit
+    31 set).
     """
 
-    def __init__(self, clock):
+    def __init__(self, clock, rx=()):
         self.clock = clock
         self.tx_data = TmrCell("periph.uart_tx_data", Domain.PERIPHERALS, 8, 0)
         self.rx_data = TmrCell("periph.uart_rx_data", Domain.PERIPHERALS, 8, 0)
         self.rx_valid = TmrCell("periph.uart_rx_valid", Domain.PERIPHERALS, 1, 0)
         self.tx_log = []  # (cycle, byte) in transmission order
-        self.rx_pending = []  # (cycle, byte), sorted; consumed as cycles pass
+        self.rx_pending = sorted(rx, key=itemgetter(0))  # stably; consumed as cycles pass
         self.rx_cursor = 0
         self.last_read = -1  # the cycle of the read that last emptied the register
-
-    def queue_rx(self, cycle, byte):
-        """Host-side stimulus: make a byte available for reading at ``cycle``, after
-        any byte queued before it for the same cycle."""
-        insort(self.rx_pending, (cycle, byte), key=itemgetter(0))
 
     def tick(self, cycle):
         """Deliver the next byte if it is due by ``cycle``, the holding register is
@@ -169,8 +160,10 @@ class SeuCounterBank:
 
     Each counter increments once per cycle per discrepancy-asserting voter in its
     domain (multiple observations of the same element in one cycle count once).
-    Increments land at the following clock edge, like a synchronous counter, and
-    saturate at 2^32-1 instead of wrapping.
+    :meth:`count` holds one cycle's increments in ``pending``, and :meth:`edge` lands
+    them at the following clock edge, like a synchronous counter, saturating at
+    2^32-1 instead of wrapping. ``totals`` holds every increment counted, pending
+    ones too, unsaturated; it and ``pending`` travel in checkpoints.
 
     ``reads`` counts the core's reads of the block. It is instrumentation, not
     machine state: campaigns use it to learn whether a run reads the counters
@@ -183,6 +176,8 @@ class SeuCounterBank:
             TmrCell("periph.seu_count_sram", Domain.PERIPHERALS, 32, 0),
             TmrCell("periph.seu_count_periph", Domain.PERIPHERALS, 32, 0),
         ]
+        self.pending = {}  # Domain -> increments landing at the next edge
+        self.totals = {Domain.CORE: 0, Domain.SRAM: 0, Domain.PERIPHERALS: 0}
         self.reads = 0
 
     def read(self, offset):
@@ -195,27 +190,27 @@ class SeuCounterBank:
     def write(self, offset, value):
         raise BusFault(offset, "SEU counters are read-only")
 
-    def apply_increments(self, increments):
-        """Add per-domain increments (computed last cycle), saturating."""
-        for domain, n in increments.items():
-            cell = self.counters[domain]
-            cell.write(min(cell.value + n, COUNTER_SATURATION))
+    def count(self, events):
+        """Count one cycle's discrepancy events, ``(domain, element)`` tuples; the same
+        element observed by several voter evaluations counts once."""
+        pending = {}
+        for domain, _ in set(events):
+            pending[domain] = pending.get(domain, 0) + 1
+        totals = self.totals
+        for domain, n in pending.items():
+            totals[domain] += n
+        self.pending = pending
+
+    def edge(self):
+        """The clock edge: land the pending increments, saturating."""
+        if self.pending:
+            for domain, n in self.pending.items():
+                cell = self.counters[domain]
+                cell.write(min(cell.value + n, COUNTER_SATURATION))
+            self.pending = {}
 
     def values(self):
         return tuple([cell.value for cell in self.counters])
 
     def cells(self):
         return tuple(self.counters)
-
-
-def aggregate_discrepancies(events_this_cycle):
-    """Per-domain counter increments for one cycle of discrepancy events.
-
-    ``events_this_cycle`` holds ``(domain, element_key)`` tuples; the same element
-    observed by several voter evaluations within the cycle counts once.
-    """
-    seen = set(events_this_cycle)
-    increments = {}
-    for domain, _ in seen:
-        increments[domain] = increments.get(domain, 0) + 1
-    return increments

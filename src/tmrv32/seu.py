@@ -93,6 +93,7 @@ import numpy as np
 from .errors import ConfigError, SimError
 from .kernel import EDGE_ALIGNED, MID_CYCLE, Discrepancy, Flip, Kernel, Repair, SystemConfig
 from .memory import SramArray
+from .peripherals import COUNTER_SATURATION
 from .scrubber import Scrubber
 from .tmr import DOMAIN_NAMES, Domain
 
@@ -396,9 +397,14 @@ def _requal_cycle(changes, landing, end):
 
 
 def _records(kernel, faults):
-    """The record of each fault, from the kernel's final state and its event stream."""
+    """The record of each fault, from the kernel's final state and its event stream.
+
+    The event totals are those of the increments that landed by the run's end, as the
+    counters are: an increment counted in the last cycle is still pending."""
     outcomes = _classify(kernel.sink, faults, kernel.cycle)
-    counters, totals = kernel.counters.values(), _totals_dict(kernel)
+    bank = kernel.counters
+    counters = bank.values()
+    totals = {DOMAIN_NAMES[d]: n - bank.pending.get(d, 0) for d, n in bank.totals.items()}
     return [
         _record(fault, outcome, None, counters, totals) for fault, outcome in zip(faults, outcomes)
     ]
@@ -536,10 +542,6 @@ def run_campaign(config):
     return CampaignReport(config=config, golden=golden_sig, records=records, summary=summary)
 
 
-def _totals_dict(kernel):
-    return {DOMAIN_NAMES[d]: n for d, n in kernel.event_totals.items()}
-
-
 def _summarize(records, config):
     corrected = [r for r in records if r["correction_latency_cycles"] is not None]
     latencies = [r["correction_latency_cycles"] for r in corrected]
@@ -559,11 +561,10 @@ def _summarize(records, config):
 
 def counter_crosscheck(report):
     """True iff, in every record, each domain's memory-mapped counter equals the
-    number of distinct detected discrepancy events for that domain."""
-    sat = 0xFFFFFFFF
+    number of distinct detected discrepancy events for that domain, saturated."""
     for rec in report.records:
         totals = rec["event_totals"]
-        expected = [min(totals["core"], sat), min(totals["sram"], sat), min(totals["periph"], sat)]
+        expected = [min(totals[DOMAIN_NAMES[d]], COUNTER_SATURATION) for d in Domain]
         if list(rec["counters"]) != expected:
             return False
     return True

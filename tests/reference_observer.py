@@ -15,6 +15,7 @@ from tmrv32 import seu
 from tmrv32.errors import SimError, SimTimeout
 from tmrv32.kernel import EDGE_ALIGNED, Kernel
 from tmrv32.seu import CampaignReport
+from tmrv32.tmr import DOMAIN_NAMES, Domain
 
 
 class TargetMonitor:
@@ -107,10 +108,20 @@ def observed_run(system, length, faults):
     return kernel, monitors, log
 
 
+def observed_totals(log, kernel):
+    """Each domain's distinct discrepancies in ``log`` whose increments landed by the
+    run's end: those of every cycle but the last, whose edge the run never reaches."""
+    totals = dict.fromkeys(DOMAIN_NAMES.values(), 0)
+    for cycle, domain, _ in log:
+        if cycle < kernel.cycle - 1:
+            totals[DOMAIN_NAMES[Domain(domain)]] += 1
+    return totals
+
+
 def observed_record(fault, monitor, log, diverged, kernel):
     classified = (detected(log, fault), monitor.latency(), monitor.vote_changed)
     return seu._record(
-        fault, classified, diverged, kernel.counters.values(), seu._totals_dict(kernel)
+        fault, classified, diverged, kernel.counters.values(), observed_totals(log, kernel)
     )
 
 

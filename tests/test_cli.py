@@ -224,6 +224,21 @@ def test_campaign_reports_a_failed_counter_crosscheck(tmp_path):
     assert main(["campaign", str(cfg_path), "--strict"]) == EXIT_STRICT
 
 
+def test_campaign_strict_passes_an_upset_in_the_last_cycle(tmp_path):
+    # counted in cycle 29, the increment would land at edge 30, which the run never reaches
+    config = {
+        "version": 1,
+        "system": {"image_hex": alu_block_program(50).assemble().hex()},
+        "faults": [{"at_cycle": 29, "kind": "cell", "key": "core.x5", "replica": 1, "bit": 3}],
+        "run_cycles": 30,
+    }
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["campaign", str(cfg_path), "--strict", "--out-dir", str(out)]) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["counter_crosscheck"] is True
+
+
 def test_campaign_strict_flags_double_fault(tmp_path):
     config = {
         "version": 1,

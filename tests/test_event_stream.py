@@ -134,7 +134,7 @@ def test_a_toggle_back_is_a_repair_in_the_same_cycle():
         Flip(5, 900, 1, 3, False),
         Repair(5, 900),
     ]
-    assert kernel.event_totals == {Domain.CORE: 0, Domain.SRAM: 0, Domain.PERIPHERALS: 0}
+    assert kernel.counters.totals == {Domain.CORE: 0, Domain.SRAM: 0, Domain.PERIPHERALS: 0}
 
 
 @pytest.mark.parametrize("divider", [1, 3])
@@ -201,7 +201,7 @@ def test_core_read_and_scrub_write_back_of_one_row_count_once():
         Discrepancy(4, Domain.SRAM, 3, "core-read"),
         Discrepancy(4, Domain.SRAM, 3, "scrub"),
     ]
-    assert kernel.event_totals[Domain.SRAM] == 1
+    assert kernel.counters.totals[Domain.SRAM] == 1
     assert kernel.counters.values() == (0, 1, 0)
 
 

@@ -150,19 +150,66 @@ def test_decode_csr_counters():
         0xFFFFFFFF,
         0x0000007F,  # unused opcode space
         0x02000033 | (1 << 25) * 0,  # placeholder guard, see below
+        # one encoding per reserved-encoding rule of the two decoders
+        pytest.param(0x00002063, id="branch-funct3-2"),
+        pytest.param(0x00003003, id="load-funct3-3"),
+        pytest.param(0x00007003, id="load-funct3-7"),
+        pytest.param(0x00003023, id="store-funct3-3"),
+        pytest.param(0x40011093, id="slli-funct7"),
+        pytest.param(0x20005013, id="srli-srai-funct7"),
+        pytest.param(0x04000033, id="op-funct7"),
+        pytest.param(0x40001033, id="op-alt-funct3"),
+        pytest.param(0x0000200F, id="misc-mem-funct3"),
+        pytest.param(0x00200073, id="system-funct3-0"),
+        pytest.param(0x00004073, id="system-funct3-4"),
+        pytest.param(0x00001067, id="jalr-funct3"),
+        pytest.param(0x0004, id="c.addi4spn-zero-imm"),
+        pytest.param(0x2000, id="c.fld"),
+        pytest.param(0x8000, id="c-q0-funct3-4"),
+        pytest.param(0x6101, id="c.addi16sp-zero-imm"),
+        pytest.param(0x6081, id="c.lui-zero-imm"),
+        pytest.param(0x9001, id="c.srli-shamt5"),
+        pytest.param(0x9C01, id="c.subw"),
+        pytest.param(0x1002, id="c.slli-shamt5"),
+        pytest.param(0x4002, id="c.lwsp-x0"),
+        pytest.param(0x8002, id="c.jr-x0"),
+        pytest.param(0x2002, id="c.fldsp"),
+        pytest.param(0xA002, id="c.fsdsp"),
     ],
 )
 def test_decode_illegal(raw):
     if raw == 0x02000033:  # valid mul; skip guard value
         return
-    with pytest.raises(IllegalInstruction):
+    with pytest.raises(IllegalInstruction) as info:
         decode(raw)
+    assert (info.value.raw, info.value.pc) == (raw, None)
+    prog = E.Program()
+    prog.emit(E.addi(1, 0, 1), raw, E.ebreak())
+    with pytest.raises(IllegalInstruction) as info:  # the pipeline names the pc
+        Kernel(SystemConfig(image=prog.assemble())).run()
+    assert (info.value.raw, info.value.pc) == (raw, 4)
 
 
 def test_decode_illegal_shift_funct7():
     # slli with funct7 != 0 must not decode on RV32
     with pytest.raises(IllegalInstruction):
         decode(0x40011093)
+
+
+def test_fence_i_decodes_and_runs():
+    assert decode(0x0000100F).mnemonic == "fence.i"
+    prog = E.Program()
+    prog.emit(0x0000100F, E.addi(1, 0, 7), E.ebreak())
+    kernel = Kernel(SystemConfig(image=prog.assemble()))
+    assert kernel.run().halt == "ebreak"
+    assert kernel.arch.read_reg(1) == 7 and kernel.arch.retired == 3  # ebreak retires too
+
+
+def test_instreth_reads_the_high_word_of_retired():
+    arch = ArchState()
+    arch.retired = (5 << 32) + 3
+    rd_write, _, _, _ = execute(arch, decode(E.csrrs(6, 0xC82)), 0)
+    assert rd_write == (6, 5)
 
 
 def test_length_rule():

@@ -227,6 +227,12 @@ def test_elf_bss_zero_fill():
     assert segments[0][1] == b"\xaa\xbb\x00\x00\x00\x00\x00\x00"
 
 
+def _with_header_field(blob, fmt, offset, value):
+    blob = bytearray(blob)
+    struct.pack_into(fmt, blob, offset, value)
+    return bytes(blob)
+
+
 def test_elf_errors():
     with pytest.raises(ConfigError):
         load_image(b"\x7fELF" + bytes(60))  # wrong class/endianness
@@ -247,6 +253,28 @@ def test_elf_errors():
             load_image(mini_elf([(0x0, b"", memsz)], entry=0))
     with pytest.raises(ConfigError, match="outside SRAM"):
         Kernel(SystemConfig(image=mini_elf([(0x4, b"", 0x8000)], entry=0)))
+    with pytest.raises(ConfigError, match="truncated ELF header"):
+        load_image(blob[:51])
+    with pytest.raises(ConfigError, match="unexpected ELF program header size"):
+        load_image(_with_header_field(blob, "<H", 42, 40))  # e_phentsize
+    with pytest.raises(ConfigError, match="segment data extends past end of file"):
+        load_image(blob[:-1])
+    with pytest.raises(ConfigError, match="no loadable segments"):
+        load_image(_with_header_field(blob, "<I", 52, 4))  # p_type PT_NOTE
+
+
+def test_a_segment_other_than_pt_load_is_skipped():
+    two = mini_elf([(0x0, b"\x11" * 4, 4), (0x10, E.ebreak().to_bytes(4, "little"), 4)], 0x10)
+    segments, entry = load_image(_with_header_field(two, "<I", 52, 4))  # the first is skipped
+    assert segments == ((0x10, E.ebreak().to_bytes(4, "little")),) and entry == 0x10
+
+
+def test_entry_pc_without_an_image():
+    kernel = Kernel(SystemConfig(entry_pc=0x40))
+    assert kernel.arch.pc.value == 0x40
+    with pytest.raises(IllegalInstruction) as info:  # SRAM is all zeros there
+        kernel.run()
+    assert info.value.pc == 0x40
 
 
 def test_oversize_image_rejected():
@@ -385,6 +413,20 @@ def test_config_dict_round_trip():
     )
     clone = SystemConfig.from_dict(config.to_dict())
     assert clone == config
+
+
+@pytest.mark.parametrize("data", [[1], "config", None])
+def test_system_config_from_a_non_object_is_a_config_error(data):
+    with pytest.raises(ConfigError, match="system config must be a JSON object"):
+        SystemConfig.from_dict(data)
+
+
+def test_activity_cycles_split_the_run():
+    kernel = make_kernel(acceptance_program())
+    kernel.run()
+    mix = kernel.activity_cycles()
+    assert mix["sram"] == kernel.pipeline.dmem_cycles > 0
+    assert mix["sram"] + mix["register"] == kernel.cycle
 
 
 def test_uart_tx_capture_with_cycles():
@@ -1527,7 +1569,7 @@ def test_restore_rejects_a_flip_that_schedule_flip_rejects(entry, message):
     # a flip due at the snapshot's own cycle still lands
     kernel.restore(_with_misc(blob, fault_schedule=[[10, "mid-cycle", "cell", "core.x7", 0, 3]]))
     kernel.run_cycles(5)
-    assert kernel.settled() and kernel.event_totals[Domain.CORE] == 1
+    assert kernel.settled() and kernel.counters.totals[Domain.CORE] == 1
 
 
 @pytest.mark.parametrize(
@@ -1640,8 +1682,8 @@ def test_snapshot_keeps_scheduled_flips():
     first.run_cycles(10)
     resumed = Kernel.from_snapshot(first.snapshot())
     resumed.run()
-    assert straight.event_totals[Domain.CORE] == 1
-    assert resumed.event_totals[Domain.CORE] == 1
+    assert straight.counters.totals[Domain.CORE] == 1
+    assert resumed.counters.totals[Domain.CORE] == 1
     assert resumed.snapshot() == straight.snapshot()
 
 
@@ -1791,7 +1833,7 @@ def test_resumed_checkpoint_is_byte_identical_and_unaliased():
         seen["rows"] += bool(source.sram.dirty)
         seen["clean_rows"] += not source.sram.dirty
         seen["edge"] += bool(source._edge_queue)
-        seen["increments"] += bool(source._pending_increments)
+        seen["increments"] += bool(source.counters.pending)
         checkpoint = source.checkpoint()
         blob = source.snapshot()
         other.resume(checkpoint)
@@ -1859,6 +1901,7 @@ def _malformed_snapshots(blob):
     cases = [(f"cut at {n}", data) for n, data in cuts.items()]
     cases += [
         ("trailing byte", blob + b"\0"),
+        ("unsupported version", put(8, "<H", 3)),
         ("cell count", put(cells_at, "<I", 3)),
         ("SRAM rows", put(rows_at, "<I", 4096)),
         ("replica wider than its cell", put(cells_at + 4 + 12 * narrow + 4, "<I", 2)),

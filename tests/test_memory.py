@@ -41,7 +41,8 @@ def test_single_replica_flip_is_masked_and_reported():
 
 def test_seu_counter_addresses():
     bank = SeuCounterBank()
-    bank.apply_increments({Domain.SRAM: 7})
+    bank.count([(Domain.SRAM, row) for row in range(7)])
+    bank.edge()
     bus = SystemBus(SramArray(), (GpioBank(ArchState()), UartModel(ArchState()), bank))
     assert SEU_COUNTER_BASE == 0x1000_2000
     assert bus.read(0x1000_2004, 4) == 7  # domain index 1

@@ -20,7 +20,6 @@ from tmrv32.peripherals import (
     GpioBank,
     SeuCounterBank,
     UartModel,
-    aggregate_discrepancies,
 )
 from tmrv32.tmr import Domain
 
@@ -35,25 +34,19 @@ def test_gpio_output_pin_reads_driven_value():
 
 
 def test_gpio_input_pin_reflects_stimulus():
-    gpio = GpioBank(ArchState())
-    gpio.set_input(5, 1)
+    clock = ArchState()
+    gpio = GpioBank(clock, [(0, 5, 1), (1, 5, 0)])
     assert (gpio.read(GPIO_REG_IN) >> 5) & 1 == 1
     assert gpio.read(GPIO_REG_IN) & (1 << 5)
-    gpio.set_input(5, 0)
+    clock.cycle = 1
     assert (gpio.read(GPIO_REG_IN) >> 5) & 1 == 0
 
 
 def test_gpio_direction_masks_input():
-    gpio = GpioBank(ArchState())
-    gpio.set_input(2, 1)
+    gpio = GpioBank(ArchState(), [(0, 2, 1)])
     gpio.write(GPIO_REG_DIR, 1 << 2)  # output now; stimulus no longer visible
     assert (gpio.read(GPIO_REG_IN) >> 2) & 1 == 0
-
-
-def test_gpio_pin_27_faults():
-    gpio = GpioBank(ArchState())
-    with pytest.raises(BusFault):
-        gpio.set_input(27, 1)
+    assert gpio.read(GPIO_REG_DIR) == 1 << 2
 
 
 def test_gpio_unused_register_bits_read_zero():
@@ -79,13 +72,13 @@ def test_uart_tx_stream_in_order():
     uart.write(UART_REG_TX, 0x4B)
     assert uart.tx_bytes() == b"OK"
     assert uart.tx_log == [(10, 0x4F), (11, 0x4B)]
+    assert uart.read(UART_REG_TX) == 0  # TX reads as zero
 
 
 def test_uart_rx_queue_and_status():
-    uart = UartModel(ArchState())
+    uart = UartModel(ArchState(), [(5, 0x42)])
     assert uart.read(UART_REG_STATUS) == UART_STATUS_TX_READY
     assert uart.read(UART_REG_RX) == UART_RX_EMPTY
-    uart.queue_rx(5, 0x42)
     uart.tick(4)
     assert uart.read(UART_REG_RX) == UART_RX_EMPTY  # not due yet
     uart.tick(5)
@@ -96,9 +89,7 @@ def test_uart_rx_queue_and_status():
 
 def test_a_read_holds_the_next_byte_until_the_next_cycle():
     clock = ArchState()
-    uart = UartModel(clock)
-    uart.queue_rx(3, 0x41)
-    uart.queue_rx(3, 0x42)
+    uart = UartModel(clock, [(3, 0x41), (3, 0x42)])
     clock.cycle = 7
     assert uart.read(UART_REG_RX) == 0x41  # the read catches up first
     uart.tick(7)
@@ -112,9 +103,7 @@ def test_a_read_holds_the_next_byte_until_the_next_cycle():
 
 def test_gpio_tick_drives_every_due_input_in_listed_order():
     clock = ArchState()
-    gpio = GpioBank(clock)
-    for cycle, pin, level in ((5, 3, 1), (9, 1, 1), (5, 3, 0), (4, 2, 1), (5, 4, 1)):
-        gpio.queue_input(cycle, pin, level)
+    gpio = GpioBank(clock, [(5, 3, 1), (9, 1, 1), (5, 3, 0), (4, 2, 1), (5, 4, 1)])
     gpio.tick(3)
     assert gpio.input_levels == 0
     gpio.tick(5)
@@ -124,9 +113,7 @@ def test_gpio_tick_drives_every_due_input_in_listed_order():
 
 
 def test_uart_loopback_256_values():
-    uart = UartModel(ArchState())
-    for i in range(256):
-        uart.queue_rx(i, i)
+    uart = UartModel(ArchState(), [(i, i) for i in range(256)])
     got = []
     for cycle in range(256):
         uart.tick(cycle)
@@ -177,13 +164,17 @@ def test_gpio_stimulus_program():
 def test_counters_saturate():
     bank = SeuCounterBank()
     bank.counters[0].write(0xFFFFFFFE)
-    bank.apply_increments({Domain.CORE: 5})
+    bank.count([(Domain.CORE, f"core.x{i}") for i in range(1, 6)])
+    bank.edge()
     assert bank.values()[0] == 0xFFFFFFFF
+    assert bank.totals[Domain.CORE] == 5  # the totals do not saturate
 
 
 def test_counter_offsets_and_readonly():
     bank = SeuCounterBank()
-    bank.apply_increments({Domain.CORE: 1, Domain.SRAM: 2, Domain.PERIPHERALS: 3})
+    bank.count([(Domain.CORE, "core.x1"), (Domain.SRAM, 1), (Domain.SRAM, 2)]
+               + [(Domain.PERIPHERALS, f"periph.{i}") for i in range(3)])
+    bank.edge()
     assert bank.read(0x0) == 1
     assert bank.read(0x4) == 2
     assert bank.read(0x8) == 3
@@ -207,6 +198,7 @@ PERIPHERAL_FAULTS = [
     pytest.param(0x1000000C, E.lw, "unmapped GPIO register", id="gpio-load"),
     pytest.param(0x10002000, E.sw, "SEU counters are read-only", id="counter-store"),
     pytest.param(0x10001004, E.sw, "UART register not writable", id="uart-store"),
+    pytest.param(0x1000100C, E.lw, "unmapped UART register", id="uart-load"),
     # the map's edges: the gap below GPIO_BASE is not the counter block
     pytest.param(0x0FFFFFFC, E.lw, "read from unmapped address", id="below-gpio-load"),
     pytest.param(0x00008000, E.lw, "read from unmapped address", id="past-sram-load"),
@@ -230,7 +222,11 @@ def test_peripheral_bus_fault_names_the_bus_address(addr, encoder, detail):
 
 
 def test_aggregate_no_events():
-    assert aggregate_discrepancies([]) == {}
+    bank = SeuCounterBank()
+    bank.count([])
+    bank.edge()
+    assert bank.pending == {} and bank.values() == (0, 0, 0)
+    assert bank.totals == {Domain.CORE: 0, Domain.SRAM: 0, Domain.PERIPHERALS: 0}
 
 
 def test_aggregate_counts_per_voter():
@@ -240,10 +236,17 @@ def test_aggregate_counts_per_voter():
         (Domain.CORE, "core.pc"),
         (Domain.SRAM, 17),
     ]
-    assert aggregate_discrepancies(events) == {Domain.CORE: 3, Domain.SRAM: 1}
+    bank = SeuCounterBank()
+    bank.count(events)
+    assert bank.pending == {Domain.CORE: 3, Domain.SRAM: 1}
+    assert bank.totals == {Domain.CORE: 3, Domain.SRAM: 1, Domain.PERIPHERALS: 0}
+    assert bank.values() == (0, 0, 0)  # the increments land at the next edge
+    bank.edge()
+    assert bank.pending == {} and bank.values() == (3, 1, 0)
 
 
 def test_aggregate_dedups_same_element_same_cycle():
     # one row observed by a core read and the scrubber in the same cycle: one count
-    events = [(Domain.SRAM, 17), (Domain.SRAM, 17)]
-    assert aggregate_discrepancies(events) == {Domain.SRAM: 1}
+    bank = SeuCounterBank()
+    bank.count([(Domain.SRAM, 17), (Domain.SRAM, 17)])
+    assert bank.pending == {Domain.SRAM: 1}

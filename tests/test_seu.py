@@ -84,6 +84,31 @@ def test_counter_crosscheck_fails_on_an_outvoted_counter_cell():
         assert not counter_crosscheck(reports[1])
 
 
+LAST_CYCLE_UPSETS = [
+    # the run's last cycle is 29: its increment would land at edge 30
+    pytest.param(50, 30, [FaultSpec(at_cycle=29, kind="cell", key="core.x5", replica=1, bit=3)],
+                 id="run-cycles"),
+    # alu_block_program(20) halts at cycle 21: a mid-cycle upset there, and an
+    # edge-aligned one at 20 that lands at edge 21
+    pytest.param(20, None, [
+        FaultSpec(at_cycle=21, kind="cell", key="core.x5", replica=1, bit=3),
+        FaultSpec(at_cycle=20, kind="cell", key="core.x6", replica=0, bit=7, phase=EDGE_ALIGNED),
+    ], id="run-to-halt"),
+]
+
+
+@pytest.mark.parametrize("mode", ["isolated", "accumulate"])
+@pytest.mark.parametrize("n, run_cycles, faults", LAST_CYCLE_UPSETS)
+def test_an_upset_counted_in_the_last_cycle_is_not_in_the_event_totals(n, run_cycles, faults, mode):
+    config = _campaign(alu_block_program(n).assemble(), faults, run_cycles=run_cycles, mode=mode)
+    report = run_campaign(config)
+    for record in report.records:
+        assert record["detected"] and record["correction_latency_cycles"] is None
+        assert record["counters"] == [0, 0, 0]  # the increment never landed
+        assert record["event_totals"] == {"core": 0, "sram": 0, "periph": 0}
+    assert counter_crosscheck(report)
+
+
 def test_campaign_classifies_edge_aligned_latency_two():
     config = _campaign(
         acceptance_program().assemble(),
@@ -342,6 +367,15 @@ def test_campaign_config_file_round_trip():
     assert clone.system == config.system
     assert clone.faults == config.faults
     assert clone.seed == config.seed
+
+
+@pytest.mark.parametrize("record_events", [False, True])
+def test_configs_round_trip_record_events(record_events):
+    system = SystemConfig(image=b"\x73\x00\x10\x00", record_events=record_events)
+    assert SystemConfig.from_dict(system.to_dict()) == system
+    faults = [FaultSpec(at_cycle=0, kind="cell", key="core.x1")]
+    config = CampaignConfig(system=system, faults=faults)
+    assert CampaignConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
 @pytest.mark.parametrize("kind", ["path", "bytearray"])
