@@ -9,6 +9,7 @@ All outputs are plain data: JSON for summaries and machine-readable records
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -111,23 +112,11 @@ def _cmd_run(args):
     for spec in args.flip:
         _schedule_flip(kernel, spec)
     result = kernel.run()
-    summary = {
-        "schema_version": RECORD_SCHEMA_VERSION,
-        "halt": result.halt,
-        "cycles": result.cycles,
-        "retired": result.retired,
-        "fetch_stalls": result.fetch_stalls,
-        "branch_bubbles": result.branch_bubbles,
-        "fill_cycles": result.fill_cycles,
-        "dmem_cycles": result.dmem_cycles,
-        "seu_counters": {
-            "core": result.counters[0],
-            "sram": result.counters[1],
-            "periph": result.counters[2],
-        },
-        "sim_seconds_at_freq": result.cycles / (args.freq * 1e6),
-        "uart_tx_hex": kernel.uart.tx_bytes().hex(),
-    }
+    summary = dataclasses.asdict(result)
+    summary["seu_counters"] = dict(zip(DOMAIN_NAMES.values(), summary.pop("counters")))
+    summary["schema_version"] = RECORD_SCHEMA_VERSION
+    summary["sim_seconds_at_freq"] = result.cycles / (args.freq * 1e6)
+    summary["uart_tx_hex"] = kernel.uart.tx_bytes().hex()
     if args.tx_out:
         Path(args.tx_out).write_bytes(kernel.uart.tx_bytes())
     if args.trace_out:

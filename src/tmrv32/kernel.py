@@ -176,26 +176,15 @@ class SystemConfig:
                 raise ConfigError(f"stimulus event {list(event)!r}: level is not 0 or 1")
         self.stimulus = tuple(map(tuple, stimulus))  # JSON arrays become tuples
 
-    def to_dict(self, include_image=True):
-        """The config as ``from_dict`` takes it. Without ``include_image`` it is the
-        config as a snapshot holds it: no image, and no ``record_events``, the one
-        field :meth:`Kernel.resume` may change."""
-        d = {
-            "image_base": self.image_base,
-            "entry_pc": self.entry_pc,
-            "freq_mhz": self.freq_mhz,
-            "scrub_enabled": self.scrub_enabled,
-            "scrub_divider": self.scrub_divider,
-            "max_cycles": self.max_cycles,
-            "stimulus": [list(e) for e in self.stimulus],
-        }
-        if include_image:
-            d["record_events"] = self.record_events
-            image = self.image
-            if isinstance(image, (bytes, bytearray)):
-                d["image_hex"] = image.hex()
-            else:  # a path or None
-                d["image"] = image if image is None else os.fspath(image)
+    def to_dict(self):
+        """The config as ``from_dict`` takes it: one key per field, with the image as
+        ``image_hex`` if it is bytes, else as a path string or None."""
+        d = dataclasses.asdict(self)
+        image = d.pop("image")
+        if isinstance(image, (bytes, bytearray)):
+            d["image_hex"] = image.hex()
+        else:
+            d["image"] = image if image is None else os.fspath(image)
         return d
 
     @classmethod
@@ -203,6 +192,8 @@ class SystemConfig:
         if not isinstance(d, dict):
             raise ConfigError(f"system config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
+        if "image" in d and "image_hex" in d:
+            raise ConfigError("system config: image and image_hex are alternatives; give one")
         try:
             if "image_hex" in d:
                 d["image"] = bytes.fromhex(d.pop("image_hex"))
@@ -213,6 +204,9 @@ class SystemConfig:
 
 @dataclass
 class RunResult:
+    """A run's outcome; ``tmrv32 run``'s report is these fields, with ``counters`` as
+    ``seu_counters``, plus ``schema_version``, ``sim_seconds_at_freq`` and ``uart_tx_hex``."""
+
     halt: str | None
     cycles: int
     retired: int
@@ -740,8 +734,12 @@ class Kernel:
         self.sink = []
 
     def _config_json(self):
-        """The configuration as a snapshot holds it (see :meth:`SystemConfig.to_dict`)."""
-        return json.dumps(self.config.to_dict(include_image=False), sort_keys=True).encode()
+        """The configuration as a snapshot holds it: :meth:`SystemConfig.to_dict` without
+        the image, which SRAM carries, and ``record_events``, which the misc JSON carries."""
+        d = self.config.to_dict()
+        for name in ("image", "image_hex", "record_events"):
+            d.pop(name, None)
+        return json.dumps(d, sort_keys=True).encode()
 
     def snapshot(self):
         """:meth:`checkpoint` in the snapshot byte layout of docs/formats.md: each cell's

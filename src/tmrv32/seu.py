@@ -196,16 +196,12 @@ class CampaignConfig:
             spec.validate()
 
     def to_dict(self):
+        """The config as ``from_dict`` takes it: ``version`` and one key per field."""
         return {
             "version": 1,
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
             "system": self.system.to_dict(),
             "faults": [dataclasses.asdict(f) for f in self.faults],
-            "rates": self.rates,
-            "run_cycles": self.run_cycles,
-            "mode": self.mode,
-            "golden_compare": self.golden_compare,
-            "seed": self.seed,
-            "edge_aligned_fraction": self.edge_aligned_fraction,
         }
 
     @classmethod

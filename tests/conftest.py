@@ -10,12 +10,25 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from reference_rv32 import RefCpu  # noqa: E402
+from region_check import CheckedBlocks  # noqa: E402
 
 from tmrv32 import encode as E  # noqa: E402
 from tmrv32 import pipeline  # noqa: E402
 from tmrv32.kernel import Kernel, SystemConfig  # noqa: E402
 
 SCRATCH_BASE = 0x4000  # data area used by generated and canned programs
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--check-regions", action="store_true",
+        help="check every region call against the per-cycle loop (see region_check.py)",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("--check-regions"):
+        pipeline._blocks = CheckedBlocks(log=False)
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, file outputs, exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from conftest import acceptance_program, alu_block_program, mini_elf, uart_hello
 
 from tmrv32 import encode as E
 from tmrv32.cli import EXIT_CONFIG, EXIT_OK, EXIT_SIM_FAULT, EXIT_STRICT, EXIT_TIMEOUT, main
+from tmrv32.kernel import Kernel, SystemConfig
 from tmrv32.power import load_default_calibration
 
 
@@ -29,6 +31,29 @@ def test_run_captures_uart_tx(tmp_path, image_path, capsys):
     assert summary["halt"] == "ebreak"
     assert summary["uart_tx_hex"] == b"OK".hex()
     assert json.loads(capsys.readouterr().out)["halt"] == "ebreak"
+
+
+def test_run_report_is_the_run_result_and_three_extras(tmp_path, capsys):
+    # A --flip of one replica counts one core upset. Every key but seu_counters and
+    # the three extras is a RunResult field, with the kernel's value.
+    image = _write(tmp_path, "acceptance.bin", acceptance_program().assemble())
+    report = tmp_path / "run.json"
+    argv = ["run", str(image), "--flip", "30:core.x6:1:3", "--freq", "25", "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    summary = json.loads(report.read_text())
+    assert json.loads(capsys.readouterr().out) == summary
+    kernel = Kernel(SystemConfig(image=str(image), freq_mhz=25.0))
+    kernel.schedule_flip(30, "cell", "core.x6", 1, 3)
+    expected = dataclasses.asdict(kernel.run())
+    core, sram, periph = expected.pop("counters")
+    assert core == 1
+    expected.update(
+        seu_counters={"core": core, "sram": sram, "periph": periph},
+        schema_version=1,
+        sim_seconds_at_freq=kernel.cycle / 25e6,
+        uart_tx_hex=b"HI".hex(),
+    )
+    assert summary == expected
 
 
 def test_run_trace_out(tmp_path, image_path):
@@ -260,6 +285,13 @@ def test_campaign_bad_config_exit(tmp_path):
     assert main(["campaign", str(cfg_path)]) == EXIT_CONFIG
     cfg_path.write_text("{not json")
     assert main(["campaign", str(cfg_path)]) == EXIT_CONFIG
+
+
+def test_campaign_with_both_image_and_image_hex_is_a_config_error(tmp_path, capsys):
+    # the two are alternatives: neither is dropped in favour of the other
+    image = _write(tmp_path, "fw.bin", b"\x73\x00\x10\x00")
+    system = {"image": str(image), "image_hex": "73001000"}
+    _assert_config_errors(tmp_path, capsys, [({"system": system}, "image and image_hex")])
 
 
 def test_campaign_malformed_config_is_a_config_error(tmp_path, capsys):

@@ -25,6 +25,7 @@ from conftest import (
     run_reference,
     uart_hello_program,
 )
+from region_check import ANY_NEED, CheckedBlocks, call_on_copies
 
 from tmrv32 import encode as E
 from tmrv32 import pipeline, regions
@@ -51,7 +52,7 @@ from tmrv32.kernel import (
 from tmrv32.memory import SramArray, SystemBus
 from tmrv32.peripherals import GPIO_REG_IN
 from tmrv32.scrubber import Scrubber
-from tmrv32.tmr import Domain, TmrCell
+from tmrv32.tmr import Domain
 
 
 def test_reset_state():
@@ -413,6 +414,12 @@ def test_config_dict_round_trip():
     )
     clone = SystemConfig.from_dict(config.to_dict())
     assert clone == config
+
+
+def test_system_config_with_both_image_and_image_hex_is_a_config_error():
+    # the two are alternatives: neither is dropped in favour of the other
+    with pytest.raises(ConfigError, match="image and image_hex"):
+        SystemConfig.from_dict({"image": "fw.bin", "image_hex": "73001000"})
 
 
 @pytest.mark.parametrize("data", [[1], "config", None])
@@ -1144,17 +1151,6 @@ def _site_loop(step, passes=48, tail=E.ebreak()):
     return p.assemble(), p.labels["site"]
 
 
-# A budget at least any region's need: a first block's longest path
-_ANY_NEED = 2 * regions._MAX_BLOCK + 1
-
-
-def _call(region, budget, regs, bank):
-    """What ``region`` returns when called with ``budget``, copies of ``regs`` and three
-    copies of ``bank``, which it may change."""
-    return region(budget, [TmrCell("x", Domain.CORE, 32, r.value) for r in regs],
-                  bank[:], bank[:], bank[:])
-
-
 def _made_for(kernel, site):
     """Whether some cached region was made from ``kernel``'s code and covers ``site``:
     it has a first block, so it declines a budget of 0 even with the word at ``site``
@@ -1164,9 +1160,9 @@ def _made_for(kernel, site):
     changed = bank[:]
     changed[site // 4] ^= 1
     return any(
-        _call(region, 0, regs, changed) is None
-        and _call(region, _ANY_NEED, regs, bank) is not False
-        and _call(region, _ANY_NEED, regs, changed) is False
+        call_on_copies(region, 0, regs, changed) is None
+        and call_on_copies(region, ANY_NEED, regs, bank) is not False
+        and call_on_copies(region, ANY_NEED, regs, changed) is False
         for region in pipeline._blocks.values()
     )
 
@@ -1239,7 +1235,7 @@ def test_one_cache_serves_kernels_of_two_sram_sizes(monkeypatch):
     toy, full = _toy_kernel(64, config), Kernel(config)
     for region in pipeline._blocks.values():
         declined = [
-            _call(region, _ANY_NEED, kernel.arch.regs, kernel.sram.banks[0]) is False
+            call_on_copies(region, ANY_NEED, kernel.arch.regs, kernel.sram.banks[0]) is False
             for kernel in (toy, full)
         ]
         assert sorted(declined) == [False, True]
@@ -1340,7 +1336,7 @@ def test_a_region_stops_at_every_span_end(monkeypatch):
     # and every other call runs cycles.
     image, pc, region, pending, start = _nested_region(monkeypatch)
     # the need: the smallest budget that runs from the start
-    need = next(b for b in range(1, _ANY_NEED) if _call_at(image, start, region, b))
+    need = next(b for b in range(1, ANY_NEED) if _call_at(image, start, region, b))
 
     def counted(budget, *args):
         calls.append((n, budget, region(budget, *args)))
@@ -1368,7 +1364,7 @@ def test_a_region_checks_its_need_before_its_code(monkeypatch):
     # of another SRAM size or a changed word makes no difference; at the need, the
     # region runs, and declines either bank as code it was not made from.
     image, _, region, _, start = _nested_region(monkeypatch)
-    need = next(b for b in range(1, _ANY_NEED) if _call_at(image, start, region, b))
+    need = next(b for b in range(1, ANY_NEED) if _call_at(image, start, region, b))
 
     def short(banks):
         return [bank[:64] for bank in banks]
@@ -1383,36 +1379,14 @@ def test_a_region_checks_its_need_before_its_code(monkeypatch):
     assert isinstance(_call_at(image, start, region, need), tuple)
 
 
-class _CheckedBlocks(dict):
-    """A translation cache whose regions check that a call that does not run changes
-    no register and no SRAM word, and log each call's budget, what it returned and
-    whether it stayed: it would run no cycle with a budget at least its need."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = []
-
-    def __setitem__(self, pc, region):
-        def checked(budget, regs, *banks):
-            before = [r.value for r in regs], [bank[:] for bank in banks]
-            stayed = _call(region, _ANY_NEED, regs, banks[0]) is None
-            done = region(budget, regs, *banks)
-            if not done:
-                assert ([r.value for r in regs], [bank[:] for bank in banks]) == before
-            self.calls.append((budget, done, stayed))
-            return done
-
-        super().__setitem__(pc, checked)
-
-
 @pytest.mark.parametrize("program", sorted(QUIET_PROGRAMS))
 def test_no_region_is_called_with_a_span_its_first_block_does_not_fit(monkeypatch, program):
     # A region called with such a span declines it: it returns None and changes
-    # nothing (``_CheckedBlocks`` checks every call). Runs chopped into spans of 1 to
+    # nothing (``CheckedBlocks`` checks every call). Runs chopped into spans of 1 to
     # 12 cycles, with the cache warm from a whole run, make most such calls.
     image, max_cycles, raises = QUIET_PROGRAMS[program]
     config = SystemConfig(image=image(), max_cycles=max_cycles)
-    blocks = _CheckedBlocks()
+    blocks = CheckedBlocks()
     monkeypatch.setattr(pipeline, "_blocks", blocks)
     outcome = _fast_outcome(Kernel(config), None)
     assert (outcome and outcome[0]) == raises
@@ -1444,7 +1418,7 @@ def test_loads_in_a_region_match_the_reference_model(monkeypatch, program):
     # The per-cycle loop and regions take a load's result from one rule
     # (isa._LOAD), so only the independent model checks that rule where loads run
     # in a region.
-    blocks = _CheckedBlocks()
+    blocks = CheckedBlocks()
     monkeypatch.setattr(pipeline, "_blocks", blocks)
     image = QUIET_PROGRAMS[program][0]()
     assert run_kernel(image) == run_reference(image)
@@ -1455,7 +1429,7 @@ def test_a_loop_closing_on_the_last_word_of_sram_takes_its_branch_in_its_region(
     # The fetch after the closing ``bne`` at 0x7FFC would fault, so the region leaves
     # before that branch only when it is not taken; the per-cycle loop then runs it and
     # raises. Every taken pass runs in the region, so one call runs most of the run.
-    blocks = _CheckedBlocks()
+    blocks = CheckedBlocks()
     monkeypatch.setattr(pipeline, "_blocks", blocks)
     image, max_cycles, raises = QUIET_PROGRAMS["sram-end"]
     config = SystemConfig(image=image(), max_cycles=max_cycles)
@@ -1480,7 +1454,7 @@ def test_a_default_run_keeps_the_stream_and_still_runs_regions(monkeypatch, prog
     # Every run keeps its event stream: a default run's is a recorded run's without
     # the Retire records, and keeping it costs the default run no region.
     image, max_cycles, _ = QUIET_PROGRAMS[program]
-    blocks = _CheckedBlocks()
+    blocks = CheckedBlocks()
     monkeypatch.setattr(pipeline, "_blocks", blocks)
     for _ in range(pipeline._HOT_ENTRIES):  # straight-line code is entered once a run
         clean = Kernel(SystemConfig(image=image(), max_cycles=max_cycles))
@@ -1703,7 +1677,9 @@ def test_snapshot_config_stays_valid_when_resume_flips_record_events():
     assert quiet.config.record_events
     blob = quiet.snapshot()
     (cfg_len,) = struct.unpack_from("<I", blob, 18)
-    fresh = json.dumps(quiet.config.to_dict(include_image=False), sort_keys=True).encode()
+    fresh = quiet.config.to_dict()
+    del fresh["image_hex"], fresh["record_events"]  # SRAM and the misc JSON carry them
+    fresh = json.dumps(fresh, sort_keys=True).encode()
     assert blob[22 : 22 + cfg_len] == fresh and blob == recording.snapshot()
     quiet.restore(recording.snapshot())
     assert quiet.snapshot() == recording.snapshot()

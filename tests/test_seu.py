@@ -378,6 +378,46 @@ def test_configs_round_trip_record_events(record_events):
     assert CampaignConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
+# a value other than the default for every field of the two config classes
+SYSTEM_FIELD_VALUES = {
+    "image": b"\x73\x00\x10\x00",
+    "image_base": 0x100,
+    "entry_pc": 0x104,
+    "freq_mhz": 12.5,
+    "scrub_enabled": False,
+    "scrub_divider": 3,
+    "max_cycles": 777,
+    "stimulus": (("uart-rx", 9, 65), ("gpio-in", 3, 5, 1)),
+    "record_events": True,
+}
+CAMPAIGN_FIELD_VALUES = {
+    "system": SystemConfig(**SYSTEM_FIELD_VALUES),
+    "faults": [FaultSpec(at_cycle=3, kind="random", key="periph", replica=None, bit=None,
+                         phase=EDGE_ALIGNED, count=2)],
+    "rates": {"core": 0.01, "sram": 0.5},
+    "run_cycles": 500,
+    "mode": "accumulate",
+    "golden_compare": False,
+    "seed": 9,
+    "edge_aligned_fraction": 0.25,
+}
+
+
+@pytest.mark.parametrize("cls, values", [(SystemConfig, SYSTEM_FIELD_VALUES),
+                                         (CampaignConfig, CAMPAIGN_FIELD_VALUES)])
+def test_every_config_field_round_trips_through_json(cls, values):
+    # A field the table lacks fails here, so a new field is round-tripped from the start.
+    fields = dataclasses.fields(cls)
+    assert [f.name for f in fields] == list(values)
+    for f in fields:
+        if f.default is not dataclasses.MISSING:
+            assert values[f.name] != f.default, f.name
+        elif f.default_factory is not dataclasses.MISSING:
+            assert values[f.name] != f.default_factory(), f.name
+    config = cls(**values)
+    assert cls.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
 @pytest.mark.parametrize("kind", ["path", "bytearray"])
 def test_campaign_config_with_a_path_or_bytearray_image_serializes(tmp_path, kind):
     data = acceptance_program().assemble()
