@@ -28,39 +28,49 @@ Golden and every faulted run are driven by ``Kernel._advance``, the one run loop
 it stops at a given cycle and says once the run is over, at the program's halt or
 after ``run_cycles`` cycles.
 
-Every faulted run starts from a checkpoint of the fault-free golden run
-(``Kernel.checkpoint``, resumed with ``Kernel.resume``): up to its first injection
-cycle a faulted run is golden's run, so it is not simulated again. Campaigns run
-in one of two modes. ``accumulate`` injects every fault into one run, for
-upset-accumulation experiments: golden runs to the first injection cycle and takes
-its checkpoint there, runs on to its end only for ``golden_compare``, and then
-golden's kernel resumes that checkpoint and runs the faulted run with every fault
-scheduled, so the campaign builds one kernel. The run schedules its faults in cycle
-order (faults of one cycle in fault order), so no flip reorders the kernel's
-schedule; its records stay in fault order. ``isolated`` classifies each fault on
-its own against golden. Its records are those of one run from reset per fault, but
-it does not simulate that way:
+Every faulted run starts from the fault-free golden run's state at its first
+injection cycle: in golden's own kernel, or from a checkpoint of it
+(``Kernel.checkpoint``, resumed with ``Kernel.resume``). Up to that cycle a faulted
+run is golden's run, so it is not simulated again. Campaigns run in one of two
+modes. ``accumulate`` injects every fault into one run, for upset-accumulation
+experiments: golden runs to the first injection cycle and takes its checkpoint
+there, runs on to its end only for ``golden_compare``, and then golden's kernel
+resumes that checkpoint and runs the faulted run with every fault scheduled, so the
+campaign builds one kernel. The run schedules its faults in cycle order (faults of
+one cycle in fault order), so no flip reorders the kernel's schedule; its records
+stay in fault order. ``isolated`` classifies each fault on its own against golden.
+Its records are those of one run from reset per fault, but it does not simulate
+that way:
 
 * Golden runs once, stopping only at each distinct injection cycle and at its
-  end. At each stop, every fault of that cycle resumes golden's checkpoint in
-  turn, in the one fork kernel, and runs before the next fault starts.
-* A fork whose upset hits one replica of one cell steps until the upset is
-  resolved: no cell or SRAM row is dirty, no counter increment is pending and no
-  flip is queued or scheduled (so its target has re-equalized). Such an upset
-  changes no vote, and every read of a cell is voted, so from there on the fork
-  runs as golden does, apart from its counters and event totals; those change only
-  on a discrepancy, which golden never has, so its record is final and it is
-  recorded as a match. The counters feed back only when the core reads the SEU
-  counter block, which is why a match keeps golden's count of those reads at the
-  injection cycle: a read in the fork's steps is golden's read too.
-* Every other fork runs to its own end and keeps its own final state, even one
-  whose state equals golden's long before.
+  end, and the faults of each stop run there one after another.
+* An upset of one replica of one cell is carried in golden's own kernel, which
+  steps until the upset is resolved: no cell or SRAM row is dirty, no counter
+  increment is pending and no flip is queued or scheduled (so its target has
+  re-equalized). Such an upset changes no vote, and every read of a cell is voted,
+  so from there on the run is golden's, apart from its counters, event totals and
+  records; those change only on a discrepancy, which golden never has, so its
+  record is final and it is recorded as a match. Golden then takes back the
+  counter cells, the event totals and the upset's records, and goes on from the
+  settled cycle, so the settling cycles are simulated once. The counters feed back
+  only when the core reads the SEU counter block. A match keeps golden's count of
+  those reads from before the upset, for the rerun rule below. A read while the
+  upset settles, or a run that ends or raises first, puts golden back at the
+  injection cycle, and the fault runs as a fork (next bullet) from there.
+* Every other fault resumes golden's checkpoint at its cycle in the one fork
+  kernel, built at the first fork, and runs to its own end, keeping its own final
+  state, even one whose state equals golden's long before. Golden checkpoints an
+  injection cycle only when something must restart from its state there: such a
+  fork, a second fault at that cycle, or a next injection cycle before c + 3, which
+  a carried upset may settle past (an edge-aligned upset at c is refreshed at
+  c + 2). Where golden must go back to a cycle it took no checkpoint at, it is
+  rebuilt from a checkpoint of the reset state.
 * A fault due at or after the cycle where golden's run ends never lands. It is
-  recorded from golden's final state and stream, which holds no upset, as a fork
+  recorded from golden's final state and stream, which holds no upset, as a fault
   that matched golden there, so no kernel is forked or run for it.
 * Each fault has one result: the record and final state of a run that ran out,
   the record of a run that matched golden, or the exception its run raised (the
-  simulated core crashed or hung). Once every fork has run, the results are
+  simulated core crashed or hung). Once every fault has run, the results are
   settled in fault order, and golden runs on to its end if ``golden_compare`` or a
   match needs it. A match after which golden read the SEU counters is run again
   from reset there, and a match takes what golden raised, if golden raised. The
@@ -69,7 +79,8 @@ it does not simulate that way:
 
 Both modes build records through one path, ``_records``, from a kernel's final
 state and its own event stream: the accumulate run's kernel, the fork kernel for
-each isolated fault, and golden's for faults that never land.
+each forked fault, and golden's for a carried upset (over the records of its
+settling cycles alone) and for faults that never land.
 
 Before any simulation, ``resolve_faults`` turns every spec into one target,
 replica, bit and phase, drawing from the campaign seed what the spec leaves open.
@@ -407,8 +418,9 @@ def _records(kernel, faults):
 
 
 class _ForkedCampaign:
-    """The isolated-mode engine (see the module docstring): one fork at a time, each
-    run to its end unless its upset changed no vote."""
+    """The isolated-mode engine (see the module docstring): golden carries each
+    single-replica cell upset through its own settling cycles, and every other fault
+    runs to its end in the one fork kernel."""
 
     def __init__(self, golden, length, golden_compare):
         self.golden = golden
@@ -419,7 +431,8 @@ class _ForkedCampaign:
         # ran out, (record, None, golden's counter reads at the match) for one that
         # matched golden, or the exception its run raised
         self.results = {}
-        self.kernel = None  # the fork kernel, resumed by every fork in turn
+        self.kernel = None  # the fork kernel, built at the first fork
+        self.reset = None  # a checkpoint of the reset state, made at the first need
 
     def run(self, faults):
         """Return (golden signature or None, records in fault order).
@@ -435,9 +448,21 @@ class _ForkedCampaign:
                 due.setdefault(fault.at_cycle, []).append(fault)
             cycles = sorted(due, reverse=True)
             while cycles and not self._golden_to(cycles[-1]):
-                checkpoint = golden.checkpoint()
-                for fault in due[cycles.pop()]:
-                    self._fork(checkpoint, fault)
+                cycle = cycles.pop()
+                here = due[cycle]
+                # golden checkpoints this cycle only if something must restart from it: a
+                # fork, a second fault, or a next cycle before c + 3, which a carried upset
+                # may settle past (an edge-aligned one is refreshed at c + 2)
+                checkpoint = None
+                if len(here) > 1 or not _carried(here[0]) or cycles and cycles[-1] < cycle + 3:
+                    checkpoint = golden.checkpoint()
+                for fault in here:
+                    if _carried(fault):
+                        self._carry(fault, checkpoint)
+                    else:
+                        self._fork(checkpoint, fault)
+                if cycles and golden.cycle > cycles[-1]:
+                    self._rewind(checkpoint, cycle)
             # a fault due at or after golden's end never lands: its run is golden's
             leftover = [fault for cycle in cycles for fault in due[cycle]]
             for record in _records(golden, leftover):
@@ -448,16 +473,14 @@ class _ForkedCampaign:
                 self._golden_to(math.inf)
                 golden_sig = golden.architectural_signature()
             # Settle in fault order, so the first exception met is the one raised.
-            reset = None
             records = []
             for fault in faults:
                 entry = results[fault.index]
                 if not isinstance(entry, SimError) and entry[2] is not None:  # matched golden
-                    self._golden_to(math.inf)  # golden runs to its end only if some fork matched
+                    self._golden_to(math.inf)  # golden runs to its end only if some fault matched
                     if entry[2] != golden.counters.reads:
                         # golden reads the SEU counters after the match: rerun from reset
-                        reset = reset or Kernel(golden.config).checkpoint()
-                        self._fork(reset, fault, to_end=True)
+                        self._fork(self._reset(), fault)
                         entry = results[fault.index]
                     elif self.golden_error is not None:
                         entry = self.golden_error
@@ -484,32 +507,80 @@ class _ForkedCampaign:
             self.golden_error = exc
             return True
 
-    def _fork(self, checkpoint, fault, to_end=False):
-        """Run ``fault`` from ``checkpoint`` in the fork kernel and write its result.
+    def _reset(self):
+        if self.reset is None:
+            self.reset = Kernel(self.golden.config).checkpoint()
+        return self.reset
 
-        Unless ``to_end``, a single-replica cell upset steps until it is resolved and is
-        recorded there as a match. Every other run goes on to its end, or until it raises.
+    def _carry(self, fault, checkpoint):
+        """Run a single-replica cell upset in golden's own kernel until it settles and
+        record it as a match, then take back what it left: the counter cells, the event
+        totals and its records. Golden goes on from the settled cycle.
+
+        Golden first goes back to the fault's cycle if an earlier fault of that cycle
+        moved it on. If golden's run ends, raises or reads the SEU counter block before
+        the upset settles, golden goes back there again and the fault runs as a fork to
+        its end. ``checkpoint`` is golden's at that cycle, if one was taken.
         """
+        golden, bank, cycle = self.golden, self.golden.counters, fault.at_cycle
+        if golden.cycle != cycle:
+            self._rewind(checkpoint, cycle)
+        reads, values, totals = bank.reads, bank.values(), dict(bank.totals)
+        stream, golden.sink = golden.sink, []  # the settle's records alone
+        _schedule(golden, fault)
+        over = False
+        try:
+            while not (over or golden.settled()):
+                over = golden._advance(golden.cycle + 1, self.length)
+        except SimError:
+            over = True
+        if over or bank.reads != reads:
+            golden.sink, bank.reads = stream, reads
+            self._rewind(checkpoint, cycle)
+            self._fork(checkpoint or golden.checkpoint(), fault)
+            return
+        self.results[fault.index] = (*_records(golden, [fault]), None, reads)
+        # golden's own records of those cycles stay: its retirements and halt
+        stream += [rec for rec in golden.sink if type(rec) not in (Discrepancy, Flip, Repair)]
+        golden.sink, bank.totals = stream, totals
+        for cell, value in zip(bank.counters, values):
+            cell.write(value)
+
+    def _rewind(self, checkpoint, cycle):
+        """Put golden back at ``cycle``, from ``checkpoint`` (taken there) or from reset,
+        keeping its event stream up to that cycle and its count of counter reads."""
+        golden = self.golden
+        stream, reads = golden.sink, golden.counters.reads
+        if checkpoint is None:
+            golden.resume(self._reset())
+            golden._advance(cycle, self.length)
+        else:
+            golden.resume(checkpoint)
+        while stream and stream[-1].cycle >= cycle:
+            stream.pop()
+        golden.sink, golden.counters.reads = stream, reads
+
+    def _fork(self, checkpoint, fault):
+        """Run ``fault`` from ``checkpoint`` to its end in the fork kernel and write its
+        result: its record and final state, or the exception it raised."""
         if self.kernel is None:
             self.kernel = Kernel(self.golden.config)
-        kernel, length = self.kernel, self.length
+        kernel = self.kernel
         kernel.resume(checkpoint)
         _schedule(kernel, fault)
         try:
-            if not to_end and fault.kind == "cell" and fault.count == 1:  # no vote changed
-                over = False
-                while not (over or kernel.settled()):
-                    over = kernel._advance(kernel.cycle + 1, length)
-                if not over:
-                    reads = self.golden.counters.reads
-                    self.results[fault.index] = (*_records(kernel, [fault]), None, reads)
-                    return
-            kernel._advance(end=length)
+            kernel._advance(end=self.length)
         except SimError as exc:
             self.results[fault.index] = exc
             return
         sig = kernel.architectural_signature() if self.golden_compare else None
         self.results[fault.index] = (*_records(kernel, [fault]), sig, None)
+
+
+def _carried(fault):
+    """Whether ``fault`` is carried in golden's own kernel: one replica of one cell,
+    so no vote changes."""
+    return fault.kind == "cell" and fault.count == 1
 
 
 def run_campaign(config):

@@ -19,7 +19,7 @@ from reference_observer import outcome, reference_isolated
 
 from tmrv32 import encode as E
 from tmrv32.errors import BusFault
-from tmrv32.kernel import EDGE_ALIGNED, MID_CYCLE, Kernel, SystemConfig
+from tmrv32.kernel import EDGE_ALIGNED, MID_CYCLE, Halt, Kernel, SystemConfig
 from tmrv32.memory import SEU_COUNTER_BASE
 from tmrv32.seu import CampaignConfig, FaultSpec, run_campaign
 from tmrv32.tmr import Domain
@@ -489,23 +489,39 @@ def test_many_faults_at_one_cycle():
 
 
 class _Counting:
-    """Counts Kernel constructions and simulated cycles while installed."""
+    """Counts Kernel constructions, simulated cycles, checkpoints and resumes while
+    installed; ``built`` holds the kernels in the order they were built, golden first."""
 
     def __init__(self, monkeypatch):
-        self.kernels = 0
-        self.steps = 0
+        self.kernels = self.steps = self.checkpoints = self.resumes = 0
+        self.built = []
         init, step = Kernel.__init__, Kernel.step_cycle
+        checkpoint, resume = Kernel.checkpoint, Kernel.resume
 
         def counting_init(kernel, config):
             self.kernels += 1
+            self.built.append(kernel)
             init(kernel, config)
 
         def counting_step(kernel):
             self.steps += 1
             step(kernel)
 
+        def counting_checkpoint(kernel):
+            self.checkpoints += 1
+            return checkpoint(kernel)
+
+        def counting_resume(kernel, state):
+            self.resumes += 1
+            resume(kernel, state)
+
         monkeypatch.setattr(Kernel, "__init__", counting_init)
         monkeypatch.setattr(Kernel, "step_cycle", counting_step)
+        monkeypatch.setattr(Kernel, "checkpoint", counting_checkpoint)
+        monkeypatch.setattr(Kernel, "resume", counting_resume)
+
+    def calls(self):
+        return self.kernels, self.checkpoints, self.resumes
 
 
 def test_forks_stop_once_they_match_golden(monkeypatch):
@@ -530,6 +546,150 @@ def test_live_forks_and_kernels_stay_bounded(monkeypatch):
     report = run_campaign(_campaign(image, faults, seed=4, run_cycles=300))
     assert report.summary["faults"] == 120
     assert count.kernels <= 2
+
+
+# ---------------------------------------------------------------------------
+# single-replica cell upsets carried in golden's own kernel
+# ---------------------------------------------------------------------------
+
+
+def _carry_campaign(image, faults, monkeypatch, **kw):
+    """Run the campaign against the reference; return the engine's work as counted."""
+    config = _campaign(image, faults, **kw)
+    expected = outcome(reference_isolated, config)
+    count = _Counting(monkeypatch)
+    assert outcome(run_campaign, config) == expected
+    return count
+
+
+def test_lone_single_upsets_build_one_kernel_and_no_checkpoint(monkeypatch):
+    # one upset per cycle, 3 cycles apart: each settles in golden before the next
+    image = acceptance_program().assemble()
+    window = _golden_cycles(SystemConfig(image=image)) - 25
+    faults = [FaultSpec(at_cycle=c, kind="random", key=("core", "periph")[c % 2])
+              for c in range(5, window, 3)]
+    count = _carry_campaign(image, faults, monkeypatch, seed=7, edge_aligned_fraction=0.5)
+    assert count.calls() == (1, 0, 0)
+    # golden steps each upset's 2 or 3 settling cycles, once
+    assert count.steps <= 3 * len(faults)
+
+
+@pytest.mark.parametrize("phase", [MID_CYCLE, EDGE_ALIGNED])
+@pytest.mark.parametrize("gap", [2, 3])
+def test_a_next_fault_before_c_plus_3_needs_a_checkpoint(monkeypatch, phase, gap):
+    # An edge-aligned upset at c is refreshed at c + 2, so golden may stand at c + 3
+    # once it settles: a fault at c + 2 must start from golden's state at c.
+    image = acceptance_program().assemble()
+    faults = [
+        FaultSpec(at_cycle=30, kind="cell", key="core.x6", replica=1, bit=4, phase=phase),
+        FaultSpec(at_cycle=30 + gap, kind="cell", key="core.x7", replica=2, bit=0, phase=phase),
+    ]
+    count = _carry_campaign(image, faults, monkeypatch)
+    kernels, checkpoints, resumes = count.calls()
+    assert kernels == 1  # no rebuild from reset
+    assert checkpoints == (1 if gap == 2 else 0)
+    # golden goes back to c only if it settled past the next fault
+    assert resumes == (1 if gap == 2 and phase == EDGE_ALIGNED else 0)
+
+
+def test_one_cycle_with_several_single_upsets_and_a_double_upset(monkeypatch):
+    image = acceptance_program().assemble()
+    faults = [
+        FaultSpec(at_cycle=40, kind="cell", key="core.x6", replica=0, bit=3),
+        FaultSpec(at_cycle=40, kind="cell", key="core.x9", replica=1, bit=5, count=2),
+        FaultSpec(at_cycle=40, kind="cell", key="periph.gpio_out", replica=2, bit=1,
+                  phase=EDGE_ALIGNED),
+        FaultSpec(at_cycle=40, kind="cell", key="periph.seu_count_core", replica=1, bit=0),
+        FaultSpec(at_cycle=41, kind="cell", key="core.x1", replica=0, bit=0),
+        FaultSpec(at_cycle=60, kind="cell", key="core.x2", replica=2, bit=7, phase=EDGE_ALIGNED),
+        FaultSpec(at_cycle=60, kind="cell", key="core.x3", replica=0, bit=1),
+    ]
+    count = _carry_campaign(image, faults, monkeypatch)
+    kernels, checkpoints, resumes = count.calls()
+    # golden and the double upset's fork kernel; a checkpoint at 40 and at 60
+    assert (kernels, checkpoints) == (2, 2)
+    # the fork's resume; golden back at 40 for the 2nd and 3rd single upset there and
+    # once more for cycle 41, and back at 60 for its 2nd upset
+    assert resumes == 1 + 2 + 1 + 1
+
+
+@pytest.mark.parametrize("run_cycles", [None, 150])
+def test_golden_keeps_no_record_of_a_carried_upset(monkeypatch, run_cycles):
+    # Golden's stream, Retire records included, must be that of a fault-free run: a
+    # carried upset's records are taken back, golden's own records of its settling
+    # cycles (here its Halt) stay, and a rewind or a rebuild from reset logs nothing twice.
+    image = acceptance_program().assemble()
+    system = SystemConfig(image=image, record_events=True)
+    halt = _golden_cycles(system) - 1
+    end = halt + 1 if run_cycles is None else halt + 20
+    faults = [
+        FaultSpec(at_cycle=20, kind="cell", key="core.x6", replica=0, bit=3),
+        FaultSpec(at_cycle=40, kind="cell", key="core.x6", replica=0, bit=3),
+        FaultSpec(at_cycle=40, kind="cell", key="core.x9", replica=1, bit=5, count=2),
+        FaultSpec(at_cycle=40, kind="cell", key="core.x8", replica=2, bit=2),
+        FaultSpec(at_cycle=halt - 1, kind="cell", key="core.x1", replica=1, bit=0,
+                  phase=EDGE_ALIGNED),
+        FaultSpec(at_cycle=end - 1, kind="cell", key="core.x2", replica=2, bit=1),
+    ]
+    count = _carry_campaign(None, faults, monkeypatch, system=system,
+                            run_cycles=None if run_cycles is None else end)
+    golden = count.built[0]
+    fault_free = Kernel(system)
+    if run_cycles is None:
+        fault_free.run()
+    else:
+        fault_free.run_cycles(end)
+    assert golden.cycle == fault_free.cycle
+    assert golden.sink == fault_free.sink
+    assert any(type(rec) is Halt for rec in golden.sink)
+
+
+@pytest.mark.parametrize("run_cycles, at, phase", [
+    (None, -1, MID_CYCLE),  # golden halts at the upset's own cycle
+    (None, -2, EDGE_ALIGNED),  # and before an edge-aligned upset is refreshed
+    (100, 99, MID_CYCLE),  # the run ends in the upset's cycle
+    (100, 98, EDGE_ALIGNED),
+])
+def test_a_run_that_ends_while_an_upset_settles(monkeypatch, run_cycles, at, phase):
+    image = acceptance_program().assemble()
+    if run_cycles is None:
+        at += _golden_cycles(SystemConfig(image=image))
+    faults = [FaultSpec(at_cycle=at, kind="cell", key="core.x6", replica=0, bit=2, phase=phase)]
+    count = _carry_campaign(image, faults, monkeypatch, run_cycles=run_cycles)
+    # golden, rebuilt from a reset checkpoint's kernel, then the fault's fork kernel
+    assert count.kernels == 3
+
+
+@pytest.mark.parametrize("golden_compare", [True, False])
+def test_golden_that_crashes_while_an_upset_settles(monkeypatch, golden_compare):
+    system = SystemConfig(image=_crash_program(), max_cycles=300)
+    kernel = Kernel(system)
+    with pytest.raises(BusFault):
+        kernel.run()
+    crash = kernel.cycle  # the cycle that raised
+    faults = [FaultSpec(at_cycle=crash - 1, kind="cell", key="core.x2", replica=1, bit=0)]
+    count = _carry_campaign(None, faults, monkeypatch, system=system,
+                            golden_compare=golden_compare)
+    assert count.kernels == 3
+
+
+@pytest.mark.parametrize("before, phase", [(1, MID_CYCLE), (2, EDGE_ALIGNED), (0, MID_CYCLE)])
+def test_a_counter_read_while_an_upset_settles_rebuilds_golden_from_reset(
+        monkeypatch, before, phase):
+    # The upset's increment lands before the read, except at ``before`` 0, where the
+    # read comes first. Either way golden read the counters inside the settle, so it
+    # is rebuilt at the upset's cycle, from reset (no other fault made a checkpoint).
+    image = _counter_reading_program()
+    kernel = Kernel(SystemConfig(image=image))
+    while not kernel.counters.reads:
+        kernel.step_cycle()
+    read = kernel.cycle - 1
+    faults = [FaultSpec(at_cycle=read - before, kind="cell", key="core.x5", replica=2, bit=1,
+                        phase=phase)]
+    count = _carry_campaign(image, faults, monkeypatch)
+    golden = count.built[0]
+    assert count.kernels == 3 and golden.counters.reads == 1
+    assert golden.counters.values() == (0, 0, 0) and golden.arch.read_reg(7) == 0
 
 
 # ---------------------------------------------------------------------------
