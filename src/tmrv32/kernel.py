@@ -642,7 +642,8 @@ class Kernel:
 
     @staticmethod
     def _check_misc_values(misc):
-        """ConfigError unless each misc value other than a flip list has the type and
+        """ConfigError unless each misc value other than a flip list and the UART receive
+        queue (which :meth:`restore` compares with the configuration's) has the type and
         range :meth:`_misc_state` gives it."""
         def count(v):
             return type(v) is int and v >= 0
@@ -655,7 +656,6 @@ class Kernel:
             "idle_cause": lambda v: v in ("fill", "stall", "branch"),
             "gpio_inputs": lambda v: count(v) and not v >> GPIO_PINS,
             "uart_tx_log": log,
-            "uart_rx_pending": log,
             "uart_rx_cursor": lambda v: count(v) and v <= len(misc["uart_rx_pending"]),
             "pending_increments": lambda v: all(map(count, v.values())),
             "event_totals": lambda v: v.keys() == set(Domain) and all(map(count, v.values())),
@@ -691,7 +691,9 @@ class Kernel:
         configuration. Nothing is checked, not even values against cell widths: every
         cell takes its value, only the upset cells get three replicas, and they make up
         the dirty set. The checkpoint stays as it was, for any number of resumes. The event
-        stream starts empty; ``record_events`` is taken from the checkpoint.
+        stream starts empty; ``record_events`` is taken from the checkpoint. The UART
+        receive queue is the configuration's ``uart-rx`` stimulus, which no run changes,
+        so it is not copied.
 
         A clean checkpoint costs one pass over the cells and one copy of bank 0, which
         the other banks then share (:meth:`SramArray.restore_banks`); a dirty one, three.
@@ -720,7 +722,6 @@ class Kernel:
         p.dmem_cycles = misc["dmem_cycles"]
         self.gpio.input_levels = misc["gpio_inputs"]
         self.uart.tx_log = list(misc["uart_tx_log"])
-        self.uart.rx_pending = list(misc["uart_rx_pending"])
         self.uart.rx_cursor = misc["uart_rx_cursor"]
         self.counters.pending = dict(misc["pending_increments"])
         self.counters.totals = dict(misc["event_totals"])
@@ -843,6 +844,10 @@ class Kernel:
                 except (ConfigError, TypeError) as exc:
                     raise ConfigError(f"snapshot {name} entry {list(entry)!r}: {exc}") from None
             self._check_misc_values(misc)
+            if misc["retired"] != misc["arch_retired"]:
+                raise ConfigError("snapshot misc fields retired and arch_retired differ")
+            if misc["uart_rx_pending"] != tuple(self.uart.rx_pending):
+                raise ConfigError("snapshot uart_rx_pending is not the configuration's uart-rx")
             # edited bytes may list it in any order; resume takes it in cycle order
             misc["fault_schedule"] = tuple(sorted(misc["fault_schedule"], key=lambda e: e[0]))
             self.resume(Checkpoint(cycle, values, tuple(upsets), banks, misc))

@@ -42,32 +42,36 @@ stay in fault order. ``isolated`` classifies each fault on its own against golde
 Its records are those of one run from reset per fault, but it does not simulate
 that way:
 
-* Golden runs once, stopping only at each distinct injection cycle and at its
-  end, and the faults of each stop run there one after another.
+* Golden runs once, visiting the faults in cycle order (those of one cycle in fault
+  order) and stopping at each injection cycle and at its end.
 * An upset of one replica of one cell is carried in golden's own kernel, which
-  steps until the upset is resolved: no cell or SRAM row is dirty, no counter
-  increment is pending and no flip is queued or scheduled (so its target has
-  re-equalized). Such an upset changes no vote, and every read of a cell is voted,
-  so from there on the run is golden's, apart from its counters, event totals and
-  records; those change only on a discrepancy, which golden never has, so its
-  record is final and it is recorded as a match. Golden then takes back the
-  counter cells, the event totals and the upset's records, and goes on from the
-  settled cycle, so the settling cycles are simulated once. The counters feed back
-  only when the core reads the SEU counter block. A match keeps golden's count of
-  those reads from before the upset, for the rerun rule below. A read while the
-  upset settles, or a run that ends or raises first, puts golden back at the
-  injection cycle, and the fault runs as a fork (next bullet) from there.
+  steps until the upset is resolved (no cell or SRAM row is dirty, no counter
+  increment is pending and no flip is queued or scheduled, so its target has
+  re-equalized) or the run ends. Such an upset changes no vote, and every read of
+  a cell is voted, so from there on the run is golden's, apart from its counters,
+  event totals and records; those change only on a discrepancy, which golden never
+  has, so its record is final where golden stands, and it is recorded as a match
+  from golden's state there. Golden then takes back the counter cells, the pending
+  increments, the event totals and the upset's records, and goes on from there, so
+  the settling cycles are simulated once. The counters feed back only when the core
+  reads the SEU counter block. A match keeps golden's count of those reads from
+  before the upset, for the rerun rule below. If the core reads the block, or the
+  run raises, while the upset settles, the fault is forked instead (next bullet).
 * Every other fault resumes golden's checkpoint at its cycle in the one fork
   kernel, built at the first fork, and runs to its own end, keeping its own final
-  state, even one whose state equals golden's long before. Golden checkpoints an
-  injection cycle only when something must restart from its state there: such a
-  fork, a second fault at that cycle, or a next injection cycle before c + 3, which
-  a carried upset may settle past (an edge-aligned upset at c is refreshed at
-  c + 2). Where golden must go back to a cycle it took no checkpoint at, it is
+  state, even one whose state equals golden's long before.
+* Golden goes back in one place: before a fault whose cycle it already stands past
+  (a carried upset settled past it) or whose carry failed, it goes back to the last
+  injection cycle. It checkpoints an injection cycle once, at the first fault there
+  that it forks or whose next fault is due before the cycle where golden stands
+  once that upset has settled: c + 2 for a mid-cycle upset at c, c + 3 for an
+  edge-aligned one (the edge of c + 2 refreshes the cell and lands its counter
+  increment). Where golden must go back to a cycle it took no checkpoint at, it is
   rebuilt from a checkpoint of the reset state.
 * A fault due at or after the cycle where golden's run ends never lands. It is
-  recorded from golden's final state and stream, which holds no upset, as a fault
-  that matched golden there, so no kernel is forked or run for it.
+  recorded from golden's final state and stream, which keep no carried upset's
+  counts or records, as a fault that matched golden there, so no kernel is forked
+  or run for it.
 * Each fault has one result: the record and final state of a run that ran out,
   the record of a run that matched golden, or the exception its run raised (the
   simulated core crashed or hung). Once every fault has run, the results are
@@ -99,8 +103,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 
-import numpy as np
-
 from .errors import ConfigError, SimError
 from .kernel import EDGE_ALIGNED, MID_CYCLE, Discrepancy, Flip, Kernel, Repair, SystemConfig
 from .memory import SramArray
@@ -109,9 +111,9 @@ from .scrubber import Scrubber
 from .tmr import DOMAIN_NAMES, Domain
 
 _DOMAIN_BY_NAME = {name: dom for dom, name in DOMAIN_NAMES.items()}
-_INT64_MAX = int(np.iinfo(np.int64).max)
-# the largest mean numpy's Generator.poisson draws from
-_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+_INT64_MAX = 2**63 - 1
+# the largest mean numpy's Generator.poisson draws from (C long is int64 on 64-bit Linux)
+_POISSON_LAM_MAX = _INT64_MAX - math.sqrt(_INT64_MAX) * 10
 
 
 @dataclass
@@ -258,6 +260,8 @@ def resolve_faults(config, registry_kernel, rng=None):
         spec.kind == "random" or spec.replica is None or spec.bit is None
         for spec in config.faults
     )):
+        import numpy as np  # only a campaign that draws loads numpy
+
         rng = np.random.default_rng(config.seed)
     resolved = []
     specs = list(config.faults)
@@ -418,9 +422,11 @@ def _records(kernel, faults):
 
 
 class _ForkedCampaign:
-    """The isolated-mode engine (see the module docstring): golden carries each
-    single-replica cell upset through its own settling cycles, and every other fault
-    runs to its end in the one fork kernel."""
+    """The isolated-mode engine (see the module docstring): golden visits the faults
+    in cycle order and carries each single-replica cell upset through its own settling
+    cycles, every other fault runs to its end in the one fork kernel, and golden goes
+    back to the last injection cycle only where it stands past the next fault's cycle
+    or a carry failed."""
 
     def __init__(self, golden, length, golden_compare):
         self.golden = golden
@@ -443,29 +449,31 @@ class _ForkedCampaign:
         """
         golden, results = self.golden, self.results
         try:
-            due = {}
-            for fault in faults:
-                due.setdefault(fault.at_cycle, []).append(fault)
-            cycles = sorted(due, reverse=True)
-            while cycles and not self._golden_to(cycles[-1]):
-                cycle = cycles.pop()
-                here = due[cycle]
-                # golden checkpoints this cycle only if something must restart from it: a
-                # fork, a second fault, or a next cycle before c + 3, which a carried upset
-                # may settle past (an edge-aligned one is refreshed at c + 2)
-                checkpoint = None
-                if len(here) > 1 or not _carried(here[0]) or cycles and cycles[-1] < cycle + 3:
+            order = sorted(faults, key=attrgetter("at_cycle"))  # stable: fault order in a cycle
+            checkpoint = last = None  # the last injection cycle, and golden's checkpoint there
+            i, retry = 0, False  # retry: the carry of order[i] failed, so it is forked
+            while i < len(order):
+                fault = order[i]
+                cycle = fault.at_cycle
+                if golden.cycle > cycle or retry:  # the one place golden goes back
+                    self._rewind(checkpoint, last)
+                if self._golden_to(cycle):
+                    break
+                if cycle != last:
+                    checkpoint, last = None, cycle
+                fork = retry or not _carried(fault)
+                # where golden stands once a carried upset has settled (an edge-aligned one
+                # is refreshed, and its increment lands, at the edge of c + 2)
+                settled = cycle + (3 if fault.phase == EDGE_ALIGNED else 2)
+                if checkpoint is None and (fork or i + 1 < len(order)
+                                           and order[i + 1].at_cycle < settled):
                     checkpoint = golden.checkpoint()
-                for fault in here:
-                    if _carried(fault):
-                        self._carry(fault, checkpoint)
-                    else:
-                        self._fork(checkpoint, fault)
-                if cycles and golden.cycle > cycles[-1]:
-                    self._rewind(checkpoint, cycle)
+                if fork:
+                    self._fork(checkpoint, fault)
+                retry = not fork and not self._carry(fault)  # then it is forked from here
+                i += not retry
             # a fault due at or after golden's end never lands: its run is golden's
-            leftover = [fault for cycle in cycles for fault in due[cycle]]
-            for record in _records(golden, leftover):
+            for record in _records(golden, order[i:]):
                 results[record["index"]] = (record, None, golden.counters.reads)
 
             golden_sig = None
@@ -512,50 +520,42 @@ class _ForkedCampaign:
             self.reset = Kernel(self.golden.config).checkpoint()
         return self.reset
 
-    def _carry(self, fault, checkpoint):
-        """Run a single-replica cell upset in golden's own kernel until it settles and
-        record it as a match, then take back what it left: the counter cells, the event
-        totals and its records. Golden goes on from the settled cycle.
-
-        Golden first goes back to the fault's cycle if an earlier fault of that cycle
-        moved it on. If golden's run ends, raises or reads the SEU counter block before
-        the upset settles, golden goes back there again and the fault runs as a fork to
-        its end. ``checkpoint`` is golden's at that cycle, if one was taken.
+    def _carry(self, fault):
+        """Run a single-replica cell upset in golden's own kernel until it settles or the
+        run ends, and record it as a match from golden's state there; then take back what
+        it left: the counter cells, the pending increments, the event totals and its
+        records. Golden goes on from where it stands. Return False, and record nothing,
+        if golden raised or read the SEU counter block first: the fault is then forked.
         """
-        golden, bank, cycle = self.golden, self.golden.counters, fault.at_cycle
-        if golden.cycle != cycle:
-            self._rewind(checkpoint, cycle)
-        reads, values, totals = bank.reads, bank.values(), dict(bank.totals)
+        golden, bank = self.golden, self.golden.counters
+        reads, values, totals, pending = bank.reads, bank.values(), dict(bank.totals), bank.pending
         stream, golden.sink = golden.sink, []  # the settle's records alone
         _schedule(golden, fault)
         over = False
         try:
             while not (over or golden.settled()):
                 over = golden._advance(golden.cycle + 1, self.length)
+            carried = bank.reads == reads
         except SimError:
-            over = True
-        if over or bank.reads != reads:
-            golden.sink, bank.reads = stream, reads
-            self._rewind(checkpoint, cycle)
-            self._fork(checkpoint or golden.checkpoint(), fault)
-            return
-        self.results[fault.index] = (*_records(golden, [fault]), None, reads)
-        # golden's own records of those cycles stay: its retirements and halt
-        stream += [rec for rec in golden.sink if type(rec) not in (Discrepancy, Flip, Repair)]
-        golden.sink, bank.totals = stream, totals
-        for cell, value in zip(bank.counters, values):
-            cell.write(value)
+            carried = False
+        if carried:
+            self.results[fault.index] = (*_records(golden, [fault]), None, reads)
+            # golden's own records of those cycles stay: its retirements and halt
+            stream += [rec for rec in golden.sink if type(rec) not in (Discrepancy, Flip, Repair)]
+            bank.totals, bank.pending = totals, pending
+            for cell, value in zip(bank.counters, values):
+                cell.write(value)
+        golden.sink, bank.reads = stream, reads
+        return carried
 
     def _rewind(self, checkpoint, cycle):
-        """Put golden back at ``cycle``, from ``checkpoint`` (taken there) or from reset,
-        keeping its event stream up to that cycle and its count of counter reads."""
+        """Put golden back at ``cycle``, the last injection cycle, from ``checkpoint``
+        (taken there) or from reset, keeping its event stream up to that cycle and its
+        count of counter reads."""
         golden = self.golden
         stream, reads = golden.sink, golden.counters.reads
-        if checkpoint is None:
-            golden.resume(self._reset())
-            golden._advance(cycle, self.length)
-        else:
-            golden.resume(checkpoint)
+        golden.resume(checkpoint or self._reset())
+        golden._advance(cycle, self.length)  # runs no cycle after ``checkpoint``
         while stream and stream[-1].cycle >= cycle:
             stream.pop()
         golden.sink, golden.counters.reads = stream, reads
@@ -651,6 +651,8 @@ def scrub_latency_samples(rows=8192, samples=10_000, seed=0):
     ``rows`` offsets form a seeded random permutation of all phase offsets (so the
     worst case is realized); the rest, and every offset otherwise, are uniform.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     sram = SramArray(rows)
     scrub = Scrubber(rows)

@@ -1522,6 +1522,7 @@ def _with_misc(blob, **fields):
         ([15, "edge-aligned", "sram", 9, 0, 3], "SRAM injections are phase-independent"),
         ([15, "mid-cycle", "cell", "core.x7", 0, 32], "bit 32 out of range"),
         ([15, "mid-cycle", "cell", "core.x7", 0], "missing 1 required"),  # no bit
+        ([15, "mid-cycle", "register", "core.x7", 0, 3], "unknown fault target kind 'register'"),
     ],
 )
 def test_restore_rejects_a_flip_that_schedule_flip_rejects(entry, message):
@@ -1843,6 +1844,26 @@ def test_restore_rejects_another_configuration():
         assert kernel.snapshot() == before, name
 
 
+def test_restore_takes_the_uart_receive_queue_from_the_configuration():
+    # The queue is the configuration's uart-rx stimulus, which no run changes: bytes
+    # with another queue, edited or emptied, are rejected, and the snapshot echoes "AB".
+    config = SystemConfig(image=_loop_then(E.ebreak()),
+                          stimulus=(("uart-rx", 40, 0x41), ("uart-rx", 41, 0x42)))
+    kernel = Kernel(config)
+    kernel.run_cycles(10)
+    blob = kernel.snapshot()
+    at = _misc_offset(blob)
+    misc = json.loads(blob[at + 4 :])
+    for queue in ([[40, 0x5A], [41, 0x42]], []):
+        raw = json.dumps({**misc, "uart_rx_pending": queue}, sort_keys=True).encode()
+        with pytest.raises(ConfigError, match="uart_rx_pending"):
+            kernel.restore(blob[:at] + struct.pack("<I", len(raw)) + raw)
+    assert kernel.snapshot() == blob
+    restored = Kernel.from_snapshot(blob)
+    restored.run()
+    assert restored.uart.tx_bytes() == b"AB"
+
+
 def _snapshot_at_cycle_40():
     kernel = make_kernel(acceptance_program())
     kernel.schedule_flip(38, "cell", "core.x7", 0, 2)
@@ -1889,5 +1910,8 @@ def _malformed_snapshots(blob):
         ("misc key extra", with_misc({**misc, "spare": 0})),
         ("misc field malformed", with_misc({**misc, "edge_queue": 5})),
         ("misc domain unknown", with_misc({**misc, "event_totals": {"7": 1}})),
+        ("UART receive queue not the configuration's",
+         with_misc({**misc, "uart_rx_pending": [[45, 0x5A]]})),
+        ("retired differs from arch_retired", with_misc({**misc, "retired": misc["retired"] + 1})),
     ]
     return cases

@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -494,11 +497,37 @@ def test_fault_resolution_is_pinned():
     assert digest == "da0910818e03fb8e084a892ec06e24ab7569b2b1cc795cd1ff4f59ae9a11d869"
 
 
+def test_numpy_is_imported_only_to_draw():
+    # A fresh process that imports the package, the CLI and seu, and runs a campaign
+    # with nothing to draw, loads no numpy module; a campaign that draws loads it.
+    image = acceptance_program().assemble().hex()
+    code = (
+        "import sys\n"
+        "import tmrv32, tmrv32.seu, tmrv32.cli\n"
+        "from tmrv32.kernel import SystemConfig\n"
+        "from tmrv32.seu import CampaignConfig, FaultSpec, run_campaign\n"
+        "def numpy_loaded():\n"
+        "    return any(name.split('.')[0] == 'numpy' for name in sys.modules)\n"
+        "assert not numpy_loaded(), 'imported by the package'\n"
+        f"system = SystemConfig(image=bytes.fromhex({image!r}))\n"
+        "fault = FaultSpec(at_cycle=20, kind='cell', key='core.x6', replica=1, bit=3)\n"
+        "run_campaign(CampaignConfig(system=system, faults=[fault]))\n"
+        "assert not numpy_loaded(), 'imported with nothing to draw'\n"
+        "fault = FaultSpec(at_cycle=20, kind='random', key='core')\n"
+        "run_campaign(CampaignConfig(system=system, faults=[fault]))\n"
+        "assert numpy_loaded()\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(seu.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_campaign_with_nothing_to_draw_builds_no_generator(monkeypatch):
     def no_generator(seed):
         raise AssertionError("a generator was built")
 
-    monkeypatch.setattr(seu.np.random, "default_rng", no_generator)
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
     system = SystemConfig(image=acceptance_program().assemble())
     faults = [
         FaultSpec(at_cycle=20, kind="cell", key="core.x6", replica=1, bit=3),
